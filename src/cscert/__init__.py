@@ -10,7 +10,6 @@ from .certify import (
     certify,
     coherence,
     condition_number_bound,
-    next_combination,
     rip_constant,
     rip_profile,
     spark,

@@ -12,21 +12,25 @@ The guaranteed-unique sparsity limits derived here follow three routes:
 Spark and the isometry constants are combinatorial: every K-column subset is
 enumerated, so both operations take an evaluation budget and flag their result
 as approximate (a lower bound) when the budget runs out before the sweep ends.
+``spark`` spends one budget across all subset sizes and ``rip_profile`` one
+across all orders, but ``certify`` gives each of the two the full budget, so a
+certification may evaluate up to twice its budget. Spark's ``evaluations`` is
+the sequential-scan count: subsets up to and including the first dependent one.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import dependent_mask, iter_combination_chunks
-from .matrix_core import DegenerateColumnError, MeasurementMatrix, SupportSet, gram
+from ._codec import JsonReport
+from ._linalg import dependent_mask, iter_combination_chunks, sweep
+from .matrix_core import DegenerateColumnError, MeasurementMatrix, gram
 
-# Default cap on submatrix evaluations per operation call.
+# Default cap on submatrix evaluations per spark or RIP-profile call.
 DEFAULT_BUDGET = 20_000_000
 
 # Two published thresholds on delta_{2K} for l0/l1 equivalence.
@@ -62,56 +66,31 @@ class RipResult(NamedTuple):
     lambda_max: float
 
 
-def next_combination(c: SupportSet, n: int) -> SupportSet | None:
-    """Lexicographic successor among k-combinations of range(n), or None after the last.
-
-    The last k-combination is ``{n-k, ..., n-1}``.
-    """
-    idx = list(c.indices)
-    k = len(idx)
-    if k > n or (idx and idx[-1] >= n):
-        raise ValueError(f"{idx} is not a valid {k}-combination of range({n})")
-    i = k - 1
-    while i >= 0 and idx[i] == n - k + i:
-        i -= 1
-    if i < 0:
-        return None
-    idx[i] += 1
-    for j in range(i + 1, k):
-        idx[j] = idx[j - 1] + 1
-    return SupportSet(tuple(idx))
-
-
-def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET, *, chunk: int = 4096) -> SparkResult:
+def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET) -> SparkResult:
     """Smallest number of linearly dependent columns, by exhaustive enumeration.
 
     Scans subset sizes k = 1, 2, ... and returns the first k admitting a
     rank-deficient M x k submatrix. If every subset up to size min(M, N) is
     full rank, the spark is M+1 for a wide matrix (any M+1 columns of an
     M-row matrix are dependent); for N <= M no dependent subset exists at all
-    and ``value`` is None. On budget exhaustion the best-known lower bound is
+    and ``value`` is None. ``evaluations`` counts subsets as a sequential scan
+    would, up to and including the first dependent one; one ``budget`` caps it
+    across all sizes. On budget exhaustion the best-known lower bound is
     returned with ``exact=False``.
     """
     m, n = a.shape
     entries = a.entries
     used = 0
     for k in range(1, min(m, n) + 1):
-        for combs in iter_combination_chunks(n, k, chunk):
-            exhausted = False
-            if used + len(combs) > budget:
-                combs = combs[: max(0, budget - used)]
-                exhausted = True
-            if len(combs):
-                stack = entries[:, combs].transpose(1, 0, 2)
-                dep = dependent_mask(stack)
-                if dep.any():
-                    # count evaluations as a sequential scan would have
-                    used += int(np.argmax(dep)) + 1
-                    return SparkResult(k, True, used)
-                used += len(combs)
-            if exhausted:
-                # sizes < k fully verified independent, size k only partially
-                return SparkResult(k, False, used)
+        run = sweep(
+            iter_combination_chunks(n, k),
+            lambda combs: dependent_mask(entries[:, combs].transpose(1, 0, 2)),
+            budget - used,
+        )
+        used += run.covered
+        if run.hit or not run.exact:
+            # a cut sweep verified sizes < k fully, size k only partially
+            return SparkResult(k, run.exact, used)
     if n > m:
         return SparkResult(m + 1, True, used)
     return SparkResult(None, True, used)
@@ -149,13 +128,7 @@ def welch_bound(m: int, n: int) -> float:
     return math.sqrt((n - m) / (m * (n - 1)))
 
 
-def rip_constant(
-    a: MeasurementMatrix,
-    k: int,
-    budget: int = DEFAULT_BUDGET,
-    *,
-    chunk: int = 4096,
-) -> RipResult:
+def rip_constant(a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET) -> RipResult:
     """Isometry constant delta_K = max(1 - lambda_min, lambda_max - 1).
 
     The extreme eigenvalues are tracked over the Gram matrices of every
@@ -171,25 +144,19 @@ def rip_constant(
             "isometry constants assume unit-norm columns; apply normalize_columns first"
         )
     g = gram(a).entries
-    lam_min, lam_max = math.inf, -math.inf
-    used = 0
-    for combs in iter_combination_chunks(n, k, chunk):
-        if used + len(combs) > budget:
-            combs = combs[: max(0, budget - used)]
-            if len(combs) == 0:
-                break
-        stack = g[combs[:, :, None], combs[:, None, :]]
-        w = np.linalg.eigvalsh(stack)
-        lam_min = min(lam_min, float(w[:, 0].min()))
-        lam_max = max(lam_max, float(w[:, -1].max()))
-        used += len(combs)
-        if used >= budget:
-            break
-    exact = used == math.comb(n, k)
-    if used == 0:
+    lows, highs = [], []
+
+    def extremes(combs):
+        w = np.linalg.eigvalsh(g[combs[:, :, None], combs[:, None, :]])
+        lows.append(float(w[:, 0].min()))
+        highs.append(float(w[:, -1].max()))
+
+    run = sweep(iter_combination_chunks(n, k), extremes, budget)
+    if run.covered == 0:
         return RipResult(0.0, False, 0, math.nan, math.nan)
+    lam_min, lam_max = min(lows), max(highs)
     delta = max(1.0 - lam_min, lam_max - 1.0)
-    return RipResult(delta, exact, used, lam_min, lam_max)
+    return RipResult(delta, run.exact, run.covered, lam_min, lam_max)
 
 
 @dataclass(frozen=True)
@@ -201,15 +168,13 @@ class RipProfile:
     budget_used: int
 
 
-def rip_profile(
-    a: MeasurementMatrix, k_max: int, budget: int = DEFAULT_BUDGET, *, chunk: int = 4096
-) -> RipProfile:
+def rip_profile(a: MeasurementMatrix, k_max: int, budget: int = DEFAULT_BUDGET) -> RipProfile:
     """Isometry constants for orders 1..k_max sharing one evaluation budget."""
     deltas: dict[int, float] = {}
     exact: dict[int, bool] = {}
     used = 0
     for k in range(1, k_max + 1):
-        res = rip_constant(a, k, budget - used, chunk=chunk)
+        res = rip_constant(a, k, budget - used)
         deltas[k] = res.delta
         exact[k] = res.exact
         used += res.evaluations
@@ -234,7 +199,7 @@ def _largest_k_below(threshold: float) -> int:
 
 
 @dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(JsonReport):
     """Spark, coherence, Welch, and RIP summary with per-criterion sparsity limits.
 
     Real-valued fields are stored rounded to 12 significant digits so a report
@@ -266,64 +231,6 @@ class CertificationReport:
     @property
     def all_exact(self) -> bool:
         return self.spark_exact and all(self.rip.exact.values())
-
-    def to_json(self) -> str:
-        d = {
-            "rows": self.rows,
-            "cols": self.cols,
-            "kind": self.kind,
-            "spark": self.spark,
-            "spark_exact": self.spark_exact,
-            "spark_limit": self.spark_limit,
-            "coherence": self.coherence,
-            "coherence_pair": list(self.coherence_pair),
-            "coherence_ties": [list(p) for p in self.coherence_ties],
-            "coherence_k_threshold": self.coherence_k_threshold,
-            "coherence_limit": self.coherence_limit,
-            "spark_lower_bound_from_mu": self.spark_lower_bound_from_mu,
-            "welch": self.welch,
-            "welch_k_bound": self.welch_k_bound,
-            "rip": {
-                "deltas": {str(k): v for k, v in self.rip.deltas.items()},
-                "exact": {str(k): v for k, v in self.rip.exact.items()},
-                "budget_used": self.rip.budget_used,
-            },
-            "rip_unique_limit": self.rip_unique_limit,
-            "l1_equiv_limit_sqrt2": self.l1_equiv_limit_sqrt2,
-            "l1_equiv_limit_0493": self.l1_equiv_limit_0493,
-            "cond_bounds": {str(k): v for k, v in self.cond_bounds.items()},
-        }
-        return json.dumps(d, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "CertificationReport":
-        d = json.loads(text)
-        rip = RipProfile(
-            deltas={int(k): v for k, v in d["rip"]["deltas"].items()},
-            exact={int(k): v for k, v in d["rip"]["exact"].items()},
-            budget_used=d["rip"]["budget_used"],
-        )
-        return cls(
-            rows=d["rows"],
-            cols=d["cols"],
-            kind=d["kind"],
-            spark=d["spark"],
-            spark_exact=d["spark_exact"],
-            spark_limit=d["spark_limit"],
-            coherence=d["coherence"],
-            coherence_pair=tuple(d["coherence_pair"]),
-            coherence_ties=tuple(tuple(p) for p in d["coherence_ties"]),
-            coherence_k_threshold=d["coherence_k_threshold"],
-            coherence_limit=d["coherence_limit"],
-            spark_lower_bound_from_mu=d["spark_lower_bound_from_mu"],
-            welch=d["welch"],
-            welch_k_bound=d["welch_k_bound"],
-            rip=rip,
-            rip_unique_limit=d["rip_unique_limit"],
-            l1_equiv_limit_sqrt2=d["l1_equiv_limit_sqrt2"],
-            l1_equiv_limit_0493=d["l1_equiv_limit_0493"],
-            cond_bounds={int(k): v for k, v in d["cond_bounds"].items()},
-        )
 
     def to_text(self) -> str:
         lines = [
@@ -358,7 +265,6 @@ def certify(
     *,
     k_max: int | None = None,
     budget: int = DEFAULT_BUDGET,
-    chunk: int = 4096,
 ) -> CertificationReport:
     """Full certification: spark, coherence, Welch bound, RIP profile, limits.
 
@@ -374,8 +280,8 @@ def certify(
 
     mu_res = coherence(a)
     welch = welch_bound(m, n)
-    spark_res = spark(a, budget, chunk=chunk)
-    profile = rip_profile(a, k_max, budget, chunk=chunk)
+    spark_res = spark(a, budget)
+    profile = rip_profile(a, k_max, budget)
 
     if spark_res.value is None:
         spark_limit = n  # full column rank: every support is identifiable

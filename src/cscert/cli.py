@@ -68,7 +68,7 @@ def build_parser() -> _Parser:
     p.add_argument("--matrix", required=True, help="matrix CSV path")
     p.add_argument("--kmax", type=int, default=None, help="highest RIP order (default min(M, 5))")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="max submatrix evaluations per sweep")
+                   help="max submatrix evaluations for spark, and again for the RIP profile")
     p.add_argument("--normalize", action="store_true",
                    help="normalize columns before certification")
     p.add_argument("--allow-approx", action="store_true",

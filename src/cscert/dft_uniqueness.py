@@ -22,13 +22,13 @@ closed form as a screening estimate and the oracle as ground truth.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._linalg import dependent_mask, iter_combination_chunks
+from ._codec import JsonReport
+from ._linalg import CHUNK, dependent_mask, iter_combination_chunks, sweep
 from .matrix_core import build_partial_idft
 
 
@@ -86,11 +86,7 @@ def stride_count(p: MissingSamplePattern, h: int) -> int:
     """Largest number of missing positions sharing a residue modulo 2^h."""
     if not 0 <= h <= p.r - 1:
         raise ValueError(f"h must lie in [0, {p.r - 1}], got {h}")
-    if p.q == 0:
-        return 0
-    modulus = 1 << h
-    counts = np.bincount(np.array(p.missing) % modulus, minlength=modulus)
-    return int(counts.max())
+    return dft_sparsity_limit(p).stride_counts.get(h, 0)
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,7 @@ class StrideRow:
 
 
 @dataclass(frozen=True)
-class DftUniquenessResult:
+class DftUniquenessResult(JsonReport):
     """Stride counts, penalty, and the guaranteed-unique sparsity limit."""
 
     n: int
@@ -115,49 +111,6 @@ class DftUniquenessResult:
     penalty: int | None  # None when there are no missing samples
     k_max: int
     derivation: tuple[StrideRow, ...]
-
-    def to_json(self) -> str:
-        d = {
-            "n": self.n,
-            "missing": list(self.missing),
-            "stride_counts": {str(h): c for h, c in self.stride_counts.items()},
-            "penalty": self.penalty,
-            "k_max": self.k_max,
-            "derivation": [
-                {
-                    "h": row.h,
-                    "modulus": row.modulus,
-                    "residue_counts": list(row.residue_counts),
-                    "argmax_residue": row.argmax_residue,
-                    "count": row.count,
-                    "term": row.term,
-                }
-                for row in self.derivation
-            ],
-        }
-        return json.dumps(d, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "DftUniquenessResult":
-        d = json.loads(text)
-        return cls(
-            n=d["n"],
-            missing=tuple(d["missing"]),
-            stride_counts={int(h): c for h, c in d["stride_counts"].items()},
-            penalty=d["penalty"],
-            k_max=d["k_max"],
-            derivation=tuple(
-                StrideRow(
-                    h=row["h"],
-                    modulus=row["modulus"],
-                    residue_counts=tuple(row["residue_counts"]),
-                    argmax_residue=row["argmax_residue"],
-                    count=row["count"],
-                    term=row["term"],
-                )
-                for row in d["derivation"]
-            ),
-        )
 
     def to_text(self) -> str:
         lines = [f"N = {self.n}, missing {len(self.missing)} samples: {list(self.missing)}"]
@@ -206,12 +159,7 @@ def dft_sparsity_limit(p: MissingSamplePattern) -> DftUniquenessResult:
 
 
 def dft_uniqueness_oracle(
-    p: MissingSamplePattern,
-    k: int,
-    *,
-    sample: int | None = None,
-    seed: int = 0,
-    chunk: int = 2048,
+    p: MissingSamplePattern, k: int, *, sample: int | None = None, seed: int = 0
 ) -> bool:
     """Brute-force check that no two distinct K-sparse spectra share all samples.
 
@@ -225,21 +173,14 @@ def dft_uniqueness_oracle(
     avail = p.available()
     if 2 * k > len(avail):
         return False
-    a = build_partial_idft(p.n, avail, normalize=False)
-    entries = a.entries
+    entries = build_partial_idft(p.n, avail, normalize=False).entries
     if sample is None:
-        for combs in iter_combination_chunks(p.n, 2 * k, chunk):
-            stack = entries[:, combs].transpose(1, 0, 2)
-            if dependent_mask(stack).any():
-                return False
-        return True
-    rng = np.random.default_rng(seed)
-    drawn = np.array(
-        [np.sort(rng.choice(p.n, size=2 * k, replace=False)) for _ in range(sample)],
-        dtype=np.intp,
-    )
-    for start in range(0, len(drawn), chunk):
-        stack = entries[:, drawn[start : start + chunk]].transpose(1, 0, 2)
-        if dependent_mask(stack).any():
-            return False
-    return True
+        chunks = iter_combination_chunks(p.n, 2 * k)
+    else:
+        rng = np.random.default_rng(seed)
+        drawn = np.array(
+            [np.sort(rng.choice(p.n, size=2 * k, replace=False)) for _ in range(sample)],
+            dtype=np.intp,
+        )
+        chunks = (drawn[start : start + CHUNK] for start in range(0, len(drawn), CHUNK))
+    return not sweep(chunks, lambda combs: dependent_mask(entries[:, combs].transpose(1, 0, 2))).hit

@@ -51,6 +51,10 @@ class MeasurementMatrix:
         arr = np.array(self.entries, dtype=np.complex128, order="C")
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"matrix must be 2-D and nonempty, got shape {arr.shape}")
+        bad = np.argwhere(~np.isfinite(arr))
+        if bad.size:
+            r, c = bad[0]
+            raise ValueError(f"row {r}, column {c}: non-finite entry {arr[r, c]}")
         if self.kind not in MATRIX_KINDS:
             raise ValueError(f"unknown matrix kind {self.kind!r}")
         if self.kind == "partial_idft":

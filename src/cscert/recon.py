@@ -8,12 +8,12 @@ numpy arrays.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._codec import JsonReport
 from ._linalg import RANK_RTOL
 from .matrix_core import MeasurementMatrix, SupportSet
 
@@ -145,7 +145,7 @@ def omp(
 
 
 @dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(JsonReport):
     """Per-sparsity exact-recovery rates from a Monte-Carlo sweep."""
 
     matrix: str
@@ -153,27 +153,6 @@ class ExperimentReport:
     seed: int
     recovery_tol: float
     success_rate: dict[int, float]
-
-    def to_json(self) -> str:
-        d = {
-            "matrix": self.matrix,
-            "trials": self.trials,
-            "seed": self.seed,
-            "recovery_tol": self.recovery_tol,
-            "success_rate": {str(k): v for k, v in self.success_rate.items()},
-        }
-        return json.dumps(d, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentReport":
-        d = json.loads(text)
-        return cls(
-            matrix=d["matrix"],
-            trials=d["trials"],
-            seed=d["seed"],
-            recovery_tol=d["recovery_tol"],
-            success_rate={int(k): v for k, v in d["success_rate"].items()},
-        )
 
     def to_csv(self) -> str:
         lines = ["K,success_rate"]

@@ -16,7 +16,6 @@ from cscert import (
     coherence,
     condition_number_bound,
     gram,
-    next_combination,
     normalize_columns,
     rip_constant,
     rip_profile,
@@ -33,28 +32,6 @@ DEMO_COHERENCE_TIES = ((1, 5), (2, 7), (3, 6), (4, 5), (4, 6), (5, 7))
 
 def unit_gaussian(seed, rows=4, cols=6):
     return normalize_columns(build_gaussian(rows, cols, seed))
-
-
-class TestNextCombination:
-    def test_successor(self):
-        assert next_combination(SupportSet((0, 1)), 4).indices == (0, 2)
-
-    def test_last_is_exhausted(self):
-        assert next_combination(SupportSet((2, 3)), 4) is None
-
-    def test_enumerates_all_combinations(self):
-        seen = []
-        c = SupportSet((0, 1, 2))
-        while c is not None:
-            seen.append(c.indices)
-            c = next_combination(c, 8)
-        assert len(seen) == math.comb(8, 3)
-        assert len(set(seen)) == len(seen)
-        assert seen == [t for t in itertools.combinations(range(8), 3)]
-
-    def test_rejects_invalid_input(self):
-        with pytest.raises(ValueError):
-            next_combination(SupportSet((0, 5)), 4)
 
 
 class TestSpark:
@@ -86,9 +63,6 @@ class TestSpark:
         assert not res.exact
         assert res.value == 2  # all 8 singles checked, pairs truncated
         assert res.evaluations == 10
-
-    def test_chunk_size_does_not_change_result(self, demo_matrix):
-        assert spark(demo_matrix, chunk=3) == spark(demo_matrix, chunk=4096)
 
 
 class TestCoherence:
@@ -160,9 +134,6 @@ class TestRip:
         full = rip_constant(demo_matrix, 2)
         assert res.delta <= full.delta + 1e-15
 
-    def test_chunk_size_does_not_change_profile(self, demo_matrix):
-        assert rip_profile(demo_matrix, 5, chunk=7) == rip_profile(demo_matrix, 5)
-
     def test_svd_oracle_agrees(self, demo_matrix):
         # independent route: extreme squared singular values over submatrices
         for k in (2, 3):
@@ -220,9 +191,6 @@ class TestCertify:
         rep = certify(demo_matrix)
         assert set(rep.cond_bounds) == {1, 2, 3}
         assert rep.cond_bounds[2] == pytest.approx(1.49 / 0.51, abs=1e-9)
-
-    def test_determinism_across_chunkings(self, demo_matrix):
-        assert certify(demo_matrix, chunk=5).to_json() == certify(demo_matrix).to_json()
 
 
 class TestSpecProperties:

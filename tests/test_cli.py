@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,18 @@ class TestCertifyCommand:
         assert run("certify", "--matrix", str(f)) == 1
         assert "normalize" in capsys.readouterr().err
         assert run("certify", "--matrix", str(f), "--normalize") == 0
+
+    @pytest.mark.parametrize("cell", ["nan", "1e400", "-inf"])
+    def test_non_finite_cell_is_input_error(self, tmp_path, capsys, cell):
+        f = tmp_path / "bad.csv"
+        f.write_text(f"0.6,0.8\n0.8,{cell}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("certify", "--matrix", str(f)) == 1
+        assert not caught
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "row 1, column 1" in err
 
 
 class TestDftLimitCommand:
