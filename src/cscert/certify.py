@@ -15,7 +15,18 @@ as approximate (a lower bound) when the budget runs out before the sweep ends.
 ``spark`` spends one budget across all subset sizes and ``rip_profile`` one
 across all orders, but ``certify`` gives each of the two the full budget, so a
 certification may evaluate up to twice its budget. Spark's ``evaluations`` is
-the sequential-scan count: subsets up to and including the first dependent one.
+the logical sequential-scan count: subsets up to and including the first
+dependent one, whatever order the search actually takes.
+
+Spark first sweeps the largest size, min(M, N), when the sequential count of
+every size up to it fits the budget: deleting a column never lowers
+``sigma_min / sigma_max`` (singular-value interlacing), so if no subset of
+that size is dependent even under twice the rank tolerance, no smaller subset
+is dependent under the tolerance itself. On any flag it scans sizes upward as
+before. So the rank tests actually run can reach C(N, min(M, N)) plus the
+budget. Every rank test is screened by the eigenvalues of the subset's Gram
+submatrix and falls back to the SVD rule only where the screen cannot clear
+the subset (see ``_linalg``); verdicts are the SVD rule's.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._codec import JsonReport
-from ._linalg import DEFAULT_BUDGET, dependent_mask, iter_combination_chunks, sweep
+from ._linalg import DEFAULT_BUDGET, RANK_RTOL, iter_combination_chunks, rank_test, sweep
 from .matrix_core import DegenerateColumnError, MeasurementMatrix, gram
 
 # Two published thresholds on delta_{2K} for l0/l1 equivalence.
@@ -66,31 +77,38 @@ class RipResult(NamedTuple):
 def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET) -> SparkResult:
     """Smallest number of linearly dependent columns, by exhaustive enumeration.
 
-    Scans subset sizes k = 1, 2, ... and returns the first k admitting a
-    rank-deficient M x k submatrix. If every subset up to size min(M, N) is
-    full rank, the spark is M+1 for a wide matrix (any M+1 columns of an
-    M-row matrix are dependent); for N <= M no dependent subset exists at all
-    and ``value`` is None. ``evaluations`` counts subsets as a sequential scan
-    would, up to and including the first dependent one; one ``budget`` caps it
-    across all sizes. On budget exhaustion the best-known lower bound is
-    returned with ``exact=False``.
+    The result is that of scanning subset sizes k = 1, 2, ... and returning
+    the first k admitting a rank-deficient M x k submatrix. If every subset up
+    to size min(M, N) is full rank, the spark is M+1 for a wide matrix (any
+    M+1 columns of an M-row matrix are dependent); for N <= M no dependent
+    subset exists at all and ``value`` is None. ``evaluations`` counts subsets
+    as that sequential scan would, up to and including the first dependent
+    one; one ``budget`` caps it across all sizes. On budget exhaustion the
+    best-known lower bound is returned with ``exact=False``.
+
+    When the whole scan fits the budget, size min(M, N) is swept first under
+    twice the rank tolerance. If it flags nothing, every smaller subset is
+    independent too (interlacing), and the scan's result follows without it.
+    Otherwise the upward scan runs, so the rank tests actually run can reach
+    C(N, min(M, N)) plus the budget.
     """
     m, n = a.shape
-    entries = a.entries
+    top = min(m, n)
+    total = sum(math.comb(n, k) for k in range(1, top + 1))
+    full_rank = SparkResult(m + 1 if n > m else None, True, total)
+    if total <= budget and not sweep(
+        iter_combination_chunks(n, top), rank_test(a.entries, 2 * RANK_RTOL)
+    ).hit:
+        return full_rank
+    evaluate = rank_test(a.entries)
     used = 0
-    for k in range(1, min(m, n) + 1):
-        run = sweep(
-            iter_combination_chunks(n, k),
-            lambda combs: dependent_mask(entries[:, combs].transpose(1, 0, 2)),
-            budget - used,
-        )
+    for k in range(1, top + 1):
+        run = sweep(iter_combination_chunks(n, k), evaluate, budget - used)
         used += run.covered
         if run.hit or not run.exact:
             # a cut sweep verified sizes < k fully, size k only partially
             return SparkResult(k, run.exact, used)
-    if n > m:
-        return SparkResult(m + 1, True, used)
-    return SparkResult(None, True, used)
+    return full_rank
 
 
 def coherence(a: MeasurementMatrix) -> CoherenceResult:

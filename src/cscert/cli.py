@@ -199,6 +199,8 @@ def _load_measurements(path) -> np.ndarray:
 
 
 def _cmd_recon(args) -> int:
+    if args.k < 1:
+        raise _UsageError("--k must be positive")
     a = mc.load_matrix_csv(args.matrix)
     y = _load_measurements(args.measurements)
     if y.shape[0] != a.rows:

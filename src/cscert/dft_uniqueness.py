@@ -44,7 +44,9 @@ from ._linalg import (
     DEFAULT_BUDGET,
     RANK_RTOL,
     dependent_mask,
+    growing_chunks,
     iter_combination_chunks,
+    rank_test,
     sweep,
 )
 from .matrix_core import build_partial_idft
@@ -185,16 +187,11 @@ class DftUniquenessResult(JsonReport):
 def _zero_set_chunks(n: int, q: int):
     """Chunks of (q-1)-row sets {0} | T of range(n), one of each conjugate pair T, -T.
 
-    Chunks start small and double up to ``CHUNK``, so that a sweep which stops
-    at its first few row sets does not pay for a full batch, and never hold
-    more than about 2^20 matrix entries, so that memory stays bounded at any q.
+    Chunks grow as in ``growing_chunks``, capped at ``CHUNK`` and at about 2^20
+    matrix entries, so that memory stays bounded at any q.
     """
     combos = itertools.combinations(range(1, n), q - 2)
-    cap = max(1, min(CHUNK, (1 << 20) // (q * q)))
-    size = min(64, cap)
-    while block := list(itertools.islice(combos, size)):
-        size = min(2 * size, cap)
-        t = np.array(block, dtype=np.intp).reshape(len(block), q - 2)
+    for t in growing_chunks(combos, q - 2, max(1, min(CHUNK, (1 << 20) // (q * q)))):
         if q > 2:
             # keep T when it is no larger, lexicographically, than its mirror -T mod n
             diff = np.sort(n - t, axis=1) - t
@@ -332,4 +329,4 @@ def dft_uniqueness_oracle(
             dtype=np.intp,
         )
         chunks = (drawn[start : start + CHUNK] for start in range(0, len(drawn), CHUNK))
-    return not sweep(chunks, lambda combs: dependent_mask(entries[:, combs].transpose(1, 0, 2))).hit
+    return not sweep(chunks, rank_test(entries)).hit

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._codec import JsonReport
-from ._linalg import RANK_RTOL
+from ._linalg import dependent_mask
 from .matrix_core import MeasurementMatrix, SupportSet
 
 AMPLITUDE_LAWS = ("unit_phase", "complex_normal")
@@ -101,8 +101,7 @@ def ls_on_support(
     if len(s) > a.rows:
         raise ValueError(f"support size {len(s)} exceeds {a.rows} measurements")
     cols = a.entries[:, s.as_array()]
-    sv = np.linalg.svd(cols, compute_uv=False)
-    if sv[-1] <= RANK_RTOL * sv[0]:
+    if dependent_mask(cols[None])[0]:
         raise DegenerateSupportError(f"columns {s.indices} are rank deficient")
     coeffs, *_ = np.linalg.lstsq(cols, y, rcond=None)
     residual = float(np.linalg.norm(y - cols @ coeffs))

@@ -65,6 +65,44 @@ class TestSpark:
         assert res.evaluations == 10
 
 
+def reference_spark(a, budget):
+    """Upward scan one subset at a time under the 1e-10 rule, stopping at the budget."""
+    m, n = a.shape
+    used = 0
+    for k in range(1, min(m, n) + 1):
+        for comb in itertools.combinations(range(n), k):
+            if used >= budget:
+                return k, False, used
+            used += 1
+            sv = np.linalg.svd(a.entries[:, comb], compute_uv=False)
+            if sv[-1] <= 1e-10 * sv[0]:
+                return k, True, used
+    return (m + 1 if n > m else None), True, used
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 5), n=st.integers(1, 8), data=st.data())
+def test_spark_matches_upward_scan(m, n, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    entries = rng.standard_normal((m, n))
+    # spark s <= min(M, N) is planted; s = min(M, N) + 1 leaves the matrix generic
+    s = data.draw(st.integers(1, min(m, n) + 1), label="spark")
+    if s <= min(m, n):
+        cols = rng.choice(n, size=s, replace=False)
+        # near 1e-10 the size-min(M, N) pass may flag what the 1e-10 rule does not
+        scale = data.draw(st.sampled_from([0.0, 1e-6, 2e-10, 1e-10, 5e-11]), label="scale")
+        entries[:, cols[-1]] = (
+            entries[:, cols[:-1]] @ rng.standard_normal(s - 1) + scale * rng.standard_normal(m)
+        )
+    a = MeasurementMatrix(entries)
+    total = sum(math.comb(n, k) for k in range(1, min(m, n) + 1))
+    budget = data.draw(
+        st.one_of(st.sampled_from([total - 1, total, total + 1]), st.integers(0, total + 2)),
+        label="budget",
+    )
+    assert tuple(spark(a, budget)) == reference_spark(a, budget)
+
+
 class TestCoherence:
     def test_demo_matrix_six_way_tie(self, demo_matrix):
         res = coherence(demo_matrix)

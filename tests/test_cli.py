@@ -170,6 +170,17 @@ class TestReconCommand:
         assert run("recon", "--matrix", str(DEMO_CSV), "--measurements", str(yfile),
                    "--k", "1") == 1
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_k_must_be_positive(self, tmp_path, capsys, k):
+        yfile = tmp_path / "y.csv"
+        yfile.write_text("1.0\n" * 5)
+        assert run("recon", "--matrix", str(DEMO_CSV), "--measurements", str(yfile),
+                   "--k", k) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--k" in captured.err
+        assert captured.err.count("\n") == 1
+
 
 class TestExperimentCommand:
     def test_json_report(self, tmp_path):

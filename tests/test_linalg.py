@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cscert._linalg import iter_combination_chunks, sweep
+from cscert._linalg import iter_combination_chunks, rank_test, sweep
 
 
 def sequential_scan(combos, hits, budget):
@@ -27,12 +27,6 @@ def test_sweep_matches_sequential_scan(n, data):
     combos = list(itertools.combinations(range(n), k))
     total = len(combos)
     chunk = data.draw(st.integers(1, total + 1), label="chunk")
-    # budgets on a chunk edge and on C(n, k) itself are the off-by-one cases
-    edges = [chunk * j for j in range(total // chunk + 2)] + [total]
-    budget = data.draw(
-        st.one_of(st.integers(0, total + 1), st.sampled_from(edges), st.just(math.inf)),
-        label="budget",
-    )
     stops = data.draw(st.booleans(), label="stops")
     planted = data.draw(st.sets(st.integers(0, total - 1), max_size=3), label="planted")
     hits = {combos[i] for i in planted} if stops else set()
@@ -43,6 +37,46 @@ def test_sweep_matches_sequential_scan(n, data):
         seen.extend(rows)
         return np.array([c in hits for c in rows]) if stops else None
 
-    got = sweep(iter_combination_chunks(n, k, chunk), evaluate, budget)
+    chunks = list(iter_combination_chunks(n, k, chunk))
+    assert all(len(c) <= chunk for c in chunks)
+    # budgets on a chunk edge and on C(n, k) itself are the off-by-one cases
+    edges = list(itertools.accumulate((len(c) for c in chunks), initial=0)) + [total + 1]
+    budget = data.draw(
+        st.one_of(st.integers(0, total + 1), st.sampled_from(edges), st.just(math.inf)),
+        label="budget",
+    )
+    got = sweep(chunks, evaluate, budget)
     assert tuple(got) == sequential_scan(combos, hits, budget)
     assert seen == combos[: len(seen)] and len(seen) <= budget
+
+
+def svd_rule(a, cols):
+    """Reference: the columns are dependent iff sigma_min <= 1e-10 * sigma_max."""
+    s = np.linalg.svd(a[:, cols], compute_uv=False)
+    return len(s) < len(cols) or bool(s[-1] <= 1e-10 * s[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 6), n=st.integers(1, 8), data=st.data())
+def test_rank_test_matches_svd_rule(m, n, data):
+    k = data.draw(st.integers(1, n), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    a = rng.standard_normal((m, n))
+    if data.draw(st.booleans(), label="complex"):
+        a = a + 1j * rng.standard_normal((m, n))
+    for _ in range(data.draw(st.integers(0, 2), label="plants")):
+        j = int(rng.integers(n))
+        kind = data.draw(st.sampled_from(["combination", "zero", "duplicate"]), label="kind")
+        if kind == "zero":
+            a[:, j] = 0
+        elif kind == "duplicate":
+            a[:, j] = a[:, int(rng.integers(n))]
+        else:
+            # a combination of other columns, perturbed on both sides of the 1e-10 rule
+            scale = 10.0 ** -data.draw(st.floats(3, 14), label="scale")
+            others = rng.choice(n, size=int(rng.integers(0, n)), replace=False)
+            others = others[others != j]
+            a[:, j] = a[:, others] @ rng.standard_normal(len(others)) + scale * rng.standard_normal(m)
+    combs = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+    got = rank_test(a)(combs)
+    assert got.tolist() == [svd_rule(a, c) for c in combs]
