@@ -1,9 +1,9 @@
 """Shared dense linear algebra: the subset rank test and the subset-sweep engine.
 
 The rank rule is ``dependent_mask``: k columns are dependent iff
-``sigma_min <= RANK_RTOL * sigma_max`` of their M x k submatrix. Sweeps apply
-it through ``rank_test``, which first screens each subset with the
-eigenvalues of its k x k principal Gram submatrix. A subset whose
+``sigma_min <= RANK_RTOL * sigma_max`` of their M x k submatrix. Subset
+sweeps apply it through ``rank_test``, which first screens each subset with
+the eigenvalues of its k x k principal Gram submatrix. A subset whose
 ``lambda_min > SCREEN * lambda_max`` has ``sigma_min / sigma_max`` above about
 ``sqrt(SCREEN) = 1e-4``, six orders above the rule and far beyond the Gram's
 rounding (about ``k * M * eps`` relative to ``lambda_max``), so the rule would

@@ -38,7 +38,6 @@ def test_sweep_matches_sequential_scan(n, data):
         return np.array([c in hits for c in rows]) if stops else None
 
     chunks = list(iter_combination_chunks(n, k, chunk))
-    assert all(len(c) <= chunk for c in chunks)
     # budgets on a chunk edge and on C(n, k) itself are the off-by-one cases
     edges = list(itertools.accumulate((len(c) for c in chunks), initial=0)) + [total + 1]
     budget = data.draw(
@@ -48,6 +47,12 @@ def test_sweep_matches_sequential_scan(n, data):
     got = sweep(chunks, evaluate, budget)
     assert tuple(got) == sequential_scan(combos, hits, budget)
     assert seen == combos[: len(seen)] and len(seen) <= budget
+
+
+def test_combination_chunks_double_from_64_up_to_the_cap():
+    chunks = list(iter_combination_chunks(14, 5, chunk=300))
+    assert [len(c) for c in chunks] == [64, 128, 256] + [300] * 5 + [54]
+    assert np.vstack(chunks).tolist() == [list(c) for c in itertools.combinations(range(14), 5)]
 
 
 def svd_rule(a, cols):
@@ -76,7 +81,8 @@ def test_rank_test_matches_svd_rule(m, n, data):
             scale = 10.0 ** -data.draw(st.floats(3, 14), label="scale")
             others = rng.choice(n, size=int(rng.integers(0, n)), replace=False)
             others = others[others != j]
-            a[:, j] = a[:, others] @ rng.standard_normal(len(others)) + scale * rng.standard_normal(m)
+            noise = scale * rng.standard_normal(m)
+            a[:, j] = a[:, others] @ rng.standard_normal(len(others)) + noise
     combs = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
     got = rank_test(a)(combs)
     assert got.tolist() == [svd_rule(a, c) for c in combs]
