@@ -90,7 +90,9 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET) -> SparkResult:
     twice the rank tolerance. If it flags nothing, every smaller subset is
     independent too (interlacing), and the scan's result follows without it.
     Otherwise the upward scan runs, so the rank tests actually run can reach
-    C(N, min(M, N)) plus the budget.
+    C(N, min(M, N)) plus the budget. Each rank test is screened with the
+    eigenvalues of the subset's Gram submatrix (``_linalg.rank_test``), and
+    only subsets the screen cannot clear get an SVD.
     """
     m, n = a.shape
     top = min(m, n)
