@@ -22,11 +22,14 @@ Spark first sweeps the largest size, min(M, N), when the sequential count of
 every size up to it fits the budget: deleting a column never lowers
 ``sigma_min / sigma_max`` (singular-value interlacing), so if no subset of
 that size is dependent even under twice the rank tolerance, no smaller subset
-is dependent under the tolerance itself. On any flag it scans sizes upward as
-before. So the rank tests actually run can reach C(N, min(M, N)) plus the
-budget. Every rank test is screened by the eigenvalues of the subset's Gram
-submatrix and falls back to the SVD rule only where the screen cannot clear
-the subset (see ``_linalg``); verdicts are the SVD rule's.
+is dependent under the tolerance itself. On a partial Fourier matrix that
+sweep tests one subset per cyclic-shift orbit (``_linalg.verdict_chunks``):
+shifted columns have the same singular values, up to a rounding that the
+doubled tolerance absorbs. On any flag it scans sizes upward in lexicographic
+order as before. So the rank tests actually run can reach C(N, min(M, N))
+plus the budget. Every rank test is screened by the eigenvalues of the
+subset's Gram submatrix and falls back to the SVD rule only where the screen
+cannot clear the subset (see ``_linalg``); verdicts are the SVD rule's.
 """
 
 from __future__ import annotations
@@ -38,7 +41,14 @@ from typing import NamedTuple
 import numpy as np
 
 from ._codec import JsonReport
-from ._linalg import DEFAULT_BUDGET, RANK_RTOL, iter_combination_chunks, rank_test, sweep
+from ._linalg import (
+    DEFAULT_BUDGET,
+    RANK_RTOL,
+    iter_combination_chunks,
+    rank_test,
+    sweep,
+    verdict_chunks,
+)
 from .matrix_core import DegenerateColumnError, MeasurementMatrix, gram
 
 # Two published thresholds on delta_{2K} for l0/l1 equivalence.
@@ -89,17 +99,20 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET) -> SparkResult:
     When the whole scan fits the budget, size min(M, N) is swept first under
     twice the rank tolerance. If it flags nothing, every smaller subset is
     independent too (interlacing), and the scan's result follows without it.
-    Otherwise the upward scan runs, so the rank tests actually run can reach
-    C(N, min(M, N)) plus the budget. Each rank test is screened with the
-    eigenvalues of the subset's Gram submatrix (``_linalg.rank_test``), and
-    only subsets the screen cannot clear get an SVD.
+    When the columns have cyclic shift structure (``_linalg.shift_invariant``)
+    that sweep tests one subset per shift orbit, about C(N, min(M, N)) / N
+    rank tests. If it flags anything, the upward scan runs, so the rank tests
+    actually run can reach C(N, min(M, N)) plus the budget. Each rank test is
+    screened with the eigenvalues of the subset's Gram submatrix
+    (``_linalg.rank_test``), and only subsets the screen cannot clear get an
+    SVD.
     """
     m, n = a.shape
     top = min(m, n)
     total = sum(math.comb(n, k) for k in range(1, top + 1))
     full_rank = SparkResult(m + 1 if n > m else None, True, total)
     if total <= budget and not sweep(
-        iter_combination_chunks(n, top), rank_test(a.entries, 2 * RANK_RTOL)
+        verdict_chunks(a.entries, top), rank_test(a.entries, 2 * RANK_RTOL)
     ).hit:
         return full_rank
     evaluate = rank_test(a.entries)

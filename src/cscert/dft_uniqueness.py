@@ -45,9 +45,10 @@ from ._linalg import (
     RANK_RTOL,
     dependent_mask,
     growing_chunks,
-    iter_combination_chunks,
+    lex_leq,
     rank_test,
     sweep,
+    verdict_chunks,
 )
 from .matrix_core import build_partial_idft
 
@@ -194,8 +195,7 @@ def _zero_set_chunks(n: int, q: int):
     for t in growing_chunks(combos, q - 2, max(1, min(CHUNK, (1 << 20) // (q * q)))):
         if q > 2:
             # keep T when it is no larger, lexicographically, than its mirror -T mod n
-            diff = np.sort(n - t, axis=1) - t
-            t = t[diff[np.arange(len(t)), np.argmax(diff != 0, axis=1)] >= 0]
+            t = t[lex_leq(t, np.sort(n - t, axis=1))]
         yield np.hstack([np.zeros((len(t), 1), dtype=np.intp), t])
 
 
@@ -310,18 +310,23 @@ def dft_uniqueness_oracle(
     """Brute-force check that no two distinct K-sparse spectra share all samples.
 
     Builds the partial inverse-DFT matrix on the available positions and tests
-    every 2K-column submatrix for full column rank. ``sample`` switches to
-    randomized subset sampling for sizes where exhaustive enumeration is
+    every 2K-column submatrix for full column rank. The exhaustive sweep tests
+    one subset per cyclic-shift orbit (``_linalg.verdict_chunks``): a shift
+    multiplies the columns by a unit-modulus diagonal, so C(16, 8) = 12,870
+    subsets become 810. ``sample`` (at least 1) switches to randomized subset
+    sampling of all 2K-subsets for sizes where exhaustive enumeration is
     infeasible; a sampled "True" is then only evidence, not proof.
     """
     if k < 1:
         raise ValueError(f"sparsity must be >= 1, got {k}")
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be >= 1, got {sample}")
     avail = p.available()
     if 2 * k > len(avail):
         return False
     entries = build_partial_idft(p.n, avail, normalize=False).entries
     if sample is None:
-        chunks = iter_combination_chunks(p.n, 2 * k)
+        chunks = verdict_chunks(entries, 2 * k)
     else:
         rng = np.random.default_rng(seed)
         drawn = np.array(

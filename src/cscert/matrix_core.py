@@ -19,6 +19,22 @@ MATRIX_KINDS = ("loaded", "gaussian", "partial_idft", "random_partial_fourier")
 NORMALIZED_ATOL = 1e-9
 
 
+def _column_norms(arr: np.ndarray) -> np.ndarray:
+    """Euclidean column norms, finite wherever the entries' moduli are.
+
+    The plain norm squares the entries, so it overflows above about 1e154;
+    only such columns are recomputed, scaled by their peak entry first, so that
+    every other norm is bit-identical to the plain one.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(arr, axis=0)
+    big = np.isinf(norms)
+    if big.any():
+        peak = np.abs(arr[:, big]).max(axis=0)
+        norms[big] = peak * np.linalg.norm(arr[:, big] / peak, axis=0)
+    return norms
+
+
 class CsvParseError(ValueError):
     """A CSV cell could not be parsed as a real or complex number."""
 
@@ -64,7 +80,7 @@ class MeasurementMatrix:
                 raise ValueError("partial_idft entries must all share one modulus")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-        norms = np.linalg.norm(arr, axis=0)
+        norms = _column_norms(arr)
         object.__setattr__(
             self, "normalized", bool(np.all(np.abs(norms - 1.0) <= NORMALIZED_ATOL))
         )
@@ -82,7 +98,7 @@ class MeasurementMatrix:
         return self.entries.shape
 
     def column_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.entries, axis=0)
+        return _column_norms(self.entries)
 
     def describe(self) -> str:
         return f"{self.kind} {self.rows}x{self.cols}"

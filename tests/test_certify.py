@@ -12,6 +12,7 @@ from cscert import (
     NormalizationError,
     SupportSet,
     build_gaussian,
+    build_partial_idft,
     certify,
     coherence,
     condition_number_bound,
@@ -95,6 +96,21 @@ def test_spark_matches_upward_scan(m, n, data):
             entries[:, cols[:-1]] @ rng.standard_normal(s - 1) + scale * rng.standard_normal(m)
         )
     a = MeasurementMatrix(entries)
+    total = sum(math.comb(n, k) for k in range(1, min(m, n) + 1))
+    budget = data.draw(
+        st.one_of(st.sampled_from([total - 1, total, total + 1]), st.integers(0, total + 2)),
+        label="budget",
+    )
+    assert tuple(spark(a, budget)) == reference_spark(a, budget)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 10), normalize=st.booleans(), data=st.data())
+def test_spark_on_partial_idft_matches_upward_scan(n, normalize, data):
+    # shift-invariant columns: the size-min(M, N) pass sweeps one subset per orbit
+    positions = data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="positions")
+    a = build_partial_idft(n, sorted(positions), normalize)
+    m = a.shape[0]
     total = sum(math.comb(n, k) for k in range(1, min(m, n) + 1))
     budget = data.draw(
         st.one_of(st.sampled_from([total - 1, total, total + 1]), st.integers(0, total + 2)),

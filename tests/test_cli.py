@@ -70,6 +70,25 @@ class TestCertifyCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "row 1, column 1" in err
 
+    def test_entries_above_1e154_normalize(self, tmp_path, capsys):
+        # squaring such entries overflows; the scaled CSV must certify like the plain one
+        entries = np.random.default_rng(5).standard_normal((4, 7))
+        reports = []
+        for scale in (1.0, 1e200):
+            f = tmp_path / f"x{scale:g}.csv"
+            f.write_text("\n".join(",".join(repr(float(v)) for v in row)
+                                    for row in scale * entries) + "\n")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run("certify", "--matrix", str(f), "--normalize",
+                           "--format", "json") == 0
+            assert not caught
+            reports.append(CertificationReport.from_json(capsys.readouterr().out))
+        plain, scaled = reports
+        for field in ("spark", "spark_exact", "spark_limit", "coherence_limit",
+                      "rip_unique_limit", "l1_equiv_limit_sqrt2", "l1_equiv_limit_0493"):
+            assert getattr(scaled, field) == getattr(plain, field), field
+
 
 class TestDftLimitCommand:
     def test_worked_example(self, capsys):

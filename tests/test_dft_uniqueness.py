@@ -13,6 +13,8 @@ from cscert import (
     load_pattern,
     stride_count,
 )
+from cscert._linalg import iter_combination_chunks, rank_test, sweep
+from cscert.matrix_core import build_partial_idft
 
 WORKED_EXAMPLE = MissingSamplePattern.of(32, [2, 3, 8, 13, 19, 22, 23, 28, 30])
 
@@ -191,6 +193,22 @@ class TestOracle:
     def test_rejects_k_zero(self):
         with pytest.raises(ValueError):
             dft_uniqueness_oracle(WORKED_EXAMPLE, 0)
+
+    @pytest.mark.parametrize("sample", [0, -3])
+    def test_rejects_empty_sample(self, sample):
+        with pytest.raises(ValueError, match="sample must be >= 1"):
+            dft_uniqueness_oracle(WORKED_EXAMPLE, 1, sample=sample)
+
+    @given(st.sampled_from([8, 16]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_orbit_sweep_matches_full_sweep(self, n, seed):
+        # the oracle sweeps one subset per shift orbit; the reference sweeps them all
+        rng = np.random.default_rng(seed)
+        p = MissingSamplePattern.of(n, rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+        entries = build_partial_idft(n, p.available()).entries
+        for k in range(1, len(p.available()) // 2 + 1):
+            full = sweep(iter_combination_chunks(n, 2 * k), rank_test(entries))
+            assert dft_uniqueness_oracle(p, k) == (not full.hit), (p.missing, k)
 
 
 class TestProperties:

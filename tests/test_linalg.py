@@ -2,10 +2,19 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cscert._linalg import iter_combination_chunks, rank_test, sweep
+from cscert._linalg import (
+    CHUNK,
+    iter_combination_chunks,
+    iter_orbit_chunks,
+    rank_test,
+    shift_invariant,
+    sweep,
+)
+from cscert.matrix_core import build_gaussian, build_partial_idft, build_random_partial_fourier
 
 
 def sequential_scan(combos, hits, budget):
@@ -86,3 +95,54 @@ def test_rank_test_matches_svd_rule(m, n, data):
     combs = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
     got = rank_test(a)(combs)
     assert got.tolist() == [svd_rule(a, c) for c in combs]
+
+
+def necklaces(n, k):
+    """Burnside: the number of k-subsets of Z_n up to cyclic shifts."""
+    g = math.gcd(n, k)
+    phi = [sum(math.gcd(i, d) == 1 for i in range(1, d + 1)) for d in range(g + 1)]
+    return sum(phi[d] * math.comb(n // d, k // d) for d in range(1, g + 1) if g % d == 0) // n
+
+
+def test_orbit_chunks_yield_one_subset_per_cyclic_orbit():
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            chunks = list(iter_orbit_chunks(n, k))
+            assert all(0 < len(c) <= CHUNK for c in chunks)
+            got = [tuple(c) for c in np.vstack(chunks).tolist()]
+            canonical = {
+                min(tuple(sorted((i + c) % n for i in s)) for c in range(n))
+                for s in itertools.combinations(range(n), k)
+            }
+            assert got == sorted(canonical), (n, k)
+            assert len(got) == necklaces(n, k), (n, k)
+    assert sum(len(c) for c in iter_orbit_chunks(16, 8)) == 810
+    assert max(len(c) for c in iter_orbit_chunks(20, 8)) <= CHUNK
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 1024])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_shift_invariant_accepts_partial_idft(n, normalize):
+    rng = np.random.default_rng(n)
+    for m in (1, n // 2, n):
+        positions = rng.choice(n, size=m, replace=False)
+        assert shift_invariant(build_partial_idft(n, positions, normalize).entries)
+
+
+def test_shift_invariant_accepts_fourier_on_the_integer_grid():
+    for normalize in (False, True):
+        a = build_random_partial_fourier(16, 16, [0, 3, 5, 9, 15], normalize)
+        assert shift_invariant(a.entries)
+
+
+def test_shift_invariant_rejects_other_matrices():
+    assert not shift_invariant(build_gaussian(7, 16, seed=1).entries)
+    assert not shift_invariant(build_random_partial_fourier(16, 16, [0, 3.5, 5, 9]).entries)
+    assert not shift_invariant(build_random_partial_fourier(16, 20, [0, 3, 5, 9]).entries)
+    for normalize in (False, True):
+        entries = build_partial_idft(16, range(10), normalize).entries.copy()
+        entries[3, 5] += 1e-9 * np.abs(entries).max()
+        assert not shift_invariant(entries)
+    entries = build_partial_idft(16, range(10)).entries.copy()
+    entries[3, 0] = 0
+    assert not shift_invariant(entries)
