@@ -2,14 +2,31 @@
 
 The rank rule is ``dependent_mask``: k columns are dependent iff
 ``sigma_min <= RANK_RTOL * sigma_max`` of their M x k submatrix. Subset
-sweeps apply it through ``rank_test``, which first screens each subset with
-the eigenvalues of its k x k principal Gram submatrix. A subset whose
-``lambda_min > SCREEN * lambda_max`` has ``sigma_min / sigma_max`` above about
-``sqrt(SCREEN) = 1e-4``, six orders above the rule and far beyond the Gram's
-rounding (about ``k * M * eps`` relative to ``lambda_max``), so the rule would
-call it independent too. Every other subset, including those with zero or
-negative computed eigenvalues, is decided by ``dependent_mask`` itself, so
-every verdict is the rule's own.
+sweeps apply it through ``rank_test``, which first screens each subset with a
+Cholesky certificate on its k x k principal Gram submatrix G_S. A subset is
+cleared when ``G_S - max(2 * SCREEN * trace(G_S), _SCREEN_FLOOR) * I`` is
+positive definite, as decided by ``positive_definite``. Then
+``lambda_min > SCREEN * lambda_max``, so ``sigma_min / sigma_max`` is above
+about ``sqrt(SCREEN) = 1e-4``: six orders above the rule and far beyond the
+Gram's rounding (about ``k * M * eps`` relative to ``lambda_max``), so the
+rule would call it independent too. Every other subset is decided by
+``dependent_mask`` itself, so every verdict is the rule's own.
+
+Why the factor 2 on the trace is sound. ``positive_definite`` runs the
+outer-product Cholesky (LDL^H) elimination on the lower triangle. When every
+pivot of a k x k Hermitian A is positive, the computed factors are an exact
+factorization of some Hermitian A + E with positive pivots, so A + E is
+positive definite, and ``||E|| <= k * gamma_(k+1) * ||A + E||``, about
+``k (k + 1) eps ||A||`` (Higham, *Accuracy and Stability of Numerical
+Algorithms*, Thm. 10.3 and the bound ``|| |R^H| |R| || <= k ||A + E||``). So
+``lambda_min(A) > -k (k + 1) eps ||A|| (1 + o(1))``. With
+``A = G_S - s I``, ``s = 2 * SCREEN * trace(G_S)`` and
+``||A|| <= trace(G_S) + s``, that gives
+``lambda_min(G_S) > (2 * SCREEN - 1.01 k (k + 1) eps (1 + 2 * SCREEN)) trace(G_S)``,
+which is at least ``SCREEN * trace(G_S) >= SCREEN * lambda_max`` for every
+k up to about 6,000. The trace bounds ``lambda_max`` because every other
+eigenvalue is then positive. Below the floor the shift is ``_SCREEN_FLOOR``
+itself, and a Gram whose eigenvalues are that small goes to the SVD.
 
 A sweep that asks only whether *any* k-subset is dependent draws its subsets
 from ``verdict_chunks``. On a matrix with cyclic shift structure (partial
@@ -51,11 +68,11 @@ RANK_RTOL = 1e-10
 CHUNK = 2048
 
 # A subset whose Gram eigenvalues satisfy lambda_min > SCREEN * lambda_max is
-# independent without an SVD.
+# independent without an SVD; the screen certifies it with a Cholesky test.
 SCREEN = 1e-8
 
-# Screened eigenvalues must also exceed this: Gram entries rounded in the
-# subnormal range carry an absolute error (about k * M * 5e-324), not a relative one.
+# The screen's shift is at least this: Gram entries rounded in the subnormal
+# range carry an absolute error (about k * M * 5e-324), not a relative one.
 _SCREEN_FLOOR = 1e-200
 
 # Default cap on subsets evaluated per spark, RIP-profile or DFT-limit call.
@@ -155,15 +172,42 @@ def dependent_mask(stack: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     return s[:, -1] <= rtol * s[:, 0]
 
 
+def positive_definite(stack: np.ndarray) -> np.ndarray:
+    """Mask over a (B, k, k) Hermitian stack: True where every Cholesky pivot is positive.
+
+    Runs the outer-product (Schur complement) form of Cholesky elimination,
+    ``A[i, l] -= A[i, j] * conj(A[l, j]) / A[j, j]``, on every matrix at once
+    and overwrites the stack. Only the lower triangle is read, as
+    ``numpy.linalg.eigvalsh`` reads it. True certifies that the Hermitian
+    matrix within about ``k^2 * eps * ||A||`` of the input is positive
+    definite (see the module docstring).
+    """
+    k = stack.shape[-1]
+    ok = np.ones(len(stack), dtype=bool)
+    # a failed pivot may leave inf or nan in its own matrix, which stays False
+    with np.errstate(all="ignore"):
+        for j in range(k):
+            pivot = stack[:, j, j].real
+            ok &= pivot > 0
+            if j + 1 < k:
+                col = stack[:, j + 1 :, j]
+                row = col.conj() / pivot[:, None]
+                stack[:, j + 1 :, j + 1 :] -= col[:, :, None] * row[:, None, :]
+    return ok
+
+
 def rank_test(entries: np.ndarray, rtol: float = RANK_RTOL):
-    """The rank rule for column subsets of one matrix, screened by Gram eigenvalues.
+    """The rank rule for column subsets of one matrix, screened by a Cholesky certificate.
 
     Returns ``evaluate(combs)``: for a (B, k) index chunk, the mask that
     ``dependent_mask(stack, rtol)`` gives on the (B, M, k) stack of those
     columns. The Gram is formed once, here, on real dtype when every imaginary
     part is zero and after scaling the largest entry to 1, so that it cannot
-    overflow; subsets the screen cannot clear go to ``dependent_mask`` on the
-    unscaled columns.
+    overflow. A subset is cleared when ``G_S - max(2 * SCREEN * trace(G_S),
+    _SCREEN_FLOOR) * I`` is positive definite: since ``lambda_max <= trace``,
+    that proves ``lambda_min > SCREEN * lambda_max`` with room for the
+    elimination's rounding. Subsets the screen cannot clear go to
+    ``dependent_mask`` on the unscaled columns.
     """
     peak = np.abs(entries).max()
     x = entries / peak if peak > 0 else entries
@@ -172,8 +216,11 @@ def rank_test(entries: np.ndarray, rtol: float = RANK_RTOL):
     g = x.conj().T @ x
 
     def evaluate(combs):
-        w = np.linalg.eigvalsh(g[combs[:, :, None], combs[:, None, :]])
-        unsure = ~(w[:, 0] > np.maximum(SCREEN * w[:, -1], _SCREEN_FLOOR))
+        stack = g[combs[:, :, None], combs[:, None, :]]
+        diag = np.einsum("bii->bi", stack)
+        shift = np.maximum(2 * SCREEN * diag.real.sum(axis=1), _SCREEN_FLOOR)
+        diag -= shift[:, None]
+        unsure = ~positive_definite(stack)
         mask = np.zeros(len(combs), dtype=bool)
         if unsure.any():
             mask[unsure] = dependent_mask(entries[:, combs[unsure]].transpose(1, 0, 2), rtol)

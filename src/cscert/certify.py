@@ -27,9 +27,17 @@ sweep tests one subset per cyclic-shift orbit (``_linalg.verdict_chunks``):
 shifted columns have the same singular values, up to a rounding that the
 doubled tolerance absorbs. On any flag it scans sizes upward in lexicographic
 order as before. So the rank tests actually run can reach C(N, min(M, N))
-plus the budget. Every rank test is screened by the eigenvalues of the
+plus the budget. Every rank test is screened by a Cholesky certificate on the
 subset's Gram submatrix and falls back to the SVD rule only where the screen
 cannot clear the subset (see ``_linalg``); verdicts are the SVD rule's.
+
+RIP constants count every subset, but only subsets that can move the running
+extreme eigenvalues get ``eigvalsh``. The others are excluded by the same
+Cholesky kernel: two positive definite shifted Grams prove that a subset's
+eigenvalues lie strictly inside the extremes seen so far, with a margin of
+``8 K^3 eps`` times the largest Gram diagonal, above the rounding of both the
+certificate and ``eigvalsh`` (see ``rip_constant``). So the extremes, and
+every reported digit, are those of a plain ``eigvalsh`` scan.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from ._linalg import (
     DEFAULT_BUDGET,
     RANK_RTOL,
     iter_combination_chunks,
+    positive_definite,
     rank_test,
     sweep,
     verdict_chunks,
@@ -103,7 +112,7 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET) -> SparkResult:
     that sweep tests one subset per shift orbit, about C(N, min(M, N)) / N
     rank tests. If it flags anything, the upward scan runs, so the rank tests
     actually run can reach C(N, min(M, N)) plus the budget. Each rank test is
-    screened with the eigenvalues of the subset's Gram submatrix
+    screened with a Cholesky certificate on the subset's Gram submatrix
     (``_linalg.rank_test``), and only subsets the screen cannot clear get an
     SVD.
     """
@@ -165,6 +174,20 @@ def rip_constant(a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET) -> 
     K-column submatrix (principal K x K submatrices of the full Gram).
     Requires unit-norm columns; with an exhausted budget the result is the
     lower bound seen so far, flagged ``exact=False``.
+
+    Only subsets that can move the running extremes ``lo, hi`` get
+    ``eigvalsh``. A subset is excluded when both ``G_S - (lo + m) I`` and
+    ``(hi - m) I - G_S`` pass ``_linalg.positive_definite``, on the real Gram
+    when the matrix is real. The margin ``m = 8 K^3 eps max(diag G)`` covers
+    the certificate's backward error, at most about ``K (K + 1) eps ||A||``
+    for the shifted matrix A with ``||A|| <= 2 K max(diag G)``, plus
+    ``eigvalsh``'s own error, at most about ``K^2 eps ||G_S||`` (LAPACK bounds
+    it by ``p(K) eps ||G_S||`` for a modest ``p``). For unit columns m is
+    6e-13 at K = 7 and 1.4e-11 at K = 20, so a fixed margin such as 1e-12
+    would not cover larger orders. So an excluded subset's computed
+    eigenvalues lie strictly inside ``(lo, hi)``, every other subset gets
+    ``eigvalsh`` on the same complex Gram as without the certificate, and the
+    extremes are the same floats.
     """
     m, n = a.shape
     if not 1 <= k <= min(m, n):
@@ -174,19 +197,32 @@ def rip_constant(a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET) -> 
             "isometry constants assume unit-norm columns; apply normalize_columns first"
         )
     g = gram(a).entries
-    lows, highs = [], []
+    # a Cholesky certificate and eigvalsh each err by at most about k^2 eps ||G_S||,
+    # and ||G_S - s I|| <= 2 k max(diag G) for every shift s used below
+    margin = 8 * k**3 * np.finfo(float).eps * float(g.diagonal().real.max())
+    screen = g.real if not g.imag.any() else g
+    diag = np.arange(k)
+    lo, hi = math.inf, -math.inf
 
     def extremes(combs):
-        w = np.linalg.eigvalsh(g[combs[:, :, None], combs[:, None, :]])
-        lows.append(float(w[:, 0].min()))
-        highs.append(float(w[:, -1].max()))
+        nonlocal lo, hi
+        # until the first eigvalsh, lo = inf and hi = -inf certify nothing
+        above = screen[combs[:, :, None], combs[:, None, :]]
+        below = -above
+        above[:, diag, diag] -= lo + margin
+        below[:, diag, diag] += hi - margin
+        unsure = ~(positive_definite(above) & positive_definite(below))
+        if unsure.any():
+            c = combs[unsure]
+            w = np.linalg.eigvalsh(g[c[:, :, None], c[:, None, :]])
+            lo = min(lo, float(w[:, 0].min()))
+            hi = max(hi, float(w[:, -1].max()))
 
     run = sweep(iter_combination_chunks(n, k), extremes, budget)
     if run.covered == 0:
         return RipResult(0.0, False, 0, math.nan, math.nan)
-    lam_min, lam_max = min(lows), max(highs)
-    delta = max(1.0 - lam_min, lam_max - 1.0)
-    return RipResult(delta, run.exact, run.covered, lam_min, lam_max)
+    delta = max(1.0 - lo, hi - 1.0)
+    return RipResult(delta, run.exact, run.covered, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -199,7 +235,7 @@ class RipProfile:
 
 
 def rip_profile(a: MeasurementMatrix, k_max: int, budget: int = DEFAULT_BUDGET) -> RipProfile:
-    """Isometry constants for orders 1..k_max sharing one evaluation budget."""
+    """Isometry constants for orders 1..k_max sharing one evaluation budget and one Gram."""
     deltas: dict[int, float] = {}
     exact: dict[int, bool] = {}
     used = 0

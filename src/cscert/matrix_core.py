@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -18,20 +19,25 @@ MATRIX_KINDS = ("loaded", "gaussian", "partial_idft", "random_partial_fourier")
 # Column norms within this distance of one count as normalized.
 NORMALIZED_ATOL = 1e-9
 
+# Below this plain column norm the squared entries may have lost digits to underflow.
+_UNDERFLOW_NORM = 1e-150
+
 
 def _column_norms(arr: np.ndarray) -> np.ndarray:
-    """Euclidean column norms, finite wherever the entries' moduli are.
+    """Euclidean column norms, finite and accurate wherever the entries' moduli are.
 
-    The plain norm squares the entries, so it overflows above about 1e154;
-    only such columns are recomputed, scaled by their peak entry first, so that
-    every other norm is bit-identical to the plain one.
+    The plain norm squares the entries, so it overflows above about 1e154 and
+    underflows below about 1e-154. Only columns whose plain norm is infinite,
+    or below ``_UNDERFLOW_NORM`` with a nonzero entry, are recomputed, scaled
+    by their peak entry first, so every other norm is bit-identical to the
+    plain one.
     """
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(arr, axis=0)
-    big = np.isinf(norms)
-    if big.any():
-        peak = np.abs(arr[:, big]).max(axis=0)
-        norms[big] = peak * np.linalg.norm(arr[:, big] / peak, axis=0)
+    redo = np.flatnonzero(np.isinf(norms) | (norms < _UNDERFLOW_NORM))
+    peak = np.abs(arr[:, redo]).max(axis=0)
+    redo, peak = redo[peak > 0], peak[peak > 0]
+    norms[redo] = peak * np.linalg.norm(arr[:, redo] / peak, axis=0)
     return norms
 
 
@@ -99,6 +105,11 @@ class MeasurementMatrix:
 
     def column_norms(self) -> np.ndarray:
         return _column_norms(self.entries)
+
+    @cached_property
+    def _gram(self) -> "HermitianGram":
+        g = self.entries.conj().T @ self.entries
+        return HermitianGram((g + g.conj().T) / 2.0)
 
     def describe(self) -> str:
         return f"{self.kind} {self.rows}x{self.cols}"
@@ -271,10 +282,12 @@ def normalize_columns(a: MeasurementMatrix) -> MeasurementMatrix:
 
 
 def gram(a: MeasurementMatrix) -> HermitianGram:
-    """Conjugate-transpose product of the matrix with itself."""
-    g = a.entries.conj().T @ a.entries
-    g = (g + g.conj().T) / 2.0
-    return HermitianGram(g)
+    """Conjugate-transpose product of the matrix with itself.
+
+    Formed and validated once per matrix, whose entries are read-only, and
+    kept with it: a certification's coherence and every RIP order share it.
+    """
+    return a._gram
 
 
 def select_columns(a: MeasurementMatrix, s: SupportSet) -> MeasurementMatrix:

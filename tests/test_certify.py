@@ -24,6 +24,7 @@ from cscert import (
     spark,
     welch_bound,
 )
+from cscert._linalg import iter_combination_chunks
 
 # Frozen from the demo 5x8 matrix; independently recomputed below by
 # SVD-based oracles where the main path uses eigendecompositions.
@@ -198,6 +199,96 @@ class TestRip:
                 lmax = max(lmax, s[0] ** 2)
             oracle = max(1 - lmin, lmax - 1)
             assert rip_constant(demo_matrix, k).delta == pytest.approx(oracle, abs=1e-10)
+
+
+def reference_rip(a, k, budget):
+    """Plain scan: eigvalsh of one Gram submatrix at a time, stopping at the budget."""
+    g = gram(a).entries
+    lo, hi, used = math.inf, -math.inf, 0
+    for comb in itertools.combinations(range(a.cols), k):
+        if used == budget:
+            break
+        w = np.linalg.eigvalsh(g[np.ix_(comb, comb)])
+        lo, hi, used = min(lo, float(w[0])), max(hi, float(w[-1])), used + 1
+    if used == 0:
+        return 0.0, False, 0, math.nan, math.nan
+    return max(1.0 - lo, hi - 1.0), used == math.comb(a.cols, k), used, lo, hi
+
+
+def chunk_edges(n, k):
+    """Subset counts at the ends of the sweep's chunks, each +-1."""
+    ends = itertools.accumulate(len(c) for c in iter_combination_chunks(n, k))
+    return sorted({0} | {e + d for e in ends for d in (-1, 0, 1)})
+
+
+def planted_triples(first, last):
+    """Unit columns in R^6 with two planted triples, columns 0-2 and columns 6-8.
+
+    Columns 0-5 span the first three coordinates and columns 6-8 the last
+    three. A triple is either "dependent" (two columns at inner product -0.2
+    and their sum: lambda = 0, 1.2, 1.8) or a number c, the inner product of
+    every pair (lambda = 1 - c, 1 - c, 1 + 2c).
+    """
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    z = np.zeros((6, 9))
+    z[:, 3:6] = q[:, :3] @ rng.standard_normal((3, 3))
+    for cols, kind, basis in ((slice(0, 3), first, q[:, :3]), (slice(6, 9), last, q[:, 3:])):
+        if kind == "dependent":
+            pair = basis[:, :2] @ np.linalg.cholesky([[1, -0.2], [-0.2, 1]]).T
+            z[:, cols] = np.column_stack([pair, pair.sum(axis=1)])
+        else:
+            g = np.full((3, 3), kind) + (1 - kind) * np.eye(3)
+            z[:, cols] = basis @ np.linalg.cholesky(g).T
+    return normalize_columns(MeasurementMatrix(z))
+
+
+@pytest.mark.parametrize(
+    "first, last, extreme",
+    [(0.5, "dependent", "lambda_min"), ("dependent", 0.9, "lambda_max")],
+    ids=["late-minimum-inside-running-maximum", "late-maximum-inside-running-minimum"],
+)
+def test_rip_constant_finds_a_late_extreme_the_other_bound_would_exclude(first, last, extreme):
+    # the first chunk (64 subsets) holds triple 0-2; the last subset, triple
+    # 6-8, sets one extreme while its other eigenvalue stays inside the other one
+    a = planted_triples(first, last)
+    res = rip_constant(a, 3)
+    g = gram(a).entries[6:, 6:]
+    w = np.linalg.eigvalsh(g)
+    assert getattr(res, extreme) == (w[0] if extreme == "lambda_min" else w[-1])
+    assert repr(tuple(res)) == repr(reference_rip(a, 3, math.inf))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "complex", "idft", "orthonormal", "repeated"]),
+    m=st.integers(1, 6),
+    data=st.data(),
+)
+def test_rip_constant_matches_plain_eigvalsh_scan(kind, m, data):
+    # the exclusion certificate may skip eigvalsh, never change a reported bit
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = m if kind == "orthonormal" else data.draw(st.integers(m, 10), label="n")
+    if kind == "idft":
+        n = max(n, 2)
+        positions = sorted(rng.choice(n, size=min(m, n), replace=False))
+        a = build_partial_idft(n, positions, normalize=True)
+    else:
+        cplx = kind == "complex" or data.draw(st.booleans(), label="complex")
+        z = rng.standard_normal((m, n)) + (1j * rng.standard_normal((m, n)) if cplx else 0)
+        if kind == "orthonormal":
+            z = np.linalg.qr(z)[0]
+        elif kind == "repeated":
+            z = z[:, rng.integers(0, max(1, n // 2), size=n)]
+        a = normalize_columns(MeasurementMatrix(z))
+    for k in range(1, min(a.shape) + 1):
+        total = math.comb(a.cols, k)
+        budget = data.draw(
+            st.one_of(st.sampled_from(chunk_edges(a.cols, k)), st.integers(0, total + 1)),
+            label=f"budget {k}",
+        )
+        # delta, exact, evaluations, lambda_min, lambda_max
+        assert repr(tuple(rip_constant(a, k, budget))) == repr(reference_rip(a, k, budget)), k
 
 
 class TestConditionNumberBound:

@@ -70,14 +70,14 @@ class TestCertifyCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "row 1, column 1" in err
 
-    def test_entries_above_1e154_normalize(self, tmp_path, capsys):
-        # squaring such entries overflows; the scaled CSV must certify like the plain one
+    @staticmethod
+    def certifies_like_unscaled(scale, tmp_path, capsys):
         entries = np.random.default_rng(5).standard_normal((4, 7))
         reports = []
-        for scale in (1.0, 1e200):
-            f = tmp_path / f"x{scale:g}.csv"
+        for s in (1.0, scale):
+            f = tmp_path / f"x{s:g}.csv"
             f.write_text("\n".join(",".join(repr(float(v)) for v in row)
-                                    for row in scale * entries) + "\n")
+                                    for row in s * entries) + "\n")
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 assert run("certify", "--matrix", str(f), "--normalize",
@@ -88,6 +88,14 @@ class TestCertifyCommand:
         for field in ("spark", "spark_exact", "spark_limit", "coherence_limit",
                       "rip_unique_limit", "l1_equiv_limit_sqrt2", "l1_equiv_limit_0493"):
             assert getattr(scaled, field) == getattr(plain, field), field
+
+    def test_entries_above_1e154_normalize(self, tmp_path, capsys):
+        # squaring such entries overflows; the scaled CSV must certify like the plain one
+        self.certifies_like_unscaled(1e200, tmp_path, capsys)
+
+    def test_entries_below_1e154_normalize(self, tmp_path, capsys):
+        # squaring such entries underflows; the scaled CSV must certify like the plain one
+        self.certifies_like_unscaled(1e-200, tmp_path, capsys)
 
 
 class TestDftLimitCommand:

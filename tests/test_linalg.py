@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cscert._linalg import (
+    _SCREEN_FLOOR,
     CHUNK,
+    SCREEN,
+    dependent_mask,
     iter_combination_chunks,
     iter_orbit_chunks,
+    positive_definite,
     rank_test,
     shift_invariant,
     sweep,
@@ -146,3 +151,62 @@ def test_shift_invariant_rejects_other_matrices():
     entries = build_partial_idft(16, range(10)).entries.copy()
     entries[3, 0] = 0
     assert not shift_invariant(entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 6), cplx=st.booleans(), data=st.data())
+def test_positive_definite_matches_eigvalsh(k, cplx, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    b = rng.standard_normal((16, k, k)) + (1j * rng.standard_normal((16, k, k)) if cplx else 0)
+    stack = b + b.conj().transpose(0, 2, 1)
+    w = np.linalg.eigvalsh(stack)
+    # lambda_min moved to +-gap times the norm, well outside the k^2 eps rounding band
+    gap = 10.0 ** -rng.uniform(3, 13, size=16)
+    sign = rng.choice([-1.0, 1.0], size=16)
+    norm = np.abs(w).max(axis=1)
+    shift = w[:, 0] - sign * gap * norm
+    stack[:, np.arange(k), np.arange(k)] -= shift[:, None]
+    assert positive_definite(stack).tolist() == (sign > 0).tolist()
+
+
+def _with_singular_values(rng, m, s, cplx):
+    """An m x len(s) matrix with singular values s, in random orientation."""
+    def unitary(size):
+        z = rng.standard_normal((size, size)) + (1j * rng.standard_normal((size, size)) if cplx else 0)
+        return np.linalg.qr(z)[0]
+    return unitary(m)[:, : len(s)] @ np.diag(s) @ unitary(len(s)).conj().T
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 6), cplx=st.booleans(), above=st.booleans(), data=st.data())
+def test_rank_test_screen_clears_exactly_above_its_threshold(k, cplx, above, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    m = k + data.draw(st.integers(0, 3), label="extra rows")
+    # lambda_min / trace of the planted Gram just above or below 2 * SCREEN, or,
+    # for one small column beside a unit one, lambda just above or below the floor
+    factor = 1 + (1 if above else -1) * 10.0 ** -data.draw(st.floats(2, 5), label="gap")
+    if data.draw(st.booleans(), label="floor"):
+        a = np.zeros((m, 2), dtype=complex if cplx else float)
+        a[0, 0] = 1
+        a[:, 1] = _with_singular_values(rng, m, [math.sqrt(_SCREEN_FLOOR * factor)], cplx)[:, 0]
+        cols = [1]
+    else:
+        s = rng.uniform(0.5, 2, size=k)
+        if k > 1:
+            # solve s_0^2 = 2 * SCREEN * factor * sum(s^2) for s_0
+            t = 2 * SCREEN * factor
+            s[0] = math.sqrt(t * (s[1:] ** 2).sum() / (1 - t))
+        a = _with_singular_values(rng, m, s, cplx) * 10.0 ** rng.uniform(-100, 100)
+        if k == 1:
+            above = True  # a single nonzero column always clears: lambda = trace
+        cols = list(range(k))
+    sent = []
+
+    def recording(stack, rtol):
+        sent.append(len(stack))
+        return dependent_mask(stack, rtol)
+
+    with mock.patch("cscert._linalg.dependent_mask", recording):
+        got = rank_test(a)(np.array([cols], dtype=np.intp))
+    assert got.tolist() == [svd_rule(a, cols)] == [False]
+    assert (sum(sent) == 0) == above

@@ -188,6 +188,11 @@ class TestColumnOps:
         a = MeasurementMatrix(np.array([[1.0], [1.0]]) / np.sqrt(2))
         np.testing.assert_allclose(gram(a).entries, [[1.0]], atol=1e-12)
 
+    def test_gram_is_formed_once_per_matrix(self, demo_matrix):
+        g = gram(demo_matrix)
+        assert gram(demo_matrix) is g and not g.entries.flags.writeable
+        assert gram(MeasurementMatrix(DEMO_5X8)) is not g
+
     def test_select_full_support_is_identity_op(self, demo_matrix):
         s = SupportSet(tuple(range(8)))
         np.testing.assert_array_equal(
