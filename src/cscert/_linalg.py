@@ -48,8 +48,8 @@ subset that close to the 1e-10 rule could get a different verdict from its
 shift. A check on the Gram would not do: a Gram entry off by 1e-12 of
 ``lambda_max`` moves ``lambda_min`` as much (Weyl), which moves
 ``sigma_min / sigma_max`` by up to 1e-6. Sweeps that need the
-lexicographically first hit or the logical subset count (spark's upward scan,
-RIP constants, sampled oracles) keep ``iter_combination_chunks``.
+lexicographically first hit or the logical subset count (spark's upward scan
+and RIP constants) keep ``iter_combination_chunks``.
 """
 
 from __future__ import annotations
@@ -67,6 +67,9 @@ RANK_RTOL = 1e-10
 # Largest number of subsets per batched linear-algebra call in any sweep.
 CHUNK = 2048
 
+# A chunk of k-subsets holds at most about this many k x k matrix entries.
+_CHUNK_ENTRIES = 1 << 20
+
 # A subset whose Gram eigenvalues satisfy lambda_min > SCREEN * lambda_max is
 # independent without an SVD; the screen certifies it with a Cholesky test.
 SCREEN = 1e-8
@@ -83,8 +86,11 @@ def growing_chunks(items, width: int, cap: int = CHUNK):
     """Yield (B, width) int arrays of the tuples in ``items``, B doubling from 64 up to ``cap``.
 
     Small first chunks keep a sweep that stops at its first few subsets from
-    paying for a full batch.
+    paying for a full batch. The cap is also at most ``2^20 / width^2``, so
+    that one width x width matrix per tuple keeps a chunk's memory bounded at
+    any width; that bound is below ``CHUNK`` only from width 23 on.
     """
+    cap = max(1, min(cap, _CHUNK_ENTRIES // max(1, width) ** 2))
     size = min(64, cap)
     while block := list(itertools.islice(items, size)):
         size = min(2 * size, cap)
@@ -94,7 +100,7 @@ def growing_chunks(items, width: int, cap: int = CHUNK):
 def iter_combination_chunks(n: int, k: int, chunk: int = CHUNK):
     """Yield (B, k) int arrays of k-combinations of range(n) in lexicographic order.
 
-    B grows from 64 up to ``chunk``.
+    B grows from 64 up to ``chunk``, as capped by ``growing_chunks``.
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
@@ -112,8 +118,8 @@ def iter_orbit_chunks(n: int, k: int):
 
     Each subset holds 0 and is the lexicographically smallest of its shifts
     S + c (mod n), and subsets come in lexicographic order. The candidates
-    {0} | T come in chunks that grow from 64 up to ``CHUNK`` and are filtered
-    in numpy, so no chunk exceeds ``CHUNK``.
+    {0} | T come in chunks from ``growing_chunks`` and are filtered in numpy,
+    so no chunk exceeds its cap.
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")

@@ -73,6 +73,13 @@ class NormalizationError(ValueError):
     """The operation requires unit-norm columns."""
 
 
+def _require_unit_columns(a: MeasurementMatrix) -> None:
+    if not a.normalized:
+        raise NormalizationError(
+            "isometry constants assume unit-norm columns; apply normalize_columns first"
+        )
+
+
 class SparkResult(NamedTuple):
     value: int | None  # None: no dependent column subset exists (full column rank)
     exact: bool
@@ -149,7 +156,9 @@ def coherence(a: MeasurementMatrix) -> CoherenceResult:
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DegenerateColumnError(int(zero[0]))
-    g = np.abs(gram(a).entries) / np.outer(norms, norms)
+    # normalize first: a Gram of columns near 1e-170 or 1e160 under- or overflows
+    x = a.entries / norms
+    g = np.abs(x.conj().T @ x)
     iu, ju = np.triu_indices(n, k=1)
     vals = g[iu, ju]
     mu = float(vals.max())
@@ -192,10 +201,7 @@ def rip_constant(a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET) -> 
     m, n = a.shape
     if not 1 <= k <= min(m, n):
         raise ValueError(f"order must satisfy 1 <= K <= min(M, N) = {min(m, n)}, got {k}")
-    if not a.normalized:
-        raise NormalizationError(
-            "isometry constants assume unit-norm columns; apply normalize_columns first"
-        )
+    _require_unit_columns(a)
     g = gram(a).entries
     # a Cholesky certificate and eigvalsh each err by at most about k^2 eps ||G_S||,
     # and ||G_S - s I|| <= 2 k max(diag G) for every shift s used below
@@ -337,13 +343,17 @@ def certify(
     ``k_max`` defaults to min(M, 5). Spark and the RIP profile each receive
     ``budget`` submatrix evaluations. Limits derived from RIP constants use
     exactly-computed orders only, since a budget-truncated delta is a lower
-    bound and cannot certify an upper-bound criterion.
+    bound and cannot certify an upper-bound criterion. When ``k_max >= 1``,
+    columns that are not unit-norm raise ``NormalizationError`` before any
+    other work.
     """
     m, n = a.shape
     if k_max is None:
         k_max = min(m, 5)
     k_max = min(k_max, m, n)
 
+    if k_max >= 1:
+        _require_unit_columns(a)
     mu_res = coherence(a)
     welch = welch_bound(m, n)
     spark_res = spark(a, budget)

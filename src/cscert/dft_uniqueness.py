@@ -20,18 +20,20 @@ limit is ``k_max = floor((S - 1) / 2)``, and it is found between two bounds.
 
 When the two bounds give different K, an exact sweep settles it: the largest
 zero set of a nonzero spectrum is the zero set of the null vector of some
-``q - 1`` rows of ``F[k, n] = w^{-kn}``, n in Q. Modulation shifts a zero set
-and conjugation negates it, so only row sets that hold frequency 0, one of
-each conjugate pair, are enumerated. Each support found is confirmed with the
-package's rank rule on the partial inverse-DFT columns it occupies. The sweep
-has a budget; when it runs out the reported limit is the lower bound and is
-flagged as such. The brute-force ``dft_uniqueness_oracle`` is independent of
-all this and cross-checks it at desk scale.
+``q - 1`` rows of ``F[k, n] = w^{-kn}``, n in Q. Modulating a signal on Q by
+``w^{cn}`` keeps it on Q and shifts its spectrum by c, so the null space of
+rows R + c (mod N) is that of rows R, modulated, with the same supports. One
+row set per cyclic-shift orbit is therefore enough
+(``_linalg.iter_orbit_chunks``), about C(N, q - 1) / N of them. Each support
+found is confirmed with the package's rank rule on the partial inverse-DFT
+columns it occupies. The sweep has a budget; when it runs out the reported
+limit is the lower bound and is flagged as such. The brute-force
+``dft_uniqueness_oracle`` is independent of all this and cross-checks it at
+desk scale.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,12 +42,10 @@ import numpy as np
 
 from ._codec import JsonReport
 from ._linalg import (
-    CHUNK,
     DEFAULT_BUDGET,
     RANK_RTOL,
     dependent_mask,
-    growing_chunks,
-    lex_leq,
+    iter_orbit_chunks,
     rank_test,
     sweep,
     verdict_chunks,
@@ -185,20 +185,6 @@ class DftUniquenessResult(JsonReport):
         return "\n".join(lines) + "\n"
 
 
-def _zero_set_chunks(n: int, q: int):
-    """Chunks of (q-1)-row sets {0} | T of range(n), one of each conjugate pair T, -T.
-
-    Chunks grow as in ``growing_chunks``, capped at ``CHUNK`` and at about 2^20
-    matrix entries, so that memory stays bounded at any q.
-    """
-    combos = itertools.combinations(range(1, n), q - 2)
-    for t in growing_chunks(combos, q - 2, max(1, min(CHUNK, (1 << 20) // (q * q)))):
-        if q > 2:
-            # keep T when it is no larger, lexicographically, than its mirror -T mod n
-            t = t[lex_leq(t, np.sort(n - t, axis=1))]
-        yield np.hstack([np.zeros((len(t), 1), dtype=np.intp), t])
-
-
 class _MinSupport:
     """Smallest DFT support S_n(Q) of a nonzero signal on Q, for a pattern and its decimations.
 
@@ -266,7 +252,7 @@ class _MinSupport:
                     confirmed = False
             return np.arange(len(rows)) == i if best <= stop else None
 
-        run = sweep(_zero_set_chunks(n, len(q)), evaluate, self.left)
+        run = sweep(iter_orbit_chunks(n, len(q) - 1), evaluate, self.left)
         self.left -= run.covered
         return best, run.exact and confirmed
 
@@ -304,34 +290,19 @@ def dft_sparsity_limit(
     return DftUniquenessResult(p.n, p.missing, counts, penalty, k_max, exact, closed_form, rows)
 
 
-def dft_uniqueness_oracle(
-    p: MissingSamplePattern, k: int, *, sample: int | None = None, seed: int = 0
-) -> bool:
+def dft_uniqueness_oracle(p: MissingSamplePattern, k: int) -> bool:
     """Brute-force check that no two distinct K-sparse spectra share all samples.
 
     Builds the partial inverse-DFT matrix on the available positions and tests
-    every 2K-column submatrix for full column rank. The exhaustive sweep tests
-    one subset per cyclic-shift orbit (``_linalg.verdict_chunks``): a shift
-    multiplies the columns by a unit-modulus diagonal, so C(16, 8) = 12,870
-    subsets become 810. ``sample`` (at least 1) switches to randomized subset
-    sampling of all 2K-subsets for sizes where exhaustive enumeration is
-    infeasible; a sampled "True" is then only evidence, not proof.
+    every 2K-column submatrix for full column rank, one subset per
+    cyclic-shift orbit (``_linalg.verdict_chunks``): shifting a column subset
+    multiplies its columns by a unit-modulus diagonal, which keeps its
+    singular values, so C(16, 8) = 12,870 subsets become 810.
     """
     if k < 1:
         raise ValueError(f"sparsity must be >= 1, got {k}")
-    if sample is not None and sample < 1:
-        raise ValueError(f"sample must be >= 1, got {sample}")
     avail = p.available()
     if 2 * k > len(avail):
         return False
     entries = build_partial_idft(p.n, avail, normalize=False).entries
-    if sample is None:
-        chunks = verdict_chunks(entries, 2 * k)
-    else:
-        rng = np.random.default_rng(seed)
-        drawn = np.array(
-            [np.sort(rng.choice(p.n, size=2 * k, replace=False)) for _ in range(sample)],
-            dtype=np.intp,
-        )
-        chunks = (drawn[start : start + CHUNK] for start in range(0, len(drawn), CHUNK))
-    return not sweep(chunks, rank_test(entries)).hit
+    return not sweep(verdict_chunks(entries, 2 * k), rank_test(entries)).hit

@@ -285,7 +285,7 @@ def gram(a: MeasurementMatrix) -> HermitianGram:
     """Conjugate-transpose product of the matrix with itself.
 
     Formed and validated once per matrix, whose entries are read-only, and
-    kept with it: a certification's coherence and every RIP order share it.
+    kept with it: every RIP order of a certification shares it.
     """
     return a._gram
 

@@ -8,7 +8,6 @@ numpy arrays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +15,6 @@ import numpy as np
 from ._codec import JsonReport
 from ._linalg import dependent_mask
 from .matrix_core import MeasurementMatrix, SupportSet
-
-AMPLITUDE_LAWS = ("unit_phase", "complex_normal")
 
 # Relative l2 error at or below this counts as exact recovery.
 DEFAULT_RECOVERY_TOL = 1e-6
@@ -58,24 +55,16 @@ class SparseVector:
         return x
 
 
-def generate_sparse_signal(
-    n: int, k: int, seed, amplitude_law: str = "unit_phase"
-) -> SparseVector:
+def generate_sparse_signal(n: int, k: int, seed) -> SparseVector:
     """K-sparse vector with uniformly random support, deterministic per seed.
 
-    Amplitude laws: ``unit_phase`` draws unit-modulus values with uniform random
-    phase; ``complex_normal`` draws standard circular complex Gaussians.
+    The values have unit modulus and uniform random phase.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
-    if amplitude_law not in AMPLITUDE_LAWS:
-        raise ValueError(f"unknown amplitude law {amplitude_law!r}")
     rng = np.random.default_rng(seed)
     support = np.sort(rng.choice(n, size=k, replace=False))
-    if amplitude_law == "unit_phase":
-        values = np.exp(2j * np.pi * rng.random(k))
-    else:
-        values = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / math.sqrt(2)
+    values = np.exp(2j * np.pi * rng.random(k))
     return SparseVector(n, SupportSet(tuple(int(i) for i in support)), values)
 
 
@@ -165,7 +154,6 @@ def monte_carlo(
     trials: int,
     seed: int,
     recovery_tol: float = DEFAULT_RECOVERY_TOL,
-    amplitude_law: str = "unit_phase",
 ) -> ExperimentReport:
     """Plant, measure, and recover ``trials`` signals per sparsity in ``k_range``.
 
@@ -181,7 +169,7 @@ def monte_carlo(
     for k in ks:
         successes = 0
         for t in range(trials):
-            x = generate_sparse_signal(a.cols, k, seed=[seed, k, t], amplitude_law=amplitude_law)
+            x = generate_sparse_signal(a.cols, k, seed=[seed, k, t])
             y = measure(a, x)
             x_hat, _ = omp(a, y, k_target=k)
             err = np.linalg.norm(x_hat.to_dense() - x.to_dense()) / np.linalg.norm(x.to_dense())

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 
@@ -140,6 +141,15 @@ class TestCoherence:
         res = coherence(a)
         assert res.mu == pytest.approx(1.0, abs=1e-12)
         assert res.pair == (0, 2)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_extreme_column_scale_gives_the_unscaled_mu(self, scale):
+        # the Gram of such columns under- or overflows; that of the unit columns does not
+        entries = np.random.default_rng(5).standard_normal((4, 7))
+        plain = coherence(MeasurementMatrix(entries))
+        scaled = coherence(MeasurementMatrix(scale * entries))
+        assert scaled.mu == pytest.approx(plain.mu, rel=1e-12)
+        assert scaled.ties == plain.ties
 
 
 class TestWelch:
@@ -331,6 +341,14 @@ class TestCertify:
         again = CertificationReport.from_json(rep.to_json())
         assert again == rep
         assert again.to_json() == rep.to_json()
+
+    def test_unnormalized_columns_fail_before_the_spark_sweep(self, monkeypatch):
+        def no_spark(*args, **kwargs):
+            raise AssertionError("spark ran on unnormalized columns")
+
+        monkeypatch.setattr(importlib.import_module("cscert.certify"), "spark", no_spark)
+        with pytest.raises(NormalizationError, match="normalize"):
+            certify(build_gaussian(9, 20, seed=0))
 
     def test_cond_bounds_only_below_one(self, demo_matrix):
         rep = certify(demo_matrix)

@@ -8,6 +8,7 @@ from cscert import (
     CertificationReport,
     DftUniquenessResult,
     ExperimentReport,
+    MeasurementMatrix,
     load_matrix_csv,
     save_matrix_csv,
 )
@@ -57,6 +58,16 @@ class TestCertifyCommand:
         assert run("certify", "--matrix", str(f)) == 1
         assert "normalize" in capsys.readouterr().err
         assert run("certify", "--matrix", str(f), "--normalize") == 0
+
+    def test_unnormalized_entries_near_1e_170_are_a_one_line_error(self, tmp_path, capsys):
+        # their Gram underflows; the diagnostic names the missing normalization
+        f = tmp_path / "tiny.csv"
+        entries = 1e-170 * np.random.default_rng(5).standard_normal((4, 7))
+        save_matrix_csv(MeasurementMatrix(entries), f)
+        assert run("certify", "--matrix", str(f)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "normalize" in err
 
     @pytest.mark.parametrize("cell", ["nan", "1e400", "-inf"])
     def test_non_finite_cell_is_input_error(self, tmp_path, capsys, cell):

@@ -67,6 +67,10 @@ def test_combination_chunks_double_from_64_up_to_the_cap():
     chunks = list(iter_combination_chunks(14, 5, chunk=300))
     assert [len(c) for c in chunks] == [64, 128, 256] + [300] * 5 + [54]
     assert np.vstack(chunks).tolist() == [list(c) for c in itertools.combinations(range(14), 5)]
+    # from k = 23 on, a chunk holds at most 2^20 entries of its k x k matrices
+    chunks = list(iter_combination_chunks(27, 23))
+    assert max(len(c) for c in chunks) == (1 << 20) // 23**2 < CHUNK
+    assert sum(len(c) for c in chunks) == math.comb(27, 23)
 
 
 def svd_rule(a, cols):

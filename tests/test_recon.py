@@ -39,10 +39,6 @@ class TestGenerate:
         x = generate_sparse_signal(16, 5, seed=1)
         np.testing.assert_allclose(np.abs(x.values), 1.0, atol=1e-12)
 
-    def test_complex_normal_law(self):
-        x = generate_sparse_signal(16, 5, seed=1, amplitude_law="complex_normal")
-        assert np.std(np.abs(x.values)) > 0
-
     def test_support_histogram_uniform(self):
         n, k, draws = 8, 2, 10_000
         counts = np.zeros(n)
