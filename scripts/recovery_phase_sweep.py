@@ -8,37 +8,27 @@ the certificates are worst-case guarantees, the sweep is average-case.
 """
 
 import argparse
-from dataclasses import dataclass
 from pathlib import Path
 
 from cscert import build_gaussian, certify, monte_carlo, normalize_columns
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    rows: int = 10
-    cols: int = 24
-    trials: int = 200
-    seed: int = 1
-    out: Path | None = None
-
-
-def run(cfg: SweepConfig) -> None:
-    matrix = normalize_columns(build_gaussian(cfg.rows, cfg.cols, seed=cfg.seed))
-    report = certify(matrix, k_max=min(cfg.rows, 4), budget=2_000_000)
+def run(args: argparse.Namespace) -> None:
+    matrix = normalize_columns(build_gaussian(args.rows, args.cols, seed=args.seed))
+    report = certify(matrix, k_max=min(args.rows, 4), budget=2_000_000)
     print(f"matrix: {matrix.describe()}")
     print(f"coherence {report.coherence:.4f}, certified coherence limit "
           f"K <= {report.coherence_limit}, spark limit K <= {report.spark_limit} "
           f"({'exact' if report.spark_exact else 'lower bound'})")
 
-    sweep = monte_carlo(matrix, range(1, cfg.rows + 1), trials=cfg.trials, seed=cfg.seed)
+    sweep = monte_carlo(matrix, range(1, args.rows + 1), trials=args.trials, seed=args.seed)
     for k in sorted(sweep.success_rate):
         rate = sweep.success_rate[k]
         bar = "#" * round(40 * rate)
         print(f"K={k:2d}  {rate:6.1%}  {bar}")
-    if cfg.out is not None:
-        cfg.out.write_text(sweep.to_csv())
-        print(f"wrote {cfg.out}")
+    if args.out is not None:
+        args.out.write_text(sweep.to_csv())
+        print(f"wrote {args.out}")
 
 
 def main():
@@ -48,8 +38,7 @@ def main():
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", type=Path, default=None, help="write K,success_rate CSV here")
-    args = ap.parse_args()
-    run(SweepConfig(args.rows, args.cols, args.trials, args.seed, args.out))
+    run(ap.parse_args())
 
 
 if __name__ == "__main__":

@@ -86,9 +86,9 @@ def growing_chunks(items, width: int, cap: int = CHUNK):
     """Yield (B, width) int arrays of the tuples in ``items``, B doubling from 64 up to ``cap``.
 
     Small first chunks keep a sweep that stops at its first few subsets from
-    paying for a full batch. The cap is also at most ``2^20 / width^2``, so
-    that one width x width matrix per tuple keeps a chunk's memory bounded at
-    any width; that bound is below ``CHUNK`` only from width 23 on.
+    paying for a full batch. Memory rule: a chunk's arrays hold about 2^20
+    entries at most, so the cap is also at most ``2^20 / width^2`` (one width
+    x width matrix per tuple, below ``CHUNK`` only from width 23 on).
     """
     cap = max(1, min(cap, _CHUNK_ENTRIES // max(1, width) ** 2))
     size = min(64, cap)
@@ -119,11 +119,13 @@ def iter_orbit_chunks(n: int, k: int):
     Each subset holds 0 and is the lexicographically smallest of its shifts
     S + c (mod n), and subsets come in lexicographic order. The candidates
     {0} | T come in chunks from ``growing_chunks`` and are filtered in numpy,
-    so no chunk exceeds its cap.
+    so no chunk exceeds its cap, ``min(CHUNK, 2^20 / n)`` rows by the memory
+    rule: a DFT sweep holds a length-n spectrum per subset.
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
-    for t in growing_chunks(itertools.combinations(range(1, n), k - 1), k - 1):
+    cap = min(CHUNK, _CHUNK_ENTRIES // n)
+    for t in growing_chunks(itertools.combinations(range(1, n), k - 1), k - 1, cap):
         s = np.hstack([np.zeros((len(t), 1), dtype=np.intp), t])
         # the shifts of S that hold 0 are S - s_j; the smallest of S's shifts holds 0
         for j in range(1, k):

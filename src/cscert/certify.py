@@ -58,7 +58,7 @@ from ._linalg import (
     sweep,
     verdict_chunks,
 )
-from .matrix_core import DegenerateColumnError, MeasurementMatrix, gram
+from .matrix_core import MeasurementMatrix, gram, normalize_columns
 
 # Two published thresholds on delta_{2K} for l0/l1 equivalence.
 L1_THRESHOLD_SQRT2 = math.sqrt(2.0) - 1.0
@@ -152,12 +152,8 @@ def coherence(a: MeasurementMatrix) -> CoherenceResult:
     m, n = a.shape
     if n < 2:
         raise ValueError("coherence needs at least two columns")
-    norms = a.column_norms()
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateColumnError(int(zero[0]))
     # normalize first: a Gram of columns near 1e-170 or 1e160 under- or overflows
-    x = a.entries / norms
+    x = normalize_columns(a).entries
     g = np.abs(x.conj().T @ x)
     iu, ju = np.triu_indices(n, k=1)
     vals = g[iu, ju]
@@ -326,7 +322,7 @@ class CertificationReport(JsonReport):
             "condition-number bounds: "
             + (
                 "  ".join(f"{k}:{v}" for k, v in sorted(self.cond_bounds.items()))
-                or "none (all deltas >= 1)"
+                or "none (no exact order has delta < 1)"
             ),
         ]
         return "\n".join(lines) + "\n"

@@ -25,8 +25,9 @@ zero set of a nonzero spectrum is the zero set of the null vector of some
 rows R + c (mod N) is that of rows R, modulated, with the same supports. One
 row set per cyclic-shift orbit is therefore enough
 (``_linalg.iter_orbit_chunks``), about C(N, q - 1) / N of them. Each support
-found is confirmed with the package's rank rule on the partial inverse-DFT
-columns it occupies. The sweep has a budget; when it runs out the reported
+T found is confirmed with the package's rank rule on the rows of ``F`` outside
+T, which are dependent exactly when the oracle's inverse-DFT columns T are
+(duality). The sweep has a budget; when it runs out the reported
 limit is the lower bound and is flagged as such. The brute-force
 ``dft_uniqueness_oracle`` is independent of all this and cross-checks it at
 desk scale.
@@ -93,13 +94,18 @@ class MissingSamplePattern:
 
 
 def load_pattern(path) -> MissingSamplePattern:
-    """Read a pattern file: first line N, second line comma-separated positions."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty pattern file")
-    n = int(lines[0].strip())
-    second = lines[1].strip() if len(lines) > 1 else ""
-    positions = [int(tok) for tok in second.split(",") if tok.strip()] if second else []
+    """Read a pattern file: line 1 N, line 2 comma-separated positions, then blank lines."""
+    lines = Path(path).read_text().splitlines() + ["", ""]
+    line = 1
+    try:
+        n = int(lines[0])
+        line = 2
+        positions = [int(tok) for tok in lines[1].split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ValueError(f"{path}:{line}: {exc}") from None
+    for line, text in enumerate(lines[2:], 3):
+        if text.strip():
+            raise ValueError(f"{path}:{line}: nothing may follow the positions line")
     return MissingSamplePattern.of(n, positions)
 
 
@@ -231,11 +237,11 @@ class _MinSupport:
     def zero_set_sweep(self, n: int, q: frozenset[int], hi: int, stop: float) -> tuple[int, bool]:
         """Smallest confirmed support below ``hi`` and whether the sweep was complete.
 
+        A support T counts once the rows of ``f`` outside T are found dependent.
         Stops early once a support of at most ``stop`` is confirmed.
         """
         cols = np.array(sorted(q))
         f = np.exp(-2j * np.pi * (np.outer(np.arange(n), cols) % n) / n)
-        idft = build_partial_idft(n, [m for m in range(n) if m not in q]).entries
         best, confirmed = hi, True
 
         def evaluate(rows):
@@ -246,7 +252,7 @@ class _MinSupport:
             support = nonzero.sum(axis=1)
             i = int(support.argmin())
             if support[i] < best:
-                if dependent_mask(idft[:, nonzero[i]][None])[0]:
+                if dependent_mask(f[~nonzero[i]][None])[0]:
                     best = int(support[i])
                 else:
                     confirmed = False

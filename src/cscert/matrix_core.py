@@ -135,10 +135,6 @@ class SupportSet:
         idx = sorted(int(i) for i in iterable)
         return cls(tuple(idx))
 
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
     def __len__(self) -> int:
         return len(self.indices)
 

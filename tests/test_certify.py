@@ -355,6 +355,13 @@ class TestCertify:
         assert set(rep.cond_bounds) == {1, 2, 3}
         assert rep.cond_bounds[2] == pytest.approx(1.49 / 0.51, abs=1e-9)
 
+    def test_cut_rip_profile_claims_no_delta_at_or_above_one(self):
+        # every order is cut at budget 1, so no delta is known to be >= 1
+        rep = certify(normalize_columns(build_gaussian(4, 6, seed=1)), budget=1)
+        assert rep.cond_bounds == {} and not any(rep.rip.exact.values())
+        lines = rep.to_text().splitlines()
+        assert lines[-1] == "condition-number bounds: none (no exact order has delta < 1)"
+
 
 class TestSpecProperties:
     """Cross-criterion invariants on randomized corpora."""

@@ -255,6 +255,17 @@ class TestUsageErrors:
     def test_unknown_command_is_status_1(self, capsys):
         assert run("frobnicate") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("gen", "gaussian", "--rows", "2", "--cols", "3", "--seed", "-1"),
+        ("gen", "random-fourier", "--n", "4", "--count", "3", "--seed", "-1"),
+        ("experiment", "--matrix", str(DEMO_CSV), "--ks", "1", "--seed", "-5"),
+    ])
+    def test_negative_seed_is_a_one_line_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert run(*argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: --seed must be non-negative\n"
+        assert not out.exists()
+
     def test_gen_round_trip_through_loader(self, tmp_path):
         f = tmp_path / "m.csv"
         assert run("gen", "gaussian", "--rows", "3", "--cols", "4",

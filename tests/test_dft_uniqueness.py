@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,11 +61,25 @@ class TestPattern:
         f = tmp_path / "pattern.txt"
         f.write_text("32\n2,3,8,13,19,22,23,28,30\n")
         assert load_pattern(f) == WORKED_EXAMPLE
+        f.write_text("32\n2,3,8,13,19,22,23,28,30\n\n  \n")
+        assert load_pattern(f) == WORKED_EXAMPLE
 
     def test_load_pattern_without_missing(self, tmp_path):
         f = tmp_path / "full.txt"
         f.write_text("16\n\n")
         assert load_pattern(f).q == 0
+
+    @pytest.mark.parametrize("text, line, what", [
+        ("x16\n1,2\n", 1, "'x16'"),
+        ("16\n1,x\n", 2, "'x'"),
+        ("16\n1,2\n3\n", 3, "nothing may follow"),
+        ("16\n1,2\n\n\n 4 \n", 5, "nothing may follow"),
+    ])
+    def test_load_pattern_errors_name_the_file_and_line(self, tmp_path, text, line, what):
+        f = tmp_path / "bad.txt"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{f}:{line}: ')}.*{what}"):
+            load_pattern(f)
 
 
 class TestStrideCount:
@@ -189,6 +205,19 @@ class TestExactLimit:
         full = dft_sparsity_limit(p)
         assert full.exact and cut.k_max <= full.k_max
         assert full.k_max == 10 and full.closed_form_k_max == cut.closed_form_k_max == 11
+
+    def test_large_n_sweep_holds_no_n_by_n_matrix(self):
+        # the bounds name K 1021 and 1022 here, so the zero-set sweep settles it;
+        # an (N-q) x N inverse DFT alone would take 64 MiB at N=2048
+        p = MissingSamplePattern.of(2048, [0, 1, 3])
+        tracemalloc.start()
+        try:
+            res = dft_sparsity_limit(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.exact and res.k_max == 1022
+        assert peak < 64 << 20
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

@@ -127,6 +127,9 @@ def test_orbit_chunks_yield_one_subset_per_cyclic_orbit():
             assert len(got) == necklaces(n, k), (n, k)
     assert sum(len(c) for c in iter_orbit_chunks(16, 8)) == 810
     assert max(len(c) for c in iter_orbit_chunks(20, 8)) <= CHUNK
+    # above n = 512 the cap keeps a chunk's length-n spectra within 2^20 entries
+    sizes = [len(c) for c in iter_orbit_chunks(1024, 3)]
+    assert max(sizes) <= 1024 and sum(sizes) == necklaces(1024, 3)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 1024])
