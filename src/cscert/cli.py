@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -108,7 +109,8 @@ def build_parser() -> _Parser:
     p.add_argument("--measurements", required=True,
                    help="CSV with one measurement value per line")
     p.add_argument("--k", type=int, required=True, help="number of atoms to select")
-    p.add_argument("--tol", type=float, default=1e-12, help="residual stopping tolerance")
+    p.add_argument("--tol", type=float, default=recon.DEFAULT_RESIDUAL_TOL,
+                   help="residual stopping tolerance")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--out", default=None)
 
@@ -198,9 +200,15 @@ def _load_measurements(path) -> np.ndarray:
     return vec.entries[:, 0]
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise _UsageError(f"--tol must be a finite non-negative number, got {tol}")
+
+
 def _cmd_recon(args) -> int:
     if args.k < 1:
         raise _UsageError("--k must be positive")
+    _check_tol(args.tol)
     a = mc.load_matrix_csv(args.matrix)
     y = _load_measurements(args.measurements)
     if y.shape[0] != a.rows:
@@ -223,6 +231,7 @@ def _cmd_recon(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    _check_tol(args.tol)
     a = mc.load_matrix_csv(args.matrix)
     ks = _parse_int_list(args.ks, "--ks")
     if not ks:

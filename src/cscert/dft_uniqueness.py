@@ -99,14 +99,16 @@ def load_pattern(path) -> MissingSamplePattern:
     line = 1
     try:
         n = int(lines[0])
+        MissingSamplePattern(n, ())  # N alone, so its errors name line 1
         line = 2
-        positions = [int(tok) for tok in lines[1].split(",") if tok.strip()]
+        pattern = MissingSamplePattern.of(
+            n, [int(tok) for tok in lines[1].split(",") if tok.strip()])
     except ValueError as exc:
         raise ValueError(f"{path}:{line}: {exc}") from None
     for line, text in enumerate(lines[2:], 3):
         if text.strip():
             raise ValueError(f"{path}:{line}: nothing may follow the positions line")
-    return MissingSamplePattern.of(n, positions)
+    return pattern
 
 
 def stride_count(p: MissingSamplePattern, h: int) -> int:

@@ -266,6 +266,32 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: --seed must be non-negative\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["recon", "experiment"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, command, tol):
+        yfile = tmp_path / "y.csv"
+        yfile.write_text("1.0\n" * 5)
+        argv = {"recon": ("--measurements", str(yfile), "--k", "2"),
+                "experiment": ("--ks", "1", "--trials", "3")}[command]
+        out = tmp_path / "out.json"
+        assert run(command, "--matrix", str(DEMO_CSV), *argv, "--tol", tol,
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_sparsity_above_min_rows_cols_is_a_one_line_error(self, tmp_path, capsys):
+        m = tmp_path / "tall.csv"
+        save_matrix_csv(MeasurementMatrix(np.random.default_rng(2).standard_normal((6, 3))), m)
+        yfile = tmp_path / "y.csv"
+        yfile.write_text("1.0\n" * 6)
+        assert run("recon", "--matrix", str(m), "--measurements", str(yfile), "--k", "5") == 1
+        assert capsys.readouterr().err == (
+            "error: k_target 5 exceeds min(M, N) = 3 for a 6x3 matrix\n")
+        assert run("experiment", "--matrix", str(m), "--ks", "1,4", "--trials", "2") == 1
+        assert capsys.readouterr().err == (
+            "error: sparsities must lie in [1, min(M, N)] = [1, 3], got [1, 4]\n")
+
     def test_gen_round_trip_through_loader(self, tmp_path):
         f = tmp_path / "m.csv"
         assert run("gen", "gaussian", "--rows", "3", "--cols", "4",

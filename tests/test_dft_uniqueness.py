@@ -74,6 +74,9 @@ class TestPattern:
         ("16\n1,x\n", 2, "'x'"),
         ("16\n1,2\n3\n", 3, "nothing may follow"),
         ("16\n1,2\n\n\n 4 \n", 5, "nothing may follow"),
+        ("12\n1,2\n", 1, "power of two"),
+        ("16\n1,1\n", 2, "duplicate missing positions"),
+        ("16\n1,16\n", 2, "must lie in"),
     ])
     def test_load_pattern_errors_name_the_file_and_line(self, tmp_path, text, line, what):
         f = tmp_path / "bad.txt"

@@ -1,11 +1,13 @@
-"""``certify --format json`` output on seeded matrices, frozen as bytes.
+"""CLI reports on seeded inputs, frozen as bytes.
 
-The expected texts in ``data/frozen_certify.json`` were captured before the
-Cholesky certificates entered the spark screen and the RIP sweep, so any
-later speed-up that changes one reported digit fails here. Regenerate them
-only for an intended change of results:
-``PYTHONPATH=src python tests/test_frozen_reports.py`` rewrites the file from
-the current code.
+``data/frozen_certify.json`` holds ``certify --format json`` texts captured
+before the Cholesky certificates entered the spark screen and the RIP sweep.
+``data/frozen_recovery.json`` holds ``experiment --format json`` and
+``recon --format json`` texts captured before the per-trial OMP loop became
+one batched selection per sparsity. Any later speed-up that changes one
+reported digit fails here. Regenerate them only for an intended change of
+results: ``PYTHONPATH=src python tests/test_frozen_reports.py`` rewrites both
+files from the current code.
 """
 
 import json
@@ -15,10 +17,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cscert import MeasurementMatrix, build_gaussian, build_partial_idft, save_matrix_csv
+from cscert import (
+    MeasurementMatrix,
+    build_gaussian,
+    build_partial_idft,
+    generate_sparse_signal,
+    normalize_columns,
+    save_matrix_csv,
+)
 from cscert.cli import main
+from cscert.matrix_core import load_matrix_csv
 
-FROZEN = Path(__file__).resolve().parent / "data" / "frozen_certify.json"
+DATA = Path(__file__).resolve().parent / "data"
+FROZEN = DATA / "frozen_certify.json"
+FROZEN_RECOVERY = DATA / "frozen_recovery.json"
 DEMO_CSV = Path(__file__).resolve().parents[1] / "data" / "demo_matrix_5x8.csv"
 
 
@@ -62,14 +74,96 @@ CASES = {
 SAME_AS = {"gaussian-5x9-times-2e-664": "gaussian-5x9-times-2e664"}
 
 
-def certify_json(build, flags, tmp):
-    path = DEMO_CSV
-    if build is not None:
-        path = tmp / "m.csv"
-        save_matrix_csv(MeasurementMatrix(build()), path)
+def _idft_rows():
+    return np.sort(np.random.default_rng(32).choice(32, size=12, replace=False))
+
+
+def _with_duplicate():
+    # demo columns plus a copy of column 3: once columns 3 and 5 are picked the
+    # residual is rounding noise, and --tol 0 keeps selecting from it
+    a = load_matrix_csv(DEMO_CSV).entries
+    return np.hstack([a, a[:, [3]]])
+
+
+def _duplicate_measurement(a):
+    return a[:, 3] - (0.5 - 0.25j) * a[:, 5]
+
+
+def _planted_measurement(k, seed):
+    return lambda a: a @ generate_sparse_signal(a.shape[1], k, seed=seed).to_dense()
+
+
+# name -> entries builder; None builds nothing: the demo CSV
+RECOVERY_MATRICES = {
+    "demo-5x8": None,
+    "gaussian-10x24-normalized": lambda: normalize_columns(build_gaussian(10, 24, seed=1)).entries,
+    "complex-gaussian-6x12-normalized": (
+        lambda: normalize_columns(MeasurementMatrix(_complex())).entries),
+    "idft-32-normalized": lambda: build_partial_idft(32, _idft_rows(), True).entries,
+}
+
+# matrix name -> (sparsities swept by experiment, trials, seed)
+EXPERIMENT_CASES = {
+    "demo-5x8": (range(1, 6), 200, 7),
+    "gaussian-10x24-normalized": (range(1, 11), 60, 3),
+    "complex-gaussian-6x12-normalized": (range(1, 7), 100, 5),
+    "idft-32-normalized": (range(1, 13), 40, 11),
+}
+
+# name -> (entries builder, measurement builder, recon flags)
+RECON_CASES = {
+    "demo-5x8": (None, _planted_measurement(2, [5, 2]), ["--k", "3"]),
+    "gaussian-10x24-normalized": (
+        RECOVERY_MATRICES["gaussian-10x24-normalized"], _planted_measurement(4, [5, 4]),
+        ["--k", "5"]),
+    "complex-gaussian-6x12-normalized": (
+        RECOVERY_MATRICES["complex-gaussian-6x12-normalized"], _planted_measurement(3, [5, 3]),
+        ["--k", "4"]),
+    "idft-32-normalized": (
+        RECOVERY_MATRICES["idft-32-normalized"], _planted_measurement(4, [5, 5]), ["--k", "6"]),
+    "demo-5x8-duplicate-column-tol0": (
+        _with_duplicate, _duplicate_measurement, ["--k", "4", "--tol", "0"]),
+}
+
+
+def _matrix_csv(build, tmp):
+    if build is None:
+        return DEMO_CSV
+    path = tmp / "m.csv"
+    save_matrix_csv(MeasurementMatrix(build()), path)
+    return path
+
+
+def _run(argv, tmp):
     out = tmp / "report.json"
-    assert main(["certify", "--matrix", str(path), "--format", "json", "--out", str(out), *flags]) == 0
+    assert main([*argv, "--format", "json", "--out", str(out)]) == 0
     return out.read_text()
+
+
+def certify_json(build, flags, tmp):
+    return _run(["certify", "--matrix", str(_matrix_csv(build, tmp)), *flags], tmp)
+
+
+def experiment_json(name, tmp):
+    ks, trials, seed = EXPERIMENT_CASES[name]
+    return _run(["experiment", "--matrix", str(_matrix_csv(RECOVERY_MATRICES[name], tmp)),
+                 "--ks", ",".join(map(str, ks)), "--trials", str(trials),
+                 "--seed", str(seed)], tmp)
+
+
+def recon_json(build, measurement, flags, tmp):
+    path = _matrix_csv(build, tmp)
+    y = measurement(load_matrix_csv(path).entries)
+    y_path = tmp / "y.csv"
+    save_matrix_csv(MeasurementMatrix(y[:, None]), y_path)
+    return _run(["recon", "--matrix", str(path), "--measurements", str(y_path), *flags], tmp)
+
+
+def recovery_reports(tmp):
+    reports = {f"experiment {name}": experiment_json(name, tmp) for name in EXPERIMENT_CASES}
+    reports.update({f"recon {name}": recon_json(*case, tmp)
+                    for name, case in RECON_CASES.items()})
+    return reports
 
 
 @pytest.fixture(scope="module")
@@ -77,17 +171,34 @@ def frozen():
     return json.loads(FROZEN.read_text())
 
 
+@pytest.fixture(scope="module")
+def frozen_recovery():
+    return json.loads(FROZEN_RECOVERY.read_text())
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_certify_json_is_frozen(name, frozen, tmp_path):
     assert certify_json(*CASES[name], tmp_path) == frozen[SAME_AS.get(name, name)]
 
 
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_CASES))
+def test_experiment_json_is_frozen(name, frozen_recovery, tmp_path):
+    assert experiment_json(name, tmp_path) == frozen_recovery[f"experiment {name}"]
+
+
+@pytest.mark.parametrize("name", sorted(RECON_CASES))
+def test_recon_json_is_frozen(name, frozen_recovery, tmp_path):
+    assert recon_json(*RECON_CASES[name], tmp_path) == frozen_recovery[f"recon {name}"]
+
+
+def _write(path, reports):
+    path.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(reports)} reports to {path}")
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        reports = {
-            name: certify_json(*case, Path(tmp))
-            for name, case in CASES.items()
-            if name not in SAME_AS
-        }
-    FROZEN.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(reports)} reports to {FROZEN}")
+        tmp = Path(tmp)
+        _write(FROZEN, {name: certify_json(*case, tmp)
+                        for name, case in CASES.items() if name not in SAME_AS})
+        _write(FROZEN_RECOVERY, recovery_reports(tmp))

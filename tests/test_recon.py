@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cscert import (
     DegenerateSupportError,
@@ -14,6 +16,7 @@ from cscert import (
     omp,
     spark,
 )
+from cscert import recon
 from cscert.matrix_core import MeasurementMatrix
 
 
@@ -146,6 +149,13 @@ class TestOmp:
         with pytest.raises(ValueError, match="k_target"):
             omp(demo_matrix, np.zeros(5), k_target=6)
 
+    def test_k_target_bounded_by_columns(self):
+        a = MeasurementMatrix(np.random.default_rng(4).standard_normal((6, 3)))
+        with pytest.raises(ValueError, match=r"^k_target 5 exceeds min\(M, N\) = 3 "):
+            omp(a, np.ones(6), k_target=5)
+        x_hat, _ = omp(a, np.ones(6), k_target=3, residual_tol=0.0)
+        assert x_hat.support == SupportSet((0, 1, 2))
+
     def test_exact_recovery_at_certified_limit_of_low_coherence_dictionary(self):
         # spikes-and-sines dictionary: coherence 1/4, so K < (1 + 4)/2
         # certifies K = 2, and greedy recovery must then be exact
@@ -214,5 +224,101 @@ class TestMonteCarlo:
     def test_k_range_validated(self, demo_matrix):
         with pytest.raises(ValueError):
             monte_carlo(demo_matrix, [0], trials=5, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\[1, min\(M, N\)\] = \[1, 5\]"):
             monte_carlo(demo_matrix, [6], trials=5, seed=0)
+
+
+def reference_omp(a, y, k_target, residual_tol):
+    """The plain OMP loop: a lstsq refit on the sorted support after every pick."""
+    picked = []
+    residual = y
+    support, coeffs = np.zeros(0, dtype=np.intp), np.zeros(0)
+    res_norm = float(np.linalg.norm(residual))
+    for _ in range(k_target):
+        if res_norm <= residual_tol:
+            break
+        corr = np.abs(a.conj().T @ residual)
+        corr[picked] = -1.0
+        picked.append(int(np.argmax(corr)))
+        support = np.array(sorted(picked), dtype=np.intp)
+        cols = a[:, support]
+        coeffs, *_ = np.linalg.lstsq(cols, y, rcond=None)
+        residual = y - cols @ coeffs
+        res_norm = float(np.linalg.norm(residual))
+    return support, coeffs, res_norm
+
+
+def assert_engine_matches_reference(a, ys, k, tol):
+    engine = list(recon._recover(a, ys, k, tol))
+    for y, (support, coeffs, residual) in zip(ys, engine):
+        want_support, want_coeffs, want_norm = reference_omp(a, y, k, tol)
+        np.testing.assert_array_equal(support, want_support)
+        assert np.asarray(coeffs, dtype=np.complex128).tobytes() == (
+            np.asarray(want_coeffs, dtype=np.complex128).tobytes())
+        assert float(np.linalg.norm(residual)) == want_norm
+
+
+def _test_matrix(kind, seed, m, n):
+    rng = np.random.default_rng(seed)
+    if kind == "idft":
+        return build_partial_idft(n, np.sort(rng.choice(n, size=m, replace=False)),
+                                  normalize=bool(seed % 2)).entries
+    a = rng.standard_normal((m, n))
+    if kind == "complex":
+        a = a + 1j * rng.standard_normal((m, n))
+    return normalize_columns(MeasurementMatrix(a)).entries
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["real", "complex", "idft"]),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(4, 8), (6, 12), (10, 24), (12, 16), (8, 32), (8, 5)]),
+    k=st.integers(1, 10),
+    tol=st.sampled_from([1e-12, 0.0]),
+)
+def test_engine_matches_reference_loop(kind, seed, shape, k, tol):
+    m, n = shape
+    if kind == "idft":
+        n = 16 if n <= 16 else 32
+    k = min(k, m, n)
+    a = _test_matrix(kind, seed, m, n)
+    ys = np.array([a @ generate_sparse_signal(n, k, seed=[seed, t]).to_dense()
+                   for t in range(12)])
+    assert_engine_matches_reference(a, ys, k, tol)
+    # omp runs the same engine on one vector
+    x_hat, residual = omp(MeasurementMatrix(a), ys[0], k_target=k, residual_tol=tol)
+    support, coeffs, res_norm = reference_omp(a, ys[0], k, tol)
+    assert x_hat.support.indices == tuple(support.tolist())
+    assert x_hat.values.tobytes() == np.asarray(coeffs, dtype=np.complex128).tobytes()
+    assert residual == res_norm
+
+
+def test_planted_k2_ties_follow_the_reference_rounding():
+    # real unit-norm columns and unit-modulus values: |x_i + g x_j| = |x_j + g x_i|
+    # with g = a_i . a_j, so the true atoms tie in exact arithmetic at step 1
+    a = _test_matrix("real", 3, 10, 24)
+    signals = [generate_sparse_signal(24, 2, seed=[8, t]) for t in range(200)]
+    ys = np.array([a @ x.to_dense() for x in signals])
+    corr = np.abs(ys @ a.conj())
+    ties = 0
+    for x, c in zip(signals, corr):
+        i, j = x.support.indices
+        assert abs(c[i] - c[j]) <= 1e-14 * np.linalg.norm(c)
+        ties += set(np.argsort(c)[-2:]) == {i, j}
+    assert ties > 100
+    assert_engine_matches_reference(a, ys, 2, 1e-12)
+
+
+def test_duplicate_column_with_zero_tolerance_follows_the_reference():
+    # after columns 3 and 5 the residual is rounding noise and the copy of
+    # column 3 has an orthogonalized norm near zero: those rows leave the
+    # engine, finish on the reference arithmetic, and produce no NaN
+    a = normalize_columns(MeasurementMatrix(np.random.default_rng(5).standard_normal((5, 8))))
+    a = np.hstack([a.entries, a.entries[:, [3]]])
+    ys = np.array([a[:, 3] * c + a[:, 5] for c in np.linspace(-2, 2, 9)])
+    with np.errstate(all="raise"):
+        assert_engine_matches_reference(a, ys, 5, 0.0)
+        # an exact copy of a picked unit vector orthogonalizes to exactly zero
+        copy = np.array([[1, 1, 0], [0, 0, 0], [0, 0, 1]], dtype=np.complex128)
+        assert_engine_matches_reference(copy, np.array([[1, 1, 0]], dtype=np.complex128), 3, 0.0)
