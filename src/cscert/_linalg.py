@@ -13,12 +13,13 @@ rule would call it independent too. Every other subset is decided by
 ``dependent_mask`` itself, so every verdict is the rule's own.
 
 Why the factor 2 on the trace is sound. ``positive_definite`` runs the
-outer-product Cholesky (LDL^H) elimination on the lower triangle. When every
-pivot of a k x k Hermitian A is positive, the computed factors are an exact
-factorization of some Hermitian A + E with positive pivots, so A + E is
-positive definite, and ``||E|| <= k * gamma_(k+1) * ||A + E||``, about
-``k (k + 1) eps ||A||`` (Higham, *Accuracy and Stability of Numerical
-Algorithms*, Thm. 10.3 and the bound ``|| |R^H| |R| || <= k ||A + E||``). So
+left-looking Cholesky (LDL^H) elimination on the lower triangle: column j is
+formed from the finished columns to its left. When every pivot of a k x k
+Hermitian A is positive, the computed factors are an exact factorization of
+some Hermitian A + E with positive pivots, so A + E is positive definite,
+and ``||E|| <= k * gamma_(k+1) * ||A + E||``, about ``k (k + 1) eps ||A||``
+(Higham, *Accuracy and Stability of Numerical Algorithms*, Thm. 10.3 and the
+bound ``|| |R^H| |R| || <= k ||A + E||``). So
 ``lambda_min(A) > -k (k + 1) eps ||A|| (1 + o(1))``. With
 ``A = G_S - s I``, ``s = 2 * SCREEN * trace(G_S)`` and
 ``||A|| <= trace(G_S) + s``, that gives
@@ -26,7 +27,10 @@ Algorithms*, Thm. 10.3 and the bound ``|| |R^H| |R| || <= k ||A + E||``). So
 which is at least ``SCREEN * trace(G_S) >= SCREEN * lambda_max`` for every
 k up to about 6,000. The trace bounds ``lambda_max`` because every other
 eigenvalue is then positive. Below the floor the shift is ``_SCREEN_FLOOR``
-itself, and a Gram whose eigenvalues are that small goes to the SVD.
+itself, and a Gram whose eigenvalues are that small goes to the SVD. The
+theorem holds for every order of the inner sums, so the left-looking order
+keeps the bound, this factor 2 and the ``8 K^3 eps`` margin of
+``certify.rip_constant``.
 
 A sweep that asks only whether *any* k-subset is dependent draws its subsets
 from ``verdict_chunks``. On a matrix with cyclic shift structure (partial
@@ -54,7 +58,7 @@ and RIP constants) keep ``iter_combination_chunks``.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from typing import NamedTuple
 
@@ -78,39 +82,90 @@ SCREEN = 1e-8
 # range carry an absolute error (about k * M * 5e-324), not a relative one.
 _SCREEN_FLOOR = 1e-200
 
+# Entries of the combination tails table saturate here; see ``_unrank``.
+_TAIL_CAP = 1 << 62
+
 # Default cap on subsets evaluated per spark, RIP-profile or DFT-limit call.
 DEFAULT_BUDGET = 20_000_000
 
 
-def growing_chunks(items, width: int, cap: int = CHUNK):
-    """Yield (B, width) int arrays of the tuples in ``items``, B doubling from 64 up to ``cap``.
+@functools.cache
+def _tails(n: int, k: int) -> tuple[np.ndarray, int]:
+    """The negated tails table of k-combinations of range(n), and the first inexact rank.
 
-    Small first chunks keep a sweep that stops at its first few subsets from
-    paying for a full batch. Memory rule: a chunk's arrays hold about 2^20
-    entries at most, so the cap is also at most ``2^20 / width^2`` (one width
-    x width matrix per tuple, below ``CHUNK`` only from width 23 on).
+    Row i, entry x + 1, is ``-C(n - 1 - x, k - i)`` for x = -1 .. n - 1,
+    saturated at ``-_TAIL_CAP``: the number of (k - i)-subsets of
+    range(x + 1, n), the completions of a combination whose element i - 1 is
+    x. Negated, each row increases, as ``searchsorted`` needs. Unranking is
+    exact below ``C(n, k)`` when that is below the cap, else below
+    ``_TAIL_CAP / n`` (see ``_unrank``).
     """
-    cap = max(1, min(cap, _CHUNK_ENTRIES // max(1, width) ** 2))
-    size = min(64, cap)
-    while block := list(itertools.islice(items, size)):
-        size = min(2 * size, cap)
-        yield np.array(block, dtype=np.intp).reshape(len(block), width)
+    t = [[-min(math.comb(n - 1 - x, k - i), _TAIL_CAP) for x in range(-1, n)] for i in range(k)]
+    total = math.comb(n, k)
+    table = np.array(t, dtype=np.int64).reshape(k, n + 1)
+    table.flags.writeable = False
+    return table, total if total < _TAIL_CAP else _TAIL_CAP // n
+
+
+def _unrank(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
+    """(k, B) array: column b is the k-combination of range(n) of lexicographic rank ``ranks[b]``.
+
+    Element i of the combination of rank r is the smallest e after element
+    i - 1, p, for which the combinations after p that start no later than e
+    outnumber r. By the hockey-stick identity there are
+    ``C(n - 1 - p, m) - C(n - 1 - e, m)`` of them, m = k - i, so e comes from
+    one ``searchsorted`` on the tails table, and r drops by the combinations
+    that start before e. Where ``C(n - 1 - p, m)`` is saturated, the subtree
+    of ``p + 1`` holds ``C(n - 1 - p, m) * m / (n - 1 - p)``, at least
+    ``2^62 / n`` combinations, more than any rank below that: e is ``p + 1``
+    and r stays. Past that rank of a saturated table it raises
+    ``OverflowError``; no sweep gets near it (2^48 at n = 2^14).
+    """
+    neg, exact = _tails(n, k)
+    if len(ranks) and ranks[-1] >= exact:
+        raise OverflowError(f"rank {ranks[-1]} of C({n}, {k}) is past exact unranking")
+    r = ranks.astype(np.int64)
+    # col[i + 1] is the table column of element i, which is element i plus one
+    col = np.zeros((k + 1, len(r)), dtype=np.intp)
+    for i in range(k):
+        row = neg[i]
+        left = row[col[i]]
+        t = r + left
+        c = np.searchsorted(row, t, side="right")
+        huge = left == -_TAIL_CAP
+        if huge.any():
+            c[huge] = col[i, huge] + 1
+        r = t - row[c - 1]
+        col[i + 1] = c
+    return col[1:] - 1
 
 
 def iter_combination_chunks(n: int, k: int, chunk: int = CHUNK):
     """Yield (B, k) int arrays of k-combinations of range(n) in lexicographic order.
 
-    B grows from 64 up to ``chunk``, as capped by ``growing_chunks``.
+    Each chunk is unranked in numpy from its ranks (``_unrank``) and is the
+    transpose of a C-ordered (k, B) array, the layout in which sweeps gather
+    (k, k, B) Gram stacks. B doubles from 64 up to ``chunk``:
+    small first chunks keep a sweep that stops at its first few subsets from
+    paying for a full batch. Memory rule: a chunk holds at most about 2^20
+    entries of its k x k matrices, so B is also at most ``2^20 / k^2`` (below
+    ``CHUNK`` only from k = 23 on).
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
-    yield from growing_chunks(itertools.combinations(range(n), k), k, chunk)
+    cap = max(1, min(chunk, _CHUNK_ENTRIES // k**2))
+    total = math.comb(n, k)
+    start, size = 0, min(64, cap)
+    while start < total:
+        stop = min(start + size, total)
+        yield _unrank(n, k, np.arange(start, stop)).T
+        start, size = stop, min(2 * size, cap)
 
 
 def lex_leq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mask of the rows of ``a`` that are lexicographically no larger than the rows of ``b``."""
+    """Mask of the columns of ``a`` that are lexicographically no larger than those of ``b``."""
     diff = b - a
-    return diff[np.arange(len(a)), np.argmax(diff != 0, axis=1)] >= 0
+    return diff[np.argmax(diff != 0, axis=0), np.arange(diff.shape[1])] >= 0
 
 
 def iter_orbit_chunks(n: int, k: int):
@@ -118,20 +173,43 @@ def iter_orbit_chunks(n: int, k: int):
 
     Each subset holds 0 and is the lexicographically smallest of its shifts
     S + c (mod n), and subsets come in lexicographic order. The candidates
-    {0} | T come in chunks from ``growing_chunks`` and are filtered in numpy,
-    so no chunk exceeds its cap, ``min(CHUNK, 2^20 / n)`` rows by the memory
-    rule: a DFT sweep holds a length-n spectrum per subset.
+    {0} | T come from ``iter_combination_chunks(n - 1, k - 1, cap)``, T
+    shifted up by one. A subset holding 0 is fixed by its gap sequence
+    ``s_1 - s_0, ..., n - s_(k-1)``, in the same lexicographic order, and its
+    shifts that hold 0 have the k rotations of that sequence as gaps. So a
+    candidate is kept when its gaps are ``lex_leq`` every rotation, each a
+    slice of the doubled gap array: no sort, no modulo. Its first gap is then
+    its smallest, which is checked first, and at most n / k, so the
+    candidates stop where T's first element reaches n // k. No chunk exceeds
+    its cap, ``min(CHUNK, 2^20 / n)`` rows by the memory rule: a DFT sweep
+    holds a length-n spectrum per subset.
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
-    cap = min(CHUNK, _CHUNK_ENTRIES // n)
-    for t in growing_chunks(itertools.combinations(range(1, n), k - 1), k - 1, cap):
-        s = np.hstack([np.zeros((len(t), 1), dtype=np.intp), t])
-        # the shifts of S that hold 0 are S - s_j; the smallest of S's shifts holds 0
+    if k == 1:
+        yield np.zeros((1, 1), dtype=np.intp)
+        return
+    left = math.comb(n - 1, k - 1) - math.comb(n - 1 - n // k, k - 1)
+    for t in iter_combination_chunks(n - 1, k - 1, min(CHUNK, _CHUNK_ENTRIES // n)):
+        t = t[:left].T
+        left -= t.shape[1]
+        gaps = np.empty((2 * k, t.shape[1]), dtype=np.intp)
+        gaps[0] = t[0] + 1
+        gaps[1 : k - 1] = t[1:] - t[:-1]
+        gaps[k - 1] = n - 1 - t[-1]
+        gaps[k:] = gaps[:k]
+        # a rotation that starts with a smaller gap is smaller
+        keep = gaps[0] == gaps[:k].min(axis=0)
+        t, gaps = t[:, keep], gaps[:, keep]
         for j in range(1, k):
-            s = s[lex_leq(s, np.sort((s - s[:, j : j + 1]) % n, axis=1))]
-        if len(s):
-            yield s
+            keep = lex_leq(gaps[:k], gaps[j : j + k])
+            t, gaps = t[:, keep], gaps[:, keep]
+        if t.shape[1]:
+            s = np.zeros((k, t.shape[1]), dtype=np.intp)
+            s[1:] = t + 1
+            yield s.T
+        if not left:
+            return
 
 
 def shift_invariant(entries: np.ndarray) -> bool:
@@ -181,26 +259,28 @@ def dependent_mask(stack: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
 
 
 def positive_definite(stack: np.ndarray) -> np.ndarray:
-    """Mask over a (B, k, k) Hermitian stack: True where every Cholesky pivot is positive.
+    """Mask over a (k, k, B) Hermitian stack: True where every Cholesky pivot is positive.
 
-    Runs the outer-product (Schur complement) form of Cholesky elimination,
-    ``A[i, l] -= A[i, j] * conj(A[l, j]) / A[j, j]``, on every matrix at once
-    and overwrites the stack. Only the lower triangle is read, as
+    Matrix b of the stack is ``stack[:, :, b]``, so every operation below
+    runs over B contiguous entries. Runs the left-looking LDL^H elimination
+    on every matrix at once and overwrites the stack's lower triangle with
+    the factor C = L D: column j becomes
+    ``A[j:, j] - sum_(l<j) C[j:, l] * conj(C[j, l]) / d[l]`` with
+    ``d[j] = C[j, j]``, one vectorized statement per column over the lower
+    triangle only. Only the lower triangle is read, as
     ``numpy.linalg.eigvalsh`` reads it. True certifies that the Hermitian
     matrix within about ``k^2 * eps * ||A||`` of the input is positive
     definite (see the module docstring).
     """
-    k = stack.shape[-1]
-    ok = np.ones(len(stack), dtype=bool)
+    pivots = np.einsum("iib->ib", stack).real
+    ok = np.ones(stack.shape[-1], dtype=bool)
     # a failed pivot may leave inf or nan in its own matrix, which stays False
     with np.errstate(all="ignore"):
-        for j in range(k):
-            pivot = stack[:, j, j].real
-            ok &= pivot > 0
-            if j + 1 < k:
-                col = stack[:, j + 1 :, j]
-                row = col.conj() / pivot[:, None]
-                stack[:, j + 1 :, j + 1 :] -= col[:, :, None] * row[:, None, :]
+        for j in range(len(stack)):
+            if j:
+                row = stack[j, :j].conj() / pivots[:j]
+                stack[j:, j] -= (stack[j:, :j] * row).sum(axis=1)
+            ok &= pivots[j] > 0
     return ok
 
 
@@ -214,8 +294,9 @@ def rank_test(entries: np.ndarray, rtol: float = RANK_RTOL):
     overflow. A subset is cleared when ``G_S - max(2 * SCREEN * trace(G_S),
     _SCREEN_FLOOR) * I`` is positive definite: since ``lambda_max <= trace``,
     that proves ``lambda_min > SCREEN * lambda_max`` with room for the
-    elimination's rounding. Subsets the screen cannot clear go to
-    ``dependent_mask`` on the unscaled columns.
+    elimination's rounding. The Grams are gathered straight into the
+    (k, k, B) layout of ``positive_definite``. Subsets the screen cannot
+    clear go to ``dependent_mask`` on the unscaled columns.
     """
     peak = np.abs(entries).max()
     x = entries / peak if peak > 0 else entries
@@ -224,10 +305,10 @@ def rank_test(entries: np.ndarray, rtol: float = RANK_RTOL):
     g = x.conj().T @ x
 
     def evaluate(combs):
-        stack = g[combs[:, :, None], combs[:, None, :]]
-        diag = np.einsum("bii->bi", stack)
-        shift = np.maximum(2 * SCREEN * diag.real.sum(axis=1), _SCREEN_FLOOR)
-        diag -= shift[:, None]
+        c = combs.T
+        stack = g[c[:, None, :], c[None, :, :]]
+        diag = np.einsum("iib->ib", stack)
+        diag -= np.maximum(2 * SCREEN * diag.real.sum(axis=0), _SCREEN_FLOOR)
         unsure = ~positive_definite(stack)
         mask = np.zeros(len(combs), dtype=bool)
         if unsure.any():

@@ -183,16 +183,17 @@ def rip_constant(a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET) -> 
     Only subsets that can move the running extremes ``lo, hi`` get
     ``eigvalsh``. A subset is excluded when both ``G_S - (lo + m) I`` and
     ``(hi - m) I - G_S`` pass ``_linalg.positive_definite``, on the real Gram
-    when the matrix is real. The margin ``m = 8 K^3 eps max(diag G)`` covers
-    the certificate's backward error, at most about ``K (K + 1) eps ||A||``
-    for the shifted matrix A with ``||A|| <= 2 K max(diag G)``, plus
-    ``eigvalsh``'s own error, at most about ``K^2 eps ||G_S||`` (LAPACK bounds
-    it by ``p(K) eps ||G_S||`` for a modest ``p``). For unit columns m is
-    6e-13 at K = 7 and 1.4e-11 at K = 20, so a fixed margin such as 1e-12
-    would not cover larger orders. So an excluded subset's computed
-    eigenvalues lie strictly inside ``(lo, hi)``, every other subset gets
-    ``eigvalsh`` on the same complex Gram as without the certificate, and the
-    extremes are the same floats.
+    when the matrix is real; both run as one call on a (K, K, 2B) stack that
+    holds the B subsets of a chunk twice. The margin
+    ``m = 8 K^3 eps max(diag G)`` covers the certificate's backward error, at
+    most about ``K (K + 1) eps ||A||`` for the shifted matrix A with
+    ``||A|| <= 2 K max(diag G)``, plus ``eigvalsh``'s own error, at most about
+    ``K^2 eps ||G_S||`` (LAPACK bounds it by ``p(K) eps ||G_S||`` for a
+    modest ``p``). For unit columns m is 6e-13 at K = 7 and 1.4e-11 at
+    K = 20, so a fixed margin such as 1e-12 would not cover larger orders. So
+    an excluded subset's computed eigenvalues lie strictly inside
+    ``(lo, hi)``, every other subset gets ``eigvalsh`` on the same complex
+    Gram as without the certificate, and the extremes are the same floats.
     """
     m, n = a.shape
     if not 1 <= k <= min(m, n):
@@ -203,17 +204,20 @@ def rip_constant(a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET) -> 
     # and ||G_S - s I|| <= 2 k max(diag G) for every shift s used below
     margin = 8 * k**3 * np.finfo(float).eps * float(g.diagonal().real.max())
     screen = g.real if not g.imag.any() else g
-    diag = np.arange(k)
     lo, hi = math.inf, -math.inf
 
     def extremes(combs):
         nonlocal lo, hi
         # until the first eigvalsh, lo = inf and hi = -inf certify nothing
-        above = screen[combs[:, :, None], combs[:, None, :]]
-        below = -above
-        above[:, diag, diag] -= lo + margin
-        below[:, diag, diag] += hi - margin
-        unsure = ~(positive_definite(above) & positive_definite(below))
+        b = len(combs)
+        c = np.tile(combs.T, 2)
+        both = screen[c[:, None, :], c[None, :, :]]
+        np.negative(both[:, :, b:], out=both[:, :, b:])
+        diag = np.einsum("iib->ib", both)
+        diag[:, :b] -= lo + margin
+        diag[:, b:] += hi - margin
+        inside = positive_definite(both).reshape(2, b)
+        unsure = ~(inside[0] & inside[1])
         if unsure.any():
             c = combs[unsure]
             w = np.linalg.eigvalsh(g[c[:, :, None], c[:, None, :]])

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -200,15 +199,10 @@ def _load_measurements(path) -> np.ndarray:
     return vec.entries[:, 0]
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0):
-        raise _UsageError(f"--tol must be a finite non-negative number, got {tol}")
-
-
 def _cmd_recon(args) -> int:
     if args.k < 1:
         raise _UsageError("--k must be positive")
-    _check_tol(args.tol)
+    recon.check_tol(args.tol, "--tol")
     a = mc.load_matrix_csv(args.matrix)
     y = _load_measurements(args.measurements)
     if y.shape[0] != a.rows:
@@ -231,7 +225,7 @@ def _cmd_recon(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    _check_tol(args.tol)
+    recon.check_tol(args.tol, "--tol")
     a = mc.load_matrix_csv(args.matrix)
     ks = _parse_int_list(args.ks, "--ks")
     if not ks:

@@ -79,6 +79,7 @@ the reference arithmetic; nothing divides by a vanishing norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,6 +293,12 @@ def _recover(a: np.ndarray, ys: np.ndarray, k_target: int, residual_tol: float):
             yield support, np.zeros(0), y
 
 
+def check_tol(tol: float, name: str) -> None:
+    """Raise ``ValueError`` unless ``tol`` is a finite non-negative number."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{name} must be a finite non-negative number, got {tol}")
+
+
 def omp(
     a: MeasurementMatrix, y: np.ndarray, k_target: int, residual_tol: float = DEFAULT_RESIDUAL_TOL
 ) -> tuple[SparseVector, float]:
@@ -309,6 +316,7 @@ def omp(
     Runs the batched selection engine on the one vector ``y``; the result is
     the reference loop's, bit for bit.
     """
+    check_tol(residual_tol, "residual_tol")
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (a.rows,):
         raise ValueError(f"measurement vector must have length {a.rows}")
@@ -371,6 +379,7 @@ def monte_carlo(
     residual tolerance.
     """
     ks = [int(k) for k in k_range]
+    check_tol(recovery_tol, "recovery_tol")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     limit = min(a.rows, a.cols)

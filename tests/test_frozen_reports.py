@@ -4,9 +4,13 @@
 before the Cholesky certificates entered the spark screen and the RIP sweep.
 ``data/frozen_recovery.json`` holds ``experiment --format json`` and
 ``recon --format json`` texts captured before the per-trial OMP loop became
-one batched selection per sparsity. Any later speed-up that changes one
-reported digit fails here. Regenerate them only for an intended change of
-results: ``PYTHONPATH=src python tests/test_frozen_reports.py`` rewrites both
+one batched selection per sparsity. ``data/frozen_dft.json`` holds
+``dft-limit --format json`` texts on fixed N=16 and N=32 missing-sample
+patterns, and ``dft_uniqueness_oracle`` verdicts at K = 1 .. limit + 1,
+captured before both DFT paths drew their subsets from unranked
+combinations. Any later speed-up that changes one reported digit fails
+here. Regenerate them only for an intended change of results:
+``PYTHONPATH=src python tests/test_frozen_reports.py`` rewrites all three
 files from the current code.
 """
 
@@ -26,11 +30,13 @@ from cscert import (
     save_matrix_csv,
 )
 from cscert.cli import main
+from cscert.dft_uniqueness import MissingSamplePattern, dft_uniqueness_oracle
 from cscert.matrix_core import load_matrix_csv
 
 DATA = Path(__file__).resolve().parent / "data"
 FROZEN = DATA / "frozen_certify.json"
 FROZEN_RECOVERY = DATA / "frozen_recovery.json"
+FROZEN_DFT = DATA / "frozen_dft.json"
 DEMO_CSV = Path(__file__).resolve().parents[1] / "data" / "demo_matrix_5x8.csv"
 
 
@@ -166,6 +172,60 @@ def recovery_reports(tmp):
     return reports
 
 
+# N=16: one pattern per q, many of which need the zero-set sweep, some on
+# which the closed form is refuted ({3, 5, 11, 13} among them), plus the
+# empty and the full pattern
+DFT_PATTERNS_16 = [
+    [], [14], [6, 13], [4, 10, 13], [0, 3, 9, 15], [3, 5, 11, 13], [1, 8, 10, 11, 12],
+    [4, 6, 12, 14, 15], [0, 3, 4, 7, 8, 15], [1, 5, 7, 9, 10, 15], [0, 2, 4, 9, 10, 13, 14],
+    [0, 2, 3, 6, 8, 13, 14], [0, 2, 5, 6, 8, 11, 13, 15], [4, 5, 6, 11, 12, 13, 14, 15],
+    [4, 5, 7, 9, 10, 11, 12, 14, 15], [0, 1, 2, 3, 4, 5, 7, 10, 12],
+    [1, 2, 3, 4, 6, 7, 9, 10, 11, 13], [0, 2, 3, 5, 7, 8, 10, 12, 13, 15],
+    [0, 2, 3, 5, 8, 9, 11, 12, 13, 14, 15], [0, 1, 3, 6, 7, 8, 9, 10, 12, 13, 14, 15],
+    [0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 14], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14],
+    [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15], list(range(16)),
+]
+
+# N=32: sweeps at several decimation levels and at the top; the oracle only
+# where the limit is at most 1, since K = 4 takes seconds at N=32
+DFT_PATTERNS_32 = [
+    [20, 26, 27], [0, 21, 22, 31], [3, 5, 11, 13], [6, 10, 22, 26], [0, 1, 16, 17],
+    [0, 8, 16, 24], [0, 14, 19, 25, 28], [0, 2, 8, 16, 18], [1, 4, 13, 21, 23, 30],
+    [0, 5, 18, 19, 20, 28, 29], list(range(0, 32, 4)),
+    [0, 1, 2, 7, 9, 13, 14, 17, 19, 20, 22, 24, 25, 27],
+    [1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 14, 16, 17, 18, 19, 20, 21, 22, 24, 25, 26, 27, 28,
+     29, 30],
+    [0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26,
+     27, 28, 29, 30],
+    [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26,
+     27, 28, 29, 30, 31],
+]
+
+DFT_CASES = {f"N={n} missing={','.join(map(str, m))}": (n, m)
+             for n, patterns in ((16, DFT_PATTERNS_16), (32, DFT_PATTERNS_32)) for m in patterns}
+
+
+def dft_limit_json(n, missing, tmp):
+    return _run(["dft-limit", "--n", str(n), "--missing", ",".join(map(str, missing))], tmp)
+
+
+def oracle_verdicts(n, missing, k_max):
+    """Oracle verdicts at K = 1 .. k_max + 1, or None where that is too slow to freeze."""
+    if n > 16 and k_max > 1:
+        return None
+    p = MissingSamplePattern.of(n, missing)
+    return [dft_uniqueness_oracle(p, k) for k in range(1, k_max + 2)]
+
+
+def dft_reports(tmp):
+    reports = {}
+    for name, (n, missing) in DFT_CASES.items():
+        text = dft_limit_json(n, missing, tmp)
+        reports[name] = {"dft-limit": text,
+                         "oracle": oracle_verdicts(n, missing, json.loads(text)["k_max"])}
+    return reports
+
+
 @pytest.fixture(scope="module")
 def frozen():
     return json.loads(FROZEN.read_text())
@@ -191,6 +251,19 @@ def test_recon_json_is_frozen(name, frozen_recovery, tmp_path):
     assert recon_json(*RECON_CASES[name], tmp_path) == frozen_recovery[f"recon {name}"]
 
 
+@pytest.fixture(scope="module")
+def frozen_dft():
+    return json.loads(FROZEN_DFT.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(DFT_CASES))
+def test_dft_limit_and_oracle_are_frozen(name, frozen_dft, tmp_path):
+    n, missing = DFT_CASES[name]
+    text = dft_limit_json(n, missing, tmp_path)
+    assert text == frozen_dft[name]["dft-limit"]
+    assert oracle_verdicts(n, missing, json.loads(text)["k_max"]) == frozen_dft[name]["oracle"]
+
+
 def _write(path, reports):
     path.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(reports)} reports to {path}")
@@ -202,3 +275,4 @@ if __name__ == "__main__":
         _write(FROZEN, {name: certify_json(*case, tmp)
                         for name, case in CASES.items() if name not in SAME_AS})
         _write(FROZEN_RECOVERY, recovery_reports(tmp))
+        _write(FROZEN_DFT, dft_reports(tmp))

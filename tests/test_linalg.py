@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from cscert._linalg import (
     _SCREEN_FLOOR,
+    _unrank,
     CHUNK,
     SCREEN,
     dependent_mask,
@@ -73,6 +75,40 @@ def test_combination_chunks_double_from_64_up_to_the_cap():
     assert sum(len(c) for c in chunks) == math.comb(27, 23)
 
 
+def unrank(n, k, r):
+    """Reference: the k-combination of range(n) of lexicographic rank r, in Python integers."""
+    out, x = [], 0
+    for i in range(k):
+        while r >= (below := math.comb(n - 1 - x, k - 1 - i)):
+            r -= below
+            x += 1
+        out.append(x)
+        x += 1
+    return out
+
+
+@pytest.mark.parametrize("n, k", [(70, 35), (200, 100), (128, 40)])
+def test_combination_chunks_past_int64_start_like_itertools(n, k):
+    assert math.comb(n, k) >= 2**63
+    chunks = itertools.islice(iter_combination_chunks(n, k), 3)
+    got = np.vstack(list(chunks)).tolist()
+    assert got == [list(c) for c in itertools.islice(itertools.combinations(range(n), k), len(got))]
+
+
+@pytest.mark.parametrize("n, k", [(50, 25), (70, 35), (200, 100), (128, 40)])
+def test_unrank_is_exact_near_rank_2_to_the_40(n, k):
+    ranks = np.arange(2**40 - 150, 2**40 + 150)
+    assert _unrank(n, k, ranks).T.tolist() == [unrank(n, k, int(r)) for r in ranks]
+
+
+def test_unrank_refuses_ranks_past_its_exact_range():
+    # C(70, 35) saturates the tails table; unranking is exact below 2^62 / 70
+    last = (1 << 62) // 70 - 1
+    assert _unrank(70, 35, np.array([last])).T.tolist() == [unrank(70, 35, last)]
+    with pytest.raises(OverflowError):
+        _unrank(70, 35, np.array([last + 1]))
+
+
 def svd_rule(a, cols):
     """Reference: the columns are dependent iff sigma_min <= 1e-10 * sigma_max."""
     s = np.linalg.svd(a[:, cols], compute_uv=False)
@@ -132,6 +168,26 @@ def test_orbit_chunks_yield_one_subset_per_cyclic_orbit():
     assert max(sizes) <= 1024 and sum(sizes) == necklaces(1024, 3)
 
 
+def sorted_orbit_filter(n, k):
+    """Reference: each {0} | T, kept when no shift S - s_j, sorted mod n, is smaller."""
+    t = np.array(list(itertools.combinations(range(1, n), k - 1)), dtype=np.intp)
+    s = np.hstack([np.zeros((len(t), 1), dtype=np.intp), t.reshape(len(t), k - 1)])
+    for j in range(1, k):
+        shifted = np.sort((s - s[:, j : j + 1]) % n, axis=1)
+        diff = shifted - s
+        first = np.argmax(diff != 0, axis=1)
+        s = s[diff[np.arange(len(s)), first] >= 0]
+    return s.tolist()
+
+
+def test_orbit_chunks_match_the_sorted_filter():
+    for n in range(13, 25):
+        for k in range(1, n + 1):
+            if math.comb(n - 1, k - 1) <= 40_000:
+                got = np.vstack(list(iter_orbit_chunks(n, k))).tolist()
+                assert got == sorted_orbit_filter(n, k), (n, k)
+
+
 @pytest.mark.parametrize("n", [8, 16, 32, 1024])
 @pytest.mark.parametrize("normalize", [False, True])
 def test_shift_invariant_accepts_partial_idft(n, normalize):
@@ -161,19 +217,34 @@ def test_shift_invariant_rejects_other_matrices():
 
 
 @settings(max_examples=200, deadline=None)
-@given(k=st.integers(1, 6), cplx=st.booleans(), data=st.data())
+@given(k=st.integers(1, 20), cplx=st.booleans(), data=st.data())
 def test_positive_definite_matches_eigvalsh(k, cplx, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     b = rng.standard_normal((16, k, k)) + (1j * rng.standard_normal((16, k, k)) if cplx else 0)
     stack = b + b.conj().transpose(0, 2, 1)
     w = np.linalg.eigvalsh(stack)
     # lambda_min moved to +-gap times the norm, well outside the k^2 eps rounding band
-    gap = 10.0 ** -rng.uniform(3, 13, size=16)
+    gap = np.maximum(10.0 ** -rng.uniform(3, 13, size=16), 12 * k**2 * np.finfo(float).eps)
     sign = rng.choice([-1.0, 1.0], size=16)
     norm = np.abs(w).max(axis=1)
     shift = w[:, 0] - sign * gap * norm
     stack[:, np.arange(k), np.arange(k)] -= shift[:, None]
-    assert positive_definite(stack).tolist() == (sign > 0).tolist()
+    # matrix b of the certificate's stack is stack[:, :, b]
+    assert positive_definite(stack.transpose(1, 2, 0).copy()).tolist() == (sign > 0).tolist()
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_positive_definite_rejects_a_zero_or_negative_first_pivot(k, cplx):
+    first = [0.0, -0.0, -1.0, -1e-300, 1.0]
+    stack = np.repeat(np.eye(k, dtype=complex if cplx else float)[:, :, None], len(first), axis=2)
+    stack[0, 0] = first
+    stack[1:, 0] = 1 + (1j if cplx else 0)
+    stack[1:, 1:] += 2 * k * np.eye(k - 1)[:, :, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = positive_definite(stack)
+    assert got.tolist() == [False, False, False, False, True]
 
 
 def _with_singular_values(rng, m, s, cplx):

@@ -156,6 +156,12 @@ class TestOmp:
         x_hat, _ = omp(a, np.ones(6), k_target=3, residual_tol=0.0)
         assert x_hat.support == SupportSet((0, 1, 2))
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_residual_tol_must_be_finite_and_non_negative(self, demo_matrix, tol):
+        message = rf"^residual_tol must be a finite non-negative number, got {tol}$"
+        with pytest.raises(ValueError, match=message):
+            omp(demo_matrix, np.ones(5), k_target=2, residual_tol=tol)
+
     def test_exact_recovery_at_certified_limit_of_low_coherence_dictionary(self):
         # spikes-and-sines dictionary: coherence 1/4, so K < (1 + 4)/2
         # certifies K = 2, and greedy recovery must then be exact
@@ -226,6 +232,12 @@ class TestMonteCarlo:
             monte_carlo(demo_matrix, [0], trials=5, seed=0)
         with pytest.raises(ValueError, match=r"\[1, min\(M, N\)\] = \[1, 5\]"):
             monte_carlo(demo_matrix, [6], trials=5, seed=0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_recovery_tol_must_be_finite_and_non_negative(self, demo_matrix, tol):
+        message = rf"^recovery_tol must be a finite non-negative number, got {tol}$"
+        with pytest.raises(ValueError, match=message):
+            monte_carlo(demo_matrix, [1, 2], trials=5, seed=0, recovery_tol=tol)
 
 
 def reference_omp(a, y, k_target, residual_tol):
