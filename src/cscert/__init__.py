@@ -27,7 +27,6 @@ from .matrix_core import (
     CsvParseError,
     CsvShapeError,
     DegenerateColumnError,
-    HermitianGram,
     MeasurementMatrix,
     SupportSet,
     build_gaussian,
@@ -37,15 +36,11 @@ from .matrix_core import (
     load_matrix_csv,
     normalize_columns,
     save_matrix_csv,
-    select_columns,
 )
 from .recon import (
-    DegenerateSupportError,
     ExperimentReport,
     SparseVector,
     generate_sparse_signal,
-    ls_on_support,
-    measure,
     monte_carlo,
     omp,
 )

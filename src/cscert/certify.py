@@ -199,7 +199,7 @@ def rip_constant(a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET) -> 
     if not 1 <= k <= min(m, n):
         raise ValueError(f"order must satisfy 1 <= K <= min(M, N) = {min(m, n)}, got {k}")
     _require_unit_columns(a)
-    g = gram(a).entries
+    g = gram(a)
     # a Cholesky certificate and eigvalsh each err by at most about k^2 eps ||G_S||,
     # and ||G_S - s I|| <= 2 k max(diag G) for every shift s used below
     margin = 8 * k**3 * np.finfo(float).eps * float(g.diagonal().real.max())
@@ -270,6 +270,11 @@ def _largest_k_below(threshold: float) -> int:
     return max(0, math.ceil(threshold - 1e-9) - 1)
 
 
+def _bound(threshold: float | None, prefix: str = "") -> str:
+    """A threshold for the text report; None, where mu or the Welch bound is 0, bounds nothing."""
+    return "no bound" if threshold is None else f"{prefix}{threshold}"
+
+
 @dataclass(frozen=True)
 class CertificationReport(JsonReport):
     """Spark, coherence, Welch, and RIP summary with per-criterion sparsity limits.
@@ -312,9 +317,11 @@ class CertificationReport(JsonReport):
             f"  unique for K <= {self.spark_limit}  (K < spark/2)",
             f"coherence: {self.coherence}  worst pair {self.coherence_pair}"
             + (f"  ({len(self.coherence_ties)} pairs tie)" if len(self.coherence_ties) > 1 else ""),
-            f"  unique for K <= {self.coherence_limit}  (K < {self.coherence_k_threshold})",
-            f"  spark >= 1 + 1/mu = {self.spark_lower_bound_from_mu}",
-            f"welch bound: {self.welch}  (best possible coherence; K < {self.welch_k_bound})",
+            f"  unique for K <= {self.coherence_limit}"
+            f"  ({_bound(self.coherence_k_threshold, 'K < ')})",
+            f"  spark >= 1 + 1/mu = {_bound(self.spark_lower_bound_from_mu)}",
+            f"welch bound: {self.welch}"
+            f"  (best possible coherence; {_bound(self.welch_k_bound, 'K < ')})",
             "rip deltas: "
             + "  ".join(
                 f"{k}:{v}{'' if self.rip.exact[k] else '(approx)'}"
@@ -355,7 +362,7 @@ def certify(
     if k_max >= 1:
         _require_unit_columns(a)
     mu_res = coherence(a)
-    welch = welch_bound(m, n)
+    welch = welch_bound(min(m, n), n)  # M >= N admits orthonormal columns: 0
     spark_res = spark(a, budget)
     profile = rip_profile(a, k_max, budget)
 

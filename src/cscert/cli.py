@@ -182,6 +182,8 @@ def _cmd_gen(args) -> int:
         if args.times is not None:
             times = _parse_float_list(args.times, "--times")
         elif args.count is not None:
+            if args.count < 1:
+                raise _UsageError("--count must be positive")
             rng = np.random.default_rng(args.seed)
             times = np.sort(rng.uniform(0.0, args.interval, size=args.count))
         else:

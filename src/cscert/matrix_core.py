@@ -1,4 +1,4 @@
-"""Measurement-matrix construction, CSV loading, normalization, and column ops.
+"""Measurement-matrix construction, CSV loading, normalization, and the Gram.
 
 Matrices are dense complex arrays; real matrices are stored as complex with
 zero imaginary parts so that partial Fourier constructions and loaded real
@@ -103,13 +103,12 @@ class MeasurementMatrix:
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
 
-    def column_norms(self) -> np.ndarray:
-        return _column_norms(self.entries)
-
     @cached_property
-    def _gram(self) -> "HermitianGram":
+    def _gram(self) -> np.ndarray:
         g = self.entries.conj().T @ self.entries
-        return HermitianGram((g + g.conj().T) / 2.0)
+        g = (g + g.conj().T) / 2.0
+        g.setflags(write=False)
+        return g
 
     def describe(self) -> str:
         return f"{self.kind} {self.rows}x{self.cols}"
@@ -129,12 +128,6 @@ class SupportSet:
             raise ValueError(f"support indices must be strictly increasing: {idx}")
         object.__setattr__(self, "indices", idx)
 
-    @classmethod
-    def of(cls, iterable) -> "SupportSet":
-        """Build a support from any iterable of indices, rejecting duplicates."""
-        idx = sorted(int(i) for i in iterable)
-        return cls(tuple(idx))
-
     def __len__(self) -> int:
         return len(self.indices)
 
@@ -143,29 +136,6 @@ class SupportSet:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.indices, dtype=np.intp)
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianGram:
-    """Gram matrix of measurement-matrix columns (conjugate-transpose product)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"Gram matrix must be square, got shape {arr.shape}")
-        if not np.allclose(arr, arr.conj().T, rtol=0.0, atol=1e-12):
-            raise ValueError("Gram matrix is not Hermitian within 1e-12")
-        diag = np.diagonal(arr)
-        if np.any(diag.real < 0) or np.any(np.abs(diag.imag) > 1e-12):
-            raise ValueError("Gram diagonal must be real and nonnegative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
 
 
 def _parse_cell(text: str, row: int, col: int) -> complex:
@@ -270,27 +240,17 @@ def build_gaussian(rows: int, cols: int, seed: int) -> MeasurementMatrix:
 
 def normalize_columns(a: MeasurementMatrix) -> MeasurementMatrix:
     """Divide each column by its Euclidean norm."""
-    norms = a.column_norms()
+    norms = _column_norms(a.entries)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DegenerateColumnError(int(zero[0]))
     return MeasurementMatrix(a.entries / norms[None, :], kind=a.kind)
 
 
-def gram(a: MeasurementMatrix) -> HermitianGram:
-    """Conjugate-transpose product of the matrix with itself.
+def gram(a: MeasurementMatrix) -> np.ndarray:
+    """Conjugate-transpose product of the matrix with itself, made exactly Hermitian.
 
-    Formed and validated once per matrix, whose entries are read-only, and
-    kept with it: every RIP order of a certification shares it.
+    Formed once per matrix, whose entries are read-only, and kept with it as a
+    read-only array: every RIP order of a certification shares it.
     """
     return a._gram
-
-
-def select_columns(a: MeasurementMatrix, s: SupportSet) -> MeasurementMatrix:
-    """Reduced matrix keeping only the support's columns, order preserved."""
-    if len(s) == 0:
-        raise ValueError("support is empty")
-    idx = s.as_array()
-    if idx[-1] >= a.cols:
-        raise ValueError(f"support index {idx[-1]} out of range for {a.cols} columns")
-    return MeasurementMatrix(a.entries[:, idx], kind=a.kind)

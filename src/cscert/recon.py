@@ -85,7 +85,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._codec import JsonReport
-from ._linalg import dependent_mask
 from .matrix_core import MeasurementMatrix, SupportSet
 
 # Relative l2 error at or below this counts as exact recovery.
@@ -107,10 +106,6 @@ _KAPPA_MAX = 1e8
 # monte_carlo selects at most about this many state entries (signal, basis,
 # R^-1) per batch of trials, so memory stays bounded for any trial count.
 _BATCH_ENTRIES = 1 << 20
-
-
-class DegenerateSupportError(ValueError):
-    """The selected columns are rank deficient; least squares is ill posed."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,39 +157,11 @@ def generate_sparse_signal(n: int, k: int, seed) -> SparseVector:
     return SparseVector(n, SupportSet(tuple(int(i) for i in support)), values)
 
 
-def measure(a: MeasurementMatrix, x: SparseVector) -> np.ndarray:
-    """Measurement vector y = A x."""
-    if a.cols != x.length:
-        raise ValueError(f"matrix has {a.cols} columns but signal has length {x.length}")
-    return a.entries @ x.to_dense()
-
-
 def _refit(a: np.ndarray, y: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares coefficients on the sorted, nonempty support, and the residual vector."""
     cols = a[:, support]
     coeffs, *_ = np.linalg.lstsq(cols, y, rcond=None)
     return coeffs, y - cols @ coeffs
-
-
-def ls_on_support(
-    a: MeasurementMatrix, y: np.ndarray, s: SupportSet
-) -> tuple[SparseVector, float]:
-    """Least-squares fit restricted to the given support; returns (solution, residual).
-
-    The selection must be overdetermined (at most M columns) and full rank.
-    """
-    y = np.asarray(y, dtype=np.complex128)
-    if y.shape != (a.rows,):
-        raise ValueError(f"measurement vector must have length {a.rows}")
-    if len(s) == 0:
-        return SparseVector(a.cols, s, np.zeros(0)), float(np.linalg.norm(y))
-    if len(s) > a.rows:
-        raise ValueError(f"support size {len(s)} exceeds {a.rows} measurements")
-    support = s.as_array()
-    if dependent_mask(a.entries[:, support][None])[0]:
-        raise DegenerateSupportError(f"columns {s.indices} are rank deficient")
-    coeffs, residual = _refit(a.entries, y, support)
-    return SparseVector(a.cols, s, coeffs), float(np.linalg.norm(residual))
 
 
 def _reference_step(a, a_h, y, picked, residual_tol) -> tuple[bool, int]:

@@ -11,7 +11,6 @@ from cscert import (
     CertificationReport,
     MeasurementMatrix,
     NormalizationError,
-    SupportSet,
     build_gaussian,
     build_partial_idft,
     certify,
@@ -21,7 +20,6 @@ from cscert import (
     normalize_columns,
     rip_constant,
     rip_profile,
-    select_columns,
     spark,
     welch_bound,
 )
@@ -213,7 +211,7 @@ class TestRip:
 
 def reference_rip(a, k, budget):
     """Plain scan: eigvalsh of one Gram submatrix at a time, stopping at the budget."""
-    g = gram(a).entries
+    g = gram(a)
     lo, hi, used = math.inf, -math.inf, 0
     for comb in itertools.combinations(range(a.cols), k):
         if used == budget:
@@ -263,7 +261,7 @@ def test_rip_constant_finds_a_late_extreme_the_other_bound_would_exclude(first, 
     # 6-8, sets one extreme while its other eigenvalue stays inside the other one
     a = planted_triples(first, last)
     res = rip_constant(a, 3)
-    g = gram(a).entries[6:, 6:]
+    g = gram(a)[6:, 6:]
     w = np.linalg.eigvalsh(g)
     assert getattr(res, extreme) == (w[0] if extreme == "lambda_min" else w[-1])
     assert repr(tuple(res)) == repr(reference_rip(a, 3, math.inf))
@@ -362,6 +360,16 @@ class TestCertify:
         lines = rep.to_text().splitlines()
         assert lines[-1] == "condition-number bounds: none (no exact order has delta < 1)"
 
+    def test_text_report_names_absent_thresholds(self):
+        # M = N puts the Welch bound at 0; orthonormal columns put mu at 0 as well
+        square = certify(normalize_columns(build_gaussian(4, 4, seed=2))).to_text()
+        assert "(best possible coherence; no bound)" in square
+        assert "(K < " in square.splitlines()[4]
+        identity = certify(MeasurementMatrix(np.eye(4))).to_text().splitlines()
+        assert identity[4] == "  unique for K <= 4  (no bound)"
+        assert identity[5] == "  spark >= 1 + 1/mu = no bound"
+        assert not any("None" in line for line in square.splitlines() + identity)
+
 
 class TestSpecProperties:
     """Cross-criterion invariants on randomized corpora."""
@@ -394,19 +402,18 @@ class TestSpecProperties:
             mu = coherence(a).mu
             for _ in range(5):
                 size = rng.integers(2, 7)
-                s = SupportSet.of(rng.choice(7, size=size, replace=False))
-                assert coherence(select_columns(a, s)).mu <= mu + 1e-12
+                idx = np.sort(rng.choice(7, size=size, replace=False))
+                assert coherence(MeasurementMatrix(a.entries[:, idx])).mu <= mu + 1e-12
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_eigenvalue_sandwich(self, seed, k, vec_seed):
         a = unit_gaussian(seed, rows=5, cols=8)
         rng = np.random.default_rng(vec_seed)
-        s = SupportSet.of(rng.choice(8, size=2 * k, replace=False))
-        sub = select_columns(a, s)
-        w = np.linalg.eigvalsh(gram(sub).entries)
+        sub = a.entries[:, np.sort(rng.choice(8, size=2 * k, replace=False))]
+        w = np.linalg.eigvalsh(gram(MeasurementMatrix(sub)))
         v = rng.standard_normal(2 * k) + 1j * rng.standard_normal(2 * k)
-        ratio = np.linalg.norm(sub.entries @ v) ** 2 / np.linalg.norm(v) ** 2
+        ratio = np.linalg.norm(sub @ v) ** 2 / np.linalg.norm(v) ** 2
         assert w[0] - 1e-9 <= ratio <= w[-1] + 1e-9
 
     def test_spark_uniqueness_matches_rank_oracle(self):

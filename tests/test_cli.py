@@ -59,6 +59,17 @@ class TestCertifyCommand:
         assert "normalize" in capsys.readouterr().err
         assert run("certify", "--matrix", str(f), "--normalize") == 0
 
+    def test_tall_matrix_certifies(self, tmp_path, capsys):
+        f, out = tmp_path / "tall.csv", tmp_path / "report.json"
+        assert run("gen", "gaussian", "--rows", "5", "--cols", "3", "--out", str(f)) == 0
+        assert run("certify", "--matrix", str(f), "--normalize", "--format", "json",
+                   "--out", str(out)) == 0
+        d = json.loads(out.read_text())
+        assert d["spark"] is None and d["spark_limit"] == 3
+        assert d["welch"] == 0.0 and d["welch_k_bound"] is None
+        assert run("certify", "--matrix", str(f), "--normalize") == 0
+        assert "None" not in capsys.readouterr().out
+
     def test_unnormalized_entries_near_1e_170_are_a_one_line_error(self, tmp_path, capsys):
         # their Gram underflows; the diagnostic names the missing normalization
         f = tmp_path / "tiny.csv"
@@ -185,13 +196,19 @@ class TestGenCommand:
         assert run("gen", "random-fourier", "--n", "4",
                    "--out", str(tmp_path / "y.csv")) == 1
 
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    def test_count_must_be_positive(self, tmp_path, capsys, count):
+        assert run("gen", "random-fourier", "--n", "4", "--count", count,
+                   "--out", str(tmp_path / "x.csv")) == 1
+        assert capsys.readouterr().err == "error: --count must be positive\n"
+
 
 class TestReconCommand:
     def test_recovers_planted_spike(self, tmp_path, capsys):
-        from cscert import SparseVector, SupportSet, measure
+        from cscert import SparseVector, SupportSet
         a = load_matrix_csv(DEMO_CSV)
         x = SparseVector(8, SupportSet((6,)), np.array([2.0 + 0j]))
-        y = measure(a, x)
+        y = a.entries @ x.to_dense()
         yfile = tmp_path / "y.csv"
         yfile.write_text("\n".join(repr(float(v.real)) for v in y) + "\n")
         out = tmp_path / "rec.json"

@@ -4,13 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cscert import (
-    DegenerateSupportError,
     ExperimentReport,
+    SparseVector,
     SupportSet,
     build_partial_idft,
     generate_sparse_signal,
-    ls_on_support,
-    measure,
     monte_carlo,
     normalize_columns,
     omp,
@@ -55,26 +53,22 @@ class TestGenerate:
 
 class TestMeasure:
     def test_zero_vector(self, demo_matrix):
-        from cscert import SparseVector
-
         x = SparseVector(8, SupportSet(()), np.zeros(0))
-        np.testing.assert_array_equal(measure(demo_matrix, x), np.zeros(5))
+        np.testing.assert_array_equal(demo_matrix.entries @ x.to_dense(), np.zeros(5))
 
     def test_spike_reads_column(self, demo_matrix):
-        from cscert import SparseVector
-
         x = SparseVector(8, SupportSet((3,)), np.array([1.0]))
-        np.testing.assert_array_equal(measure(demo_matrix, x), demo_matrix.entries[:, 3])
+        np.testing.assert_array_equal(
+            demo_matrix.entries @ x.to_dense(), demo_matrix.entries[:, 3]
+        )
 
     def test_two_harmonic_signal_matches_direct_evaluation(self):
-        from cscert import SparseVector
-
         n, positions = 16, [0, 3, 4, 7, 9, 11]
         a = build_partial_idft(n, positions)
         k1, k2 = 2, 11
         c1, c2 = 1.5 - 0.5j, -0.25 + 1j
         x = SparseVector(n, SupportSet((k1, k2)), np.array([c1, c2]))
-        y = measure(a, x)
+        y = a.entries @ x.to_dense()
         direct = np.array(
             [
                 (c1 * np.exp(2j * np.pi * m * k1 / n) + c2 * np.exp(2j * np.pi * m * k2 / n)) / n
@@ -83,45 +77,31 @@ class TestMeasure:
         )
         np.testing.assert_allclose(y, direct, atol=1e-12)
 
-    def test_dimension_mismatch(self, demo_matrix):
-        x = generate_sparse_signal(9, 2, seed=0)
-        with pytest.raises(ValueError, match="columns"):
-            measure(demo_matrix, x)
-
 
 class TestLeastSquares:
+    """The least-squares refit on a sorted support that every OMP result ends with."""
+
     def test_true_support_recovers_exactly(self, demo_matrix):
         x = generate_sparse_signal(8, 3, seed=5)
-        y = measure(demo_matrix, x)
-        fit, residual = ls_on_support(demo_matrix, y, x.support)
-        err = np.linalg.norm(fit.to_dense() - x.to_dense()) / np.linalg.norm(x.to_dense())
+        y = demo_matrix.entries @ x.to_dense()
+        coeffs, residual = recon._refit(demo_matrix.entries, y, x.support.as_array())
+        err = np.linalg.norm(coeffs - x.values) / np.linalg.norm(x.values)
         assert err <= 1e-9
-        assert residual <= 1e-9
-
-    def test_underdetermined_rejected(self, demo_matrix):
-        y = np.zeros(5)
-        with pytest.raises(ValueError, match="support size"):
-            ls_on_support(demo_matrix, y, SupportSet(tuple(range(8))))
+        assert np.linalg.norm(residual) <= 1e-9
 
     def test_k2_planted_signal(self, demo_matrix):
         # spark 6 > 4 makes every 2-sparse signal identifiable
         x = generate_sparse_signal(8, 2, seed=17)
-        y = measure(demo_matrix, x)
-        fit, _ = ls_on_support(demo_matrix, y, x.support)
-        assert np.linalg.norm(fit.to_dense() - x.to_dense()) <= 1e-9
-
-    def test_rank_deficient_selection(self):
-        col = np.array([1.0, 2.0, 0.0])
-        a = MeasurementMatrix(np.column_stack([col, col, [0, 0, 1.0]]))
-        with pytest.raises(DegenerateSupportError):
-            ls_on_support(a, np.zeros(3), SupportSet((0, 1)))
+        y = demo_matrix.entries @ x.to_dense()
+        coeffs, _ = recon._refit(demo_matrix.entries, y, x.support.as_array())
+        assert np.linalg.norm(coeffs - x.values) <= 1e-9
 
 
 class TestOmp:
     def test_single_spike_exact(self, demo_matrix):
         for seed in range(25):
             x = generate_sparse_signal(8, 1, seed=seed)
-            y = measure(demo_matrix, x)
+            y = demo_matrix.entries @ x.to_dense()
             x_hat, residual = omp(demo_matrix, y, k_target=1)
             assert x_hat.support == x.support
             np.testing.assert_allclose(x_hat.values, x.values, atol=1e-10)
@@ -137,7 +117,7 @@ class TestOmp:
         trials = 500
         for seed in range(trials):
             x = generate_sparse_signal(8, 2, seed=seed)
-            y = measure(demo_matrix, x)
+            y = demo_matrix.entries @ x.to_dense()
             x_hat, _ = omp(demo_matrix, y, k_target=2)
             err = np.linalg.norm(x_hat.to_dense() - x.to_dense()) / np.linalg.norm(
                 x.to_dense()
@@ -176,7 +156,7 @@ class TestOmp:
         assert rep.coherence_limit == 2
         for seed in range(50):
             x = generate_sparse_signal(2 * m, rep.coherence_limit, seed=[77, seed])
-            y = measure(a, x)
+            y = a.entries @ x.to_dense()
             x_hat, _ = omp(a, y, k_target=rep.coherence_limit)
             assert x_hat.support == x.support
             err = np.linalg.norm(x_hat.to_dense() - x.to_dense())
@@ -195,7 +175,7 @@ class TestOmp:
             xb = generate_sparse_signal(6, k, seed=[int(rng.integers(2**32)), 1])
             if np.allclose(xa.to_dense(), xb.to_dense()):
                 continue
-            ya, yb = measure(a, xa), measure(a, xb)
+            ya, yb = a.entries @ xa.to_dense(), a.entries @ xb.to_dense()
             assert np.linalg.norm(ya - yb) > 1e-9
 
 
