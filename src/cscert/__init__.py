@@ -28,7 +28,6 @@ from .matrix_core import (
     CsvShapeError,
     DegenerateColumnError,
     MeasurementMatrix,
-    SupportSet,
     build_gaussian,
     build_partial_idft,
     build_random_partial_fourier,

@@ -32,14 +32,15 @@ theorem holds for every order of the inner sums, so the left-looking order
 keeps the bound, this factor 2 and the ``8 K^3 eps`` margin of
 ``certify.rip_constant``.
 
-A sweep that asks only whether *any* k-subset is dependent draws its subsets
-from ``verdict_chunks``. On a matrix with cyclic shift structure (partial
-Fourier matrices on an integer grid) it yields one subset per orbit of the
-shifts S -> S + c (mod N), from ``iter_orbit_chunks``: about C(N, k) / N
-subsets instead of C(N, k). ``shift_invariant`` detects the structure
-numerically, from the entries rather than a label: column j must equal
-``D^j`` times column 0 for one diagonal D of N-th roots of unity, so that
-columns S + c are D^c times columns S and have the same singular values.
+Whether *any* k-subset is dependent is asked through ``any_dependent``,
+which returns a bool, no hit position and no count. On a matrix with cyclic
+shift structure (partial Fourier matrices on an integer grid) it tests one
+subset per orbit of the shifts S -> S + c (mod N), from
+``iter_orbit_chunks``: about C(N, k) / N subsets instead of C(N, k).
+``shift_invariant`` detects the structure numerically, from the entries
+rather than a label: column j must equal ``D^j`` times column 0 for one
+diagonal D of N-th roots of unity, so that columns S + c are D^c times
+columns S and have the same singular values.
 It allows a deviation of ``16 * N * eps`` of the peak entry per entry: the
 phase ``2 pi p k / N`` of a computed Fourier entry is rounded at the size of
 N, and the largest deviation measured on partial inverse-DFT matrices is
@@ -233,19 +234,6 @@ def shift_invariant(entries: np.ndarray) -> bool:
     return bool(np.abs(x - phase * x[:, :1]).max() <= tol)
 
 
-def verdict_chunks(entries: np.ndarray, k: int):
-    """Chunks of k-column subsets that decide whether any k columns of ``entries`` are dependent.
-
-    One subset per cyclic-shift orbit when ``shift_invariant(entries)``, every
-    k-combination otherwise. Hits and counts are not those of a lexicographic
-    scan, only whether there is a hit.
-    """
-    n = entries.shape[1]
-    if shift_invariant(entries):
-        return iter_orbit_chunks(n, k)
-    return iter_combination_chunks(n, k)
-
-
 def dependent_mask(stack: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """Boolean mask over a (B, M, k) stack: True where the k columns are dependent.
 
@@ -344,3 +332,14 @@ def sweep(chunks, evaluate, budget: float = math.inf) -> Sweep:
         if cut:
             return Sweep(covered, False, False)
     return Sweep(covered, False, True)
+
+
+def any_dependent(entries: np.ndarray, k: int, rtol: float = RANK_RTOL) -> bool:
+    """Whether any k columns of ``entries`` are dependent under ``rank_test(entries, rtol)``.
+
+    Sweeps one subset per cyclic-shift orbit when ``shift_invariant(entries)``,
+    every k-combination otherwise.
+    """
+    n = entries.shape[1]
+    chunks = iter_orbit_chunks(n, k) if shift_invariant(entries) else iter_combination_chunks(n, k)
+    return sweep(chunks, rank_test(entries, rtol)).hit

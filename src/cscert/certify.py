@@ -23,7 +23,7 @@ every size up to it fits the budget: deleting a column never lowers
 ``sigma_min / sigma_max`` (singular-value interlacing), so if no subset of
 that size is dependent even under twice the rank tolerance, no smaller subset
 is dependent under the tolerance itself. On a partial Fourier matrix that
-sweep tests one subset per cyclic-shift orbit (``_linalg.verdict_chunks``):
+sweep tests one subset per cyclic-shift orbit (``_linalg.any_dependent``):
 shifted columns have the same singular values, up to a rounding that the
 doubled tolerance absorbs. On any flag it scans sizes upward in lexicographic
 order as before. So the rank tests actually run can reach C(N, min(M, N))
@@ -52,11 +52,11 @@ from ._codec import JsonReport
 from ._linalg import (
     DEFAULT_BUDGET,
     RANK_RTOL,
+    any_dependent,
     iter_combination_chunks,
     positive_definite,
     rank_test,
     sweep,
-    verdict_chunks,
 )
 from .matrix_core import MeasurementMatrix, gram, normalize_columns
 
@@ -113,8 +113,9 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET) -> SparkResult:
     best-known lower bound is returned with ``exact=False``.
 
     When the whole scan fits the budget, size min(M, N) is swept first under
-    twice the rank tolerance. If it flags nothing, every smaller subset is
-    independent too (interlacing), and the scan's result follows without it.
+    twice the rank tolerance (``_linalg.any_dependent``). If it flags nothing,
+    every smaller subset is independent too (interlacing), and the scan's
+    result follows without it.
     When the columns have cyclic shift structure (``_linalg.shift_invariant``)
     that sweep tests one subset per shift orbit, about C(N, min(M, N)) / N
     rank tests. If it flags anything, the upward scan runs, so the rank tests
@@ -127,9 +128,7 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET) -> SparkResult:
     top = min(m, n)
     total = sum(math.comb(n, k) for k in range(1, top + 1))
     full_rank = SparkResult(m + 1 if n > m else None, True, total)
-    if total <= budget and not sweep(
-        verdict_chunks(a.entries, top), rank_test(a.entries, 2 * RANK_RTOL)
-    ).hit:
+    if total <= budget and not any_dependent(a.entries, top, 2 * RANK_RTOL):
         return full_rank
     evaluate = rank_test(a.entries)
     used = 0

@@ -36,29 +36,30 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
+def _finish(args, text: str, approx: str | None = None) -> int:
+    """Write ``text`` to ``--out`` or stdout; exit status 2 when a budget cut the result.
+
+    ``approx``, set only when the result is a lower bound, completes the
+    warning; ``--allow-approx`` keeps the status at 0.
+    """
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+    if approx and not args.allow_approx:
+        print(f"warning: budget exhausted, {approx}", file=sys.stderr)
+        return 2
+    return 0
 
 
-def _parse_int_list(raw: str, what: str) -> list[int]:
+def _parse_list(raw: str, what: str, kind: type = int) -> list:
     if not raw.strip():
         return []
     try:
-        return [int(tok) for tok in raw.split(",")]
+        return [kind(tok) for tok in raw.split(",")]
     except ValueError:
-        raise _UsageError(f"{what} must be a comma-separated list of integers, got {raw!r}")
-
-
-def _parse_float_list(raw: str, what: str) -> list[float]:
-    if not raw.strip():
-        return []
-    try:
-        return [float(tok) for tok in raw.split(",")]
-    except ValueError:
-        raise _UsageError(f"{what} must be a comma-separated list of numbers, got {raw!r}")
+        noun = "integers" if kind is int else "numbers"
+        raise _UsageError(f"{what} must be a comma-separated list of {noun}, got {raw!r}")
 
 
 def build_parser() -> _Parser:
@@ -127,8 +128,6 @@ def build_parser() -> _Parser:
 
 
 def _cmd_certify(args) -> int:
-    if args.budget < 1:
-        raise _UsageError("--budget must be positive")
     if args.kmax is not None and args.kmax < 1:
         raise _UsageError("--kmax must be positive")
     a = mc.load_matrix_csv(args.matrix)
@@ -136,16 +135,10 @@ def _cmd_certify(args) -> int:
         a = mc.normalize_columns(a)
     report = certify(a, k_max=args.kmax, budget=args.budget)
     text = report.to_json() if args.format == "json" else report.to_text()
-    _write_output(text, args.out)
-    if not report.all_exact and not args.allow_approx:
-        print("warning: budget exhausted, results are lower bounds", file=sys.stderr)
-        return 2
-    return 0
+    return _finish(args, text, None if report.all_exact else "results are lower bounds")
 
 
 def _cmd_dft_limit(args) -> int:
-    if args.budget < 1:
-        raise _UsageError("--budget must be positive")
     if args.pattern is not None:
         if args.n is not None or args.missing is not None:
             raise _UsageError("--pattern excludes --n/--missing")
@@ -153,15 +146,16 @@ def _cmd_dft_limit(args) -> int:
     else:
         if args.n is None:
             raise _UsageError("either --pattern or --n is required")
-        missing = _parse_int_list(args.missing or "", "--missing")
+        missing = _parse_list(args.missing or "", "--missing")
         pattern = dftu.MissingSamplePattern.of(args.n, missing)
     result = dftu.dft_sparsity_limit(pattern, budget=args.budget)
     text = result.to_json() if args.format == "json" else result.to_text()
-    _write_output(text, args.out)
-    if not result.exact and not args.allow_approx:
-        print("warning: budget exhausted, k_max is a lower bound", file=sys.stderr)
-        return 2
-    return 0
+    return _finish(args, text, None if result.exact else "k_max is a lower bound")
+
+
+def _drawn_times(seed: int, count: int, interval: float):
+    # a generator: nothing is drawn until the builder has checked --n and --interval
+    yield from np.sort(np.random.default_rng(seed).random(count) * interval)
 
 
 def _cmd_gen(args) -> int:
@@ -174,18 +168,17 @@ def _cmd_gen(args) -> int:
     elif args.kind == "partial-idft":
         if args.n is None or args.positions is None:
             raise _UsageError("partial-idft needs --n and --positions")
-        positions = _parse_int_list(args.positions, "--positions")
+        positions = _parse_list(args.positions, "--positions")
         a = mc.build_partial_idft(args.n, positions, normalize=args.normalize)
     else:
         if args.n is None:
             raise _UsageError("random-fourier needs --n")
         if args.times is not None:
-            times = _parse_float_list(args.times, "--times")
+            times = _parse_list(args.times, "--times", float)
         elif args.count is not None:
             if args.count < 1:
                 raise _UsageError("--count must be positive")
-            rng = np.random.default_rng(args.seed)
-            times = np.sort(rng.uniform(0.0, args.interval, size=args.count))
+            times = _drawn_times(args.seed, args.count, args.interval)
         else:
             raise _UsageError("random-fourier needs --times or --count")
         a = mc.build_random_partial_fourier(args.n, args.interval, times,
@@ -213,30 +206,27 @@ def _cmd_recon(args) -> int:
     if args.format == "json":
         d = {
             "length": x.length,
-            "support": list(x.support.indices),
+            "support": list(x.support),
             "values": [[v.real, v.imag] for v in x.values],
             "residual": residual,
         }
         text = json.dumps(d, indent=2) + "\n"
     else:
         lines = [f"recovered {x.nnz} atoms, residual {residual}"]
-        lines += [f"  x[{i}] = {v}" for i, v in zip(x.support.indices, x.values)]
+        lines += [f"  x[{i}] = {v}" for i, v in zip(x.support, x.values)]
         text = "\n".join(lines) + "\n"
-    _write_output(text, args.out)
-    return 0
+    return _finish(args, text)
 
 
 def _cmd_experiment(args) -> int:
     recon.check_tol(args.tol, "--tol")
     a = mc.load_matrix_csv(args.matrix)
-    ks = _parse_int_list(args.ks, "--ks")
+    ks = _parse_list(args.ks, "--ks")
     if not ks:
         raise _UsageError("--ks must name at least one sparsity")
     report = recon.monte_carlo(a, ks, trials=args.trials, seed=args.seed,
                                recovery_tol=args.tol)
-    text = report.to_json() if args.format == "json" else report.to_csv()
-    _write_output(text, args.out)
-    return 0
+    return _finish(args, report.to_json() if args.format == "json" else report.to_csv())
 
 
 _COMMANDS = {
@@ -254,6 +244,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise _UsageError("--seed must be non-negative")
+        if getattr(args, "budget", 1) < 1:
+            raise _UsageError("--budget must be positive")
         return _COMMANDS[args.command](args)
     except (_UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

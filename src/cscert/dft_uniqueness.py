@@ -45,11 +45,10 @@ from ._codec import JsonReport
 from ._linalg import (
     DEFAULT_BUDGET,
     RANK_RTOL,
+    any_dependent,
     dependent_mask,
     iter_orbit_chunks,
-    rank_test,
     sweep,
-    verdict_chunks,
 )
 from .matrix_core import build_partial_idft
 
@@ -211,14 +210,25 @@ class _MinSupport:
             return 1
         key = (n, q)
         if key not in self.memo:
-            lo = self.lower(n, q)
             hi = n - max(row.term for row in _stride_rows(n, sorted(q)))
-            if lo < hi:
-                best, exact = self.zero_set_sweep(n, q, hi, stop=lo)
-                if exact:
-                    lo = best
-            self.memo[key] = lo
+            self.memo[key] = self.settle(n, q, hi)[0]
         return self.memo[key]
+
+    def settle(self, n: int, q: frozenset[int], hi: int, step: int = 1) -> tuple[int, bool]:
+        """S_n(q), n >= 2, from the decimation bound and the upper bound ``hi``; and whether exact.
+
+        The caller reads a support S only as ``(S - 1) // step`` (``step=2``
+        gives K). So the zero-set sweep runs only when ``hi`` lies past the
+        decimation bound's granule, and stops at the first support confirmed
+        inside it. A sweep cut by the budget or by a refused support leaves the
+        bound, flagged inexact.
+        """
+        lo = self.lower(n, q)
+        stop = lo - 1 - (lo - 1) % step + step
+        if stop >= hi:
+            return lo, True
+        best, exact = self.zero_set_sweep(n, q, hi, stop)
+        return (best, True) if exact else (lo, False)
 
     def lower(self, n: int, q: frozenset[int]) -> float:
         """Decimation lower bound on S_n(q), for n >= 2, from four half-length patterns."""
@@ -283,17 +293,8 @@ def dft_sparsity_limit(
     rows = _stride_rows(p.n, p.missing)
     penalty = max(row.term for row in rows)
     closed_form = max(0, (p.n - penalty - 1) // 2)
-    search = _MinSupport(budget)
-    k_max = (search.lower(p.n, frozenset(p.missing)) - 1) // 2
-    exact = k_max >= closed_form
-    if exact:
-        k_max = closed_form
-    else:
-        best, exact = search.zero_set_sweep(
-            p.n, frozenset(p.missing), p.n - penalty, stop=2 * k_max + 2
-        )
-        if exact:
-            k_max = (best - 1) // 2
+    support, exact = _MinSupport(budget).settle(p.n, frozenset(p.missing), p.n - penalty, step=2)
+    k_max = (support - 1) // 2
     counts = {row.h: row.count for row in rows}
     return DftUniquenessResult(p.n, p.missing, counts, penalty, k_max, exact, closed_form, rows)
 
@@ -303,7 +304,7 @@ def dft_uniqueness_oracle(p: MissingSamplePattern, k: int) -> bool:
 
     Builds the partial inverse-DFT matrix on the available positions and tests
     every 2K-column submatrix for full column rank, one subset per
-    cyclic-shift orbit (``_linalg.verdict_chunks``): shifting a column subset
+    cyclic-shift orbit (``_linalg.any_dependent``): shifting a column subset
     multiplies its columns by a unit-modulus diagonal, which keeps its
     singular values, so C(16, 8) = 12,870 subsets become 810.
     """
@@ -313,4 +314,4 @@ def dft_uniqueness_oracle(p: MissingSamplePattern, k: int) -> bool:
     if 2 * k > len(avail):
         return False
     entries = build_partial_idft(p.n, avail, normalize=False).entries
-    return not sweep(verdict_chunks(entries, 2 * k), rank_test(entries)).hit
+    return not any_dependent(entries, 2 * k)

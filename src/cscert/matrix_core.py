@@ -114,30 +114,6 @@ class MeasurementMatrix:
         return f"{self.kind} {self.rows}x{self.cols}"
 
 
-@dataclass(frozen=True)
-class SupportSet:
-    """Strictly increasing set of column indices (a candidate sparsity support)."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if any(i < 0 for i in idx):
-            raise ValueError(f"negative index in support: {idx}")
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise ValueError(f"support indices must be strictly increasing: {idx}")
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.indices, dtype=np.intp)
-
-
 def _parse_cell(text: str, row: int, col: int) -> complex:
     s = text.strip().replace(" ", "")
     if not s:
@@ -149,22 +125,21 @@ def _parse_cell(text: str, row: int, col: int) -> complex:
 
 
 def load_matrix_csv(path) -> MeasurementMatrix:
-    """Load a matrix from CSV, one matrix row per line, cells real or ``a+bi``."""
+    """Load a matrix from CSV, one row per line, cells real or ``a+bi``; errors name the file."""
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise CsvShapeError(f"{path}: no rows")
-    rows = []
-    width = None
-    for r, line in enumerate(lines):
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise CsvShapeError(
-                f"{path}: row {r} has {len(cells)} fields, expected {width}"
-            )
-        rows.append([_parse_cell(c, r, i) for i, c in enumerate(cells)])
-    return MeasurementMatrix(np.array(rows, dtype=np.complex128), kind="loaded")
+    try:
+        if not lines:
+            raise CsvShapeError("no rows")
+        width = len(lines[0].split(","))
+        rows = []
+        for r, line in enumerate(lines):
+            cells = line.split(",")
+            if len(cells) != width:
+                raise CsvShapeError(f"row {r} has {len(cells)} fields, expected {width}")
+            rows.append([_parse_cell(c, r, i) for i, c in enumerate(cells)])
+        return MeasurementMatrix(np.array(rows, dtype=np.complex128), kind="loaded")
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _format_cell(z: complex) -> str:
@@ -210,14 +185,17 @@ def build_random_partial_fourier(
     """Inverse Fourier-series rows sampled at arbitrary instants in [0, interval).
 
     Entry (m, k) is ``exp(2j*pi*t_m*k/interval)``, with an optional 1/sqrt(M)
-    column-energy normalization.
+    column-energy normalization. ``n`` and ``interval`` are checked before
+    ``times`` is read.
     """
+    if n < 1:
+        raise ValueError(f"number of harmonics must be positive, got {n}")
+    if not (math.isfinite(interval) and interval > 0):
+        raise ValueError(f"interval must be a positive finite number, got {interval}")
     t = np.array([float(x) for x in times], dtype=np.float64)
     if t.size < 1:
         raise ValueError("at least one sampling instant is required")
-    if interval <= 0:
-        raise ValueError(f"interval must be positive, got {interval}")
-    if np.any(t < 0) or np.any(t >= interval):
+    if not np.all((t >= 0) & (t < interval)):
         raise ValueError(f"sampling instants must lie in [0, {interval})")
     scale = 1.0 / math.sqrt(t.size) if normalize else 1.0
     k = np.arange(n, dtype=np.float64)[None, :]

@@ -85,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._codec import JsonReport
-from .matrix_core import MeasurementMatrix, SupportSet
+from .matrix_core import MeasurementMatrix
 
 # Relative l2 error at or below this counts as exact recovery.
 DEFAULT_RECOVERY_TOL = 1e-6
@@ -110,22 +110,29 @@ _BATCH_ENTRIES = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class SparseVector:
-    """Length-N coefficient vector stored as (support, values on the support)."""
+    """Length-N coefficient vector stored as (support, values on the support).
+
+    The support is a strictly increasing tuple of indices in [0, length).
+    """
 
     length: int
-    support: SupportSet
+    support: tuple[int, ...]
     values: np.ndarray
 
     def __post_init__(self):
+        idx = tuple(int(i) for i in self.support)
+        if any(a >= b for a, b in zip(idx, idx[1:])):
+            raise ValueError(f"support indices must be strictly increasing: {idx}")
+        if idx and (idx[0] < 0 or idx[-1] >= self.length):
+            raise ValueError(f"support indices must lie in [0, {self.length}): {idx}")
         vals = np.array(self.values, dtype=np.complex128)
-        if vals.ndim != 1 or vals.size != len(self.support):
+        if vals.ndim != 1 or vals.size != len(idx):
             raise ValueError(
                 f"need one value per support index, got {vals.size} values "
-                f"for support of size {len(self.support)}"
+                f"for support of size {len(idx)}"
             )
-        if len(self.support) and self.support.indices[-1] >= self.length:
-            raise ValueError("support index out of range")
         vals.setflags(write=False)
+        object.__setattr__(self, "support", idx)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -134,8 +141,7 @@ class SparseVector:
 
     def to_dense(self) -> np.ndarray:
         x = np.zeros(self.length, dtype=np.complex128)
-        if self.nnz:
-            x[self.support.as_array()] = self.values
+        x[list(self.support)] = self.values
         return x
 
 
@@ -154,7 +160,7 @@ def generate_sparse_signal(n: int, k: int, seed) -> SparseVector:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
     support, values = _draw(n, k, seed)
-    return SparseVector(n, SupportSet(tuple(int(i) for i in support)), values)
+    return SparseVector(n, tuple(support.tolist()), values)
 
 
 def _refit(a: np.ndarray, y: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -293,7 +299,7 @@ def omp(
             f"for a {a.rows}x{a.cols} matrix"
         )
     support, coeffs, residual = next(_recover(a.entries, y[None], k_target, residual_tol))
-    solution = SparseVector(a.cols, SupportSet(tuple(support.tolist())), coeffs)
+    solution = SparseVector(a.cols, tuple(support.tolist()), coeffs)
     return solution, float(np.linalg.norm(residual))
 
 

@@ -9,6 +9,8 @@ from cscert import (
     DftUniquenessResult,
     ExperimentReport,
     MeasurementMatrix,
+    SparseVector,
+    build_random_partial_fourier,
     load_matrix_csv,
     save_matrix_csv,
 )
@@ -202,15 +204,50 @@ class TestGenCommand:
                    "--out", str(tmp_path / "x.csv")) == 1
         assert capsys.readouterr().err == "error: --count must be positive\n"
 
+    @pytest.mark.parametrize("argv, what", [
+        (["--n", "4", "--count", "3", "--interval", "-1"], "interval"),
+        (["--n", "4", "--count", "3", "--interval", "nan"], "interval"),
+        (["--n", "4", "--count", "3", "--interval", "inf"], "interval"),
+        (["--n", "4", "--times", "0.1,0.2", "--interval", "inf"], "interval"),
+        (["--n", "4", "--times", "0.1,nan"], "sampling instants"),
+        (["--n", "0", "--count", "3"], "harmonics"),
+        (["--n", "-2", "--times", "0.1"], "harmonics"),
+    ])
+    def test_random_fourier_bad_input_is_a_one_line_error(self, tmp_path, capsys, argv, what):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("gen", "random-fourier", *argv, "--out", str(out)) == 1
+        assert not caught
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and what in err
+        assert not out.exists()
+
+    def test_random_fourier_with_times(self, tmp_path):
+        f = tmp_path / "x.csv"
+        assert run("gen", "random-fourier", "--n", "4", "--times", "0.1,0.25,0.7",
+                   "--interval", "2", "--out", str(f)) == 0
+        want = build_random_partial_fourier(4, 2.0, [0.1, 0.25, 0.7]).entries
+        np.testing.assert_array_equal(load_matrix_csv(f).entries, want)
+
+    def test_bad_times_list_names_the_flag(self, tmp_path, capsys):
+        assert run("gen", "random-fourier", "--n", "4", "--times", "0.1,x",
+                   "--out", str(tmp_path / "x.csv")) == 1
+        assert capsys.readouterr().err == (
+            "error: --times must be a comma-separated list of numbers, got '0.1,x'\n")
+
 
 class TestReconCommand:
-    def test_recovers_planted_spike(self, tmp_path, capsys):
-        from cscert import SparseVector, SupportSet
+    @staticmethod
+    def spike_measurements(tmp_path):
         a = load_matrix_csv(DEMO_CSV)
-        x = SparseVector(8, SupportSet((6,)), np.array([2.0 + 0j]))
-        y = a.entries @ x.to_dense()
+        x = SparseVector(8, (6,), np.array([2.0 + 0j]))
         yfile = tmp_path / "y.csv"
-        yfile.write_text("\n".join(repr(float(v.real)) for v in y) + "\n")
+        yfile.write_text("\n".join(repr(float(v.real)) for v in a.entries @ x.to_dense()) + "\n")
+        return yfile
+
+    def test_recovers_planted_spike(self, tmp_path, capsys):
+        yfile = self.spike_measurements(tmp_path)
         out = tmp_path / "rec.json"
         assert run("recon", "--matrix", str(DEMO_CSV), "--measurements", str(yfile),
                    "--k", "1", "--format", "json", "--out", str(out)) == 0
@@ -218,6 +255,25 @@ class TestReconCommand:
         assert d["support"] == [6]
         assert d["values"][0][0] == pytest.approx(2.0, abs=1e-9)
         assert d["residual"] <= 1e-9
+
+    def test_text_format_lists_each_atom(self, tmp_path, capsys):
+        yfile = self.spike_measurements(tmp_path)
+        assert run("recon", "--matrix", str(DEMO_CSV), "--measurements", str(yfile),
+                   "--k", "2", "--tol", "1e-9") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("recovered 1 atoms, residual ")
+        atom, value = lines[1].split(" = ")
+        assert atom == "  x[6]" and complex(value) == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("cell, what", [
+        ("nan", "non-finite entry (nan+0j)"), ("abc", "cannot parse 'abc'")])
+    def test_bad_measurements_file_is_named(self, tmp_path, capsys, cell, what):
+        yfile = tmp_path / "y.csv"
+        yfile.write_text(f"0.1\n{cell}\n0.3\n0.4\n0.5\n")
+        assert run("recon", "--matrix", str(DEMO_CSV), "--measurements", str(yfile),
+                   "--k", "1") == 1
+        assert capsys.readouterr().err == f"error: {yfile}: row 1, column 0: {what}\n"
 
     def test_dimension_mismatch_is_input_error(self, tmp_path, capsys):
         yfile = tmp_path / "y.csv"

@@ -16,6 +16,7 @@ from cscert import (
     load_pattern,
     stride_count,
 )
+from cscert import dft_uniqueness
 from cscert._linalg import RANK_RTOL, dependent_mask, iter_combination_chunks, rank_test, sweep
 from cscert.dft_uniqueness import _MinSupport
 from cscert.matrix_core import build_partial_idft
@@ -197,6 +198,21 @@ class TestExactLimit:
         q = sorted(int(m) for m in rng.choice(n, size=int(rng.integers(2, n)), replace=False))
         best, exact = _MinSupport(math.inf).zero_set_sweep(n, frozenset(q), n, stop=0)
         assert exact and best == plain_zero_set_scan(n, q), q
+
+    def test_refused_support_is_a_labelled_lower_bound(self, monkeypatch):
+        # the closed form says 3 and the true limit is 2; a support the rank rule
+        # refuses proves nothing, so the limit stays the decimation bound, flagged
+        monkeypatch.setattr(dft_uniqueness, "dependent_mask",
+                            lambda stack: np.zeros(len(stack), dtype=bool))
+        res = dft_sparsity_limit(MissingSamplePattern.of(16, [3, 5, 11, 13]))
+        assert (res.k_max, res.exact, res.closed_form_k_max) == (2, False, 3)
+
+    @pytest.mark.parametrize("missing", [[0, 1, 4, 5], [0, 1, 2, 3, 4]])
+    def test_bounds_naming_one_k_need_no_sweep(self, missing):
+        # the decimation bound says S >= 3 and the closed form S <= 4, so K = 1
+        # either way: no sweep runs at the top, and a one-row-set budget cannot cut it
+        res = dft_sparsity_limit(MissingSamplePattern.of(8, missing), budget=1)
+        assert (res.k_max, res.exact, res.closed_form_k_max) == (1, True, 1)
 
     def test_cut_sweep_is_a_labelled_lower_bound(self):
         # the bounds around this N=32 pattern name K 6 and 11, so only the

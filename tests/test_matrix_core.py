@@ -8,7 +8,6 @@ from cscert import (
     CsvShapeError,
     DegenerateColumnError,
     MeasurementMatrix,
-    SupportSet,
     build_gaussian,
     build_partial_idft,
     build_random_partial_fourier,
@@ -214,14 +213,6 @@ class TestColumnOps:
 
 
 class TestTypes:
-    def test_support_rejects_disorder_and_duplicates(self):
-        with pytest.raises(ValueError):
-            SupportSet((2, 1))
-        with pytest.raises(ValueError):
-            SupportSet((1, 1))
-        with pytest.raises(ValueError):
-            SupportSet((-1, 2))
-
     def test_matrix_entries_read_only(self, demo_matrix):
         with pytest.raises(ValueError):
             demo_matrix.entries[0, 0] = 9.0

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cscert import (
     ExperimentReport,
     SparseVector,
-    SupportSet,
     build_partial_idft,
     generate_sparse_signal,
     monte_carlo,
@@ -45,19 +44,30 @@ class TestGenerate:
         counts = np.zeros(n)
         for t in range(draws):
             x = generate_sparse_signal(n, k, seed=[202, t])
-            counts[x.support.as_array()] += 1
+            counts[list(x.support)] += 1
         mean = draws * k / n
         sigma = np.sqrt(draws * (k / n) * (1 - k / n))
         assert np.all(np.abs(counts - mean) <= 3 * sigma)
 
 
+class TestSparseVector:
+    def test_support_rejects_disorder_duplicates_and_range(self):
+        for support in [(2, 1), (1, 1), (-1, 2), (2, 8)]:
+            with pytest.raises(ValueError, match="support indices must"):
+                SparseVector(8, support, np.ones(2))
+
+    def test_support_is_a_plain_int_tuple(self):
+        x = SparseVector(8, np.array([1, 5]), np.ones(2))
+        assert x.support == (1, 5) and all(type(i) is int for i in x.support)
+
+
 class TestMeasure:
     def test_zero_vector(self, demo_matrix):
-        x = SparseVector(8, SupportSet(()), np.zeros(0))
+        x = SparseVector(8, (), np.zeros(0))
         np.testing.assert_array_equal(demo_matrix.entries @ x.to_dense(), np.zeros(5))
 
     def test_spike_reads_column(self, demo_matrix):
-        x = SparseVector(8, SupportSet((3,)), np.array([1.0]))
+        x = SparseVector(8, (3,), np.array([1.0]))
         np.testing.assert_array_equal(
             demo_matrix.entries @ x.to_dense(), demo_matrix.entries[:, 3]
         )
@@ -67,7 +77,7 @@ class TestMeasure:
         a = build_partial_idft(n, positions)
         k1, k2 = 2, 11
         c1, c2 = 1.5 - 0.5j, -0.25 + 1j
-        x = SparseVector(n, SupportSet((k1, k2)), np.array([c1, c2]))
+        x = SparseVector(n, (k1, k2), np.array([c1, c2]))
         y = a.entries @ x.to_dense()
         direct = np.array(
             [
@@ -84,7 +94,7 @@ class TestLeastSquares:
     def test_true_support_recovers_exactly(self, demo_matrix):
         x = generate_sparse_signal(8, 3, seed=5)
         y = demo_matrix.entries @ x.to_dense()
-        coeffs, residual = recon._refit(demo_matrix.entries, y, x.support.as_array())
+        coeffs, residual = recon._refit(demo_matrix.entries, y, np.array(x.support))
         err = np.linalg.norm(coeffs - x.values) / np.linalg.norm(x.values)
         assert err <= 1e-9
         assert np.linalg.norm(residual) <= 1e-9
@@ -93,7 +103,7 @@ class TestLeastSquares:
         # spark 6 > 4 makes every 2-sparse signal identifiable
         x = generate_sparse_signal(8, 2, seed=17)
         y = demo_matrix.entries @ x.to_dense()
-        coeffs, _ = recon._refit(demo_matrix.entries, y, x.support.as_array())
+        coeffs, _ = recon._refit(demo_matrix.entries, y, np.array(x.support))
         assert np.linalg.norm(coeffs - x.values) <= 1e-9
 
 
@@ -134,7 +144,7 @@ class TestOmp:
         with pytest.raises(ValueError, match=r"^k_target 5 exceeds min\(M, N\) = 3 "):
             omp(a, np.ones(6), k_target=5)
         x_hat, _ = omp(a, np.ones(6), k_target=3, residual_tol=0.0)
-        assert x_hat.support == SupportSet((0, 1, 2))
+        assert x_hat.support == (0, 1, 2)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_residual_tol_must_be_finite_and_non_negative(self, demo_matrix, tol):
@@ -281,7 +291,7 @@ def test_engine_matches_reference_loop(kind, seed, shape, k, tol):
     # omp runs the same engine on one vector
     x_hat, residual = omp(MeasurementMatrix(a), ys[0], k_target=k, residual_tol=tol)
     support, coeffs, res_norm = reference_omp(a, ys[0], k, tol)
-    assert x_hat.support.indices == tuple(support.tolist())
+    assert x_hat.support == tuple(support.tolist())
     assert x_hat.values.tobytes() == np.asarray(coeffs, dtype=np.complex128).tobytes()
     assert residual == res_norm
 
@@ -295,7 +305,7 @@ def test_planted_k2_ties_follow_the_reference_rounding():
     corr = np.abs(ys @ a.conj())
     ties = 0
     for x, c in zip(signals, corr):
-        i, j = x.support.indices
+        i, j = x.support
         assert abs(c[i] - c[j]) <= 1e-14 * np.linalg.norm(c)
         ties += set(np.argsort(c)[-2:]) == {i, j}
     assert ties > 100
