@@ -306,6 +306,12 @@ def rank_test(entries: np.ndarray, rtol: float = RANK_RTOL):
     return evaluate
 
 
+def check_budget(budget) -> None:
+    """Raise ``ValueError`` unless ``budget`` allows at least one evaluation."""
+    if not budget >= 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+
+
 class Sweep(NamedTuple):
     covered: int  # subsets a sequential scan evaluates, up to and including a hit
     hit: bool  # some subset was flagged, which ended the sweep
@@ -323,7 +329,7 @@ def sweep(chunks, evaluate, budget: float = math.inf) -> Sweep:
     for combs in chunks:
         cut = len(combs) > budget - covered
         if cut:
-            combs = combs[: max(0, budget - covered)]
+            combs = combs[: budget - covered]
         if len(combs):
             mask = evaluate(combs)
             if mask is not None and mask.any():

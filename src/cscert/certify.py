@@ -43,7 +43,7 @@ every reported digit, are those of a plain ``eigvalsh`` scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +53,7 @@ from ._linalg import (
     DEFAULT_BUDGET,
     RANK_RTOL,
     any_dependent,
+    check_budget,
     iter_combination_chunks,
     positive_definite,
     rank_test,
@@ -124,6 +125,7 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET) -> SparkResult:
     (``_linalg.rank_test``), and only subsets the screen cannot clear get an
     SVD.
     """
+    check_budget(budget)
     m, n = a.shape
     top = min(m, n)
     total = sum(math.comb(n, k) for k in range(1, top + 1))
@@ -197,6 +199,7 @@ def rip_constant(a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET) -> 
     m, n = a.shape
     if not 1 <= k <= min(m, n):
         raise ValueError(f"order must satisfy 1 <= K <= min(M, N) = {min(m, n)}, got {k}")
+    check_budget(budget)
     _require_unit_columns(a)
     g = gram(a)
     # a Cholesky certificate and eigvalsh each err by at most about k^2 eps ||G_S||,
@@ -224,8 +227,6 @@ def rip_constant(a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET) -> 
             hi = max(hi, float(w[:, -1].max()))
 
     run = sweep(iter_combination_chunks(n, k), extremes, budget)
-    if run.covered == 0:
-        return RipResult(0.0, False, 0, math.nan, math.nan)
     delta = max(1.0 - lo, hi - 1.0)
     return RipResult(delta, run.exact, run.covered, lo, hi)
 
@@ -240,15 +241,18 @@ class RipProfile:
 
 
 def rip_profile(a: MeasurementMatrix, k_max: int, budget: int = DEFAULT_BUDGET) -> RipProfile:
-    """Isometry constants for orders 1..k_max sharing one evaluation budget and one Gram."""
-    deltas: dict[int, float] = {}
-    exact: dict[int, bool] = {}
+    """Isometry constants for orders 1..k_max on one budget; orders past it read 0.0, inexact."""
+    check_budget(budget)
+    if k_max > min(a.shape):
+        raise ValueError(f"order must satisfy 1 <= K <= min(M, N) = {min(a.shape)}, got {k_max}")
+    deltas = dict.fromkeys(range(1, k_max + 1), 0.0)
+    exact = dict.fromkeys(deltas, False)
     used = 0
-    for k in range(1, k_max + 1):
-        res = rip_constant(a, k, budget - used)
-        deltas[k] = res.delta
-        exact[k] = res.exact
-        used += res.evaluations
+    for k in deltas:
+        if used < budget:
+            res = rip_constant(a, k, budget - used)
+            deltas[k], exact[k] = res.delta, res.exact
+            used += res.evaluations
     return RipProfile(deltas, exact, used)
 
 
@@ -398,12 +402,6 @@ def certify(
         if profile.exact[k] and d < 1.0
     }
 
-    quantized_profile = RipProfile(
-        deltas={k: _q12(v) for k, v in profile.deltas.items()},
-        exact=dict(profile.exact),
-        budget_used=profile.budget_used,
-    )
-
     return CertificationReport(
         rows=m,
         cols=n,
@@ -419,7 +417,7 @@ def certify(
         spark_lower_bound_from_mu=None if spark_lb is None else _q12(spark_lb),
         welch=_q12(welch),
         welch_k_bound=_q12(0.5 * (1.0 + 1.0 / welch)) if welch > 0.0 else None,
-        rip=quantized_profile,
+        rip=replace(profile, deltas={k: _q12(v) for k, v in profile.deltas.items()}),
         rip_unique_limit=rip_unique_limit,
         l1_equiv_limit_sqrt2=l1_sqrt2,
         l1_equiv_limit_0493=l1_0493,

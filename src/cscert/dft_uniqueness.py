@@ -46,11 +46,12 @@ from ._linalg import (
     DEFAULT_BUDGET,
     RANK_RTOL,
     any_dependent,
+    check_budget,
     dependent_mask,
     iter_orbit_chunks,
     sweep,
 )
-from .matrix_core import build_partial_idft
+from .matrix_core import as_index, build_partial_idft
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,10 @@ class MissingSamplePattern:
     missing: tuple[int, ...]
 
     def __post_init__(self):
-        n = int(self.n)
+        n = as_index(self.n, "signal length")
         if n < 2 or n & (n - 1):
             raise ValueError(f"signal length must be a power of two >= 2, got {n}")
-        pos = tuple(int(q) for q in self.missing)
+        pos = tuple(as_index(q, "missing position") for q in self.missing)
         if any(q < 0 or q >= n for q in pos):
             raise ValueError(f"missing positions must lie in [0, {n})")
         if any(a >= b for a, b in zip(pos, pos[1:])):
@@ -74,7 +75,7 @@ class MissingSamplePattern:
 
     @classmethod
     def of(cls, n: int, positions) -> "MissingSamplePattern":
-        pos = sorted(int(q) for q in positions)
+        pos = sorted(as_index(q, "missing position") for q in positions)
         if len(set(pos)) != len(pos):
             raise ValueError(f"duplicate missing positions: {pos}")
         return cls(n, tuple(pos))
@@ -138,16 +139,8 @@ def _stride_rows(n: int, missing) -> tuple[StrideRow, ...]:
         hist = np.bincount(missing % modulus, minlength=modulus)
         argmax = int(hist.argmax())
         count = int(hist[argmax])
-        rows.append(
-            StrideRow(
-                h=h,
-                modulus=modulus,
-                residue_counts=tuple(int(c) for c in hist),
-                argmax_residue=argmax,
-                count=count,
-                term=modulus * (count - 1),
-            )
-        )
+        term = modulus * (count - 1)
+        rows.append(StrideRow(h, modulus, tuple(hist.tolist()), argmax, count, term))
     return tuple(rows)
 
 
@@ -243,7 +236,8 @@ class _MinSupport:
         even = frozenset(m // 2 for m in q if m % 2 == 0)
         odd = frozenset(m // 2 for m in q if m % 2)
         s0, s1 = self.value(h, even), self.value(h, odd)
-        by_time = min(2 * s0, 2 * s1, max(s0, s1)) if even and odd else 2 * min(s0, s1)
+        # an empty half has value inf, which leaves twice the other half
+        by_time = min(2 * s0, 2 * s1, max(s0, s1))
         return max(by_frequency, by_time)
 
     def zero_set_sweep(self, n: int, q: frozenset[int], hi: int, stop: float) -> tuple[int, bool]:
@@ -288,6 +282,7 @@ def dft_sparsity_limit(
     ``exact=False``. With no missing samples ``k_max = N``:
     the complete DFT is invertible, so every spectrum is recoverable.
     """
+    check_budget(budget)
     if p.q == 0:
         return DftUniquenessResult(p.n, p.missing, {}, None, p.n, True, p.n, ())
     rows = _stride_rows(p.n, p.missing)

@@ -8,6 +8,7 @@ fixtures share one code path.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -39,6 +40,14 @@ def _column_norms(arr: np.ndarray) -> np.ndarray:
     redo, peak = redo[peak > 0], peak[peak > 0]
     norms[redo] = peak * np.linalg.norm(arr[:, redo] / peak, axis=0)
     return norms
+
+
+def as_index(value, name: str) -> int:
+    """``value`` as an int; a float or other non-integer raises ``ValueError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class CsvParseError(ValueError):
@@ -156,6 +165,11 @@ def save_matrix_csv(a: MeasurementMatrix, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _fourier_rows(times: np.ndarray, n: int, period: float, scale: float) -> np.ndarray:
+    """Entries ``exp(2j*pi*t_m*k/period) * scale`` for instants t_m and harmonics k < n."""
+    return np.exp(2j * np.pi * times[:, None] * np.arange(n, dtype=np.float64) / period) * scale
+
+
 def build_partial_idft(
     n: int, sample_positions, normalize: bool = False
 ) -> MeasurementMatrix:
@@ -164,18 +178,16 @@ def build_partial_idft(
     Entry (m, k) is ``exp(2j*pi*n_m*k/n) * s`` with ``s = 1/n`` by default, or
     ``s = 1/sqrt(M)`` when ``normalize`` is set so each column has unit energy.
     """
-    positions = [int(p) for p in sample_positions]
+    n = as_index(n, "signal length")
+    positions = [as_index(p, "sample position") for p in sample_positions]
     if not positions:
         raise ValueError("at least one sample position is required")
     if len(set(positions)) != len(positions):
         raise ValueError(f"duplicate sample positions: {positions}")
     if any(p < 0 or p >= n for p in positions):
         raise ValueError(f"sample positions must lie in [0, {n})")
-    m = len(positions)
-    scale = 1.0 / math.sqrt(m) if normalize else 1.0 / n
-    pos = np.array(positions, dtype=np.float64)[:, None]
-    k = np.arange(n, dtype=np.float64)[None, :]
-    entries = np.exp(2j * np.pi * pos * k / n) * scale
+    scale = 1.0 / math.sqrt(len(positions)) if normalize else 1.0 / n
+    entries = _fourier_rows(np.array(positions, dtype=np.float64), n, n, scale)
     return MeasurementMatrix(entries, kind="partial_idft")
 
 
@@ -188,7 +200,7 @@ def build_random_partial_fourier(
     column-energy normalization. ``n`` and ``interval`` are checked before
     ``times`` is read.
     """
-    if n < 1:
+    if as_index(n, "number of harmonics") < 1:
         raise ValueError(f"number of harmonics must be positive, got {n}")
     if not (math.isfinite(interval) and interval > 0):
         raise ValueError(f"interval must be a positive finite number, got {interval}")
@@ -198,8 +210,7 @@ def build_random_partial_fourier(
     if not np.all((t >= 0) & (t < interval)):
         raise ValueError(f"sampling instants must lie in [0, {interval})")
     scale = 1.0 / math.sqrt(t.size) if normalize else 1.0
-    k = np.arange(n, dtype=np.float64)[None, :]
-    entries = np.exp(2j * np.pi * t[:, None] * k / interval) * scale
+    entries = _fourier_rows(t, n, interval, scale)
     return MeasurementMatrix(entries, kind="random_partial_fourier")
 
 

@@ -24,9 +24,11 @@ step 1, since ``|x_i + g x_j| = |x_j + g x_i|`` for real ``g = a_i^H a_j``.
 So an engine decision stands only when it cannot differ from the
 reference's: a pick when the two largest unpicked correlations are more
 than ``2 * amax * dev`` apart (``amax`` the largest column norm), a stop or
-continue when ``||r_g||`` is more than ``dev`` from ``residual_tol``. Every
-other (row, step) is unsure and is decided by ``_reference_step``, the
-reference arithmetic itself, so every pick and stop is the reference's.
+continue when ``||r_g||`` is more than ``dev`` from ``residual_tol``. A row
+with any other step leaves the engine for good, and after the lockstep loop
+``_reference_select``, the reference arithmetic itself, selects it again from
+the start. So the engine holds only decisions it made itself, and every
+support is the reference's.
 
 Why ``dev`` bounds the difference. Let ``u = 2^-53``, S the support after k
 picks, ``kappa = kappa_2(A_S)`` and ``r* = (I - P_S) y`` the exact residual.
@@ -69,12 +71,12 @@ kappa is about 3 and its bound about 14, so ``dev`` is about 6e-12 ``||y||``;
 the largest difference measured on 219,074 (row, step) pairs of Gaussian and
 partial inverse-DFT matrices was 3% of the bound before ``_SAFETY``.
 
-The first-order terms above need ``kappa M k u`` small. So once the bound
-passes ``_KAPPA_MAX``, or an orthogonalized column's norm falls to
-``1 / _KAPPA_MAX`` of its original (a duplicate column, or one in the span of
-those already picked, as ``residual_tol=0`` can pick once the residual is
-rounding noise), that row leaves the engine and every later step of it runs
-the reference arithmetic; nothing divides by a vanishing norm.
+The first-order terms above need ``kappa M k u`` small, so the screen also
+sends off a row whose bound has passed ``_KAPPA_MAX``. A duplicate column, or
+one in the span of those picked (``residual_tol=0`` can pick one), leaves an
+orthogonalized norm rho near 0; rho is floored at ``||a_p|| / _KAPPA_MAX``, so
+nothing divides by a vanishing norm and ``||R^-1||_F >= 1 / rho`` lifts the
+bound to at least ``2 * _KAPPA_MAX``: the row leaves at the next screen.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._codec import JsonReport
-from .matrix_core import MeasurementMatrix
+from .matrix_core import MeasurementMatrix, as_index
 
 # Relative l2 error at or below this counts as exact recovery.
 DEFAULT_RECOVERY_TOL = 1e-6
@@ -100,7 +102,7 @@ _U = np.finfo(np.float64).eps / 2
 # the backward errors it rests on (module docstring).
 _SAFETY = 8.0
 
-# Past this bound on kappa(A_S) a row's selection runs the reference arithmetic.
+# Past this bound on kappa(A_S) a row leaves the engine for the reference arithmetic.
 _KAPPA_MAX = 1e8
 
 # monte_carlo selects at most about this many state entries (signal, basis,
@@ -120,7 +122,7 @@ class SparseVector:
     values: np.ndarray
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.support)
+        idx = tuple(as_index(i, "support index") for i in self.support)
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError(f"support indices must be strictly increasing: {idx}")
         if idx and (idx[0] < 0 or idx[-1] >= self.length):
@@ -164,36 +166,33 @@ def generate_sparse_signal(n: int, k: int, seed) -> SparseVector:
 
 
 def _refit(a: np.ndarray, y: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares coefficients on the sorted, nonempty support, and the residual vector."""
+    """Least-squares coefficients on the sorted support, and the residual vector."""
     cols = a[:, support]
     coeffs, *_ = np.linalg.lstsq(cols, y, rcond=None)
     return coeffs, y - cols @ coeffs
 
 
-def _reference_step(a, a_h, y, picked, residual_tol) -> tuple[bool, int]:
-    """One step of the reference loop for one row: (stop, pick).
-
-    Refit on the sorted support picked so far, test the residual norm against
-    ``residual_tol``, and pick the largest ``|A^H r|`` by gemv, picked columns
-    set to -1.
-    """
-    residual = _refit(a, y, np.sort(picked))[1] if picked.size else y
-    if np.linalg.norm(residual) <= residual_tol:
-        return True, -1
-    corr = np.abs(a_h @ residual)
-    corr[picked] = -1.0
-    return False, int(np.argmax(corr))
+def _reference_select(a, y, k_target: int, residual_tol: float) -> np.ndarray:
+    """The sorted support that the reference arithmetic (module docstring) selects for ``y``."""
+    a_h = a.conj().T
+    picked = []
+    for _ in range(k_target):
+        residual = _refit(a, y, np.sort(picked))[1] if picked else y
+        if np.linalg.norm(residual) <= residual_tol:
+            break
+        corr = np.abs(a_h @ residual)
+        corr[picked] = -1.0
+        picked.append(int(np.argmax(corr)))
+    return np.sort(np.array(picked, dtype=np.intp))
 
 
 def _select(a: np.ndarray, ys: np.ndarray, k_target: int, residual_tol: float) -> list[np.ndarray]:
     """OMP supports, as sorted index arrays, of every row of ``ys`` in lockstep.
 
-    Each step screens every engine decision against ``dev`` and hands each
-    unsure row to ``_reference_step`` (see the module docstring).
+    A row leaves the engine at the first step whose pick or stop the screen
+    cannot clear, and ``_reference_select`` selects it again (module docstring).
     """
     rows, m = ys.shape
-    n = a.shape[1]
-    k_target = max(k_target, 0)
     a_conj = a.conj()
     col_norm = np.linalg.norm(a, axis=0)
     amax = col_norm.max()
@@ -203,7 +202,7 @@ def _select(a: np.ndarray, ys: np.ndarray, k_target: int, residual_tol: float) -
     r_inv = np.zeros((rows, k_target, k_target), dtype=np.complex128)
     r_inv_sq = np.zeros(rows)  # ||R^-1||_F^2
     cols_sq = np.zeros(rows)  # ||A_S||_F^2
-    reference = np.zeros(rows, dtype=bool)  # rows left to the reference arithmetic
+    departed = np.zeros(rows, dtype=bool)  # rows the screen sent to _reference_select
     res = ys.astype(np.complex128)
     live = np.arange(rows)
     for i in range(k_target):
@@ -215,42 +214,35 @@ def _select(a: np.ndarray, ys: np.ndarray, k_target: int, residual_tol: float) -
         corr[np.arange(live.size)[:, None], picks[live, :i]] = -1.0
         pick = corr.argmax(axis=1)
         top = corr[np.arange(live.size), pick]
-        rival = np.partition(corr, -2, axis=1)[:, -2] if n > 1 else -1.0
-        engine = ~reference[live]
-        stop = engine & (res_norm + dev <= residual_tol)
-        sure = engine & (res_norm - dev > residual_tol) & (top - rival > 2 * amax * dev)
-        for j in np.flatnonzero(~(stop | sure)):
-            t = live[j]
-            stop[j], pick[j] = _reference_step(a, a_conj.T, ys[t], picks[t, :i], residual_tol)
-        live, pick = live[~stop], pick[~stop]
+        rival = np.partition(corr, -2, axis=1)[:, -2] if a.shape[1] > 1 else -1.0
+        stop = res_norm + dev <= residual_tol
+        sure = (res_norm - dev > residual_tol) & (top - rival > 2 * amax * dev)
+        cleared = (kappa <= _KAPPA_MAX) & (stop | sure)
+        departed[live[~cleared]] = True
+        live, pick = live[cleared & ~stop], pick[cleared & ~stop]
         picks[live, i] = pick
         if i == k_target - 1 or not live.size:
             break
         # CGS2: orthogonalize the new columns twice against each row's basis
-        g = live[~reference[live]]
-        p = picks[g, i]
-        q = basis[g, :i]
-        v = a.T[p]
-        h = np.zeros((g.size, i), dtype=np.complex128)
+        q = basis[live, :i]
+        v = a.T[pick]
+        h = np.zeros((live.size, i), dtype=np.complex128)
         for _ in range(2):
             c = np.einsum("gim,gm->gi", q.conj(), v)
             v = v - np.einsum("gi,gim->gm", c, q)
             h += c
-        rho = np.linalg.norm(v, axis=1)
-        # rho <= ||a_p|| / _KAPPA_MAX forces kappa(A_S) >= _KAPPA_MAX
-        ok = rho * _KAPPA_MAX > col_norm[p]
-        reference[g[~ok]] = True
-        g, p, v, h, rho = g[ok], p[ok], v[ok], h[ok], rho[ok]
+        # the floor keeps the update finite and lifts kappa's bound past _KAPPA_MAX
+        rho = np.maximum(np.linalg.norm(v, axis=1), col_norm[pick] / _KAPPA_MAX)
         q_new = v / rho[:, None]
-        basis[g, i] = q_new
-        res[g] -= q_new * np.einsum("gm,gm->g", q_new.conj(), res[g])[:, None]
-        col = -np.einsum("gij,gj->gi", r_inv[g, :i, :i], h) / rho[:, None]
-        r_inv[g, :i, i] = col
-        r_inv[g, i, i] = 1.0 / rho
-        r_inv_sq[g] += np.sum(col.real**2 + col.imag**2, axis=1) + rho**-2.0
-        cols_sq[g] += col_norm[p] ** 2
-        reference[g] |= 4.0 * cols_sq[g] * r_inv_sq[g] > _KAPPA_MAX**2
-    return [np.sort(row[row >= 0]) for row in picks]
+        basis[live, i] = q_new
+        res[live] -= q_new * np.einsum("gm,gm->g", q_new.conj(), res[live])[:, None]
+        col = -np.einsum("gij,gj->gi", r_inv[live, :i, :i], h) / rho[:, None]
+        r_inv[live, :i, i] = col
+        r_inv[live, i, i] = 1.0 / rho
+        r_inv_sq[live] += np.sum(col.real**2 + col.imag**2, axis=1) + rho**-2.0
+        cols_sq[live] += col_norm[pick] ** 2
+    return [_reference_select(a, y, k_target, residual_tol) if gone
+            else np.sort(row[row >= 0]) for y, row, gone in zip(ys, picks, departed)]
 
 
 def _recover(a: np.ndarray, ys: np.ndarray, k_target: int, residual_tol: float):
@@ -260,10 +252,7 @@ def _recover(a: np.ndarray, ys: np.ndarray, k_target: int, residual_tol: float):
     reference refit on the final sorted support.
     """
     for y, support in zip(ys, _select(a, ys, k_target, residual_tol)):
-        if support.size:
-            yield support, *_refit(a, y, support)
-        else:
-            yield support, np.zeros(0), y
+        yield support, *_refit(a, y, support)
 
 
 def check_tol(tol: float, name: str) -> None:
@@ -282,14 +271,16 @@ def omp(
     support. Correlations that are bit-equal resolve to the smallest index;
     correlations equal in exact arithmetic but not in their bits resolve as
     the rounding of the reference arithmetic (module docstring) orders them.
-    Stops after ``k_target`` atoms or once the residual norm drops to
-    ``residual_tol``. Unit-norm columns are recommended, otherwise
-    correlations are biased toward heavy columns.
+    Stops after ``k_target`` atoms (none when it is 0) or once the residual
+    norm drops to ``residual_tol``. Unit-norm columns are recommended,
+    otherwise correlations are biased toward heavy columns.
 
-    Runs the batched selection engine on the one vector ``y``; the result is
-    the reference loop's, bit for bit.
+    The screened selection engine, or the plain loop where its screen cannot
+    clear a step, gives the reference loop's result bit for bit.
     """
     check_tol(residual_tol, "residual_tol")
+    if k_target < 0:
+        raise ValueError(f"k_target must be non-negative, got {k_target}")
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (a.rows,):
         raise ValueError(f"measurement vector must have length {a.rows}")
@@ -305,12 +296,10 @@ def omp(
 
 def _recoveries(a: MeasurementMatrix, k: int, seeds, recovery_tol: float) -> int:
     """Exact recoveries among the K-sparse trials drawn from ``seeds``, selected in one batch."""
-    signals = []
-    for seed in seeds:
+    signals = np.zeros((len(seeds), a.cols), dtype=np.complex128)
+    for x, seed in zip(signals, seeds):
         support, values = _draw(a.cols, k, seed)
-        x = np.zeros(a.cols, dtype=np.complex128)
         x[support] = values
-        signals.append(x)
     ys = np.array([a.entries @ x for x in signals])
     hits = 0
     for x, (support, coeffs, _) in zip(signals, _recover(a.entries, ys, k, DEFAULT_RESIDUAL_TOL)):
@@ -351,7 +340,7 @@ def monte_carlo(
     in lockstep, in batches of bounded memory, with ``omp``'s default
     residual tolerance.
     """
-    ks = [int(k) for k in k_range]
+    ks = [as_index(k, "sparsity") for k in k_range]
     check_tol(recovery_tol, "recovery_tol")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")

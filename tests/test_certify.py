@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from cscert import (
     CertificationReport,
     MeasurementMatrix,
+    MissingSamplePattern,
     NormalizationError,
     build_gaussian,
     build_partial_idft,
     certify,
     coherence,
     condition_number_bound,
+    dft_sparsity_limit,
     gram,
     normalize_columns,
     rip_constant,
@@ -98,7 +100,8 @@ def test_spark_matches_upward_scan(m, n, data):
     a = MeasurementMatrix(entries)
     total = sum(math.comb(n, k) for k in range(1, min(m, n) + 1))
     budget = data.draw(
-        st.one_of(st.sampled_from([total - 1, total, total + 1]), st.integers(0, total + 2)),
+        st.one_of(st.sampled_from([max(total - 1, 1), total, total + 1]),
+                  st.integers(1, total + 2)),
         label="budget",
     )
     assert tuple(spark(a, budget)) == reference_spark(a, budget)
@@ -113,10 +116,39 @@ def test_spark_on_partial_idft_matches_upward_scan(n, normalize, data):
     m = a.shape[0]
     total = sum(math.comb(n, k) for k in range(1, min(m, n) + 1))
     budget = data.draw(
-        st.one_of(st.sampled_from([total - 1, total, total + 1]), st.integers(0, total + 2)),
+        st.one_of(st.sampled_from([max(total - 1, 1), total, total + 1]),
+                  st.integers(1, total + 2)),
         label="budget",
     )
     assert tuple(spark(a, budget)) == reference_spark(a, budget)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+@pytest.mark.parametrize(
+    "entry", ["spark", "rip_constant", "rip_profile", "certify", "dft_sparsity_limit"])
+def test_budget_below_one_is_a_one_line_error(entry, budget):
+    a = normalize_columns(build_gaussian(4, 6, seed=1))
+    call = {
+        "spark": lambda: spark(a, budget),
+        "rip_constant": lambda: rip_constant(a, 2, budget),
+        "rip_profile": lambda: rip_profile(a, 3, budget),
+        "certify": lambda: certify(a, budget=budget),
+        "dft_sparsity_limit": lambda: dft_sparsity_limit(
+            MissingSamplePattern.of(8, [0, 1, 4, 5]), budget),
+    }[entry]
+    with pytest.raises(ValueError, match=rf"^budget must be at least 1, got {budget}$"):
+        call()
+
+
+def test_rip_profile_orders_past_the_budget_read_zero_inexact():
+    a = normalize_columns(build_gaussian(4, 6, seed=1))
+    # order 1 takes 6 subsets, order 2 the other 4 of the budget
+    profile = rip_profile(a, 4, budget=10)
+    assert profile.exact == {1: True, 2: False, 3: False, 4: False}
+    assert profile.deltas[3] == profile.deltas[4] == 0.0 and profile.budget_used == 10
+    # an order above min(M, N) is refused even when the budget cannot reach it
+    with pytest.raises(ValueError, match=r"^order must satisfy 1 <= K <= min\(M, N\) = 4, got 5$"):
+        rip_profile(a, 5, budget=1)
 
 
 class TestCoherence:
@@ -218,15 +250,13 @@ def reference_rip(a, k, budget):
             break
         w = np.linalg.eigvalsh(g[np.ix_(comb, comb)])
         lo, hi, used = min(lo, float(w[0])), max(hi, float(w[-1])), used + 1
-    if used == 0:
-        return 0.0, False, 0, math.nan, math.nan
     return max(1.0 - lo, hi - 1.0), used == math.comb(a.cols, k), used, lo, hi
 
 
 def chunk_edges(n, k):
-    """Subset counts at the ends of the sweep's chunks, each +-1."""
+    """Subset counts at the ends of the sweep's chunks, each +-1, from 1 on."""
     ends = itertools.accumulate(len(c) for c in iter_combination_chunks(n, k))
-    return sorted({0} | {e + d for e in ends for d in (-1, 0, 1)})
+    return sorted({e + d for e in ends for d in (-1, 0, 1)} - {0})
 
 
 def planted_triples(first, last):
@@ -292,7 +322,7 @@ def test_rip_constant_matches_plain_eigvalsh_scan(kind, m, data):
     for k in range(1, min(a.shape) + 1):
         total = math.comb(a.cols, k)
         budget = data.draw(
-            st.one_of(st.sampled_from(chunk_edges(a.cols, k)), st.integers(0, total + 1)),
+            st.one_of(st.sampled_from(chunk_edges(a.cols, k)), st.integers(1, total + 1)),
             label=f"budget {k}",
         )
         # delta, exact, evaluations, lambda_min, lambda_max

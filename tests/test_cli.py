@@ -1,4 +1,6 @@
 import json
+import shlex
+import shutil
 import warnings
 
 import numpy as np
@@ -15,7 +17,7 @@ from cscert import (
     save_matrix_csv,
 )
 from cscert.cli import main
-from conftest import DEMO_CSV
+from conftest import DEMO_CSV, REPO_ROOT
 
 
 def run(*argv):
@@ -373,3 +375,18 @@ class TestUsageErrors:
         g = tmp_path / "again.csv"
         save_matrix_csv(a, g)
         assert f.read_bytes() == g.read_bytes()
+
+
+def test_readme_command_lines_exit_0(tmp_path, monkeypatch, capsys):
+    # every cscert line of README's "Command line" block, in order; a.csv comes
+    # from the block's own gen partial-idft line (4 rows), so y.csv has 4 values
+    readme = (REPO_ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("cscert ")]
+    assert len(lines) == 8
+    shutil.copytree(REPO_ROOT / "data", tmp_path / "data")
+    (tmp_path / "pattern.txt").write_text("16\n3,5,11,13\n")
+    (tmp_path / "y.csv").write_text("0.5\n0.25+0.5i\n-1\n0\n")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr().err)

@@ -18,6 +18,7 @@ from cscert import (
     save_matrix_csv,
     welch_bound,
 )
+from cscert import MissingSamplePattern, SparseVector, monte_carlo
 from conftest import DEMO_CSV, DEMO_5X8
 
 
@@ -224,3 +225,28 @@ class TestTypes:
     def test_normalized_flag_is_measured(self):
         a = MeasurementMatrix(np.array([[2.0, 0.5]]))
         assert not a.normalized
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: SparseVector(8, [1.5, 6.9], np.ones(2)), "support index"),
+    (lambda: MissingSamplePattern.of(8, [1.9]), "missing position"),
+    (lambda: MissingSamplePattern(8, (2.0,)), "missing position"),
+    (lambda: MissingSamplePattern.of(8.7, [1]), "signal length"),
+    (lambda: build_partial_idft(8, [1.5]), "sample position"),
+    (lambda: build_partial_idft(8.5, [1]), "signal length"),
+    (lambda: build_random_partial_fourier(2.5, 1.0, [0.5]), "number of harmonics"),
+    (lambda: monte_carlo(MeasurementMatrix(np.eye(3)), [1.5], trials=1, seed=0), "sparsity"),
+], ids=["support", "missing-of", "missing", "length", "sample-position", "idft-length",
+        "harmonics", "sparsity"])
+def test_non_integer_index_is_refused_not_truncated(call, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got ") as exc:
+        call()
+    assert "\n" not in str(exc.value)
+
+
+def test_numpy_integers_are_indices():
+    assert SparseVector(8, np.array([1, 6], dtype=np.int32), np.ones(2)).support == (1, 6)
+    p = MissingSamplePattern.of(np.int64(8), np.array([5, 1]))
+    assert (p.n, p.missing) == (8, (1, 5)) and type(p.n) is int
+    a = build_partial_idft(8, np.array([1, 3]))
+    assert a.entries.tobytes() == build_partial_idft(8, [1, 3]).entries.tobytes()

@@ -146,6 +146,12 @@ class TestOmp:
         x_hat, _ = omp(a, np.ones(6), k_target=3, residual_tol=0.0)
         assert x_hat.support == (0, 1, 2)
 
+    def test_negative_k_target_is_refused_and_zero_selects_nothing(self, demo_matrix):
+        with pytest.raises(ValueError, match=r"^k_target must be non-negative, got -2$"):
+            omp(demo_matrix, np.ones(5), k_target=-2)
+        x_hat, residual = omp(demo_matrix, np.ones(5), k_target=0)
+        assert x_hat.nnz == 0 and residual == np.linalg.norm(np.ones(5))
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_residual_tol_must_be_finite_and_non_negative(self, demo_matrix, tol):
         message = rf"^residual_tol must be a finite non-negative number, got {tol}$"
@@ -324,3 +330,38 @@ def test_duplicate_column_with_zero_tolerance_follows_the_reference():
         # an exact copy of a picked unit vector orthogonalizes to exactly zero
         copy = np.array([[1, 1, 0], [0, 0, 0], [0, 0, 1]], dtype=np.complex128)
         assert_engine_matches_reference(copy, np.array([[1, 1, 0]], dtype=np.complex128), 3, 0.0)
+
+
+def test_ill_conditioned_support_leaves_before_its_stop_is_trusted():
+    # columns 0 and 1 are 1e-9 apart: after both are picked the kappa bound is
+    # past _KAPPA_MAX, the engine's residual is off by far more than dev
+    # covers, and only leaving the engine keeps the reference's stop at {0, 1}
+    a = normalize_columns(MeasurementMatrix([[1, 1, 0], [0, 1e-9, 0], [0, 0, 1]])).entries
+    y = np.array([[1, 0.8, 0]], dtype=np.complex128)
+    assert_engine_matches_reference(a, y, 3, 0.5)
+    assert recon._select(a, y, 3, 0.5)[0].tolist() == [0, 1]
+
+
+def test_rows_the_screen_cannot_clear_rerun_the_plain_loop_once(monkeypatch):
+    calls = []
+    select = recon._reference_select
+
+    def counted(a, y, k_target, residual_tol):
+        calls.append(y.tobytes())
+        return select(a, y, k_target, residual_tol)
+
+    monkeypatch.setattr(recon, "_reference_select", counted)
+    # the exact K=2 ties of real columns: each tied row leaves at step 1
+    a = _test_matrix("real", 3, 10, 24)
+    ys = np.array([a @ generate_sparse_signal(24, 2, seed=[8, t]).to_dense() for t in range(200)])
+    assert_engine_matches_reference(a, ys, 2, 1e-12)
+    assert 100 < len(calls) == len(set(calls)) < 200
+    # the ill-conditioned pair above leaves through its kappa bound, once
+    calls.clear()
+    a = normalize_columns(MeasurementMatrix([[1, 1, 0], [0, 1e-9, 0], [0, 0, 1]])).entries
+    assert_engine_matches_reference(a, np.array([[1, 0.8, 0]], dtype=np.complex128), 3, 0.5)
+    assert len(calls) == 1
+    # orthonormal columns and a clean spike: the engine clears every step
+    calls.clear()
+    assert_engine_matches_reference(np.eye(4, dtype=np.complex128), np.eye(4)[[2]], 2, 1e-12)
+    assert calls == []
