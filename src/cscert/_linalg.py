@@ -306,10 +306,11 @@ def rank_test(entries: np.ndarray, rtol: float = RANK_RTOL):
     return evaluate
 
 
-def check_budget(budget) -> None:
-    """Raise ``ValueError`` unless ``budget`` allows at least one evaluation."""
+def check_budget(budget):
+    """The whole evaluations ``budget`` allows: its floor, or ``inf``; ``ValueError`` below 1."""
     if not budget >= 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
+    return budget if budget == math.inf else math.floor(budget)
 
 
 class Sweep(NamedTuple):

@@ -125,7 +125,7 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET) -> SparkResult:
     (``_linalg.rank_test``), and only subsets the screen cannot clear get an
     SVD.
     """
-    check_budget(budget)
+    budget = check_budget(budget)
     m, n = a.shape
     top = min(m, n)
     total = sum(math.comb(n, k) for k in range(1, top + 1))
@@ -184,8 +184,8 @@ def rip_constant(a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET) -> 
     Only subsets that can move the running extremes ``lo, hi`` get
     ``eigvalsh``. A subset is excluded when both ``G_S - (lo + m) I`` and
     ``(hi - m) I - G_S`` pass ``_linalg.positive_definite``, on the real Gram
-    when the matrix is real; both run as one call on a (K, K, 2B) stack that
-    holds the B subsets of a chunk twice. The margin
+    when the matrix is real: one call per bound on the (K, K, B) stack of a
+    chunk's B subsets. The margin
     ``m = 8 K^3 eps max(diag G)`` covers the certificate's backward error, at
     most about ``K (K + 1) eps ||A||`` for the shifted matrix A with
     ``||A|| <= 2 K max(diag G)``, plus ``eigvalsh``'s own error, at most about
@@ -199,7 +199,7 @@ def rip_constant(a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET) -> 
     m, n = a.shape
     if not 1 <= k <= min(m, n):
         raise ValueError(f"order must satisfy 1 <= K <= min(M, N) = {min(m, n)}, got {k}")
-    check_budget(budget)
+    budget = check_budget(budget)
     _require_unit_columns(a)
     g = gram(a)
     # a Cholesky certificate and eigvalsh each err by at most about k^2 eps ||G_S||,
@@ -211,15 +211,12 @@ def rip_constant(a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET) -> 
     def extremes(combs):
         nonlocal lo, hi
         # until the first eigvalsh, lo = inf and hi = -inf certify nothing
-        b = len(combs)
-        c = np.tile(combs.T, 2)
-        both = screen[c[:, None, :], c[None, :, :]]
-        np.negative(both[:, :, b:], out=both[:, :, b:])
-        diag = np.einsum("iib->ib", both)
-        diag[:, :b] -= lo + margin
-        diag[:, b:] += hi - margin
-        inside = positive_definite(both).reshape(2, b)
-        unsure = ~(inside[0] & inside[1])
+        c = combs.T
+        above = screen[c[:, None, :], c[None, :, :]]
+        below = -above
+        np.einsum("iib->ib", above)[...] -= lo + margin
+        np.einsum("iib->ib", below)[...] += hi - margin
+        unsure = ~(positive_definite(above) & positive_definite(below))
         if unsure.any():
             c = combs[unsure]
             w = np.linalg.eigvalsh(g[c[:, :, None], c[:, None, :]])
@@ -242,7 +239,7 @@ class RipProfile:
 
 def rip_profile(a: MeasurementMatrix, k_max: int, budget: int = DEFAULT_BUDGET) -> RipProfile:
     """Isometry constants for orders 1..k_max on one budget; orders past it read 0.0, inexact."""
-    check_budget(budget)
+    budget = check_budget(budget)
     if k_max > min(a.shape):
         raise ValueError(f"order must satisfy 1 <= K <= min(M, N) = {min(a.shape)}, got {k_max}")
     deltas = dict.fromkeys(range(1, k_max + 1), 0.0)

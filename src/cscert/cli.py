@@ -52,16 +52,6 @@ def _finish(args, text: str, approx: str | None = None) -> int:
     return 0
 
 
-def _parse_list(raw: str, what: str, kind: type = int) -> list:
-    if not raw.strip():
-        return []
-    try:
-        return [kind(tok) for tok in raw.split(",")]
-    except ValueError:
-        noun = "integers" if kind is int else "numbers"
-        raise _UsageError(f"{what} must be a comma-separated list of {noun}, got {raw!r}")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="cscert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -146,7 +136,7 @@ def _cmd_dft_limit(args) -> int:
     else:
         if args.n is None:
             raise _UsageError("either --pattern or --n is required")
-        missing = _parse_list(args.missing or "", "--missing")
+        missing = mc.parse_list(args.missing or "", "--missing")
         pattern = dftu.MissingSamplePattern.of(args.n, missing)
     result = dftu.dft_sparsity_limit(pattern, budget=args.budget)
     text = result.to_json() if args.format == "json" else result.to_text()
@@ -168,13 +158,13 @@ def _cmd_gen(args) -> int:
     elif args.kind == "partial-idft":
         if args.n is None or args.positions is None:
             raise _UsageError("partial-idft needs --n and --positions")
-        positions = _parse_list(args.positions, "--positions")
+        positions = mc.parse_list(args.positions, "--positions")
         a = mc.build_partial_idft(args.n, positions, normalize=args.normalize)
     else:
         if args.n is None:
             raise _UsageError("random-fourier needs --n")
         if args.times is not None:
-            times = _parse_list(args.times, "--times", float)
+            times = mc.parse_list(args.times, "--times", float)
         elif args.count is not None:
             if args.count < 1:
                 raise _UsageError("--count must be positive")
@@ -200,8 +190,6 @@ def _cmd_recon(args) -> int:
     recon.check_tol(args.tol, "--tol")
     a = mc.load_matrix_csv(args.matrix)
     y = _load_measurements(args.measurements)
-    if y.shape[0] != a.rows:
-        raise _UsageError(f"matrix has {a.rows} rows but measurements have {y.shape[0]}")
     x, residual = recon.omp(a, y, k_target=args.k, residual_tol=args.tol)
     if args.format == "json":
         d = {
@@ -221,7 +209,7 @@ def _cmd_recon(args) -> int:
 def _cmd_experiment(args) -> int:
     recon.check_tol(args.tol, "--tol")
     a = mc.load_matrix_csv(args.matrix)
-    ks = _parse_list(args.ks, "--ks")
+    ks = mc.parse_list(args.ks, "--ks")
     if not ks:
         raise _UsageError("--ks must name at least one sparsity")
     report = recon.monte_carlo(a, ks, trials=args.trials, seed=args.seed,

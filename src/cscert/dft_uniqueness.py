@@ -51,12 +51,12 @@ from ._linalg import (
     iter_orbit_chunks,
     sweep,
 )
-from .matrix_core import as_index, build_partial_idft
+from .matrix_core import as_index, build_partial_idft, parse_list
 
 
 @dataclass(frozen=True)
 class MissingSamplePattern:
-    """Signal length (a power of two) plus the missing-sample positions."""
+    """A power-of-two signal length and its distinct missing positions in [0, n), kept sorted."""
 
     n: int
     missing: tuple[int, ...]
@@ -65,20 +65,18 @@ class MissingSamplePattern:
         n = as_index(self.n, "signal length")
         if n < 2 or n & (n - 1):
             raise ValueError(f"signal length must be a power of two >= 2, got {n}")
-        pos = tuple(as_index(q, "missing position") for q in self.missing)
+        pos = sorted(as_index(q, "missing position") for q in self.missing)
+        if len(set(pos)) != len(pos):
+            raise ValueError(f"duplicate missing positions: {pos}")
         if any(q < 0 or q >= n for q in pos):
             raise ValueError(f"missing positions must lie in [0, {n})")
-        if any(a >= b for a, b in zip(pos, pos[1:])):
-            raise ValueError(f"missing positions must be strictly increasing: {pos}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "missing", pos)
+        object.__setattr__(self, "missing", tuple(pos))
 
     @classmethod
     def of(cls, n: int, positions) -> "MissingSamplePattern":
-        pos = sorted(as_index(q, "missing position") for q in positions)
-        if len(set(pos)) != len(pos):
-            raise ValueError(f"duplicate missing positions: {pos}")
-        return cls(n, tuple(pos))
+        """The pattern of length ``n`` missing any iterable of ``positions``."""
+        return cls(n, tuple(positions))
 
     @property
     def q(self) -> int:
@@ -94,15 +92,17 @@ class MissingSamplePattern:
 
 
 def load_pattern(path) -> MissingSamplePattern:
-    """Read a pattern file: line 1 N, line 2 comma-separated positions, then blank lines."""
+    """Read a pattern file: line 1 N, line 2 positions as ``--missing`` takes them, then blanks.
+
+    Line 2 goes through ``matrix_core.parse_list``. Errors name the file and the line.
+    """
     lines = Path(path).read_text().splitlines() + ["", ""]
     line = 1
     try:
         n = int(lines[0])
         MissingSamplePattern(n, ())  # N alone, so its errors name line 1
         line = 2
-        pattern = MissingSamplePattern.of(
-            n, [int(tok) for tok in lines[1].split(",") if tok.strip()])
+        pattern = MissingSamplePattern.of(n, parse_list(lines[1], "positions"))
     except ValueError as exc:
         raise ValueError(f"{path}:{line}: {exc}") from None
     for line, text in enumerate(lines[2:], 3):
@@ -282,7 +282,7 @@ def dft_sparsity_limit(
     ``exact=False``. With no missing samples ``k_max = N``:
     the complete DFT is invertible, so every spectrum is recoverable.
     """
-    check_budget(budget)
+    budget = check_budget(budget)
     if p.q == 0:
         return DftUniquenessResult(p.n, p.missing, {}, None, p.n, True, p.n, ())
     rows = _stride_rows(p.n, p.missing)

@@ -133,6 +133,17 @@ def _parse_cell(text: str, row: int, col: int) -> complex:
         raise CsvParseError(f"row {row}, column {col}: cannot parse {text!r}") from None
 
 
+def parse_list(raw: str, what: str, kind: type = int) -> list:
+    """Comma-separated ``kind`` values: a blank string is no values, an empty entry an error."""
+    if not raw.strip():
+        return []
+    try:
+        return [kind(tok) for tok in raw.split(",")]
+    except ValueError:
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"{what} must be a comma-separated list of {noun}, got {raw!r}") from None
+
+
 def load_matrix_csv(path) -> MeasurementMatrix:
     """Load a matrix from CSV, one row per line, cells real or ``a+bi``; errors name the file."""
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]

@@ -283,7 +283,7 @@ def omp(
         raise ValueError(f"k_target must be non-negative, got {k_target}")
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (a.rows,):
-        raise ValueError(f"measurement vector must have length {a.rows}")
+        raise ValueError(f"measurement vector must have shape {(a.rows,)}, got {y.shape}")
     if k_target > min(a.rows, a.cols):
         raise ValueError(
             f"k_target {k_target} exceeds min(M, N) = {min(a.rows, a.cols)} "

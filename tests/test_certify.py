@@ -12,6 +12,7 @@ from cscert import (
     MeasurementMatrix,
     MissingSamplePattern,
     NormalizationError,
+    SparkResult,
     build_gaussian,
     build_partial_idft,
     certify,
@@ -25,7 +26,7 @@ from cscert import (
     spark,
     welch_bound,
 )
-from cscert._linalg import iter_combination_chunks
+from cscert._linalg import RANK_RTOL, any_dependent, iter_combination_chunks
 
 # Frozen from the demo 5x8 matrix; independently recomputed below by
 # SVD-based oracles where the main path uses eigendecompositions.
@@ -60,6 +61,13 @@ class TestSpark:
     def test_full_column_rank_square_has_no_dependent_subset(self):
         res = spark(MeasurementMatrix(np.eye(3)))
         assert res.value is None and res.exact
+
+    def test_flagged_at_twice_the_tolerance_but_clean_at_once_is_full_rank(self):
+        # columns {0, 2} have sigma_min / sigma_max = 1.5e-10: the top sweep flags
+        # them under 2 * RANK_RTOL, and the upward scan finds nothing under RANK_RTOL
+        a = MeasurementMatrix([[1, 0, 1], [0, 1, 3e-10]])
+        assert any_dependent(a.entries, 2, 2 * RANK_RTOL)
+        assert spark(a) == SparkResult(3, True, 6)
 
     def test_budget_exhaustion_gives_lower_bound(self, demo_matrix):
         res = spark(demo_matrix, budget=10)
@@ -138,6 +146,22 @@ def test_budget_below_one_is_a_one_line_error(entry, budget):
     }[entry]
     with pytest.raises(ValueError, match=rf"^budget must be at least 1, got {budget}$"):
         call()
+
+
+@pytest.mark.parametrize("budget", [2.5, 3.0, 2e7])
+@pytest.mark.parametrize(
+    "entry", ["spark", "rip_constant", "rip_profile", "certify", "dft_sparsity_limit"])
+def test_real_budget_counts_as_its_floor(entry, budget):
+    a = normalize_columns(build_gaussian(4, 6, seed=1))
+    call = {
+        "spark": lambda b: spark(a, b),
+        "rip_constant": lambda b: rip_constant(a, 2, b),
+        "rip_profile": lambda b: rip_profile(a, 3, b),
+        "certify": lambda b: certify(a, budget=b).to_json(),
+        "dft_sparsity_limit": lambda b: dft_sparsity_limit(
+            MissingSamplePattern.of(16, [3, 5, 11, 13]), b).to_json(),
+    }[entry]
+    assert call(budget) == call(math.floor(budget))
 
 
 def test_rip_profile_orders_past_the_budget_read_zero_inexact():

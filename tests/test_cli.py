@@ -1,6 +1,9 @@
 import json
+import os
 import shlex
 import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -151,6 +154,26 @@ class TestDftLimitCommand:
         assert run("dft-limit", "--pattern", str(f)) == 0
         assert "K <= 3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("missing", ["1,,3", "1,3,"])
+    def test_empty_entry_is_an_error_in_a_file_as_on_the_flag(self, tmp_path, capsys, missing):
+        f = tmp_path / "p.txt"
+        f.write_text(f"16\n{missing}\n")
+        grammar = f"must be a comma-separated list of integers, got {missing!r}\n"
+        assert run("dft-limit", "--pattern", str(f)) == 1
+        assert capsys.readouterr().err == f"error: {f}:2: positions {grammar}"
+        assert run("dft-limit", "--n", "16", "--missing", missing) == 1
+        assert capsys.readouterr().err == f"error: --missing {grammar}"
+
+    def test_module_entry_point_exits_0(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cscert", "dft-limit", "--n", "8", "--missing", "1"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "unique reconstruction guaranteed for K <= 3" in proc.stdout
+
     def test_pattern_excludes_inline_flags(self, tmp_path, capsys):
         f = tmp_path / "p.txt"
         f.write_text("8\n5\n")
@@ -188,6 +211,14 @@ class TestGenCommand:
                    "--normalize", "--out", str(f)) == 0
         a = load_matrix_csv(f)
         assert a.shape == (3, 8) and a.normalized
+
+    def test_gaussian_normalize_writes_unit_columns(self, tmp_path):
+        f = tmp_path / "g.csv"
+        assert run("gen", "gaussian", "--rows", "4", "--cols", "6", "--normalize",
+                   "--out", str(f)) == 0
+        a = load_matrix_csv(f)
+        assert a.normalized
+        np.testing.assert_allclose(np.linalg.norm(a.entries, axis=0), 1.0, rtol=0, atol=1e-12)
 
     def test_random_fourier_with_count(self, tmp_path):
         f = tmp_path / "rf.csv"
@@ -282,6 +313,8 @@ class TestReconCommand:
         yfile.write_text("1.0\n2.0\n")
         assert run("recon", "--matrix", str(DEMO_CSV), "--measurements", str(yfile),
                    "--k", "1") == 1
+        assert capsys.readouterr().err == (
+            "error: measurement vector must have shape (5,), got (2,)\n")
 
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_k_must_be_positive(self, tmp_path, capsys, k):
@@ -340,6 +373,25 @@ class TestUsageErrors:
         assert run(*argv, "--out", str(out)) == 1
         assert capsys.readouterr().err == "error: --seed must be non-negative\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "--matrix", str(DEMO_CSV), "--kmax", "0"], "--kmax must be positive"),
+        (["dft-limit"], "either --pattern or --n is required"),
+        (["gen", "partial-idft", "--n", "8", "--out", "{tmp}/x.csv"],
+         "partial-idft needs --n and --positions"),
+        (["gen", "random-fourier", "--count", "3", "--out", "{tmp}/x.csv"],
+         "random-fourier needs --n"),
+        (["recon", "--matrix", str(DEMO_CSV), "--measurements", "{tmp}/y2.csv", "--k", "1"],
+         "{tmp}/y2.csv: expected one measurement per line, got 2 columns"),
+        (["experiment", "--matrix", str(DEMO_CSV), "--ks", ""],
+         "--ks must name at least one sparsity"),
+    ], ids=["kmax-0", "no-n-or-pattern", "no-positions", "no-n", "two-columns", "no-ks"])
+    def test_missing_or_unusable_input_is_a_one_line_error(self, tmp_path, capsys, argv,
+                                                           message):
+        (tmp_path / "y2.csv").write_text("1,2\n3,4\n5,6\n7,8\n9,10\n")
+        assert run(*[arg.format(tmp=tmp_path) for arg in argv]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("command", ["recon", "experiment"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

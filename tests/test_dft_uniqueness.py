@@ -53,6 +53,14 @@ class TestPattern:
         with pytest.raises(ValueError):
             MissingSamplePattern.of(8, [8])
 
+    def test_constructor_sorts_and_validates_like_of(self):
+        p = MissingSamplePattern(16, (13, 3, 11, 5))
+        assert p == MissingSamplePattern.of(16, [3, 5, 11, 13]) and p.missing == (3, 5, 11, 13)
+        with pytest.raises(ValueError, match=r"^duplicate missing positions: \[3, 3\]$"):
+            MissingSamplePattern(8, (3, 3))
+        with pytest.raises(ValueError, match=r"^missing positions must lie in \[0, 8\)$"):
+            MissingSamplePattern(8, (8,))
+
     def test_available_is_complement(self):
         p = MissingSamplePattern.of(8, [1, 4])
         assert p.available() == (0, 2, 3, 5, 6, 7)
@@ -72,7 +80,9 @@ class TestPattern:
 
     @pytest.mark.parametrize("text, line, what", [
         ("x16\n1,2\n", 1, "'x16'"),
-        ("16\n1,x\n", 2, "'x'"),
+        ("16\n1,x\n", 2, "'1,x'"),
+        ("16\n1,,3\n", 2, "list of integers, got '1,,3'"),
+        ("16\n1,3,\n", 2, "list of integers, got '1,3,'"),
         ("16\n1,2\n3\n", 3, "nothing may follow"),
         ("16\n1,2\n\n\n 4 \n", 5, "nothing may follow"),
         ("12\n1,2\n", 1, "power of two"),
@@ -140,12 +150,18 @@ class TestSparsityLimit:
         assert res.penalty is None
         assert res.k_max == 16
         assert res.derivation == ()
+        assert res.to_text().splitlines() == [
+            "N = 16, missing 0 samples: []",
+            "no missing samples: full DFT is invertible",
+            "unique reconstruction guaranteed for K <= 16",
+        ]
 
     def test_json_round_trip(self):
-        res = dft_sparsity_limit(WORKED_EXAMPLE)
-        again = DftUniquenessResult.from_json(res.to_json())
-        assert again == res
-        assert again.to_json() == res.to_json()
+        for pattern in (WORKED_EXAMPLE, MissingSamplePattern(16, ())):
+            res = dft_sparsity_limit(pattern)
+            again = DftUniquenessResult.from_json(res.to_json())
+            assert again == res
+            assert again.to_json() == res.to_json()
 
 
 class TestKnownLimitation:

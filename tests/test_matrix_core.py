@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,14 +13,17 @@ from cscert import (
     build_gaussian,
     build_partial_idft,
     build_random_partial_fourier,
+    certify,
     coherence,
     gram,
     load_matrix_csv,
     normalize_columns,
+    rip_constant,
     save_matrix_csv,
     welch_bound,
 )
 from cscert import MissingSamplePattern, SparseVector, monte_carlo
+from cscert._linalg import iter_combination_chunks, iter_orbit_chunks
 from conftest import DEMO_CSV, DEMO_5X8
 
 
@@ -54,6 +59,14 @@ class TestCsv:
         f = tmp_path / "bad.csv"
         f.write_text("1,2\n3,oops\n")
         with pytest.raises(CsvParseError, match="row 1, column 1"):
+            load_matrix_csv(f)
+
+    @pytest.mark.parametrize("text, what", [
+        ("1,2\n3, \n", "row 1, column 1: empty cell"), ("\n  \n", "no rows")])
+    def test_empty_cell_or_file_is_a_one_line_error(self, tmp_path, text, what):
+        f = tmp_path / "bad.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{f}: {what}')}$"):
             load_matrix_csv(f)
 
     def test_complex_cells(self, tmp_path):
@@ -242,6 +255,29 @@ def test_non_integer_index_is_refused_not_truncated(call, field):
     with pytest.raises(ValueError, match=f"^{field} must be an integer, got ") as exc:
         call()
     assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MeasurementMatrix(np.zeros(3)), "matrix must be 2-D and nonempty, got shape (3,)"),
+    (lambda: MeasurementMatrix(np.eye(2), kind="bogus"), "unknown matrix kind 'bogus'"),
+    (lambda: build_partial_idft(8, []), "at least one sample position is required"),
+    (lambda: build_random_partial_fourier(4, 1.0, []), "at least one sampling instant is required"),
+    (lambda: build_gaussian(0, 3, 1), "matrix dimensions must be positive, got 0x3"),
+    (lambda: certify(normalize_columns(MeasurementMatrix(np.ones((3, 1))))),
+     "coherence needs at least two columns"),
+    (lambda: rip_constant(normalize_columns(build_gaussian(4, 6, 1)), 0),
+     "order must satisfy 1 <= K <= min(M, N) = 4, got 0"),
+    (lambda: SparseVector(8, (1, 2), np.ones(3)),
+     "need one value per support index, got 3 values for support of size 2"),
+    (lambda: monte_carlo(MeasurementMatrix(np.eye(3)), [1], trials=0, seed=0),
+     "need at least one trial, got 0"),
+    (lambda: next(iter_combination_chunks(3, 4)), "need 0 < k <= n, got k=4, n=3"),
+    (lambda: next(iter_orbit_chunks(3, 0)), "need 0 < k <= n, got k=0, n=3"),
+], ids=["1-d", "kind", "no-positions", "no-instants", "no-rows", "one-column", "order-0",
+        "extra-value", "no-trials", "k-above-n", "orbit-k-0"])
+def test_bad_input_is_a_one_line_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_numpy_integers_are_indices():
