@@ -36,7 +36,15 @@ Whether *any* k-subset is dependent is asked through ``any_dependent``,
 which returns a bool, no hit position and no count. On a matrix with cyclic
 shift structure (partial Fourier matrices on an integer grid) it tests one
 subset per orbit of the shifts S -> S + c (mod N), from
-``iter_orbit_chunks``: about C(N, k) / N subsets instead of C(N, k).
+``iter_orbit_chunks``: about C(N, k) / N subsets instead of C(N, k). The
+representatives are generated directly, not drawn and filtered: a subset
+holding 0 is one orbit's representative iff its gap sequence is a necklace,
+and gap prefixes grow by the Fredricksen-Kessler-Maiorana rule (a prefix of
+period p extends only by gaps ``b >= a_(t+1-p)``), as Ruskey and Sawada
+generate fixed-density necklaces (SIAM J. Comput. 29, 1999). Chunks still
+end at the candidate ranks where the combination chunks of T,
+``{0} | (T + 1)``, end, because the zero-set sweep acts on each chunk's best
+support, so its results depend on where chunks end.
 ``shift_invariant`` detects the structure numerically, from the entries
 rather than a label: column j must equal ``D^j`` times column 0 for one
 diagonal D of N-th roots of unity, so that columns S + c are D^c times
@@ -141,76 +149,161 @@ def _unrank(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
     return col[1:] - 1
 
 
+def _rank(n: int, k: int, combs: np.ndarray) -> np.ndarray:
+    """Lexicographic ranks of the columns of a (k, B) array of k-combinations of range(n).
+
+    The inverse of ``_unrank``: element i, e, after element i - 1, p, adds the
+    ``C(n - 1 - p, m) - C(n - e, m)`` combinations, m = k - i, that agree
+    before element i and hold a smaller one there, two entries of the tails
+    table. Where ``C(n - 1 - p, m)`` is saturated, every rank below the exact
+    range has e = p + 1, which adds nothing; any other e, or a rank reaching
+    the end of the exact range, raises ``OverflowError`` as ``_unrank`` does.
+    """
+    neg, exact = _tails(n, k)
+    rows = np.arange(k)[:, None] * (n + 1)
+    left = np.zeros_like(combs)
+    left[1:] = combs[:-1] + 1
+    above = neg.ravel()[rows + left]
+    past = (above == -_TAIL_CAP) & (combs > left)
+    # a term clipped to the exact range still reaches it, and k clipped terms cannot wrap
+    r = np.minimum(neg.ravel()[rows + combs] - above, exact).sum(axis=0)
+    if past.any() or r.max(initial=0) >= exact:
+        raise OverflowError(f"a combination of C({n}, {k}) is past exact ranking")
+    return r
+
+
+def _chunk_end(rank: int, cap: int) -> int:
+    """First rank past the sweep chunk holding ``rank``: chunk j holds min(64 * 2^j, cap) ranks.
+
+    Small first chunks keep a sweep that stops at its first few subsets from
+    paying for a full batch. The d chunks below the cap hold ``64 * (2^d - 1)``
+    ranks, and every later chunk holds ``cap``.
+    """
+    d = ((cap - 1) // 64).bit_length()
+    head = 64 * ((1 << d) - 1)
+    if rank < head:
+        return 64 * ((1 << (rank // 64 + 1).bit_length()) - 1)
+    return rank + cap - (rank - head) % cap
+
+
 def iter_combination_chunks(n: int, k: int, chunk: int = CHUNK):
     """Yield (B, k) int arrays of k-combinations of range(n) in lexicographic order.
 
     Each chunk is unranked in numpy from its ranks (``_unrank``) and is the
     transpose of a C-ordered (k, B) array, the layout in which sweeps gather
-    (k, k, B) Gram stacks. B doubles from 64 up to ``chunk``:
-    small first chunks keep a sweep that stops at its first few subsets from
-    paying for a full batch. Memory rule: a chunk holds at most about 2^20
-    entries of its k x k matrices, so B is also at most ``2^20 / k^2`` (below
-    ``CHUNK`` only from k = 23 on).
+    (k, k, B) Gram stacks. B doubles from 64 up to ``chunk`` (``_chunk_end``).
+    Memory rule: a chunk holds at most about 2^20 entries of its k x k
+    matrices, so B is also at most ``2^20 / k^2`` (below ``CHUNK`` only from
+    k = 23 on).
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
     cap = max(1, min(chunk, _CHUNK_ENTRIES // k**2))
     total = math.comb(n, k)
-    start, size = 0, min(64, cap)
+    start = 0
     while start < total:
-        stop = min(start + size, total)
+        stop = min(_chunk_end(start, cap), total)
         yield _unrank(n, k, np.arange(start, stop)).T
-        start, size = stop, min(2 * size, cap)
+        start = stop
 
 
-def lex_leq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mask of the columns of ``a`` that are lexicographically no larger than those of ``b``."""
-    diff = b - a
-    return diff[np.argmax(diff != 0, axis=0), np.arange(diff.shape[1])] >= 0
+def _necklace_batches(n: int, k: int, cap: int):
+    """Yield (k, B) arrays, B <= cap: the subsets holding 0 whose gaps form a necklace, in order.
+
+    A frame holds gap prefixes ``a_1 .. a_t`` as the columns of a (t, B)
+    array, with their sums s, periods p and the gap ``a_(t+1-p)`` that bounds
+    their next one from below, and the range [first, last] of next gaps not
+    yet taken. Each step takes at most ``cap`` children of the top frame,
+    slicing one prefix's range when it alone has more, and pushes the rest of
+    the frame back below them: depth first, so children come out in
+    lexicographic order. Gaps are below n, and n is far below 2^31 (the
+    ranks' tails table holds n int64 entries per element), so int32 holds
+    them, which halves the frames.
+    """
+    one = np.ones(1, dtype=np.intp)
+    stack = [(np.zeros((0, 1), dtype=np.int32), 0 * one, one, 0 * one, one, n // k * one)]
+    while stack:
+        a, s, p, ref, first, last = stack.pop()
+        t = len(a)
+        count = np.maximum(last - first + 1, 0)
+        m = int(np.searchsorted(np.cumsum(count), cap, side="right"))
+        if m == 0:
+            m, count, rest = 1, np.array([cap]), first.copy()
+            rest[0] += cap
+            stack.append((a, s, p, ref, rest, last))
+        elif m < len(count):
+            stack.append((a[:, m:], s[m:], p[m:], ref[m:], first[m:], last[m:]))
+        count = count[:m]
+        parent = np.repeat(np.arange(m), count)
+        # the children of each prefix take the next gaps first, first + 1, ...
+        b = np.arange(len(parent)) + np.repeat(first[:m] + count - np.cumsum(count), count)
+        child = np.empty((t + 1, len(b)), dtype=np.int32)
+        np.take(a, parent, axis=1, out=child[:t])
+        child[t] = b
+        s2 = s[parent] + b
+        p2 = np.where(b == ref[parent], p[parent], t + 1)
+        ref2 = child[t + 1 - p2, np.arange(len(b))]
+        if t + 2 < k:
+            if len(b):
+                stack.append((child, s2, p2, ref2, ref2, n - s2 - (k - t - 2) * child[0]))
+            continue
+        # the last gap is forced; the sequence is a necklace iff its period divides k
+        end = n - s2
+        keep = (end >= ref2) & (k % np.where(end == ref2, p2, k) == 0)
+        if keep.any():
+            out = np.zeros((k, int(keep.sum())), dtype=np.intp)
+            np.cumsum(child[:, keep], axis=0, out=out[1:])
+            yield out
 
 
 def iter_orbit_chunks(n: int, k: int):
     """Yield (B, k) int arrays of one k-subset of range(n) per cyclic-shift orbit.
 
     Each subset holds 0 and is the lexicographically smallest of its shifts
-    S + c (mod n), and subsets come in lexicographic order. The candidates
-    {0} | T come from ``iter_combination_chunks(n - 1, k - 1, cap)``, T
-    shifted up by one. A subset holding 0 is fixed by its gap sequence
-    ``s_1 - s_0, ..., n - s_(k-1)``, in the same lexicographic order, and its
-    shifts that hold 0 have the k rotations of that sequence as gaps. So a
-    candidate is kept when its gaps are ``lex_leq`` every rotation, each a
-    slice of the doubled gap array: no sort, no modulo. Its first gap is then
-    its smallest, which is checked first, and at most n / k, so the
-    candidates stop where T's first element reaches n // k. No chunk exceeds
-    its cap, ``min(CHUNK, 2^20 / n)`` rows by the memory rule: a DFT sweep
-    holds a length-n spectrum per subset.
+    S + c (mod n), and subsets come in lexicographic order. A subset holding
+    0 is fixed by its gap sequence ``s_1 - s_0, ..., n - s_(k-1)``, in the
+    same order, and its shifts that hold 0 have the k rotations of that
+    sequence as gaps. So the representatives are the subsets whose gaps form
+    a necklace, the smallest of its rotations, and ``_necklace_batches``
+    generates exactly those, with the Fredricksen-Kessler-Maiorana rule as
+    Ruskey and Sawada apply it to fixed-density necklaces ("An efficient
+    algorithm for generating necklaces with fixed density", SIAM J. Comput.
+    29, 1999): a prefix ``a_1 .. a_t`` of period p extends only by
+    ``b >= a_(t+1-p)``; an equal b keeps p and a larger one sets p = t + 1;
+    a full sequence is a necklace iff p divides k. Every gap is at least
+    ``a_1``, so a prefix needs ``s_t + (k - t) * a_1 <= n``, and the last
+    gap is ``n - s_(k-1)``.
+
+    Chunks end where those of the candidates ``{0} | (T + 1)``, T from
+    ``iter_combination_chunks(n - 1, k - 1, cap)``, end: a representative
+    joins the chunk of T's rank (``_rank``, ``_chunk_end``), computed from
+    the rank alone. The zero-set sweep tests only each chunk's best support,
+    so the supports it confirms and the budget it leaves depend on where
+    chunks end. The cap, that chunker's, is also at most ``2^20 / n`` rows by
+    the memory rule (a DFT sweep holds a length-n spectrum per subset), and
+    no step of the generator materializes more than cap children.
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
     if k == 1:
         yield np.zeros((1, 1), dtype=np.intp)
         return
-    left = math.comb(n - 1, k - 1) - math.comb(n - 1 - n // k, k - 1)
-    for t in iter_combination_chunks(n - 1, k - 1, min(CHUNK, _CHUNK_ENTRIES // n)):
-        t = t[:left].T
-        left -= t.shape[1]
-        gaps = np.empty((2 * k, t.shape[1]), dtype=np.intp)
-        gaps[0] = t[0] + 1
-        gaps[1 : k - 1] = t[1:] - t[:-1]
-        gaps[k - 1] = n - 1 - t[-1]
-        gaps[k:] = gaps[:k]
-        # a rotation that starts with a smaller gap is smaller
-        keep = gaps[0] == gaps[:k].min(axis=0)
-        t, gaps = t[:, keep], gaps[:, keep]
-        for j in range(1, k):
-            keep = lex_leq(gaps[:k], gaps[j : j + k])
-            t, gaps = t[:, keep], gaps[:, keep]
-        if t.shape[1]:
-            s = np.zeros((k, t.shape[1]), dtype=np.intp)
-            s[1:] = t + 1
-            yield s.T
-        if not left:
-            return
+    cap = max(1, min(CHUNK, _CHUNK_ENTRIES // n, _CHUNK_ENTRIES // (k - 1) ** 2))
+    held, stop = [], 0
+    for s in _necklace_batches(n, k, cap):
+        ranks = _rank(n - 1, k - 1, s[1:] - 1)
+        i = 0
+        while i < len(ranks):
+            if ranks[i] >= stop:
+                if held:
+                    yield np.hstack(held).T
+                    held = []
+                stop = _chunk_end(int(ranks[i]), cap)
+            j = int(np.searchsorted(ranks, stop))
+            held.append(s[:, i:j])
+            i = j
+    if held:
+        yield np.hstack(held).T
 
 
 def shift_invariant(entries: np.ndarray) -> bool:

@@ -59,7 +59,7 @@ from ._linalg import (
     rank_test,
     sweep,
 )
-from .matrix_core import MeasurementMatrix, gram, normalize_columns
+from .matrix_core import MeasurementMatrix, as_index, gram, normalize_columns
 
 # Two published thresholds on delta_{2K} for l0/l1 equivalence.
 L1_THRESHOLD_SQRT2 = math.sqrt(2.0) - 1.0
@@ -197,6 +197,7 @@ def rip_constant(a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET) -> 
     Gram as without the certificate, and the extremes are the same floats.
     """
     m, n = a.shape
+    k = as_index(k, "order")
     if not 1 <= k <= min(m, n):
         raise ValueError(f"order must satisfy 1 <= K <= min(M, N) = {min(m, n)}, got {k}")
     budget = check_budget(budget)
@@ -240,6 +241,7 @@ class RipProfile:
 def rip_profile(a: MeasurementMatrix, k_max: int, budget: int = DEFAULT_BUDGET) -> RipProfile:
     """Isometry constants for orders 1..k_max on one budget; orders past it read 0.0, inexact."""
     budget = check_budget(budget)
+    k_max = as_index(k_max, "order")
     if k_max > min(a.shape):
         raise ValueError(f"order must satisfy 1 <= K <= min(M, N) = {min(a.shape)}, got {k_max}")
     deltas = dict.fromkeys(range(1, k_max + 1), 0.0)
@@ -355,8 +357,7 @@ def certify(
     other work.
     """
     m, n = a.shape
-    if k_max is None:
-        k_max = min(m, 5)
+    k_max = min(m, 5) if k_max is None else as_index(k_max, "k_max")
     k_max = min(k_max, m, n)
 
     if k_max >= 1:

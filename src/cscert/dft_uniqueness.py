@@ -113,6 +113,7 @@ def load_pattern(path) -> MissingSamplePattern:
 
 def stride_count(p: MissingSamplePattern, h: int) -> int:
     """Largest number of missing positions sharing a residue modulo 2^h."""
+    h = as_index(h, "h")
     if not 0 <= h <= p.r - 1:
         raise ValueError(f"h must lie in [0, {p.r - 1}], got {h}")
     return _stride_rows(p.n, p.missing)[h].count
@@ -303,6 +304,7 @@ def dft_uniqueness_oracle(p: MissingSamplePattern, k: int) -> bool:
     multiplies its columns by a unit-modulus diagonal, which keeps its
     singular values, so C(16, 8) = 12,870 subsets become 810.
     """
+    k = as_index(k, "sparsity")
     if k < 1:
         raise ValueError(f"sparsity must be >= 1, got {k}")
     avail = p.available()

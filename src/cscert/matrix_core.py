@@ -231,6 +231,7 @@ def build_gaussian(rows: int, cols: int, seed: int) -> MeasurementMatrix:
 
     Uses numpy's PCG64 generator, so a fixed seed reproduces the same matrix.
     """
+    rows, cols = as_index(rows, "number of rows"), as_index(cols, "number of columns")
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
     rng = np.random.default_rng(seed)

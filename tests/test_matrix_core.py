@@ -23,6 +23,8 @@ from cscert import (
     welch_bound,
 )
 from cscert import MissingSamplePattern, SparseVector, monte_carlo
+from cscert.certify import rip_profile
+from cscert.dft_uniqueness import dft_uniqueness_oracle, stride_count
 from cscert._linalg import iter_combination_chunks, iter_orbit_chunks
 from conftest import DEMO_CSV, DEMO_5X8
 
@@ -249,8 +251,17 @@ class TestTypes:
     (lambda: build_partial_idft(8.5, [1]), "signal length"),
     (lambda: build_random_partial_fourier(2.5, 1.0, [0.5]), "number of harmonics"),
     (lambda: monte_carlo(MeasurementMatrix(np.eye(3)), [1.5], trials=1, seed=0), "sparsity"),
+    (lambda: build_gaussian(3.0, 4, 0), "number of rows"),
+    (lambda: build_gaussian(3, 4.0, 0), "number of columns"),
+    (lambda: dft_uniqueness_oracle(MissingSamplePattern.of(16, [1, 3]), 1.5), "sparsity"),
+    (lambda: dft_uniqueness_oracle(MissingSamplePattern.of(16, [1, 3]), 2.0), "sparsity"),
+    (lambda: stride_count(MissingSamplePattern.of(16, [1, 3]), 1.5), "h"),
+    (lambda: rip_constant(normalize_columns(build_gaussian(4, 6, 1)), 2.0), "order"),
+    (lambda: rip_profile(normalize_columns(build_gaussian(4, 6, 1)), 2.5), "order"),
+    (lambda: certify(normalize_columns(build_gaussian(4, 6, 1)), k_max=2.5), "k_max"),
 ], ids=["support", "missing-of", "missing", "length", "sample-position", "idft-length",
-        "harmonics", "sparsity"])
+        "harmonics", "sparsity", "gaussian-rows", "gaussian-cols", "oracle-sparsity",
+        "oracle-whole-float", "stride-h", "rip-order", "rip-profile-order", "certify-k-max"])
 def test_non_integer_index_is_refused_not_truncated(call, field):
     with pytest.raises(ValueError, match=f"^{field} must be an integer, got ") as exc:
         call()
@@ -286,3 +297,11 @@ def test_numpy_integers_are_indices():
     assert (p.n, p.missing) == (8, (1, 5)) and type(p.n) is int
     a = build_partial_idft(8, np.array([1, 3]))
     assert a.entries.tobytes() == build_partial_idft(8, [1, 3]).entries.tobytes()
+    g = build_gaussian(np.int64(4), np.int32(6), 1)
+    assert g.entries.tobytes() == build_gaussian(4, 6, 1).entries.tobytes()
+    assert dft_uniqueness_oracle(p, np.int64(2)) == dft_uniqueness_oracle(p, 2)
+    assert stride_count(p, np.int32(2)) == stride_count(p, 2)
+    g = normalize_columns(g)
+    assert rip_constant(g, np.int64(2)) == rip_constant(g, 2)
+    assert rip_profile(g, np.int64(3)) == rip_profile(g, 3)
+    assert certify(g, k_max=np.int64(3)).to_json() == certify(g, k_max=3).to_json()
