@@ -41,10 +41,7 @@ representatives are generated directly, not drawn and filtered: a subset
 holding 0 is one orbit's representative iff its gap sequence is a necklace,
 and gap prefixes grow by the Fredricksen-Kessler-Maiorana rule (a prefix of
 period p extends only by gaps ``b >= a_(t+1-p)``), as Ruskey and Sawada
-generate fixed-density necklaces (SIAM J. Comput. 29, 1999). Chunks still
-end at the candidate ranks where the combination chunks of T,
-``{0} | (T + 1)``, end, because the zero-set sweep acts on each chunk's best
-support, so its results depend on where chunks end.
+generate fixed-density necklaces (SIAM J. Comput. 29, 1999).
 ``shift_invariant`` detects the structure numerically, from the entries
 rather than a label: column j must equal ``D^j`` times column 0 for one
 diagonal D of N-th roots of unity, so that columns S + c are D^c times
@@ -63,6 +60,10 @@ shift. A check on the Gram would not do: a Gram entry off by 1e-12 of
 ``sigma_min / sigma_max`` by up to 1e-6. Sweeps that need the
 lexicographically first hit or the logical subset count (spark's upward scan
 and RIP constants) keep ``iter_combination_chunks``.
+
+Sweeps act on chunks of subsets only to batch the linear algebra: every
+evaluator gives what a scan of one subset at a time gives, so no result,
+count or budget depends on where chunks end.
 """
 
 from __future__ import annotations
@@ -149,29 +150,6 @@ def _unrank(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
     return col[1:] - 1
 
 
-def _rank(n: int, k: int, combs: np.ndarray) -> np.ndarray:
-    """Lexicographic ranks of the columns of a (k, B) array of k-combinations of range(n).
-
-    The inverse of ``_unrank``: element i, e, after element i - 1, p, adds the
-    ``C(n - 1 - p, m) - C(n - e, m)`` combinations, m = k - i, that agree
-    before element i and hold a smaller one there, two entries of the tails
-    table. Where ``C(n - 1 - p, m)`` is saturated, every rank below the exact
-    range has e = p + 1, which adds nothing; any other e, or a rank reaching
-    the end of the exact range, raises ``OverflowError`` as ``_unrank`` does.
-    """
-    neg, exact = _tails(n, k)
-    rows = np.arange(k)[:, None] * (n + 1)
-    left = np.zeros_like(combs)
-    left[1:] = combs[:-1] + 1
-    above = neg.ravel()[rows + left]
-    past = (above == -_TAIL_CAP) & (combs > left)
-    # a term clipped to the exact range still reaches it, and k clipped terms cannot wrap
-    r = np.minimum(neg.ravel()[rows + combs] - above, exact).sum(axis=0)
-    if past.any() or r.max(initial=0) >= exact:
-        raise OverflowError(f"a combination of C({n}, {k}) is past exact ranking")
-    return r
-
-
 def _chunk_end(rank: int, cap: int) -> int:
     """First rank past the sweep chunk holding ``rank``: chunk j holds min(64 * 2^j, cap) ranks.
 
@@ -207,8 +185,22 @@ def iter_combination_chunks(n: int, k: int, chunk: int = CHUNK):
         start = stop
 
 
-def _necklace_batches(n: int, k: int, cap: int):
-    """Yield (k, B) arrays, B <= cap: the subsets holding 0 whose gaps form a necklace, in order.
+def iter_orbit_chunks(n: int, k: int):
+    """Yield (B, k) int arrays of one k-subset of range(n) per cyclic-shift orbit.
+
+    Each subset holds 0 and is the lexicographically smallest of its shifts
+    S + c (mod n), and subsets come in lexicographic order. A subset holding
+    0 is fixed by its gap sequence ``s_1 - s_0, ..., n - s_(k-1)``, in the
+    same order, and its shifts that hold 0 have the k rotations of that
+    sequence as gaps. So the representatives are the subsets whose gaps form
+    a necklace, the smallest of its rotations. They are generated directly,
+    with the Fredricksen-Kessler-Maiorana rule as Ruskey and Sawada apply it
+    to fixed-density necklaces ("An efficient algorithm for generating
+    necklaces with fixed density", SIAM J. Comput. 29, 1999): a prefix
+    ``a_1 .. a_t`` of period p extends only by ``b >= a_(t+1-p)``; an equal b
+    keeps p and a larger one sets p = t + 1; a full sequence is a necklace iff
+    p divides k. Every gap is at least ``a_1``, so a prefix needs
+    ``s_t + (k - t) * a_1 <= n``, and the last gap is ``n - s_(k-1)``.
 
     A frame holds gap prefixes ``a_1 .. a_t`` as the columns of a (t, B)
     array, with their sums s, periods p and the gap ``a_(t+1-p)`` that bounds
@@ -216,10 +208,19 @@ def _necklace_batches(n: int, k: int, cap: int):
     yet taken. Each step takes at most ``cap`` children of the top frame,
     slicing one prefix's range when it alone has more, and pushes the rest of
     the frame back below them: depth first, so children come out in
-    lexicographic order. Gaps are below n, and n is far below 2^31 (the
-    ranks' tails table holds n int64 entries per element), so int32 holds
+    lexicographic order. Each chunk is one step's necklaces, so B is at most
+    cap. By the memory rule a chunk holds at most about 2^20 entries of its
+    length-n spectra (a DFT sweep holds one per subset) and of its k x k
+    Grams, so cap is at most ``2^20 / n`` and ``2^20 / k^2``. Gaps are below
+    n, and every caller holds n columns, far fewer than 2^31, so int32 holds
     them, which halves the frames.
     """
+    if not 0 < k <= n:
+        raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
+    if k == 1:
+        yield np.zeros((1, 1), dtype=np.intp)
+        return
+    cap = max(1, min(CHUNK, _CHUNK_ENTRIES // n, _CHUNK_ENTRIES // k**2))
     one = np.ones(1, dtype=np.intp)
     stack = [(np.zeros((0, 1), dtype=np.int32), 0 * one, one, 0 * one, one, n // k * one)]
     while stack:
@@ -253,57 +254,7 @@ def _necklace_batches(n: int, k: int, cap: int):
         if keep.any():
             out = np.zeros((k, int(keep.sum())), dtype=np.intp)
             np.cumsum(child[:, keep], axis=0, out=out[1:])
-            yield out
-
-
-def iter_orbit_chunks(n: int, k: int):
-    """Yield (B, k) int arrays of one k-subset of range(n) per cyclic-shift orbit.
-
-    Each subset holds 0 and is the lexicographically smallest of its shifts
-    S + c (mod n), and subsets come in lexicographic order. A subset holding
-    0 is fixed by its gap sequence ``s_1 - s_0, ..., n - s_(k-1)``, in the
-    same order, and its shifts that hold 0 have the k rotations of that
-    sequence as gaps. So the representatives are the subsets whose gaps form
-    a necklace, the smallest of its rotations, and ``_necklace_batches``
-    generates exactly those, with the Fredricksen-Kessler-Maiorana rule as
-    Ruskey and Sawada apply it to fixed-density necklaces ("An efficient
-    algorithm for generating necklaces with fixed density", SIAM J. Comput.
-    29, 1999): a prefix ``a_1 .. a_t`` of period p extends only by
-    ``b >= a_(t+1-p)``; an equal b keeps p and a larger one sets p = t + 1;
-    a full sequence is a necklace iff p divides k. Every gap is at least
-    ``a_1``, so a prefix needs ``s_t + (k - t) * a_1 <= n``, and the last
-    gap is ``n - s_(k-1)``.
-
-    Chunks end where those of the candidates ``{0} | (T + 1)``, T from
-    ``iter_combination_chunks(n - 1, k - 1, cap)``, end: a representative
-    joins the chunk of T's rank (``_rank``, ``_chunk_end``), computed from
-    the rank alone. The zero-set sweep tests only each chunk's best support,
-    so the supports it confirms and the budget it leaves depend on where
-    chunks end. The cap, that chunker's, is also at most ``2^20 / n`` rows by
-    the memory rule (a DFT sweep holds a length-n spectrum per subset), and
-    no step of the generator materializes more than cap children.
-    """
-    if not 0 < k <= n:
-        raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
-    if k == 1:
-        yield np.zeros((1, 1), dtype=np.intp)
-        return
-    cap = max(1, min(CHUNK, _CHUNK_ENTRIES // n, _CHUNK_ENTRIES // (k - 1) ** 2))
-    held, stop = [], 0
-    for s in _necklace_batches(n, k, cap):
-        ranks = _rank(n - 1, k - 1, s[1:] - 1)
-        i = 0
-        while i < len(ranks):
-            if ranks[i] >= stop:
-                if held:
-                    yield np.hstack(held).T
-                    held = []
-                stop = _chunk_end(int(ranks[i]), cap)
-            j = int(np.searchsorted(ranks, stop))
-            held.append(s[:, i:j])
-            i = j
-    if held:
-        yield np.hstack(held).T
+            yield out.T
 
 
 def shift_invariant(entries: np.ndarray) -> bool:
@@ -417,7 +368,9 @@ def sweep(chunks, evaluate, budget: float = math.inf) -> Sweep:
 
     ``evaluate`` receives each (B, k) chunk, cut so that no more than
     ``budget`` subsets are evaluated in total, and returns a boolean mask that
-    flags hits, or None when it never ends the sweep early.
+    flags hits, or None when it never ends the sweep early. It must act as a
+    scan of one subset at a time, flagging no subset that such a scan would
+    not reach, so that no result depends on where chunks end.
     """
     covered = 0
     for combs in chunks:

@@ -242,6 +242,8 @@ def rip_profile(a: MeasurementMatrix, k_max: int, budget: int = DEFAULT_BUDGET) 
     """Isometry constants for orders 1..k_max on one budget; orders past it read 0.0, inexact."""
     budget = check_budget(budget)
     k_max = as_index(k_max, "order")
+    if k_max < 0:
+        raise ValueError(f"order must be non-negative, got {k_max}")
     if k_max > min(a.shape):
         raise ValueError(f"order must satisfy 1 <= K <= min(M, N) = {min(a.shape)}, got {k_max}")
     deltas = dict.fromkeys(range(1, k_max + 1), 0.0)
@@ -358,6 +360,8 @@ def certify(
     """
     m, n = a.shape
     k_max = min(m, 5) if k_max is None else as_index(k_max, "k_max")
+    if k_max < 0:
+        raise ValueError(f"k_max must be non-negative, got {k_max}")
     k_max = min(k_max, m, n)
 
     if k_max >= 1:

@@ -244,8 +244,11 @@ class _MinSupport:
     def zero_set_sweep(self, n: int, q: frozenset[int], hi: int, stop: float) -> tuple[int, bool]:
         """Smallest confirmed support below ``hi`` and whether the sweep was complete.
 
-        A support T counts once the rows of ``f`` outside T are found dependent.
-        Stops early once a support of at most ``stop`` is confirmed.
+        Scans the row sets in order, one at a time as far as any result shows:
+        each support T below the smallest confirmed so far is confirmed once
+        the rows of ``f`` outside T are found dependent, and a refused one
+        makes the result inexact. The first confirmed support of at most
+        ``stop`` is the hit that ends the sweep.
         """
         cols = np.array(sorted(q))
         f = np.exp(-2j * np.pi * (np.outer(np.arange(n), cols) % n) / n)
@@ -257,13 +260,16 @@ class _MinSupport:
             # the null vector has unit norm, so its spectrum has norm sqrt(n)
             nonzero = np.abs(basis[:, :, -1] @ f.T) > RANK_RTOL * math.sqrt(n)
             support = nonzero.sum(axis=1)
-            i = int(support.argmin())
-            if support[i] < best:
-                if dependent_mask(f[~nonzero[i]][None])[0]:
-                    best = int(support[i])
-                else:
+            for i in np.flatnonzero(support < best):
+                if support[i] >= best:
+                    continue
+                if not dependent_mask(f[~nonzero[i]][None])[0]:
                     confirmed = False
-            return np.arange(len(rows)) == i if best <= stop else None
+                    continue
+                best = int(support[i])
+                if best <= stop:
+                    return np.arange(len(rows)) == i
+            return None
 
         run = sweep(iter_orbit_chunks(n, len(q) - 1), evaluate, self.left)
         self.left -= run.covered

@@ -122,11 +122,14 @@ class SparseVector:
     values: np.ndarray
 
     def __post_init__(self):
+        length = as_index(self.length, "vector length")
+        if length < 0:
+            raise ValueError(f"vector length must be non-negative, got {length}")
         idx = tuple(as_index(i, "support index") for i in self.support)
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError(f"support indices must be strictly increasing: {idx}")
-        if idx and (idx[0] < 0 or idx[-1] >= self.length):
-            raise ValueError(f"support indices must lie in [0, {self.length}): {idx}")
+        if idx and (idx[0] < 0 or idx[-1] >= length):
+            raise ValueError(f"support indices must lie in [0, {length}): {idx}")
         vals = np.array(self.values, dtype=np.complex128)
         if vals.ndim != 1 or vals.size != len(idx):
             raise ValueError(
@@ -134,6 +137,7 @@ class SparseVector:
                 f"for support of size {len(idx)}"
             )
         vals.setflags(write=False)
+        object.__setattr__(self, "length", length)
         object.__setattr__(self, "support", idx)
         object.__setattr__(self, "values", vals)
 
@@ -159,6 +163,7 @@ def generate_sparse_signal(n: int, k: int, seed) -> SparseVector:
 
     The values have unit modulus and uniform random phase.
     """
+    n, k = as_index(n, "vector length"), as_index(k, "sparsity")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
     support, values = _draw(n, k, seed)
@@ -279,6 +284,7 @@ def omp(
     clear a step, gives the reference loop's result bit for bit.
     """
     check_tol(residual_tol, "residual_tol")
+    k_target = as_index(k_target, "k_target")
     if k_target < 0:
         raise ValueError(f"k_target must be non-negative, got {k_target}")
     y = np.asarray(y, dtype=np.complex128)
@@ -342,6 +348,7 @@ def monte_carlo(
     """
     ks = [as_index(k, "sparsity") for k in k_range]
     check_tol(recovery_tol, "recovery_tol")
+    trials = as_index(trials, "trials")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     limit = min(a.rows, a.cols)

@@ -402,6 +402,12 @@ class TestCertify:
         with pytest.raises(NormalizationError, match="normalize"):
             certify(build_gaussian(9, 20, seed=0))
 
+    def test_k_max_zero_asks_for_no_rip_order(self):
+        # unnormalized columns pass too, since no RIP order needs them unit-norm
+        rep = certify(build_gaussian(4, 6, seed=1), k_max=0)
+        assert (rep.rip.deltas, rep.rip.budget_used, rep.rip_unique_limit) == ({}, 0, 0)
+        assert rep.spark == 5
+
     def test_cond_bounds_only_below_one(self, demo_matrix):
         rep = certify(demo_matrix)
         assert set(rep.cond_bounds) == {1, 2, 3}

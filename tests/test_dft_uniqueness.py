@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,14 @@ from cscert import (
     stride_count,
 )
 from cscert import dft_uniqueness
-from cscert._linalg import RANK_RTOL, dependent_mask, iter_combination_chunks, rank_test, sweep
+from cscert._linalg import (
+    RANK_RTOL,
+    dependent_mask,
+    iter_combination_chunks,
+    iter_orbit_chunks,
+    rank_test,
+    sweep,
+)
 from cscert.dft_uniqueness import _MinSupport
 from cscert.matrix_core import build_partial_idft
 
@@ -40,6 +48,15 @@ def plain_zero_set_scan(n: int, q) -> int:
     supports = np.unique(np.abs(null @ f.T) > RANK_RTOL * math.sqrt(n), axis=0)
     confirmed = [int(s.sum()) for s in supports if dependent_mask(idft[:, s][None])[0]]
     return min(confirmed, default=n)
+
+
+def resplit(size):
+    """``iter_orbit_chunks`` with its stream of row sets cut again into chunks of ``size``."""
+    def chunks(n, k):
+        rows = itertools.chain.from_iterable(iter_orbit_chunks(n, k))
+        while batch := list(itertools.islice(rows, size)):
+            yield np.array(batch)
+    return chunks
 
 
 class TestPattern:
@@ -214,6 +231,32 @@ class TestExactLimit:
         q = sorted(int(m) for m in rng.choice(n, size=int(rng.integers(2, n)), replace=False))
         best, exact = _MinSupport(math.inf).zero_set_sweep(n, frozenset(q), n, stop=0)
         assert exact and best == plain_zero_set_scan(n, q), q
+
+    @given(st.sampled_from([16, 32]), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_zero_set_sweep_does_not_depend_on_chunk_ends(self, n, seed, refuse, data):
+        # a sequential scan: its result and the budget it leaves are the same
+        # for the generator's chunks and for chunks of 1 and of 7, refusals included
+        budget = data.draw(st.sampled_from([1, 5, 60, 700, 10**7]), label="budget")
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(2, n if n == 16 else 6 if budget > 700 else 21))
+        q = frozenset(rng.choice(n, size=size, replace=False).tolist())
+        stop = data.draw(st.integers(0, n), label="stop")
+        hi = n - max(row.term for row in dft_uniqueness._stride_rows(n, sorted(q)))
+
+        def rule(stack):
+            # a refusal depends on the support alone, as the rank rule's does
+            return dependent_mask(stack) & ~(refuse and len(stack[0]) % 3 == 0)
+
+        runs = set()
+        for chunks in iter_orbit_chunks, resplit(1), resplit(7):
+            with mock.patch.object(dft_uniqueness, "iter_orbit_chunks", chunks), \
+                    mock.patch.object(dft_uniqueness, "dependent_mask", rule):
+                m = _MinSupport(budget)
+                settled = m.settle(n, q, hi, step=2)
+                swept = m.zero_set_sweep(n, q, n, stop)
+                runs.add((settled, swept, m.left))
+        assert len(runs) == 1, sorted(q)
 
     def test_refused_support_is_a_labelled_lower_bound(self, monkeypatch):
         # the closed form says 3 and the true limit is 2; a support the rank rule

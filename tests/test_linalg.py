@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cscert._linalg import (
     _CHUNK_ENTRIES,
     _SCREEN_FLOOR,
-    _rank,
     _unrank,
     CHUNK,
     SCREEN,
@@ -226,53 +225,26 @@ def candidate_filter_chunks(n, k):
             return
 
 
-def assert_same_chunks(got, want):
-    got, want = list(got), list(want)
-    assert len(got) == len(want)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-
-
-def test_orbit_chunks_match_the_candidate_filter_chunk_for_chunk():
-    for n in range(1, 25):
-        for k in range(1, n + 1):
-            if math.comb(n - 1, k - 1) <= 40_000:
-                assert_same_chunks(iter_orbit_chunks(n, k), candidate_filter_chunks(n, k))
+def test_orbit_chunks_match_the_candidate_filter_at_n_32():
+    # below n = 25 the orbit-count and sorted-filter tests check every (n, k) the filter reaches
     for k in range(2, 9):
-        assert_same_chunks(iter_orbit_chunks(32, k), candidate_filter_chunks(32, k))
+        got = np.vstack(list(iter_orbit_chunks(32, k)))
+        assert np.array_equal(got, np.vstack(list(candidate_filter_chunks(32, k)))), k
+
+
+def head(chunks, size):
+    """The first ``size`` rows of a chunk stream, concatenated in order."""
+    out = []
+    while sum(map(len, out)) < size:
+        out.append(next(chunks))
+    return np.vstack(out)[:size]
 
 
 @pytest.mark.parametrize("n, k", [(70, 35), (128, 40), (1024, 3), (4096, 5), (65536, 2)])
 def test_orbit_chunks_start_like_the_candidate_filter_at_large_n(n, k):
-    # saturated tails tables at (70, 35) and (128, 40); caps below CHUNK from n = 1024 on
-    assert_same_chunks(
-        itertools.islice(iter_orbit_chunks(n, k), 3), itertools.islice(candidate_filter_chunks(n, k), 3)
-    )
-
-
-def rank(n, k, comb):
-    """Reference: the lexicographic rank of a k-combination of range(n), in Python integers."""
-    r, x = 0, 0
-    for i, e in enumerate(comb):
-        r += sum(math.comb(n - 1 - y, k - 1 - i) for y in range(x, e))
-        x = e + 1
-    return r
-
-
-def test_rank_refuses_a_representative_past_its_exact_range():
-    # C(69, 34) saturates the tails table; ranking is exact below 2^62 / 69
-    last = (1 << 62) // 69 - 1
-    t = np.array([unrank(69, 34, last), unrank(69, 34, 10**15)]).T
-    assert _rank(69, 34, t).tolist() == [last, 10**15] == [rank(69, 34, c) for c in t.T.tolist()]
-    # {0, 2, 4, ..., 68}, every gap 2, represents its orbit at n = 70; its T starts at 1
-    s = np.arange(0, 70, 2)
-    with pytest.raises(OverflowError):
-        _rank(69, 34, (s[1:] - 1)[:, None])
-    # {1, 2, ..., 34} follows C(68, 33) combinations starting at 0, though every
-    # step of it adds 0 on the saturated table
-    with pytest.raises(OverflowError):
-        _rank(69, 34, np.arange(1, 35)[:, None])
-    with pytest.raises(OverflowError):
-        _rank(69, 34, np.array([unrank(69, 34, last + 1)]).T)
+    # C(n - 1, k - 1) past int64 at (70, 35) and (128, 40); caps below CHUNK from n = 1024 on
+    got = head(iter_orbit_chunks(n, k), 3000)
+    assert np.array_equal(got, head(candidate_filter_chunks(n, k), 3000))
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 1024])

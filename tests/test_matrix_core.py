@@ -22,7 +22,7 @@ from cscert import (
     save_matrix_csv,
     welch_bound,
 )
-from cscert import MissingSamplePattern, SparseVector, monte_carlo
+from cscert import MissingSamplePattern, SparseVector, generate_sparse_signal, monte_carlo, omp
 from cscert.certify import rip_profile
 from cscert.dft_uniqueness import dft_uniqueness_oracle, stride_count
 from cscert._linalg import iter_combination_chunks, iter_orbit_chunks
@@ -259,9 +259,14 @@ class TestTypes:
     (lambda: rip_constant(normalize_columns(build_gaussian(4, 6, 1)), 2.0), "order"),
     (lambda: rip_profile(normalize_columns(build_gaussian(4, 6, 1)), 2.5), "order"),
     (lambda: certify(normalize_columns(build_gaussian(4, 6, 1)), k_max=2.5), "k_max"),
+    (lambda: omp(MeasurementMatrix(np.eye(3)), np.ones(3), 1.5), "k_target"),
+    (lambda: monte_carlo(MeasurementMatrix(np.eye(3)), [1], 2.5, 0), "trials"),
+    (lambda: SparseVector(8.5, [1], [1]), "vector length"),
+    (lambda: generate_sparse_signal(8.5, 2, 0), "vector length"),
 ], ids=["support", "missing-of", "missing", "length", "sample-position", "idft-length",
         "harmonics", "sparsity", "gaussian-rows", "gaussian-cols", "oracle-sparsity",
-        "oracle-whole-float", "stride-h", "rip-order", "rip-profile-order", "certify-k-max"])
+        "oracle-whole-float", "stride-h", "rip-order", "rip-profile-order", "certify-k-max",
+        "omp-k-target", "trials", "vector-length", "signal-length"])
 def test_non_integer_index_is_refused_not_truncated(call, field):
     with pytest.raises(ValueError, match=f"^{field} must be an integer, got ") as exc:
         call()
@@ -284,8 +289,14 @@ def test_non_integer_index_is_refused_not_truncated(call, field):
      "need at least one trial, got 0"),
     (lambda: next(iter_combination_chunks(3, 4)), "need 0 < k <= n, got k=4, n=3"),
     (lambda: next(iter_orbit_chunks(3, 0)), "need 0 < k <= n, got k=0, n=3"),
+    (lambda: SparseVector(-1, [], []), "vector length must be non-negative, got -1"),
+    (lambda: certify(normalize_columns(build_gaussian(4, 6, 1)), k_max=-2),
+     "k_max must be non-negative, got -2"),
+    (lambda: rip_profile(normalize_columns(build_gaussian(4, 6, 1)), -2),
+     "order must be non-negative, got -2"),
 ], ids=["1-d", "kind", "no-positions", "no-instants", "no-rows", "one-column", "order-0",
-        "extra-value", "no-trials", "k-above-n", "orbit-k-0"])
+        "extra-value", "no-trials", "k-above-n", "orbit-k-0", "negative-length",
+        "negative-k-max", "negative-order"])
 def test_bad_input_is_a_one_line_error(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
