@@ -32,6 +32,7 @@ from cscert._linalg import RANK_RTOL, any_dependent, iter_combination_chunks
 # SVD-based oracles where the main path uses eigendecompositions.
 DEMO_DELTAS = {1: 0.0, 2: 0.49, 3: 0.940551514367, 4: 1.206284454255, 5: 1.336787095725}
 DEMO_COHERENCE_TIES = ((1, 5), (2, 7), (3, 6), (4, 5), (4, 6), (5, 7))
+EPS = np.finfo(float).eps
 
 
 def unit_gaussian(seed, rows=4, cols=6):
@@ -274,7 +275,7 @@ def reference_rip(a, k, budget):
             break
         w = np.linalg.eigvalsh(g[np.ix_(comb, comb)])
         lo, hi, used = min(lo, float(w[0])), max(hi, float(w[-1])), used + 1
-    return max(1.0 - lo, hi - 1.0), used == math.comb(a.cols, k), used, lo, hi
+    return max(1.0 - lo, hi - 1.0), used == math.comb(a.cols, k), used
 
 
 def chunk_edges(n, k):
@@ -284,18 +285,19 @@ def chunk_edges(n, k):
 
 
 def planted_triples(first, last):
-    """Unit columns in R^6 with two planted triples, columns 0-2 and columns 6-8.
+    """Unit columns in R^9 with two planted triples, columns 0-2 and columns 6-8.
 
-    Columns 0-5 span the first three coordinates and columns 6-8 the last
-    three. A triple is either "dependent" (two columns at inner product -0.2
+    Columns 0-2, 3-5 and 6-8 each span their own three coordinates, and
+    columns 3-5 are orthonormal. So every Gram submatrix is block diagonal,
+    and a subset deviates from the identity only as much as its part in one
+    triple. A triple is either "dependent" (two columns at inner product -0.2
     and their sum: lambda = 0, 1.2, 1.8) or a number c, the inner product of
     every pair (lambda = 1 - c, 1 - c, 1 + 2c).
     """
-    rng = np.random.default_rng(3)
-    q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
-    z = np.zeros((6, 9))
-    z[:, 3:6] = q[:, :3] @ rng.standard_normal((3, 3))
-    for cols, kind, basis in ((slice(0, 3), first, q[:, :3]), (slice(6, 9), last, q[:, 3:])):
+    q = np.linalg.qr(np.random.default_rng(3).standard_normal((9, 9)))[0]
+    z = q.copy()
+    for cols, kind in ((slice(0, 3), first), (slice(6, 9), last)):
+        basis = q[:, cols]
         if kind == "dependent":
             pair = basis[:, :2] @ np.linalg.cholesky([[1, -0.2], [-0.2, 1]]).T
             z[:, cols] = np.column_stack([pair, pair.sum(axis=1)])
@@ -306,24 +308,37 @@ def planted_triples(first, last):
 
 
 @pytest.mark.parametrize(
-    "first, last, extreme",
-    [(0.5, "dependent", "lambda_min"), ("dependent", 0.9, "lambda_max")],
-    ids=["late-minimum-inside-running-maximum", "late-maximum-inside-running-minimum"],
+    "first, last, late_sets_delta",
+    [(0.45, "dependent", True), ("dependent", 0.9, True), (0.9, "dependent", False)],
+    ids=[
+        "late-minimum-inside-running-maximum",
+        "late-maximum-inside-running-minimum",
+        "dependent-late-triple-under-early-maximum",
+    ],
 )
-def test_rip_constant_finds_a_late_extreme_the_other_bound_would_exclude(first, last, extreme):
-    # the first chunk (64 subsets) holds triple 0-2; the last subset, triple
-    # 6-8, sets one extreme while its other eigenvalue stays inside the other one
+def test_rip_constant_finds_a_late_extreme_the_other_bound_would_exclude(
+        first, last, late_sets_delta):
+    # the first chunk (64 subsets) holds triple 0-2, which sets d; the last
+    # subset, triple 6-8, sets delta through one eigenvalue while the other
+    # passes its side's test (lambda_max 1.8 < 1.9, lambda_min 0.1 > 0). When
+    # triple 0-2's lambda_max = 2.8 sets d = 1.8, the lower side is skipped,
+    # and triple 6-8's lambda_min = 0 leaves delta as it was
     a = planted_triples(first, last)
     res = rip_constant(a, 3)
-    g = gram(a)[6:, 6:]
-    w = np.linalg.eigvalsh(g)
-    assert getattr(res, extreme) == (w[0] if extreme == "lambda_min" else w[-1])
+    w = np.linalg.eigvalsh(gram(a)[6:, 6:])
+    late = max(1.0 - w[0], w[-1] - 1.0)
+    if late_sets_delta:
+        assert res.delta == late
+    else:
+        assert abs(w[0]) < 1e-12 and late < res.delta
+        assert res.delta == reference_rip(a, 3, math.comb(9, 3) - 1)[0]
     assert repr(tuple(res)) == repr(reference_rip(a, 3, math.inf))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["gaussian", "complex", "idft", "orthonormal", "repeated"]),
+    kind=st.sampled_from(
+        ["gaussian", "complex", "idft", "orthonormal", "repeated", "near-repeated"]),
     m=st.integers(1, 6),
     data=st.data(),
 )
@@ -331,8 +346,9 @@ def test_rip_constant_matches_plain_eigvalsh_scan(kind, m, data):
     # the exclusion certificate may skip eigvalsh, never change a reported bit
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     n = m if kind == "orthonormal" else data.draw(st.integers(m, 10), label="n")
-    if kind == "idft":
+    if kind in ("idft", "near-repeated"):
         n = max(n, 2)
+    if kind == "idft":
         positions = sorted(rng.choice(n, size=min(m, n), replace=False))
         a = build_partial_idft(n, positions, normalize=True)
     else:
@@ -342,6 +358,10 @@ def test_rip_constant_matches_plain_eigvalsh_scan(kind, m, data):
             z = np.linalg.qr(z)[0]
         elif kind == "repeated":
             z = z[:, rng.integers(0, max(1, n // 2), size=n)]
+        elif kind == "near-repeated":
+            # lambda_min of a subset holding both columns is near 1e-18
+            i, j = rng.choice(n, size=2, replace=False)
+            z[:, j] = z[:, i] + 1e-9 * np.linalg.norm(z[:, i]) * rng.standard_normal(m)
         a = normalize_columns(MeasurementMatrix(z))
     for k in range(1, min(a.shape) + 1):
         total = math.comb(a.cols, k)
@@ -349,8 +369,77 @@ def test_rip_constant_matches_plain_eigvalsh_scan(kind, m, data):
             st.one_of(st.sampled_from(chunk_edges(a.cols, k)), st.integers(1, total + 1)),
             label=f"budget {k}",
         )
-        # delta, exact, evaluations, lambda_min, lambda_max
+        # delta, exact, evaluations
         assert repr(tuple(rip_constant(a, k, budget))) == repr(reference_rip(a, k, budget)), k
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.integers(3, 6),
+    c=st.sampled_from([0.5, 0.5 + 1e-13, 0.6, 0.9]),
+    cplx=st.booleans(),
+    data=st.data(),
+)
+def test_rip_profile_matches_plain_eigvalsh_scan_as_delta_crosses_one(m, c, cplx, data):
+    # a planted triple at pairwise inner product c has lambda_max = 1 + 2c, so
+    # delta_K >= 2c from order 3 on, while delta_1 and delta_2 stay below 1:
+    # one profile runs orders that check the lower side and orders that skip it
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = data.draw(st.integers(m + 1, 10), label="n")
+    z = rng.standard_normal((m, n)) + (1j * rng.standard_normal((m, n)) if cplx else 0)
+    triple = sorted(rng.choice(n, size=3, replace=False))
+    basis = np.linalg.qr(rng.standard_normal((m, 3)))[0]
+    z[:, triple] = basis @ np.linalg.cholesky(np.full((3, 3), c) + (1 - c) * np.eye(3)).T
+    a = normalize_columns(MeasurementMatrix(z))
+    deltas = rip_profile(a, min(a.shape)).deltas
+    expected = {k: reference_rip(a, k, math.inf)[0] for k in deltas}
+    assert repr(deltas) == repr(expected)
+    assert expected[2] < 1.0 and expected[3] >= 2 * c - 1e-12
+
+
+def test_rip_margin_covers_eigvalsh_rounding_past_a_tight_gershgorin_sum(monkeypatch):
+    # a triple at pairwise inner product c has Gershgorin sums equal to its
+    # lambda_max, 1 + 2c. With eigvalsh off by K^3 eps max(diag G) = 27 eps,
+    # inside the error the margin m covers, triple 0-2 at c = 0.6 sets d, and
+    # triple 6-8 at c + 6 eps raises it although its sums are below 1 + d
+    plain = np.linalg.eigvalsh
+
+    def rounded_outward(stack):
+        w = plain(stack)
+        k = stack.shape[-1]
+        err = k**3 * EPS * np.abs(np.diagonal(stack, axis1=-2, axis2=-1)).max(axis=-1)
+        w[..., 0] -= err
+        w[..., -1] += err
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", rounded_outward)
+    a = planted_triples(0.6, 0.6 + 6 * EPS)
+    res = rip_constant(a, 3)
+    assert res.delta == rounded_outward(gram(a)[6:, 6:])[-1] - 1.0
+    assert repr(tuple(res)) == repr(reference_rip(a, 3, math.inf))
+
+
+def test_rip_skips_the_lower_side_only_past_the_gram_rounding():
+    # a computed Gram may put a dependent subset's lambda_min about 2 K M eps
+    # below 0: 256 eps for pairs of 64-row columns. Columns 0-1 and 10-11 are
+    # repeated pairs, and the others orthonormal. Their Grams get
+    # lambda_min = -96 eps and -192 eps, past the margin m = 64 eps. So
+    # d = 1 + 96 eps after the first chunk (64 pairs), and the last pair still
+    # raises it
+    z = np.zeros((64, 12))
+    z[0, [0, 1]] = z[1, [10, 11]] = 1.0
+    z[2:10, 2:10] = np.eye(8)
+    a = MeasurementMatrix(z)
+    g = gram(a).copy()
+    for (i, j), t in (((0, 1), 96 * EPS), ((10, 11), 192 * EPS)):
+        # minus t v v^T, v = (e_i - e_j) / sqrt(2): lambda_min = -t, lambda_max stays 2
+        g[[i, j], [i, j]] -= t / 2
+        g[[i, j], [j, i]] += t / 2
+    g.setflags(write=False)
+    a.__dict__["_gram"] = g  # gram(a) now returns the perturbed Gram
+    res = rip_constant(a, 2)
+    assert res.delta > 1.0 + 150 * EPS
+    assert repr(tuple(res)) == repr(reference_rip(a, 2, math.inf))
 
 
 class TestConditionNumberBound:

@@ -77,6 +77,13 @@ class TestCertifyCommand:
         assert run("certify", "--matrix", str(f), "--normalize") == 0
         assert "None" not in capsys.readouterr().out
 
+    def test_single_column_is_a_one_line_error(self, tmp_path, capsys):
+        f = tmp_path / "column.csv"
+        f.write_text("0.6\n0.8\n0.0\n")
+        assert run("certify", "--matrix", str(f)) == 1
+        assert capsys.readouterr().err == (
+            "error: certify needs at least two columns, got a 3x1 matrix\n")
+
     def test_unnormalized_entries_near_1e_170_are_a_one_line_error(self, tmp_path, capsys):
         # their Gram underflows; the diagnostic names the missing normalization
         f = tmp_path / "tiny.csv"

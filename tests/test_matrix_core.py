@@ -280,7 +280,8 @@ def test_non_integer_index_is_refused_not_truncated(call, field):
     (lambda: build_random_partial_fourier(4, 1.0, []), "at least one sampling instant is required"),
     (lambda: build_gaussian(0, 3, 1), "matrix dimensions must be positive, got 0x3"),
     (lambda: certify(normalize_columns(MeasurementMatrix(np.ones((3, 1))))),
-     "coherence needs at least two columns"),
+     "certify needs at least two columns, got a 3x1 matrix"),
+    (lambda: coherence(MeasurementMatrix(np.ones((3, 1)))), "coherence needs at least two columns"),
     (lambda: rip_constant(normalize_columns(build_gaussian(4, 6, 1)), 0),
      "order must satisfy 1 <= K <= min(M, N) = 4, got 0"),
     (lambda: SparseVector(8, (1, 2), np.ones(3)),
@@ -294,7 +295,8 @@ def test_non_integer_index_is_refused_not_truncated(call, field):
      "k_max must be non-negative, got -2"),
     (lambda: rip_profile(normalize_columns(build_gaussian(4, 6, 1)), -2),
      "order must be non-negative, got -2"),
-], ids=["1-d", "kind", "no-positions", "no-instants", "no-rows", "one-column", "order-0",
+], ids=["1-d", "kind", "no-positions", "no-instants", "no-rows", "one-column",
+        "coherence-one-column", "order-0",
         "extra-value", "no-trials", "k-above-n", "orbit-k-0", "negative-length",
         "negative-k-max", "negative-order"])
 def test_bad_input_is_a_one_line_error(call, message):
