@@ -70,7 +70,6 @@ count or budget depends on where chunks end.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -94,97 +93,68 @@ SCREEN = 1e-8
 # range carry an absolute error (about k * M * 5e-324), not a relative one.
 _SCREEN_FLOOR = 1e-200
 
-# Entries of the combination tails table saturate here; see ``_unrank``.
-_TAIL_CAP = 1 << 62
-
 # Default cap on subsets evaluated per spark, RIP-profile or DFT-limit call.
 DEFAULT_BUDGET = 20_000_000
-
-
-@functools.cache
-def _tails(n: int, k: int) -> tuple[np.ndarray, int]:
-    """The negated tails table of k-combinations of range(n), and the first inexact rank.
-
-    Row i, entry x + 1, is ``-C(n - 1 - x, k - i)`` for x = -1 .. n - 1,
-    saturated at ``-_TAIL_CAP``: the number of (k - i)-subsets of
-    range(x + 1, n), the completions of a combination whose element i - 1 is
-    x. Negated, each row increases, as ``searchsorted`` needs. Unranking is
-    exact below ``C(n, k)`` when that is below the cap, else below
-    ``_TAIL_CAP / n`` (see ``_unrank``).
-    """
-    t = [[-min(math.comb(n - 1 - x, k - i), _TAIL_CAP) for x in range(-1, n)] for i in range(k)]
-    total = math.comb(n, k)
-    table = np.array(t, dtype=np.int64).reshape(k, n + 1)
-    table.flags.writeable = False
-    return table, total if total < _TAIL_CAP else _TAIL_CAP // n
-
-
-def _unrank(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
-    """(k, B) array: column b is the k-combination of range(n) of lexicographic rank ``ranks[b]``.
-
-    Element i of the combination of rank r is the smallest e after element
-    i - 1, p, for which the combinations after p that start no later than e
-    outnumber r. By the hockey-stick identity there are
-    ``C(n - 1 - p, m) - C(n - 1 - e, m)`` of them, m = k - i, so e comes from
-    one ``searchsorted`` on the tails table, and r drops by the combinations
-    that start before e. Where ``C(n - 1 - p, m)`` is saturated, the subtree
-    of ``p + 1`` holds ``C(n - 1 - p, m) * m / (n - 1 - p)``, at least
-    ``2^62 / n`` combinations, more than any rank below that: e is ``p + 1``
-    and r stays. Past that rank of a saturated table it raises
-    ``OverflowError``; no sweep gets near it (2^48 at n = 2^14).
-    """
-    neg, exact = _tails(n, k)
-    if len(ranks) and ranks[-1] >= exact:
-        raise OverflowError(f"rank {ranks[-1]} of C({n}, {k}) is past exact unranking")
-    r = ranks.astype(np.int64)
-    # col[i + 1] is the table column of element i, which is element i plus one
-    col = np.zeros((k + 1, len(r)), dtype=np.intp)
-    for i in range(k):
-        row = neg[i]
-        left = row[col[i]]
-        t = r + left
-        c = np.searchsorted(row, t, side="right")
-        huge = left == -_TAIL_CAP
-        if huge.any():
-            c[huge] = col[i, huge] + 1
-        r = t - row[c - 1]
-        col[i + 1] = c
-    return col[1:] - 1
-
-
-def _chunk_end(rank: int, cap: int) -> int:
-    """First rank past the sweep chunk holding ``rank``: chunk j holds min(64 * 2^j, cap) ranks.
-
-    Small first chunks keep a sweep that stops at its first few subsets from
-    paying for a full batch. The d chunks below the cap hold ``64 * (2^d - 1)``
-    ranks, and every later chunk holds ``cap``.
-    """
-    d = ((cap - 1) // 64).bit_length()
-    head = 64 * ((1 << d) - 1)
-    if rank < head:
-        return 64 * ((1 << (rank // 64 + 1).bit_length()) - 1)
-    return rank + cap - (rank - head) % cap
 
 
 def iter_combination_chunks(n: int, k: int, chunk: int = CHUNK):
     """Yield (B, k) int arrays of k-combinations of range(n) in lexicographic order.
 
-    Each chunk is unranked in numpy from its ranks (``_unrank``) and is the
-    transpose of a C-ordered (k, B) array, the layout in which sweeps gather
-    (k, k, B) Gram stacks. B doubles from 64 up to ``chunk`` (``_chunk_end``).
-    Memory rule: a chunk holds at most about 2^20 entries of its k x k
-    matrices, so B is also at most ``2^20 / k^2`` (below ``CHUNK`` only from
-    k = 23 on).
+    Each chunk is grown in numpy from its first combination ``first``, one
+    element position at a time. Level 0 holds ``first[0], first[0] + 1, ...``
+    up to ``n - k``. At level j each j-prefix takes the values from its last
+    element plus one up to ``n - k + j``, except the first prefix,
+    ``first[:j]``, which starts at ``first[j]``. Each level keeps only its
+    first B children and the index of each one's parent, and the rows are
+    rebuilt by following those indices back, one gather per level. This is
+    exact: every kept prefix has a completion, so the next B combinations
+    have at most B distinct j-prefixes, all among the first B. The next
+    ``first`` is the successor of the chunk's last combination, and the
+    stream ends at ``n - k, ..., n - 1``. No binomial coefficient is needed.
+
+    Each chunk is the transpose of a C-ordered (k, B) array, the layout in
+    which sweeps gather (k, k, B) Gram stacks. B doubles from 64 up to the
+    cap, so that a sweep that stops at its first few subsets does not pay
+    for a full batch. Memory rule: a chunk holds at most about 2^20 entries
+    of its k x k matrices, so the cap is ``chunk`` and at most ``2^20 / k^2``
+    (below ``CHUNK`` only from k = 23 on).
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
     cap = max(1, min(chunk, _CHUNK_ENTRIES // k**2))
-    total = math.comb(n, k)
-    start = 0
-    while start < total:
-        stop = min(_chunk_end(start, cap), total)
-        yield _unrank(n, k, np.arange(start, stop)).T
-        start = stop
+    size = min(64, cap)
+    first = list(range(k))
+    while True:
+        values = [np.arange(first[0], min(first[0] + size, n - k + 1))]
+        parents = []
+        for j in range(1, k):
+            # prefix i has count[i] children, from its last element + 1 (the first
+            # prefix's from first[j]) up to top, numbered from ends[i] - count[i]
+            top = n - k + j
+            count = top - values[-1]
+            count[0] = top + 1 - first[j]
+            ends = np.cumsum(count)
+            m = int(ends.searchsorted(size))
+            if m < len(ends):  # keep the first size children
+                count = count[: m + 1]
+                count[m] -= ends[m] - size
+            parent = np.repeat(np.arange(len(count)), count)
+            values.append(np.arange(top + 1, top + 1 + len(parent)) - ends[parent])
+            parents.append(parent)
+        out = np.empty((k, len(values[-1])), dtype=np.intp)
+        out[-1] = values[-1]
+        up = slice(None)
+        for j in range(k - 2, -1, -1):
+            up = parents[j][up]
+            out[j] = values[j][up]
+        c = out[:, -1].tolist()
+        yield out.T
+        # the successor raises the rightmost element that can rise
+        i = next((i for i in range(k - 1, -1, -1) if c[i] < n - k + i), None)
+        if i is None:
+            return
+        first = c[:i] + list(range(c[i] + 1, c[i] + 1 + k - i))
+        size = min(2 * size, cap)
 
 
 def iter_orbit_chunks(n: int, k: int):

@@ -59,7 +59,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("certify", help="certify a measurement matrix from CSV")
     p.add_argument("--matrix", required=True, help="matrix CSV path")
     p.add_argument("--kmax", type=int, default=None, help="highest RIP order (default min(M, 5))")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=float, default=DEFAULT_BUDGET,
                    help="max submatrix evaluations for spark, and again for the RIP profile")
     p.add_argument("--normalize", action="store_true",
                    help="normalize columns before certification")
@@ -73,7 +73,7 @@ def build_parser() -> _Parser:
     p.add_argument("--missing", default=None, help="comma-separated missing positions")
     p.add_argument("--pattern", default=None,
                    help="pattern file: first line N, second line missing positions")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=float, default=DEFAULT_BUDGET,
                    help="max row sets evaluated by the exact zero-set sweep")
     p.add_argument("--allow-approx", action="store_true",
                    help="exit 0 even if the budget truncated the sweep")
@@ -232,7 +232,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise _UsageError("--seed must be non-negative")
-        if getattr(args, "budget", 1) < 1:
+        if not getattr(args, "budget", 1) >= 1:
             raise _UsageError("--budget must be positive")
         return _COMMANDS[args.command](args)
     except (_UsageError, OSError, ValueError) as exc:

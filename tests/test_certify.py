@@ -335,6 +335,29 @@ def test_rip_constant_finds_a_late_extreme_the_other_bound_would_exclude(
     assert repr(tuple(res)) == repr(reference_rip(a, 3, math.inf))
 
 
+def test_rip_power_step_divides_each_row_by_its_own_sum():
+    # columns 0-3 and 4-7 span their own four coordinates; 0-3 have pairwise
+    # inner product 0.52 (lambda_max 2.56) and set d in the first chunk (64
+    # of 70 subsets). Columns 4-7, the last subset, have lambda_max 2.608:
+    # column 7 meets the others at 0.6, 0.7, 0.7 and columns 5-6 meet at 0.9.
+    # Its Gershgorin sums reach 3.0, and the power step's largest
+    # (|G_S| r)_i / r_i, 2.71, is on row 5 (r = 2.6), not on row 7 (r = 3.0).
+    # Divided by the largest row sum instead, that step would read 2.53, below
+    # 1 + d, and exclude the subset that sets delta
+    early = np.full((4, 4), 0.52) + 0.48 * np.eye(4)
+    late = np.eye(4)
+    late[1, 2] = late[2, 1] = 0.9
+    late[3, :3] = late[:3, 3] = [0.6, 0.7, 0.7]
+    z = np.zeros((8, 8))
+    z[:4, :4] = np.linalg.cholesky(early).T
+    z[4:, 4:] = np.linalg.cholesky(late).T
+    a = normalize_columns(MeasurementMatrix(z))
+    res = rip_constant(a, 4)
+    w = np.linalg.eigvalsh(gram(a)[4:, 4:])
+    assert res.delta == w[-1] - 1.0 > 1.6
+    assert repr(tuple(res)) == repr(reference_rip(a, 4, math.inf))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(

@@ -50,6 +50,19 @@ class TestCertifyCommand:
         assert run("certify", "--matrix", str(DEMO_CSV), "--budget", "10",
                    "--allow-approx") == 0
 
+    @pytest.mark.parametrize("real, whole", [("2e3", "2000"), ("10.7", "10")])
+    def test_real_budget_counts_as_its_floor(self, real, whole, capsys):
+        reports = []
+        for b in (real, whole):
+            code = run("certify", "--matrix", str(DEMO_CSV), "--budget", b, "--allow-approx")
+            reports.append((code, capsys.readouterr().out))
+        assert reports[0] == reports[1]
+
+    def test_budget_below_one_is_a_one_line_error(self, capsys):
+        assert run("certify", "--matrix", str(DEMO_CSV), "--budget", "0.5") == 1
+        err = capsys.readouterr().err
+        assert "--budget" in err and err.count("\n") == 1
+
     def test_missing_file_is_input_error(self, capsys):
         assert run("certify", "--matrix", "no-such-file.csv") == 1
         err = capsys.readouterr().err
@@ -198,8 +211,16 @@ class TestDftLimitCommand:
         assert capsys.readouterr().err == ""
 
     def test_budget_must_be_positive(self, capsys):
-        assert run("dft-limit", "--n", "8", "--missing", "5", "--budget", "0") == 1
-        assert "--budget" in capsys.readouterr().err
+        for budget in ("0", "0.5", "nan"):
+            assert run("dft-limit", "--n", "8", "--missing", "5", "--budget", budget) == 1
+            assert "--budget" in capsys.readouterr().err
+
+    def test_real_budget_counts_as_its_floor(self, capsys):
+        reports = []
+        for b in ("1e3", "1000"):
+            assert run("dft-limit", "--n", "16", "--missing", "1", "--budget", b, "--format", "json") == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
 
 
 class TestGenCommand:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cscert._linalg import (
     _CHUNK_ENTRIES,
     _SCREEN_FLOOR,
-    _unrank,
     CHUNK,
     SCREEN,
     dependent_mask,
@@ -76,16 +75,23 @@ def test_combination_chunks_double_from_64_up_to_the_cap():
     assert sum(len(c) for c in chunks) == math.comb(27, 23)
 
 
-def unrank(n, k, r):
-    """Reference: the k-combination of range(n) of lexicographic rank r, in Python integers."""
-    out, x = [], 0
-    for i in range(k):
-        while r >= (below := math.comb(n - 1 - x, k - 1 - i)):
-            r -= below
-            x += 1
-        out.append(x)
-        x += 1
-    return out
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 14), data=st.data())
+def test_combination_chunks_are_itertools_in_doubling_chunks(n, data):
+    k = data.draw(st.integers(1, n), label="k")
+    chunk = data.draw(st.one_of(st.just(1), st.integers(1, 3000), st.just(CHUNK)), label="chunk")
+    # at most C(n, k) + 1 chunks, so that a stream that never ends fails here
+    chunks = list(itertools.islice(iter_combination_chunks(n, k, chunk), math.comb(n, k) + 1))
+    assert np.vstack(chunks).tolist() == [list(c) for c in itertools.combinations(range(n), k)]
+    # sizes double from 64 up to the cap, and only the last chunk may fall short
+    cap = max(1, min(chunk, _CHUNK_ENTRIES // k**2))
+    sizes, size, left = [], min(64, cap), math.comb(n, k)
+    while left > 0:
+        sizes.append(min(size, left))
+        left -= size
+        size = min(2 * size, cap)
+    assert [len(c) for c in chunks] == sizes
+    assert all(c.dtype == np.intp and c.T.flags.c_contiguous for c in chunks)
 
 
 @pytest.mark.parametrize("n, k", [(70, 35), (200, 100), (128, 40)])
@@ -94,20 +100,6 @@ def test_combination_chunks_past_int64_start_like_itertools(n, k):
     chunks = itertools.islice(iter_combination_chunks(n, k), 3)
     got = np.vstack(list(chunks)).tolist()
     assert got == [list(c) for c in itertools.islice(itertools.combinations(range(n), k), len(got))]
-
-
-@pytest.mark.parametrize("n, k", [(50, 25), (70, 35), (200, 100), (128, 40)])
-def test_unrank_is_exact_near_rank_2_to_the_40(n, k):
-    ranks = np.arange(2**40 - 150, 2**40 + 150)
-    assert _unrank(n, k, ranks).T.tolist() == [unrank(n, k, int(r)) for r in ranks]
-
-
-def test_unrank_refuses_ranks_past_its_exact_range():
-    # C(70, 35) saturates the tails table; unranking is exact below 2^62 / 70
-    last = (1 << 62) // 70 - 1
-    assert _unrank(70, 35, np.array([last])).T.tolist() == [unrank(70, 35, last)]
-    with pytest.raises(OverflowError):
-        _unrank(70, 35, np.array([last + 1]))
 
 
 def svd_rule(a, cols):
