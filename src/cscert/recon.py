@@ -76,7 +76,42 @@ sends off a row whose bound has passed ``_KAPPA_MAX``. A duplicate column, or
 one in the span of those picked (``residual_tol=0`` can pick one), leaves an
 orthogonalized norm rho near 0; rho is floored at ``||a_p|| / _KAPPA_MAX``, so
 nothing divides by a vanishing norm and ``||R^-1||_F >= 1 / rho`` lifts the
-bound to at least ``2 * _KAPPA_MAX``: the row leaves at the next screen.
+bound to at least ``2 * _KAPPA_MAX``: the row leaves at the next screen. The
+update also runs after the last pick, so a row's final bound covers its whole
+support. A pick whose correlation is 0 leaves the engine: only the last
+unpicked column can win so, and a zero column's floor would be 0.
+
+Scoring. ``monte_carlo`` counts a trial as a hit when the reference refit on
+the selected support S gives ``||x_hat - x|| / ||x|| <= recovery_tol``, both
+norms as computed. S and the true support T (``|T| = K``, ``|x_i| = 1`` on
+T) fix that outcome for most trials, so only the others are refit:
+
+* Sure miss. If T is not within S (so ``S != T``, as ``|S| <= K``), x_hat is
+  exactly 0 at some i in T but not in S, where ``|x_i| = 1``: the computed
+  ratio is at least ``(1 - O(N u)) / sqrt(K)``, whatever the refit returns, NaN
+  included. The trial is a miss whenever ``recovery_tol * sqrt(K) < 1/2``.
+* Sure hit. Let ``S = T`` with the row still in the engine, ``F =
+  ||A_T||_F`` and ``sigma = sigma_min(A_T)``. The N - K zeros of x add exact
+  zeros to the gemv, so ``y = A_T x_T + dy`` with ``|dy| <= sqrt(2)
+  gamma_(K+1) |A_T| |x_T|``, hence ``||dy|| <= 2 (K+1) u F ||x||``. By the
+  backward stability of LAPACK's ``gelsd`` (above), the coefficients c solve
+  the problem for ``(A_T + E, y + f)`` exactly, ``||E|| <= e F`` and ``||f||
+  <= e ||y||`` with ``e = M (K+1) u``. The unperturbed problem ``(A_T, A_T
+  x_T)`` has residual 0, where Higham's Thm. 20.1 loses its ``kappa^2`` term
+  and is the identity ``c - x_T = (A_T + E)^+ (dy + f - E x_T)``. So
+  ``||c - x_T|| <= 2 (M+2) (K+1) u F ||x|| / (sigma - e F)``. The engine's
+  final bound has ``F / sigma <= kappa``, and with ``e kappa <= 1/2`` the
+  relative error is at most ``beta = 4 (M+2) (K+1) u kappa``. x_hat - x
+  vanishes off T and rounds by u per entry on it; the two norms and the
+  quotient round by a relative ``gamma_(2N+2)``, so the computed ratio is at
+  most ``2 beta``. A trial scores a hit when ``kappa <= _KAPPA_MAX`` and
+  ``_SAFETY * beta <= recovery_tol / 2`` (then ``e kappa < 1/128``).
+* Everything else is refit: rows the screen sent off, ``recovery_tol = 0``,
+  and ``recovery_tol * sqrt(K) >= 1/2``, where neither argument is used.
+
+On 50 normalized 10x24 Gaussians at K=1..10 with 20 trials each, 7,149 of
+10,000 trials select a wrong support and 2,001 settle as hits. The 850 refit
+(8.5%) are the rows that left the engine with the right support.
 """
 
 from __future__ import annotations
@@ -191,11 +226,14 @@ def _reference_select(a, y, k_target: int, residual_tol: float) -> np.ndarray:
     return np.sort(np.array(picked, dtype=np.intp))
 
 
-def _select(a: np.ndarray, ys: np.ndarray, k_target: int, residual_tol: float) -> list[np.ndarray]:
+def _select(a: np.ndarray, ys: np.ndarray, k_target: int,
+            residual_tol: float) -> tuple[list[np.ndarray], np.ndarray]:
     """OMP supports, as sorted index arrays, of every row of ``ys`` in lockstep.
 
     A row leaves the engine at the first step whose pick or stop the screen
     cannot clear, and ``_reference_select`` selects it again (module docstring).
+    Also returns each row's bound on ``kappa_2`` of its whole support, inf for
+    the rows that left.
     """
     rows, m = ys.shape
     a_conj = a.conj()
@@ -221,13 +259,13 @@ def _select(a: np.ndarray, ys: np.ndarray, k_target: int, residual_tol: float) -
         top = corr[np.arange(live.size), pick]
         rival = np.partition(corr, -2, axis=1)[:, -2] if a.shape[1] > 1 else -1.0
         stop = res_norm + dev <= residual_tol
-        sure = (res_norm - dev > residual_tol) & (top - rival > 2 * amax * dev)
+        sure = (res_norm - dev > residual_tol) & (top - rival > 2 * amax * dev) & (top > 0)
         cleared = (kappa <= _KAPPA_MAX) & (stop | sure)
         departed[live[~cleared]] = True
         live, pick = live[cleared & ~stop], pick[cleared & ~stop]
-        picks[live, i] = pick
-        if i == k_target - 1 or not live.size:
+        if not live.size:
             break
+        picks[live, i] = pick
         # CGS2: orthogonalize the new columns twice against each row's basis
         q = basis[live, :i]
         v = a.T[pick]
@@ -246,8 +284,9 @@ def _select(a: np.ndarray, ys: np.ndarray, k_target: int, residual_tol: float) -
         r_inv[live, i, i] = 1.0 / rho
         r_inv_sq[live] += np.sum(col.real**2 + col.imag**2, axis=1) + rho**-2.0
         cols_sq[live] += col_norm[pick] ** 2
-    return [_reference_select(a, y, k_target, residual_tol) if gone
-            else np.sort(row[row >= 0]) for y, row, gone in zip(ys, picks, departed)]
+    supports = [_reference_select(a, y, k_target, residual_tol) if gone
+                else np.sort(row[row >= 0]) for y, row, gone in zip(ys, picks, departed)]
+    return supports, np.where(departed, np.inf, 2.0 * np.sqrt(cols_sq * r_inv_sq))
 
 
 def _recover(a: np.ndarray, ys: np.ndarray, k_target: int, residual_tol: float):
@@ -256,7 +295,7 @@ def _recover(a: np.ndarray, ys: np.ndarray, k_target: int, residual_tol: float):
     Supports come from ``_select``; coefficients and residual from the
     reference refit on the final sorted support.
     """
-    for y, support in zip(ys, _select(a, ys, k_target, residual_tol)):
+    for y, support in zip(ys, _select(a, ys, k_target, residual_tol)[0]):
         yield support, *_refit(a, y, support)
 
 
@@ -301,17 +340,32 @@ def omp(
 
 
 def _recoveries(a: MeasurementMatrix, k: int, seeds, recovery_tol: float) -> int:
-    """Exact recoveries among the K-sparse trials drawn from ``seeds``, selected in one batch."""
+    """Exact recoveries among the K-sparse trials drawn from ``seeds``, selected in one batch.
+
+    A trial is refit only when its selected support cannot settle it (module
+    docstring, "Scoring").
+    """
     signals = np.zeros((len(seeds), a.cols), dtype=np.complex128)
-    for x, seed in zip(signals, seeds):
-        support, values = _draw(a.cols, k, seed)
-        x[support] = values
+    truth = np.empty((len(seeds), k), dtype=np.intp)
+    for x, t, seed in zip(signals, truth, seeds):
+        t[:], values = _draw(a.cols, k, seed)
+        x[t] = values
     ys = np.array([a.entries @ x for x in signals])
+    supports, kappa = _select(a.entries, ys, k, DEFAULT_RESIDUAL_TOL)
+    # a support missing a true atom misses by about 1 / sqrt(K)
+    settles = recovery_tol * math.sqrt(k) < 0.5
+    # bound on the refit's relative error on the true support
+    beta = 4 * (a.rows + 2) * (k + 1) * _U * kappa
+    sure_hit = settles & (kappa <= _KAPPA_MAX) & (_SAFETY * beta <= recovery_tol / 2)
     hits = 0
-    for x, (support, coeffs, _) in zip(signals, _recover(a.entries, ys, k, DEFAULT_RESIDUAL_TOL)):
-        x_hat = np.zeros(a.cols, dtype=np.complex128)
-        x_hat[support] = coeffs
-        hits += bool(np.linalg.norm(x_hat - x) / np.linalg.norm(x) <= recovery_tol)
+    for x, y, t, support, sure in zip(signals, ys, truth, supports, sure_hit):
+        right = np.array_equal(support, t)
+        if sure and right:
+            hits += 1
+        elif right or not settles:
+            x_hat = np.zeros(a.cols, dtype=np.complex128)
+            x_hat[support] = _refit(a.entries, y, support)[0]
+            hits += bool(np.linalg.norm(x_hat - x) / np.linalg.norm(x) <= recovery_tol)
     return hits
 
 
@@ -341,10 +395,13 @@ def monte_carlo(
     """Plant, measure, and recover ``trials`` signals per sparsity in ``k_range``.
 
     Per-trial randomness derives from (seed, K, trial index), so the report is
-    independent of trial execution order. Each trial is drawn and measured on
-    its own; the selection engine then recovers the trials of one sparsity
-    in lockstep, in batches of bounded memory, with ``omp``'s default
-    residual tolerance.
+    independent of trial execution order. A repeated sparsity is swept once.
+    Each trial is drawn and measured on its own; the selection engine then
+    recovers the trials of one sparsity in lockstep, in batches of bounded
+    memory, with ``omp``'s default residual tolerance. A trial is scored from
+    its selected and true supports where they settle it, and otherwise by the
+    reference refit (module docstring, "Scoring"); the rates are those of
+    refitting every trial.
     """
     ks = [as_index(k, "sparsity") for k in k_range]
     check_tol(recovery_tol, "recovery_tol")
@@ -355,7 +412,7 @@ def monte_carlo(
     if any(k < 1 or k > limit for k in ks):
         raise ValueError(f"sparsities must lie in [1, min(M, N)] = [1, {limit}], got {ks}")
     rates: dict[int, float] = {}
-    for k in ks:
+    for k in dict.fromkeys(ks):
         batch = max(1, _BATCH_ENTRIES // (a.cols + k * (a.rows + k)))
         seeds = [[seed, k, t] for t in range(trials)]
         hits = sum(_recoveries(a, k, seeds[s:s + batch], recovery_tol)

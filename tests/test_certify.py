@@ -280,7 +280,10 @@ def reference_rip(a, k, budget):
 
 def chunk_edges(n, k):
     """Subset counts at the ends of the sweep's chunks, each +-1, from 1 on."""
-    ends = itertools.accumulate(len(c) for c in iter_combination_chunks(n, k))
+    # at most C(n, k) + 1 chunks, so that a stream that never ends fails here
+    chunks = list(itertools.islice(iter_combination_chunks(n, k), math.comb(n, k) + 1))
+    assert len(chunks) <= math.comb(n, k), "the chunk stream did not end"
+    ends = itertools.accumulate(len(c) for c in chunks)
     return sorted({e + d for e in ends for d in (-1, 0, 1)} - {0})
 
 

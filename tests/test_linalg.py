@@ -24,6 +24,17 @@ from cscert._linalg import (
 from cscert.matrix_core import build_gaussian, build_partial_idft, build_random_partial_fourier
 
 
+def ended(chunks, most):
+    """The chunks of a stream that must end within ``most`` chunks.
+
+    Takes at most ``most + 1``, so that a stream that never ends fails here
+    instead of hanging the run.
+    """
+    out = list(itertools.islice(chunks, most + 1))
+    assert len(out) <= most, f"the chunk stream did not end within {most} chunks"
+    return out
+
+
 def sequential_scan(combos, hits, budget):
     """Reference: evaluate one subset at a time, stop at a hit or the budget."""
     covered = 0
@@ -53,7 +64,7 @@ def test_sweep_matches_sequential_scan(n, data):
         seen.extend(rows)
         return np.array([c in hits for c in rows]) if stops else None
 
-    chunks = list(iter_combination_chunks(n, k, chunk))
+    chunks = ended(iter_combination_chunks(n, k, chunk), total)
     # budgets on a chunk edge and on C(n, k) itself are the off-by-one cases
     edges = list(itertools.accumulate((len(c) for c in chunks), initial=0)) + [total + 1]
     budget = data.draw(
@@ -66,11 +77,11 @@ def test_sweep_matches_sequential_scan(n, data):
 
 
 def test_combination_chunks_double_from_64_up_to_the_cap():
-    chunks = list(iter_combination_chunks(14, 5, chunk=300))
+    chunks = ended(iter_combination_chunks(14, 5, chunk=300), 9)
     assert [len(c) for c in chunks] == [64, 128, 256] + [300] * 5 + [54]
     assert np.vstack(chunks).tolist() == [list(c) for c in itertools.combinations(range(14), 5)]
     # from k = 23 on, a chunk holds at most 2^20 entries of its k x k matrices
-    chunks = list(iter_combination_chunks(27, 23))
+    chunks = ended(iter_combination_chunks(27, 23), math.comb(27, 23))
     assert max(len(c) for c in chunks) == (1 << 20) // 23**2 < CHUNK
     assert sum(len(c) for c in chunks) == math.comb(27, 23)
 
@@ -80,8 +91,7 @@ def test_combination_chunks_double_from_64_up_to_the_cap():
 def test_combination_chunks_are_itertools_in_doubling_chunks(n, data):
     k = data.draw(st.integers(1, n), label="k")
     chunk = data.draw(st.one_of(st.just(1), st.integers(1, 3000), st.just(CHUNK)), label="chunk")
-    # at most C(n, k) + 1 chunks, so that a stream that never ends fails here
-    chunks = list(itertools.islice(iter_combination_chunks(n, k, chunk), math.comb(n, k) + 1))
+    chunks = ended(iter_combination_chunks(n, k, chunk), math.comb(n, k))
     assert np.vstack(chunks).tolist() == [list(c) for c in itertools.combinations(range(n), k)]
     # sizes double from 64 up to the cap, and only the last chunk may fall short
     cap = max(1, min(chunk, _CHUNK_ENTRIES // k**2))
@@ -145,7 +155,7 @@ def necklaces(n, k):
 def test_orbit_chunks_yield_one_subset_per_cyclic_orbit():
     for n in range(1, 13):
         for k in range(1, n + 1):
-            chunks = list(iter_orbit_chunks(n, k))
+            chunks = ended(iter_orbit_chunks(n, k), necklaces(n, k))
             assert all(0 < len(c) <= CHUNK for c in chunks)
             got = [tuple(c) for c in np.vstack(chunks).tolist()]
             canonical = {
@@ -154,10 +164,10 @@ def test_orbit_chunks_yield_one_subset_per_cyclic_orbit():
             }
             assert got == sorted(canonical), (n, k)
             assert len(got) == necklaces(n, k), (n, k)
-    assert sum(len(c) for c in iter_orbit_chunks(16, 8)) == 810
-    assert max(len(c) for c in iter_orbit_chunks(20, 8)) <= CHUNK
+    assert sum(len(c) for c in ended(iter_orbit_chunks(16, 8), 810)) == 810
+    assert max(len(c) for c in ended(iter_orbit_chunks(20, 8), necklaces(20, 8))) <= CHUNK
     # above n = 512 the cap keeps a chunk's length-n spectra within 2^20 entries
-    sizes = [len(c) for c in iter_orbit_chunks(1024, 3)]
+    sizes = [len(c) for c in ended(iter_orbit_chunks(1024, 3), necklaces(1024, 3))]
     assert max(sizes) <= 1024 and sum(sizes) == necklaces(1024, 3)
 
 
@@ -177,7 +187,7 @@ def test_orbit_chunks_match_the_sorted_filter():
     for n in range(13, 25):
         for k in range(1, n + 1):
             if math.comb(n - 1, k - 1) <= 40_000:
-                got = np.vstack(list(iter_orbit_chunks(n, k))).tolist()
+                got = np.vstack(ended(iter_orbit_chunks(n, k), necklaces(n, k))).tolist()
                 assert got == sorted_orbit_filter(n, k), (n, k)
 
 
@@ -220,7 +230,7 @@ def candidate_filter_chunks(n, k):
 def test_orbit_chunks_match_the_candidate_filter_at_n_32():
     # below n = 25 the orbit-count and sorted-filter tests check every (n, k) the filter reaches
     for k in range(2, 9):
-        got = np.vstack(list(iter_orbit_chunks(32, k)))
+        got = np.vstack(ended(iter_orbit_chunks(32, k), necklaces(32, k)))
         assert np.array_equal(got, np.vstack(list(candidate_filter_chunks(32, k)))), k
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -330,6 +332,9 @@ def test_duplicate_column_with_zero_tolerance_follows_the_reference():
         # an exact copy of a picked unit vector orthogonalizes to exactly zero
         copy = np.array([[1, 1, 0], [0, 0, 0], [0, 0, 1]], dtype=np.complex128)
         assert_engine_matches_reference(copy, np.array([[1, 1, 0]], dtype=np.complex128), 3, 0.0)
+        # a zero column, the last one unpicked, wins with correlation 0
+        zero = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 0]], dtype=np.complex128)
+        assert_engine_matches_reference(zero, np.array([[1, 2, 3]], dtype=np.complex128), 3, 1e-12)
 
 
 def test_ill_conditioned_support_leaves_before_its_stop_is_trusted():
@@ -339,7 +344,8 @@ def test_ill_conditioned_support_leaves_before_its_stop_is_trusted():
     a = normalize_columns(MeasurementMatrix([[1, 1, 0], [0, 1e-9, 0], [0, 0, 1]])).entries
     y = np.array([[1, 0.8, 0]], dtype=np.complex128)
     assert_engine_matches_reference(a, y, 3, 0.5)
-    assert recon._select(a, y, 3, 0.5)[0].tolist() == [0, 1]
+    supports, _ = recon._select(a, y, 3, 0.5)
+    assert supports[0].tolist() == [0, 1]
 
 
 def test_rows_the_screen_cannot_clear_rerun_the_plain_loop_once(monkeypatch):
@@ -365,3 +371,135 @@ def test_rows_the_screen_cannot_clear_rerun_the_plain_loop_once(monkeypatch):
     calls.clear()
     assert_engine_matches_reference(np.eye(4, dtype=np.complex128), np.eye(4)[[2]], 2, 1e-12)
     assert calls == []
+
+
+def reference_ratios(a, k, trials, seed):
+    """Each trial's ``||x_hat - x|| / ||x||``, every trial recovered by ``reference_omp``."""
+    ratios = []
+    for t in range(trials):
+        x = generate_sparse_signal(a.shape[1], k, seed=[seed, k, t]).to_dense()
+        support, coeffs, _ = reference_omp(a, a @ x, k, recon.DEFAULT_RESIDUAL_TOL)
+        x_hat = np.zeros(a.shape[1], dtype=np.complex128)
+        x_hat[support] = coeffs
+        ratios.append(float(np.linalg.norm(x_hat - x) / np.linalg.norm(x)))
+    return ratios
+
+
+def edge_tols(k):
+    """1/(2 sqrt K), where a wrong support stops settling a trial, and its neighbours."""
+    edge = 0.5 / math.sqrt(k)
+    return [float(np.nextafter(edge, 0)), edge, float(np.nextafter(edge, 1))]
+
+
+def assert_rates_match_refitting_every_trial(a, ks, trials, seed):
+    matrix = MeasurementMatrix(a)
+    ratios = {k: reference_ratios(a, k, trials, seed) for k in ks}
+
+    def rates(ks, tol):
+        return {k: sum(r <= tol for r in ratios[k]) / trials for k in ks}
+
+    # 1e-15 sits among the errors of right supports, where only the refit can tell
+    for tol in [0.0, 1e-15, 1e-12, 1e-6, 0.9]:
+        assert monte_carlo(matrix, ks, trials, seed, recovery_tol=tol).success_rate == rates(ks, tol)
+    for k in ks:
+        for tol in edge_tols(k):
+            got = monte_carlo(matrix, [k], trials, seed, recovery_tol=tol).success_rate
+            assert got == rates([k], tol), (k, tol)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["real", "complex", "idft"]),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(4, 8), (6, 12), (10, 24), (8, 5)]),
+)
+def test_monte_carlo_rates_match_refitting_every_trial(kind, seed, shape):
+    m, n = shape
+    if kind == "idft":
+        n = 16
+    a = _test_matrix(kind, seed, m, n)
+    assert_rates_match_refitting_every_trial(a, range(1, min(m, n) + 1), 10, seed % 1000)
+
+
+def test_rates_match_refitting_every_trial_with_a_near_pair_in_the_support():
+    # columns 0 and 1 are 1e-9 apart: a support holding both is past _KAPPA_MAX
+    a = np.random.default_rng(11).standard_normal((4, 6))
+    a[:, 1] = a[:, 0] + 1e-9 * a[:, 2]
+    a = normalize_columns(MeasurementMatrix(a)).entries
+    assert np.linalg.cond(a[:, :2]) > recon._KAPPA_MAX
+    assert any({0, 1} <= set(generate_sparse_signal(6, 3, seed=[5, 3, t]).support) for t in range(40))
+    assert_rates_match_refitting_every_trial(a, [2, 3], 40, 5)
+
+
+def test_rates_match_refitting_every_trial_when_a_support_stops_inside_the_true_one():
+    # column 4 lies along columns 0 + 1: once OMP holds two of the three, the
+    # residual vanishes and it stops at a support strictly inside the true one,
+    # with well-conditioned columns the engine keeps
+    a = np.random.default_rng(1).standard_normal((3, 5))
+    a[:, 4] = a[:, 0] + a[:, 1]
+    a = normalize_columns(MeasurementMatrix(a)).entries
+    signals = [generate_sparse_signal(5, 3, seed=[5, 3, t]) for t in range(40)]
+    ys = np.array([a @ x.to_dense() for x in signals])
+    supports, kappa = recon._select(a, ys, 3, recon.DEFAULT_RESIDUAL_TOL)
+    inside = [set(s.tolist()) < set(x.support) and k <= recon._KAPPA_MAX
+              for s, x, k in zip(supports, signals, kappa)]
+    assert sum(inside) >= 3
+    assert_rates_match_refitting_every_trial(a, [2, 3], 40, 5)
+
+
+def count_refits(monkeypatch):
+    """Record the measurement vector of each refit that scoring makes, not those of ``_reference_select``."""
+    refit, select = recon._refit, recon._reference_select
+    inside, refits = [], []
+
+    def counted_select(*args):
+        inside.append(True)
+        try:
+            return select(*args)
+        finally:
+            inside.pop()
+
+    def counted_refit(a, y, support):
+        if not inside:
+            refits.append(y.tobytes())
+        return refit(a, y, support)
+
+    monkeypatch.setattr(recon, "_reference_select", counted_select)
+    monkeypatch.setattr(recon, "_refit", counted_refit)
+    return refits
+
+
+def test_only_trials_a_support_cannot_settle_are_refit(monkeypatch):
+    a = _test_matrix("real", 17, 10, 24)
+    refits = count_refits(monkeypatch)
+    trials, left = 40, 0
+    for k in range(1, 11):
+        signals = [generate_sparse_signal(24, k, seed=[3, k, t]) for t in range(trials)]
+        ys = np.array([a @ x.to_dense() for x in signals])
+        supports, kappa = recon._select(a, ys, k, recon.DEFAULT_RESIDUAL_TOL)
+        every = [y.tobytes() for y in ys]
+        right = [y for y, s, x in zip(every, supports, signals) if s.tolist() == list(x.support)]
+        # at the default tol a right support settles unless its row left the engine
+        unsettled = [y for y, s, x, kp in zip(every, supports, signals, kappa)
+                     if s.tolist() == list(x.support) and kp == np.inf]
+        left += len(unsettled)
+        for tol, want in [(recon.DEFAULT_RECOVERY_TOL, unsettled), (0.0, right),
+                          (edge_tols(k)[2], every), (0.9, every)]:
+            refits.clear()
+            monte_carlo(MeasurementMatrix(a), [k], trials, seed=3, recovery_tol=tol)
+            assert refits == want, (k, tol)
+    assert left > 0
+
+
+def test_repeated_sparsities_are_swept_once(demo_matrix, monkeypatch):
+    calls = []
+    select = recon._select
+
+    def counted(a, ys, k_target, residual_tol):
+        calls.append(k_target)
+        return select(a, ys, k_target, residual_tol)
+
+    monkeypatch.setattr(recon, "_select", counted)
+    report = monte_carlo(demo_matrix, [2, 2, 1], trials=30, seed=4)
+    assert calls == [2, 1]
+    assert report.to_json() == monte_carlo(demo_matrix, [2, 1], trials=30, seed=4).to_json()
