@@ -30,9 +30,8 @@ eigenvalue is then positive. Below the floor the shift is ``_SCREEN_FLOOR``
 itself, and a Gram whose eigenvalues are that small goes to the SVD. The
 theorem holds for every order of the inner sums, so the left-looking order
 keeps the bound and this factor 2. ``certify.rip_constant`` runs the same
-kernel on shifted Grams, only on the subsets its Gershgorin bounds cannot
-exclude, and its ``8 K^3 eps`` margin covers this backward error as well as
-the rounding of those bounds and of ``eigvalsh``.
+kernel on shifted Grams, and its ``8 K^3 eps`` margin covers this backward
+error as well as the rounding of its other bounds and of ``eigvalsh``.
 
 Whether *any* k-subset is dependent is asked through ``any_dependent``,
 which returns a bool, no hit position and no count. On a matrix with cyclic

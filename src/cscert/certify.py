@@ -33,15 +33,15 @@ cannot clear the subset (see ``_linalg``); verdicts are the SVD rule's.
 
 RIP constants count every subset, but only subsets whose deviation
 ``||G_S - I||_2`` can exceed the largest one seen so far, d, get
-``eigvalsh``. The others are excluded by proving ``lambda_max(G_S) < 1 + d``
-and ``lambda_min(G_S) > 1 - d``, cheapest test first: Gershgorin row sums of
-``|G_S|``, one power step on them, then the Cholesky kernel on a shifted
-Gram. Each bound keeps a margin of ``8 K^3 eps`` times the largest Gram
-diagonal, above the rounding of the tests and of ``eigvalsh``. Once d is
-past 1 by that margin plus the furthest a computed Gram eigenvalue can land
-below 0, no lower side can raise d, and it is skipped (see
-``rip_constant``). So delta, and every reported digit, is that of a plain
-``eigvalsh`` scan.
+``eigvalsh``. The others are excluded by proving ``lambda_max(G_S) < 1 + d``,
+cheapest test first (Gershgorin row sums of ``|G_S|``, one power step on
+them, then the Cholesky kernel on a shifted Gram), and ``lambda_min(G_S) >
+1 - d`` by the Cholesky kernel alone. Each bound keeps a margin of
+``8 K^3 eps`` times the largest Gram diagonal, above the rounding of the
+tests and of ``eigvalsh``. Once d is past 1 by that margin plus the furthest
+a computed Gram eigenvalue can land below 0, no lower side can raise d, and
+it is skipped (see ``rip_constant``). So delta, and every reported digit, is
+that of a plain ``eigvalsh`` scan.
 """
 
 from __future__ import annotations
@@ -194,9 +194,8 @@ def rip_constant(a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET) -> 
       bound (Collatz-Wielandt: ``lambda_max(G_S) <= rho(|G_S|) <=
       max_i (|G_S| x)_i / x_i`` for any positive x); or else
       ``(1 + d - m) I - G_S`` passes ``_linalg.positive_definite``;
-    * lower: ``1 - d + m <= -slack``; or else ``min_i (2 g_ii - r_i)``, the
-      lowest Gershgorin bound, is above ``1 - d + m``; or else
-      ``G_S - (1 - d + m) I`` passes ``positive_definite``.
+    * lower: ``1 - d + m <= -slack``; or else ``G_S - (1 - d + m) I`` passes
+      ``positive_definite``.
 
     Each test proves ``lambda_max(G_S) < 1 + d - m`` or
     ``lambda_min(G_S) > 1 - d + m`` up to its own rounding. The margin
@@ -237,8 +236,7 @@ def rip_constant(a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET) -> 
     budget = check_budget(budget)
     _require_unit_columns(a)
     g = gram(a)
-    diag = g.diagonal().real
-    scale = np.finfo(float).eps * float(diag.max())
+    scale = np.finfo(float).eps * float(g.diagonal().real.max())
     margin = 8 * k**3 * scale
     slack = 8 * (m + k**2) * k * scale
     screen = g.real if not g.imag.any() else g
@@ -271,10 +269,8 @@ def rip_constant(a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET) -> 
                 rest = rest[~inside[rest]]
                 if len(rest):
                     inside[rest] = definite(c[:, rest], top, upper=True)
-            if bottom > -slack:
-                check = inside & ((2 * diag[c] - rows).min(axis=0) <= bottom)
-                if check.any():
-                    inside[check] = definite(c[:, check], bottom, upper=False)
+            if bottom > -slack and inside.any():
+                inside[inside] = definite(c[:, inside], bottom, upper=False)
             unsure = ~inside
         if unsure.any():
             c = combs[unsure]

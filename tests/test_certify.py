@@ -468,6 +468,36 @@ def test_rip_skips_the_lower_side_only_past_the_gram_rounding():
     assert repr(tuple(res)) == repr(reference_rip(a, 2, math.inf))
 
 
+def gaussian_7x16(seed):
+    return normalize_columns(build_gaussian(7, 16, seed))
+
+
+def idft_16_on_8_rows(seed):
+    rows = np.sort(np.random.default_rng(seed).choice(16, 8, replace=False))
+    return build_partial_idft(16, rows, normalize=True)
+
+
+@pytest.mark.parametrize("build, share", [(gaussian_7x16, 0.05), (idft_16_on_8_rows, 0.25)])
+def test_rip_exclusion_keeps_most_subsets_from_eigvalsh(build, share, monkeypatch):
+    # every digit test would pass on a certificate that excludes nothing, so
+    # count the subsets eigvalsh receives: at most 2.1% of the Gaussians'
+    # 26,332 and 15.5% of the partial IDFTs' 39,202 when this was written
+    plain = np.linalg.eigvalsh
+    received = []
+
+    def counted(stack):
+        received.append(len(stack))
+        return plain(stack)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for seed in range(5):
+        a = build(seed)
+        received.clear()
+        profile = rip_profile(a, min(a.shape))
+        assert all(profile.exact.values())
+        assert sum(received) < share * profile.budget_used, seed
+
+
 class TestConditionNumberBound:
     def test_isometry(self):
         assert condition_number_bound(0.0) == 1.0

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,9 @@ from cscert import (
     spark,
 )
 from cscert import recon
+from cscert.cli import main
 from cscert.matrix_core import MeasurementMatrix
+from conftest import DEMO_CSV
 
 
 class TestGenerate:
@@ -259,8 +262,8 @@ def reference_omp(a, y, k_target, residual_tol):
 
 
 def assert_engine_matches_reference(a, ys, k, tol):
-    engine = list(recon._recover(a, ys, k, tol))
-    for y, (support, coeffs, residual) in zip(ys, engine):
+    for y, support in zip(ys, recon._select(a, ys, k, tol)[0]):
+        coeffs, residual = recon._refit(a, y, support)
         want_support, want_coeffs, want_norm = reference_omp(a, y, k, tol)
         np.testing.assert_array_equal(support, want_support)
         assert np.asarray(coeffs, dtype=np.complex128).tobytes() == (
@@ -296,12 +299,28 @@ def test_engine_matches_reference_loop(kind, seed, shape, k, tol):
     ys = np.array([a @ generate_sparse_signal(n, k, seed=[seed, t]).to_dense()
                    for t in range(12)])
     assert_engine_matches_reference(a, ys, k, tol)
-    # omp runs the same engine on one vector
+    # omp runs the plain loop on one vector
     x_hat, residual = omp(MeasurementMatrix(a), ys[0], k_target=k, residual_tol=tol)
     support, coeffs, res_norm = reference_omp(a, ys[0], k, tol)
     assert x_hat.support == tuple(support.tolist())
     assert x_hat.values.tobytes() == np.asarray(coeffs, dtype=np.complex128).tobytes()
     assert residual == res_norm
+
+
+def test_omp_never_enters_the_engine(demo_matrix, monkeypatch, tmp_path, capsys):
+    # one vector runs the plain loop (its bytes: test_engine_matches_reference_loop)
+    def refuse(*args):
+        raise AssertionError("omp entered the lockstep engine")
+
+    monkeypatch.setattr(recon, "_select", refuse)
+    y = (demo_matrix.entries[:, [1, 6]] @ np.array([1.0, -2.0])).real
+    x_hat, _ = omp(demo_matrix, y, k_target=2)
+    assert x_hat.support == (1, 6)
+    yfile = tmp_path / "y.csv"
+    yfile.write_text("\n".join(repr(float(v)) for v in y) + "\n")
+    assert main(["recon", "--matrix", str(DEMO_CSV), "--measurements", str(yfile),
+                 "--k", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["support"] == [1, 6]
 
 
 def test_planted_k2_ties_follow_the_reference_rounding():
