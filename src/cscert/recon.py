@@ -10,11 +10,13 @@ OMP's output is defined by the *reference arithmetic*: after every pick, a
 ``r = y - A_S c``, its norm against ``residual_tol``, and the next pick as
 the largest ``|A^H r|`` computed by gemv. ``omp`` runs that loop itself
 (``_reference_select``, then one refit on the final sorted support).
-``monte_carlo`` gets the same picks from ``_select``, for every trial of one
-sparsity in lockstep. Each step takes one matrix product for all
-correlations, an argmax per row, and one Gram-Schmidt update: the new column
-is orthogonalized twice against the row's orthonormal basis Q (CGS2), and
-the residual loses its component along the new basis vector.
+``monte_carlo`` gets the same picks from ``_select``, for the trials of every
+sparsity in lockstep, each row stopping at its own target. Each step takes
+one matrix product for all correlations, an argmax per row, and one
+Gram-Schmidt update: the new column is orthogonalized twice against the row's
+orthonormal basis Q (CGS2), and the residual loses its component along the
+new basis vector. Every decision below reads only its own row, so a row's
+support, bound and departure do not depend on which rows share its batch.
 
 The screen. The engine's residual r_g and correlations differ from the
 reference ones in the last digits, and exact ties are real: on a real matrix
@@ -225,29 +227,36 @@ def _reference_select(a, y, k_target: int, residual_tol: float) -> np.ndarray:
     return np.sort(np.array(picked, dtype=np.intp))
 
 
-def _select(a: np.ndarray, ys: np.ndarray, k_target: int,
+def _select(a: np.ndarray, ys: np.ndarray, k_target,
             residual_tol: float) -> tuple[list[np.ndarray], np.ndarray]:
     """OMP supports, as sorted index arrays, of every row of ``ys`` in lockstep.
 
-    A row leaves the engine at the first step whose pick or stop the screen
-    cannot clear, and ``_reference_select`` selects it again (module docstring).
-    Also returns each row's bound on ``kappa_2`` of its whole support, inf for
-    the rows that left.
+    ``k_target`` is one int for every row or one target per row. The loop runs
+    to the largest target, and a row drops out of it, not departed, once it
+    holds its own target of picks. A row leaves the engine at the first step
+    whose pick or stop the screen cannot clear, and ``_reference_select``
+    selects it again at its own target (module docstring). Also returns each
+    row's bound on ``kappa_2`` of its whole support, inf for the rows that left.
     """
     rows, m = ys.shape
+    targets = np.broadcast_to(np.asarray(k_target, dtype=np.intp), (rows,))
+    k_max = int(targets.max(initial=0))
     a_conj = a.conj()
     col_norm = np.linalg.norm(a, axis=0)
     amax = col_norm.max()
     y_norm = np.linalg.norm(ys, axis=1)
-    picks = np.full((rows, k_target), -1, dtype=np.intp)  # -1: not picked
-    basis = np.zeros((rows, k_target, m), dtype=np.complex128)  # rows of Q
-    r_inv = np.zeros((rows, k_target, k_target), dtype=np.complex128)
+    picks = np.full((rows, k_max), -1, dtype=np.intp)  # -1: not picked
+    basis = np.zeros((rows, k_max, m), dtype=np.complex128)  # rows of Q
+    r_inv = np.zeros((rows, k_max, k_max), dtype=np.complex128)
     r_inv_sq = np.zeros(rows)  # ||R^-1||_F^2
     cols_sq = np.zeros(rows)  # ||A_S||_F^2
     departed = np.zeros(rows, dtype=bool)  # rows the screen sent to _reference_select
     res = ys.astype(np.complex128)
     live = np.arange(rows)
-    for i in range(k_target):
+    for i in range(k_max):
+        live = live[targets[live] > i]
+        if not live.size:
+            break
         r = res[live]
         kappa = 2.0 * np.sqrt(cols_sq[live] * r_inv_sq[live])
         dev = _SAFETY * m * (i + 1) * _U * (18 + i + 7 * kappa) * y_norm[live]
@@ -262,8 +271,6 @@ def _select(a: np.ndarray, ys: np.ndarray, k_target: int,
         cleared = (kappa <= _KAPPA_MAX) & (stop | sure)
         departed[live[~cleared]] = True
         live, pick = live[cleared & ~stop], pick[cleared & ~stop]
-        if not live.size:
-            break
         picks[live, i] = pick
         # CGS2: orthogonalize the new columns twice against each row's basis
         q = basis[live, :i]
@@ -283,8 +290,8 @@ def _select(a: np.ndarray, ys: np.ndarray, k_target: int,
         r_inv[live, i, i] = 1.0 / rho
         r_inv_sq[live] += np.sum(col.real**2 + col.imag**2, axis=1) + rho**-2.0
         cols_sq[live] += col_norm[pick] ** 2
-    supports = [_reference_select(a, y, k_target, residual_tol) if gone
-                else np.sort(row[row >= 0]) for y, row, gone in zip(ys, picks, departed)]
+    supports = [_reference_select(a, y, int(k), residual_tol) if gone else np.sort(row[row >= 0])
+                for y, row, k, gone in zip(ys, picks, targets, departed)]
     return supports, np.where(departed, np.inf, 2.0 * np.sqrt(cols_sq * r_inv_sq))
 
 
@@ -330,33 +337,36 @@ def omp(
     return solution, float(np.linalg.norm(residual))
 
 
-def _recoveries(a: MeasurementMatrix, k: int, seeds, recovery_tol: float) -> int:
-    """Exact recoveries among the K-sparse trials drawn from ``seeds``, selected in one batch.
+def _recoveries(a: MeasurementMatrix, jobs, recovery_tol: float) -> np.ndarray:
+    """Exact-recovery flag of each ``(K, seed)`` trial in ``jobs``, all selected in one batch.
 
-    A trial is refit only when its selected support cannot settle it (module
-    docstring, "Scoring").
+    The trials may mix sparsities: each is selected to its own K, and the
+    bounds that settle it (module docstring, "Scoring") are taken at that K.
+    A trial is refit only when its selected support cannot settle it.
     """
-    signals = np.zeros((len(seeds), a.cols), dtype=np.complex128)
-    truth = np.empty((len(seeds), k), dtype=np.intp)
-    for x, t, seed in zip(signals, truth, seeds):
-        t[:], values = _draw(a.cols, k, seed)
+    ks = np.array([k for k, _ in jobs], dtype=np.intp)
+    signals = np.zeros((len(jobs), a.cols), dtype=np.complex128)
+    truth = []
+    for x, (k, seed) in zip(signals, jobs):
+        t, values = _draw(a.cols, k, seed)
         x[t] = values
+        truth.append(t)
     ys = np.array([a.entries @ x for x in signals])
-    supports, kappa = _select(a.entries, ys, k, DEFAULT_RESIDUAL_TOL)
+    supports, kappa = _select(a.entries, ys, ks, DEFAULT_RESIDUAL_TOL)
     # a support missing a true atom misses by about 1 / sqrt(K)
-    settles = recovery_tol * math.sqrt(k) < 0.5
+    settles = recovery_tol * np.sqrt(ks) < 0.5
     # bound on the refit's relative error on the true support
-    beta = 4 * (a.rows + 2) * (k + 1) * _U * kappa
+    beta = 4 * (a.rows + 2) * (ks + 1) * _U * kappa
     sure_hit = settles & (kappa <= _KAPPA_MAX) & (_SAFETY * beta <= recovery_tol / 2)
-    hits = 0
-    for x, y, t, support, sure in zip(signals, ys, truth, supports, sure_hit):
+    hits = np.zeros(len(jobs), dtype=bool)
+    for j, (x, y, t, support) in enumerate(zip(signals, ys, truth, supports)):
         right = np.array_equal(support, t)
-        if sure and right:
-            hits += 1
-        elif right or not settles:
+        if sure_hit[j] and right:
+            hits[j] = True
+        elif right or not settles[j]:
             x_hat = np.zeros(a.cols, dtype=np.complex128)
             x_hat[support] = _refit(a.entries, y, support)[0]
-            hits += bool(np.linalg.norm(x_hat - x) / np.linalg.norm(x) <= recovery_tol)
+            hits[j] = np.linalg.norm(x_hat - x) / np.linalg.norm(x) <= recovery_tol
     return hits
 
 
@@ -388,8 +398,9 @@ def monte_carlo(
     Per-trial randomness derives from (seed, K, trial index), so the report is
     independent of trial execution order. A repeated sparsity is swept once.
     Each trial is drawn and measured on its own; the selection engine then
-    recovers the trials of one sparsity in lockstep, in batches of bounded
-    memory, with ``omp``'s default residual tolerance. A trial is scored from
+    recovers the trials of all sparsities together in lockstep, each to its
+    own K, in batches of bounded memory sized by the largest K, with
+    ``omp``'s default residual tolerance. A trial is scored from
     its selected and true supports where they settle it, and otherwise by the
     reference refit (module docstring, "Scoring"); the rates are those of
     refitting every trial.
@@ -402,13 +413,14 @@ def monte_carlo(
     limit = min(a.rows, a.cols)
     if any(k < 1 or k > limit for k in ks):
         raise ValueError(f"sparsities must lie in [1, min(M, N)] = [1, {limit}], got {ks}")
-    rates: dict[int, float] = {}
-    for k in dict.fromkeys(ks):
-        batch = max(1, _BATCH_ENTRIES // (a.cols + k * (a.rows + k)))
-        seeds = [[seed, k, t] for t in range(trials)]
-        hits = sum(_recoveries(a, k, seeds[s:s + batch], recovery_tol)
-                   for s in range(0, trials, batch))
-        rates[k] = hits / trials
+    ks = list(dict.fromkeys(ks))
+    jobs = [(k, [seed, k, t]) for k in ks for t in range(trials)]
+    k_max = max(ks, default=0)
+    batch = max(1, _BATCH_ENTRIES // (a.cols + k_max * (a.rows + k_max)))
+    hits = np.zeros(len(jobs), dtype=bool)
+    for s in range(0, len(jobs), batch):
+        hits[s:s + batch] = _recoveries(a, jobs[s:s + batch], recovery_tol)
+    rates = {k: int(h.sum()) / trials for k, h in zip(ks, hits.reshape(-1, trials))}
     return ExperimentReport(
         matrix=a.describe(),
         trials=trials,

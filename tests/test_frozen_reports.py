@@ -29,6 +29,7 @@ from cscert import (
     normalize_columns,
     save_matrix_csv,
 )
+from cscert import recon
 from cscert.cli import main
 from cscert.dft_uniqueness import MissingSamplePattern, dft_uniqueness_oracle
 from cscert.matrix_core import load_matrix_csv
@@ -244,6 +245,27 @@ def test_certify_json_is_frozen(name, frozen, tmp_path):
 @pytest.mark.parametrize("name", sorted(EXPERIMENT_CASES))
 def test_experiment_json_is_frozen(name, frozen_recovery, tmp_path):
     assert experiment_json(name, tmp_path) == frozen_recovery[f"experiment {name}"]
+
+
+@pytest.mark.parametrize("per_batch", [7, 1])
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_CASES))
+def test_experiment_json_is_frozen_across_batch_cuts(name, per_batch, frozen_recovery, tmp_path,
+                                                     monkeypatch):
+    # batches that cut through sparsities, and trials selected one at a time
+    ks, trials, _ = EXPERIMENT_CASES[name]
+    build = RECOVERY_MATRICES[name]
+    rows, cols = (load_matrix_csv(DEMO_CSV).entries if build is None else build()).shape
+    k_max = max(ks)
+    monkeypatch.setattr(recon, "_BATCH_ENTRIES", per_batch * (cols + k_max * (rows + k_max)))
+    sizes, select = [], recon._select
+
+    def counted(a, ys, *args):
+        sizes.append(len(ys))
+        return select(a, ys, *args)
+
+    monkeypatch.setattr(recon, "_select", counted)
+    assert experiment_json(name, tmp_path) == frozen_recovery[f"experiment {name}"]
+    assert sizes[:-1] == [per_batch] * (len(sizes) - 1) and sum(sizes) == len(ks) * trials
 
 
 @pytest.mark.parametrize("name", sorted(RECON_CASES))

@@ -307,6 +307,36 @@ def test_engine_matches_reference_loop(kind, seed, shape, k, tol):
     assert residual == res_norm
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["real", "complex", "idft"]),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(4, 8), (6, 12), (10, 24), (12, 16), (8, 32), (8, 5)]),
+    tol=st.sampled_from([1e-12, 0.0]),
+)
+def test_mixed_targets_select_as_one_target_at_a_time(kind, seed, shape, tol):
+    m, n = shape
+    if kind == "idft":
+        n = 16 if n <= 16 else 32
+    a = _test_matrix(kind, seed, m, n)
+    ks = np.repeat(np.arange(1, min(m, n) + 1), 4)
+    np.random.default_rng(seed).shuffle(ks)
+    ys = np.array([a @ generate_sparse_signal(n, k, seed=[seed, t]).to_dense()
+                   for t, k in enumerate(ks)])
+    supports, kappa = recon._select(a, ys, ks, tol)
+    assert all(s.size <= k for s, k in zip(supports, ks))
+    for k in np.unique(ks):
+        rows = np.flatnonzero(ks == k)
+        alone, alone_kappa = recon._select(a, ys[rows], int(k), tol)
+        for s, want in zip([supports[r] for r in rows], alone):
+            np.testing.assert_array_equal(s, want)
+        assert kappa[rows].tobytes() == alone_kappa.tobytes()
+        # one int and the same target per row select alike
+        same, same_kappa = recon._select(a, ys[rows], np.full(rows.size, k), tol)
+        assert all(np.array_equal(s, w) for s, w in zip(same, alone))
+        assert same_kappa.tobytes() == alone_kappa.tobytes()
+
+
 def test_omp_never_enters_the_engine(demo_matrix, monkeypatch, tmp_path, capsys):
     # one vector runs the plain loop (its bytes: test_engine_matches_reference_loop)
     def refuse(*args):
@@ -491,7 +521,7 @@ def count_refits(monkeypatch):
 def test_only_trials_a_support_cannot_settle_are_refit(monkeypatch):
     a = _test_matrix("real", 17, 10, 24)
     refits = count_refits(monkeypatch)
-    trials, left = 40, 0
+    trials, left = 40, []
     for k in range(1, 11):
         signals = [generate_sparse_signal(24, k, seed=[3, k, t]) for t in range(trials)]
         ys = np.array([a @ x.to_dense() for x in signals])
@@ -501,13 +531,17 @@ def test_only_trials_a_support_cannot_settle_are_refit(monkeypatch):
         # at the default tol a right support settles unless its row left the engine
         unsettled = [y for y, s, x, kp in zip(every, supports, signals, kappa)
                      if s.tolist() == list(x.support) and kp == np.inf]
-        left += len(unsettled)
+        left += unsettled
         for tol, want in [(recon.DEFAULT_RECOVERY_TOL, unsettled), (0.0, right),
                           (edge_tols(k)[2], every), (0.9, every)]:
             refits.clear()
             monte_carlo(MeasurementMatrix(a), [k], trials, seed=3, recovery_tol=tol)
             assert refits == want, (k, tol)
-    assert left > 0
+    assert left
+    # selecting every sparsity in one batch moves no departure
+    refits.clear()
+    monte_carlo(MeasurementMatrix(a), range(1, 11), trials, seed=3)
+    assert refits == left
 
 
 def test_repeated_sparsities_are_swept_once(demo_matrix, monkeypatch):
@@ -515,10 +549,11 @@ def test_repeated_sparsities_are_swept_once(demo_matrix, monkeypatch):
     select = recon._select
 
     def counted(a, ys, k_target, residual_tol):
-        calls.append(k_target)
+        calls.append(np.broadcast_to(k_target, len(ys)).tolist())
         return select(a, ys, k_target, residual_tol)
 
     monkeypatch.setattr(recon, "_select", counted)
     report = monte_carlo(demo_matrix, [2, 2, 1], trials=30, seed=4)
-    assert calls == [2, 1]
+    # every trial of every sparsity goes through one selection, in the order of k_range
+    assert calls == [[2] * 30 + [1] * 30]
     assert report.to_json() == monte_carlo(demo_matrix, [2, 1], trials=30, seed=4).to_json()
