@@ -64,7 +64,10 @@ and RIP constants) keep ``iter_combination_chunks``.
 
 Sweeps act on chunks of subsets only to batch the linear algebra: every
 evaluator gives what a scan of one subset at a time gives, so no result,
-count or budget depends on where chunks end.
+count or budget depends on where chunks end. A sweep that ends on a hit
+returns the first flagged subset as its ``witness``; spark's size-min(M, N)
+sweep hands its witness to the upward scan, which then skips the rank test of
+every subset the clean prefix before it settles.
 """
 
 from __future__ import annotations
@@ -332,6 +335,7 @@ class Sweep(NamedTuple):
     covered: int  # subsets a sequential scan evaluates, up to and including a hit
     hit: bool  # some subset was flagged, which ended the sweep
     exact: bool  # False only when the budget cut the sweep short of a hit or the end
+    witness: tuple[int, ...] | None = None  # the flagged subset that ended the sweep
 
 
 def sweep(chunks, evaluate, budget: float = math.inf) -> Sweep:
@@ -341,7 +345,8 @@ def sweep(chunks, evaluate, budget: float = math.inf) -> Sweep:
     ``budget`` subsets are evaluated in total, and returns a boolean mask that
     flags hits, or None when it never ends the sweep early. It must act as a
     scan of one subset at a time, flagging no subset that such a scan would
-    not reach, so that no result depends on where chunks end.
+    not reach, so that no result depends on where chunks end. The first
+    flagged subset is returned as ``witness``.
     """
     covered = 0
     for combs in chunks:
@@ -351,7 +356,8 @@ def sweep(chunks, evaluate, budget: float = math.inf) -> Sweep:
         if len(combs):
             mask = evaluate(combs)
             if mask is not None and mask.any():
-                return Sweep(covered + int(np.argmax(mask)) + 1, True, True)
+                i = int(np.argmax(mask))
+                return Sweep(covered + i + 1, True, True, tuple(combs[i].tolist()))
             covered += len(combs)
         if cut:
             return Sweep(covered, False, False)

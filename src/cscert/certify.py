@@ -22,12 +22,17 @@ Spark first sweeps the largest size, min(M, N), when the sequential count of
 every size up to it fits the budget: deleting a column never lowers
 ``sigma_min / sigma_max`` (singular-value interlacing), so if no subset of
 that size is dependent even under twice the rank tolerance, no smaller subset
-is dependent under the tolerance itself. On a partial Fourier matrix that
-sweep tests one subset per cyclic-shift orbit (``_linalg.any_dependent``):
-shifted columns have the same singular values, up to a rounding that the
-doubled tolerance absorbs. On any flag it scans sizes upward in lexicographic
-order as before. So the rank tests actually run can reach C(N, min(M, N))
-plus the budget. Every rank test is screened by a Cholesky certificate on the
+is dependent under the tolerance itself. On a flag it scans sizes upward in
+lexicographic order, and the same argument settles part of that scan. Every
+subset of that size before the first flagged one, F, was clean under the
+doubled tolerance, so a subset whose lexicographically first superset of
+that size comes before F needs no rank test. On a partial Fourier matrix
+the top sweep tests one subset per cyclic-shift orbit instead
+(``_linalg.iter_orbit_chunks``): shifted columns have the same singular
+values, up to a rounding that the doubled tolerance absorbs. Those
+representatives are no lexicographic prefix, so there a flag settles
+nothing. So the rank tests actually run can reach C(N, min(M, N)) plus the
+budget. Every rank test is screened by a Cholesky certificate on the
 subset's Gram submatrix and falls back to the SVD rule only where the screen
 cannot clear the subset (see ``_linalg``); verdicts are the SVD rule's.
 
@@ -56,11 +61,12 @@ from ._codec import JsonReport
 from ._linalg import (
     DEFAULT_BUDGET,
     RANK_RTOL,
-    any_dependent,
     check_budget,
     iter_combination_chunks,
+    iter_orbit_chunks,
     positive_definite,
     rank_test,
+    shift_invariant,
     sweep,
 )
 from .matrix_core import MeasurementMatrix, as_index, gram, normalize_columns
@@ -116,25 +122,43 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET) -> SparkResult:
     best-known lower bound is returned with ``exact=False``.
 
     When the whole scan fits the budget, size min(M, N) is swept first under
-    twice the rank tolerance (``_linalg.any_dependent``). If it flags nothing,
-    every smaller subset is independent too (interlacing), and the scan's
-    result follows without it.
+    twice the rank tolerance. If it flags nothing, every smaller subset is
+    independent too (interlacing), and the scan's result follows without it.
+    If it flags a subset F, the upward scan runs, but every subset before F
+    in lexicographic order was clean under the doubled tolerance, so every
+    subset of one is independent under the rule itself: a k-subset whose
+    lexicographically first size-min(M, N) superset precedes F reads
+    independent without a rank test (``_settled``).
     When the columns have cyclic shift structure (``_linalg.shift_invariant``)
     that sweep tests one subset per shift orbit, about C(N, min(M, N)) / N
-    rank tests. If it flags anything, the upward scan runs, so the rank tests
-    actually run can reach C(N, min(M, N)) plus the budget. Each rank test is
-    screened with a Cholesky certificate on the subset's Gram submatrix
-    (``_linalg.rank_test``), and only subsets the screen cannot clear get an
-    SVD.
+    rank tests; its representatives are no lexicographic prefix, so a flag
+    settles nothing. The rank tests actually run can reach C(N, min(M, N))
+    plus the budget. Each rank test is screened with a Cholesky certificate
+    on the subset's Gram submatrix (``_linalg.rank_test``), and only subsets
+    the screen cannot clear get an SVD.
     """
     budget = check_budget(budget)
     m, n = a.shape
     top = min(m, n)
     total = sum(math.comb(n, k) for k in range(1, top + 1))
     full_rank = SparkResult(m + 1 if n > m else None, True, total)
-    if total <= budget and not any_dependent(a.entries, top, 2 * RANK_RTOL):
-        return full_rank
-    evaluate = rank_test(a.entries)
+    evaluate = test = rank_test(a.entries)
+    if total <= budget:
+        orbits = shift_invariant(a.entries)
+        chunks = iter_orbit_chunks(n, top) if orbits else iter_combination_chunks(n, top)
+        first = sweep(chunks, rank_test(a.entries, 2 * RANK_RTOL)).witness
+        if first is None:
+            return full_rank
+        if not orbits:
+
+            def evaluate(combs):
+                rest = np.flatnonzero(~_settled(combs, first, top))
+                mask = np.zeros(len(combs), dtype=bool)
+                if len(rest):
+                    # in the generator's layout, a C-ordered (k, B), in which Grams gather fast
+                    mask[rest] = test(np.take(combs.T, rest, axis=1).T)
+                return mask
+
     used = 0
     for k in range(1, top + 1):
         run = sweep(iter_combination_chunks(n, k), evaluate, budget - used)
@@ -143,6 +167,34 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET) -> SparkResult:
             # a cut sweep verified sizes < k fully, size k only partially
             return SparkResult(k, run.exact, used)
     return full_rank
+
+
+def _settled(combs, first, top):
+    """Mask over a (B, k) chunk of subsets T: True where T's first top-superset precedes ``first``.
+
+    Both are sorted and compared lexicographically. That superset, T plus
+    the smallest ``g = top - k`` columns outside T, precedes ``first`` only
+    if it holds ``0 .. j-1``, where j is the smallest value missing from
+    ``first``: that takes at most g of them missing from T. It does precede
+    it when it also holds j, that is when j is in T or fewer than g are
+    missing, since ``first[j] > j``. When exactly g are missing and j is not
+    in T, the superset is ``0 .. j-1`` followed by T's last ``top - j``
+    elements, which decide against ``first[j:]``.
+    """
+    k = combs.shape[1]
+    g = top - k
+    j = next((i for i, v in enumerate(first) if v != i), top)
+    missing = j - (combs < j).sum(axis=1)
+    has_j = (combs == j).any(axis=1)
+    settled = (missing <= g) & (has_j | (missing < g))
+    tie = np.flatnonzero((missing == g) & ~has_j)
+    if len(tie) and j < top:
+        tail = combs[tie, k - (top - j):]
+        ref = np.array(first[j:])
+        # the first differing position; an equal tail gives 0 and reads False
+        at = (tail != ref).argmax(axis=1)
+        settled[tie] = tail[np.arange(len(tie)), at] < ref[at]
+    return settled
 
 
 def coherence(a: MeasurementMatrix) -> CoherenceResult:

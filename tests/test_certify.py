@@ -27,6 +27,7 @@ from cscert import (
     welch_bound,
 )
 from cscert._linalg import RANK_RTOL, any_dependent, iter_combination_chunks
+from cscert.certify import _settled
 
 # Frozen from the demo 5x8 matrix; independently recomputed below by
 # SVD-based oracles where the main path uses eigendecompositions.
@@ -130,6 +131,64 @@ def test_spark_on_partial_idft_matches_upward_scan(n, normalize, data):
         label="budget",
     )
     assert tuple(spark(a, budget)) == reference_spark(a, budget)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_spark_settles_the_subsets_whose_first_top_superset_precedes_the_flag(n):
+    # every top <= n (top = n included), every flagged top-subset F (the first
+    # one, 0 .. top-1, included) and every size k <= top
+    for top in range(1, n + 1):
+        for k in range(1, top + 1):
+            subsets = list(itertools.combinations(range(n), k))
+            supersets = [
+                tuple(sorted(t + tuple(c for c in range(n) if c not in t)[: top - k]))
+                for t in subsets
+            ]
+            combs = np.array(subsets)
+            for flag in itertools.combinations(range(n), top):
+                got = _settled(combs, flag, top).tolist()
+                assert got == [u < flag for u in supersets], (n, top, k, flag)
+
+
+def planted_8x16(s, i):
+    # as certify-early-exit builds its inputs, one column a combination of s - 1 others
+    rng = np.random.default_rng([17, s, i])
+    a = rng.standard_normal((8, 16))
+    cols = rng.choice(16, size=s, replace=False)
+    a[:, cols[0]] = a[:, cols[1:]] @ rng.standard_normal(s - 1)
+    return normalize_columns(MeasurementMatrix(a))
+
+
+@pytest.mark.parametrize("s, share", [(7, 0.4), (8, 0.15)])
+def test_spark_settles_most_of_the_upward_scan_after_a_top_flag(s, share, monkeypatch):
+    # every spark test would pass on a scan that settles nothing, so count the
+    # subsets the upward scan hands to rank_test: 25% of the logical count at
+    # s = 7 and 7% at s = 8 when this was written
+    module = importlib.import_module("cscert.certify")
+    plain = module.rank_test
+    received = []
+
+    def counted_rank_test(entries, rtol=RANK_RTOL):
+        evaluate = plain(entries, rtol)
+        if rtol != RANK_RTOL:  # the top sweep
+            return evaluate
+
+        def counted(combs):
+            received.append(len(combs))
+            return evaluate(combs)
+
+        return counted
+
+    monkeypatch.setattr(module, "rank_test", counted_rank_test)
+    tested = logical = 0
+    for i in range(5):
+        a = planted_8x16(s, i)
+        received.clear()
+        res = spark(a)
+        assert tuple(res) == reference_spark(a, math.inf) and res.value == s, i
+        tested += sum(received)
+        logical += res.evaluations
+    assert tested < share * logical
 
 
 @pytest.mark.parametrize("budget", [0, -3])

@@ -1,7 +1,9 @@
 """CLI reports on seeded inputs, frozen as bytes.
 
 ``data/frozen_certify.json`` holds ``certify --format json`` texts captured
-before the Cholesky certificates entered the spark screen and the RIP sweep.
+before the Cholesky certificates entered the spark screen and the RIP sweep;
+its four planted-spark 8x16 cases were captured before spark's upward scan
+began to skip the subsets its size-min(M, N) sweep had settled.
 ``data/frozen_recovery.json`` holds ``experiment --format json`` and
 ``recon --format json`` texts captured before the per-trial OMP loop became
 one batched selection per sparsity. ``data/frozen_dft.json`` holds
@@ -41,9 +43,11 @@ FROZEN_DFT = DATA / "frozen_dft.json"
 DEMO_CSV = Path(__file__).resolve().parents[1] / "data" / "demo_matrix_5x8.csv"
 
 
-def _planted():
-    a = build_gaussian(7, 16, seed=5).entries.real.copy()
-    a[:, 9] = a[:, [2, 4, 11]] @ np.array([0.5, -1.25, 2.0])
+def _planted(rows, seed, target, sources):
+    # column target becomes a fixed combination of the sources: spark len(sources) + 1
+    a = build_gaussian(rows, 16, seed=seed).entries.real.copy()
+    a[:, target] = a[:, sources] @ np.array([0.5, -1.25, 2.0, 0.75, -1.5, 1.25, -0.5])[
+        : len(sources)]
     return a
 
 
@@ -59,7 +63,15 @@ CASES = {
     "gaussian-7x16-seed3": (lambda: build_gaussian(7, 16, seed=3).entries, ["--normalize"]),
     "gaussian-7x16-seed4-kmax7": (
         lambda: build_gaussian(7, 16, seed=4).entries, ["--normalize", "--kmax", "7"]),
-    "gaussian-7x16-planted-spark4": (_planted, ["--normalize"]),
+    "gaussian-7x16-planted-spark4": (lambda: _planted(7, 5, 9, [2, 4, 11]), ["--normalize"]),
+    "gaussian-8x16-planted-spark5": (
+        lambda: _planted(8, 21, 6, [1, 9, 12, 14]), ["--normalize"]),
+    "gaussian-8x16-planted-spark6": (
+        lambda: _planted(8, 22, 13, [0, 3, 5, 10, 15]), ["--normalize"]),
+    "gaussian-8x16-planted-spark7": (
+        lambda: _planted(8, 23, 2, [4, 6, 7, 9, 11, 14]), ["--normalize"]),
+    "gaussian-8x16-planted-spark8": (
+        lambda: _planted(8, 24, 10, [1, 2, 5, 8, 12, 13, 15]), ["--normalize"]),
     "complex-gaussian-6x12": (_complex, ["--normalize"]),
     "demo-5x8": (None, []),
     "idft-16-normalized": (

@@ -40,11 +40,11 @@ def sequential_scan(combos, hits, budget):
     covered = 0
     for c in combos:
         if covered >= budget:
-            return covered, False, False
+            return covered, False, False, None
         covered += 1
         if c in hits:
-            return covered, True, True
-    return covered, False, True
+            return covered, True, True, c
+    return covered, False, True, None
 
 
 @settings(max_examples=300, deadline=None)
@@ -72,6 +72,7 @@ def test_sweep_matches_sequential_scan(n, data):
         label="budget",
     )
     got = sweep(chunks, evaluate, budget)
+    # covered, hit, exact and the witness, the first planted combination reached
     assert tuple(got) == sequential_scan(combos, hits, budget)
     assert seen == combos[: len(seen)] and len(seen) <= budget
 
