@@ -113,6 +113,18 @@ T) fix that outcome for most trials, so only the others are refit:
 On 50 normalized 10x24 Gaussians at K=1..10 with 20 trials each, 7,149 of
 10,000 trials select a wrong support and 2,001 settle as hits. The 850 refit
 (8.5%) are the rows that left the engine with the right support.
+
+Draws. Trial t at sparsity K is ``generate_sparse_signal(N, K, [seed, K,
+t])``, which draws from ``np.random.default_rng([seed, K, t])``. Building
+that generator costs more than the draw itself, so ``monte_carlo`` derives
+every trial's PCG64 state in one numpy pass (``_pcg64_states``) and draws
+all trials through one ``Generator``, setting its state before each trial's
+``choice`` and ``random`` calls. The batch is exact, not approximate:
+NumPy's ``SeedSequence`` mixing (pool size 4, over the 32-bit words of seed,
+K and t) and PCG64's seeding are fixed, documented algorithms in uint32 and
+128-bit integer arithmetic, so the derived states are the generator's own,
+and ``test_batched_draws_match_the_reference_draw`` pins every support and
+value byte to the reference draw.
 """
 
 from __future__ import annotations
@@ -140,6 +152,19 @@ _SAFETY = 8.0
 
 # Past this bound on kappa(A_S) a row leaves the engine for the reference arithmetic.
 _KAPPA_MAX = 1e8
+
+# NumPy's fixed SeedSequence constants (pool size 4) and PCG64's 128-bit
+# multiplier, which monte_carlo's batched draws reproduce (module docstring, "Draws")
+_SS_POOL = 4
+_SS_INIT_A = 0x43B0D7E5
+_SS_MULT_A = 0x931E8875
+_SS_INIT_B = 0x8B51F9DD
+_SS_MULT_B = 0x58F38DED
+_SS_MIX_MULT_L = 0xCA01F9DD
+_SS_MIX_MULT_R = 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
 
 # monte_carlo selects at most about this many state entries (signal, basis,
 # R^-1) per batch of trials, so memory stays bounded for any trial count.
@@ -187,23 +212,100 @@ class SparseVector:
         return x
 
 
-def _draw(n: int, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted support and unit-modulus values of one K-sparse draw."""
-    rng = np.random.default_rng(seed)
-    support = np.sort(rng.choice(n, size=k, replace=False))
-    return support, np.exp(2j * np.pi * rng.random(k))
-
-
 def generate_sparse_signal(n: int, k: int, seed) -> SparseVector:
     """K-sparse vector with uniformly random support, deterministic per seed.
 
-    The values have unit modulus and uniform random phase.
+    The values have unit modulus and uniform random phase. ``seed`` is
+    anything ``np.random.default_rng`` accepts. This is the reference draw:
+    ``monte_carlo``'s trial t at sparsity K is this vector at
+    ``seed=[seed, K, t]``, bit for bit (module docstring, "Draws").
     """
     n, k = as_index(n, "vector length"), as_index(k, "sparsity")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
-    support, values = _draw(n, k, seed)
-    return SparseVector(n, tuple(support.tolist()), values)
+    rng = np.random.default_rng(seed)
+    support = np.sort(rng.choice(n, size=k, replace=False))
+    return SparseVector(n, tuple(support.tolist()), np.exp(2j * np.pi * rng.random(k)))
+
+
+def _hashmix(v: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
+    """NumPy's SeedSequence ``hashmix`` of uint32 words ``v``, and the next hash constant."""
+    v = v ^ np.uint32(h)
+    h = h * mult & _MASK32
+    v = v * np.uint32(h)
+    return v ^ (v >> np.uint32(16)), h
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """NumPy's SeedSequence ``mix`` of two uint32 word arrays."""
+    r = np.uint32(_SS_MIX_MULT_L) * x - np.uint32(_SS_MIX_MULT_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _pcg64_states(seed: int, ks: np.ndarray, ts: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``default_rng([seed, k, t])`` for each pair of ``ks``, ``ts``.
+
+    One numpy pass over all trials runs NumPy's SeedSequence mixing and
+    ``generate_state(4, uint64)`` in uint32 arithmetic, then PCG64's seeding
+    (module docstring, "Draws"). Needs ``0 <= seed``, ``1 <= k < 2^32`` and
+    ``0 <= t < 2^32``.
+    """
+    # seed's 32-bit little-endian words, as NumPy splits an int (0 gives one word)
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    size = len(words) + 2
+    entropy = np.zeros((max(size, _SS_POOL), len(ks)), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[size - 2], entropy[size - 1] = ks, ts
+    h = _SS_INIT_A
+    pool = []
+    for word in entropy[:_SS_POOL]:
+        v, h = _hashmix(word, h, _SS_MULT_A)
+        pool.append(v)
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                v, h = _hashmix(pool[src], h, _SS_MULT_A)
+                pool[dst] = _mix(pool[dst], v)
+    for word in entropy[_SS_POOL:]:
+        for dst in range(_SS_POOL):
+            v, h = _hashmix(word, h, _SS_MULT_A)
+            pool[dst] = _mix(pool[dst], v)
+    h = _SS_INIT_B  # generate_state(4, uint64): eight uint32 words, cycling the pool
+    state = []
+    for i in range(8):
+        v, h = _hashmix(pool[i % _SS_POOL], h, _SS_MULT_B)
+        state.append(v.astype(np.uint64))
+    s0, s1, s2, s3 = ((state[2 * j] | state[2 * j + 1] << np.uint64(32)).tolist()
+                      for j in range(4))
+    out = []
+    for a, b, c, d in zip(s0, s1, s2, s3):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        out.append((((a << 64 | b) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return out
+
+
+def _draws(n: int, seed: int, ks: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signals of ``generate_sparse_signal(n, k, [seed, k, t])`` for each pair of ``ks``, ``ts``.
+
+    Returns the (B, N) dense signals and each row's sorted support, padded
+    with N to the largest K. One generator draws every trial from its own
+    PCG64 state, with the same calls as the reference draw.
+    """
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    picks, phases = [], []
+    for k, (state, inc) in zip(ks.tolist(), _pcg64_states(seed, ks, ts)):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        picks.append(rng.choice(n, size=k, replace=False))
+        phases.append(rng.random(k))
+    held = np.arange(ks.max(initial=0)) < ks[:, None]
+    truth = np.full(held.shape, n, dtype=np.intp)
+    truth[held] = np.concatenate(picks)
+    truth.sort(axis=1)
+    signals = np.zeros((len(ks), n), dtype=np.complex128)
+    signals[np.nonzero(held)[0], truth[held]] = np.exp(2j * np.pi * np.concatenate(phases))
+    return signals, truth
 
 
 def _refit(a: np.ndarray, y: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,8 +392,11 @@ def _select(a: np.ndarray, ys: np.ndarray, k_target,
         r_inv[live, i, i] = 1.0 / rho
         r_inv_sq[live] += np.sum(col.real**2 + col.imag**2, axis=1) + rho**-2.0
         cols_sq[live] += col_norm[pick] ** 2
-    supports = [_reference_select(a, y, int(k), residual_tol) if gone else np.sort(row[row >= 0])
-                for y, row, k, gone in zip(ys, picks, targets, departed)]
+    # unpicked entries (-1) are a suffix of each row, so they sort to its front
+    ordered = np.sort(picks, axis=1)
+    first = k_max - (picks >= 0).sum(axis=1)
+    supports = [_reference_select(a, y, int(k), residual_tol) if gone else row[f:]
+                for y, row, f, k, gone in zip(ys, ordered, first.tolist(), targets, departed)]
     return supports, np.where(departed, np.inf, 2.0 * np.sqrt(cols_sq * r_inv_sq))
 
 
@@ -337,36 +442,30 @@ def omp(
     return solution, float(np.linalg.norm(residual))
 
 
-def _recoveries(a: MeasurementMatrix, jobs, recovery_tol: float) -> np.ndarray:
-    """Exact-recovery flag of each ``(K, seed)`` trial in ``jobs``, all selected in one batch.
+def _recoveries(a: MeasurementMatrix, seed: int, ks: np.ndarray, ts: np.ndarray,
+                recovery_tol: float) -> np.ndarray:
+    """Exact-recovery flag of trial ``ts[j]`` at sparsity ``ks[j]`` for each j, in one batch.
 
     The trials may mix sparsities: each is selected to its own K, and the
     bounds that settle it (module docstring, "Scoring") are taken at that K.
     A trial is refit only when its selected support cannot settle it.
     """
-    ks = np.array([k for k, _ in jobs], dtype=np.intp)
-    signals = np.zeros((len(jobs), a.cols), dtype=np.complex128)
-    truth = []
-    for x, (k, seed) in zip(signals, jobs):
-        t, values = _draw(a.cols, k, seed)
-        x[t] = values
-        truth.append(t)
+    signals, truth = _draws(a.cols, seed, ks, ts)
     ys = np.array([a.entries @ x for x in signals])
     supports, kappa = _select(a.entries, ys, ks, DEFAULT_RESIDUAL_TOL)
+    sizes = np.array([s.size for s in supports])
+    selected = np.full(truth.shape, a.cols, dtype=np.intp)  # padded with N, as truth is
+    selected[np.arange(truth.shape[1]) < sizes[:, None]] = np.concatenate(supports)
+    right = (selected == truth).all(axis=1)
     # a support missing a true atom misses by about 1 / sqrt(K)
     settles = recovery_tol * np.sqrt(ks) < 0.5
     # bound on the refit's relative error on the true support
     beta = 4 * (a.rows + 2) * (ks + 1) * _U * kappa
-    sure_hit = settles & (kappa <= _KAPPA_MAX) & (_SAFETY * beta <= recovery_tol / 2)
-    hits = np.zeros(len(jobs), dtype=bool)
-    for j, (x, y, t, support) in enumerate(zip(signals, ys, truth, supports)):
-        right = np.array_equal(support, t)
-        if sure_hit[j] and right:
-            hits[j] = True
-        elif right or not settles[j]:
-            x_hat = np.zeros(a.cols, dtype=np.complex128)
-            x_hat[support] = _refit(a.entries, y, support)[0]
-            hits[j] = np.linalg.norm(x_hat - x) / np.linalg.norm(x) <= recovery_tol
+    hits = right & settles & (kappa <= _KAPPA_MAX) & (_SAFETY * beta <= recovery_tol / 2)
+    for j in np.flatnonzero(~hits & (right | ~settles)):
+        x_hat = np.zeros(a.cols, dtype=np.complex128)
+        x_hat[supports[j]] = _refit(a.entries, ys[j], supports[j])[0]
+        hits[j] = np.linalg.norm(x_hat - signals[j]) / np.linalg.norm(signals[j]) <= recovery_tol
     return hits
 
 
@@ -397,7 +496,9 @@ def monte_carlo(
 
     Per-trial randomness derives from (seed, K, trial index), so the report is
     independent of trial execution order. A repeated sparsity is swept once.
-    Each trial is drawn and measured on its own; the selection engine then
+    The trials of a batch are drawn together, bit for bit the draws of
+    ``generate_sparse_signal`` (module docstring, "Draws"), and each is
+    measured by its own product; the selection engine then
     recovers the trials of all sparsities together in lockstep, each to its
     own K, in batches of bounded memory sized by the largest K, with
     ``omp``'s default residual tolerance. A trial is scored from
@@ -406,6 +507,9 @@ def monte_carlo(
     refitting every trial.
     """
     ks = [as_index(k, "sparsity") for k in k_range]
+    seed = as_index(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     check_tol(recovery_tol, "recovery_tol")
     trials = as_index(trials, "trials")
     if trials < 1:
@@ -414,12 +518,14 @@ def monte_carlo(
     if any(k < 1 or k > limit for k in ks):
         raise ValueError(f"sparsities must lie in [1, min(M, N)] = [1, {limit}], got {ks}")
     ks = list(dict.fromkeys(ks))
-    jobs = [(k, [seed, k, t]) for k in ks for t in range(trials)]
+    k_of = np.repeat(np.array(ks, dtype=np.intp), trials)
+    t_of = np.tile(np.arange(trials), len(ks))
     k_max = max(ks, default=0)
     batch = max(1, _BATCH_ENTRIES // (a.cols + k_max * (a.rows + k_max)))
-    hits = np.zeros(len(jobs), dtype=bool)
-    for s in range(0, len(jobs), batch):
-        hits[s:s + batch] = _recoveries(a, jobs[s:s + batch], recovery_tol)
+    hits = np.zeros(k_of.size, dtype=bool)
+    for s in range(0, k_of.size, batch):
+        cut = slice(s, s + batch)
+        hits[cut] = _recoveries(a, seed, k_of[cut], t_of[cut], recovery_tol)
     rates = {k: int(h.sum()) / trials for k, h in zip(ks, hits.reshape(-1, trials))}
     return ExperimentReport(
         matrix=a.describe(),

@@ -6,7 +6,9 @@ its four planted-spark 8x16 cases were captured before spark's upward scan
 began to skip the subsets its size-min(M, N) sweep had settled.
 ``data/frozen_recovery.json`` holds ``experiment --format json`` and
 ``recon --format json`` texts captured before the per-trial OMP loop became
-one batched selection per sparsity. ``data/frozen_dft.json`` holds
+one batched selection per sparsity; its experiment cases at seed 2**64 + 3
+and at one trial were captured before the trials of a batch were drawn
+through one generator from states derived in one pass. ``data/frozen_dft.json`` holds
 ``dft-limit --format json`` texts on fixed N=16 and N=32 missing-sample
 patterns, and ``dft_uniqueness_oracle`` verdicts at K = 1 .. limit + 1,
 captured before both DFT paths drew their subsets from unranked
@@ -121,12 +123,16 @@ RECOVERY_MATRICES = {
     "idft-32-normalized": lambda: build_partial_idft(32, _idft_rows(), True).entries,
 }
 
-# matrix name -> (sparsities swept by experiment, trials, seed)
+# case name -> (matrix name, sparsities swept by experiment, trials, seed); the seed
+# 2**64 + 3 takes three 32-bit words, and 2**32 two
 EXPERIMENT_CASES = {
-    "demo-5x8": (range(1, 6), 200, 7),
-    "gaussian-10x24-normalized": (range(1, 11), 60, 3),
-    "complex-gaussian-6x12-normalized": (range(1, 7), 100, 5),
-    "idft-32-normalized": (range(1, 13), 40, 11),
+    "demo-5x8": ("demo-5x8", range(1, 6), 200, 7),
+    "gaussian-10x24-normalized": ("gaussian-10x24-normalized", range(1, 11), 60, 3),
+    "gaussian-10x24-normalized-seed-2e64+3": (
+        "gaussian-10x24-normalized", range(1, 11), 60, 2**64 + 3),
+    "gaussian-10x24-normalized-one-trial": ("gaussian-10x24-normalized", range(1, 11), 1, 2**32),
+    "complex-gaussian-6x12-normalized": ("complex-gaussian-6x12-normalized", range(1, 7), 100, 5),
+    "idft-32-normalized": ("idft-32-normalized", range(1, 13), 40, 11),
 }
 
 # name -> (entries builder, measurement builder, recon flags)
@@ -164,8 +170,8 @@ def certify_json(build, flags, tmp):
 
 
 def experiment_json(name, tmp):
-    ks, trials, seed = EXPERIMENT_CASES[name]
-    return _run(["experiment", "--matrix", str(_matrix_csv(RECOVERY_MATRICES[name], tmp)),
+    matrix, ks, trials, seed = EXPERIMENT_CASES[name]
+    return _run(["experiment", "--matrix", str(_matrix_csv(RECOVERY_MATRICES[matrix], tmp)),
                  "--ks", ",".join(map(str, ks)), "--trials", str(trials),
                  "--seed", str(seed)], tmp)
 
@@ -264,8 +270,8 @@ def test_experiment_json_is_frozen(name, frozen_recovery, tmp_path):
 def test_experiment_json_is_frozen_across_batch_cuts(name, per_batch, frozen_recovery, tmp_path,
                                                      monkeypatch):
     # batches that cut through sparsities, and trials selected one at a time
-    ks, trials, _ = EXPERIMENT_CASES[name]
-    build = RECOVERY_MATRICES[name]
+    matrix, ks, trials, _ = EXPERIMENT_CASES[name]
+    build = RECOVERY_MATRICES[matrix]
     rows, cols = (load_matrix_csv(DEMO_CSV).entries if build is None else build()).shape
     k_max = max(ks)
     monkeypatch.setattr(recon, "_BATCH_ENTRIES", per_batch * (cols + k_max * (rows + k_max)))

@@ -240,6 +240,47 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=message):
             monte_carlo(demo_matrix, [1, 2], trials=5, seed=0, recovery_tol=tol)
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, r"^seed must be non-negative, got -1$"),
+        (2.5, r"^seed must be an integer, got 2\.5$"),
+    ])
+    def test_seed_must_be_a_non_negative_integer(self, demo_matrix, seed, message):
+        with pytest.raises(ValueError, match=message):
+            monte_carlo(demo_matrix, [1, 2], trials=5, seed=seed)
+
+    def test_true_seed_reads_as_one(self, demo_matrix):
+        # as in NumPy, where default_rng([True, K, t]) draws as [1, K, t]
+        report = monte_carlo(demo_matrix, [1, 2, 3], trials=20, seed=True)
+        assert report.seed == 1 and type(report.seed) is int
+        assert report.to_json() == monte_carlo(demo_matrix, [1, 2, 3], trials=20, seed=1).to_json()
+
+
+def assert_draws_match_the_reference(n, seed, ks, ts):
+    signals, truth = recon._draws(n, seed, np.array(ks, dtype=np.intp), np.array(ts))
+    assert truth.shape == (len(ks), max(ks))
+    for x, row, k, t in zip(signals, truth, ks, ts):
+        want = generate_sparse_signal(n, k, seed=[seed, k, t])
+        assert tuple(row[:k].tolist()) == want.support and (row[k:] == n).all()
+        assert x[list(want.support)].tobytes() == want.values.tobytes()
+        assert x.tobytes() == want.to_dense().tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # from 2**64 on a seed takes three words, past the pool of four with K and t
+    seed=st.integers(0, 2**96) | st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]),
+    data=st.data(),
+    n=st.integers(1, 64),
+)
+def test_batched_draws_match_the_reference_draw(seed, data, n):
+    # pins monte_carlo's hand-derived SeedSequence mixing and PCG64 seeding to NumPy's
+    trials = data.draw(st.lists(st.tuples(st.integers(1, n), st.integers(0, 10**6)),
+                                min_size=1, max_size=12))
+    ks, ts = [k for k, _ in trials], [t for _, t in trials]
+    assert_draws_match_the_reference(n, seed, ks, ts)
+    # the first trial alone: a one-trial batch
+    assert_draws_match_the_reference(n, seed, ks[:1], ts[:1])
+
 
 def reference_omp(a, y, k_target, residual_tol):
     """The plain OMP loop: a lstsq refit on the sorted support after every pick."""
