@@ -62,6 +62,20 @@ shift. A check on the Gram would not do: a Gram entry off by 1e-12 of
 lexicographically first hit or the logical subset count (spark's upward scan
 and RIP constants) keep ``iter_combination_chunks``.
 
+``iter_combination_chunks`` slices its k-subsets from
+``combination_tables``: for each size r, the r-combinations of range(n) as
+the columns of one read-only array, in lexicographic order. The
+combinations that begin with f are f followed by a suffix of the table one
+size down, so each table is built from the last one in one pass. A table is
+kept only while it holds at most 2^17 entries, every size at n = 16 and
+sizes 1 and 2 at n = 256. Above the largest kept size R, a row is a prefix
+from the recursive stream of (k - R)-combinations followed by a column of
+the R-table. ``spark`` and ``rip_profile`` build the tables once per call
+and pass them to every sweep they run; nothing keeps them past the call.
+They are built fresh, and a fresh allocation faults its pages in at a few
+microseconds per 4 KB, so they use the smallest unsigned dtype that holds
+n - 1: one byte up to n = 256.
+
 Sweeps act on chunks of subsets only to batch the linear algebra: every
 evaluator gives what a scan of one subset at a time gives, so no result,
 count or budget depends on where chunks end. A sweep that ends on a hit
@@ -87,6 +101,9 @@ CHUNK = 2048
 # A chunk of k-subsets holds at most about this many k x k matrix entries.
 _CHUNK_ENTRIES = 1 << 20
 
+# A combination table holds at most this many entries: every size at n = 16.
+_TABLE_ENTRIES = 1 << 17
+
 # A subset whose Gram eigenvalues satisfy lambda_min > SCREEN * lambda_max is
 # independent without an SVD; the screen certifies it with a Cholesky test.
 SCREEN = 1e-8
@@ -99,20 +116,60 @@ _SCREEN_FLOOR = 1e-200
 DEFAULT_BUDGET = 20_000_000
 
 
-def iter_combination_chunks(n: int, k: int, chunk: int = CHUNK):
+def combination_tables(n: int, k: int) -> list:
+    """Lexicographic tables of the r-combinations of range(n), for r = 1, 2, ... up to k.
+
+    Entry r - 1 is ``(table, start)``: ``table`` is a read-only (r, C(n, r))
+    array whose columns are the r-combinations in lexicographic order, in
+    the smallest unsigned dtype that holds n - 1, and ``start[f]``, for
+    f = 0 .. n, is its first column whose first element is at least f. The
+    list stops before the first size whose table would hold more than
+    ``_TABLE_ENTRIES`` entries: every size at n = 16, sizes 1 and 2 at
+    n = 256. Each call builds its own tables, so callers that sweep several
+    sizes build them once and pass them on.
+    """
+    table = np.arange(n, dtype=np.min_scalar_type(n - 1))[None]
+    start = np.arange(n + 1)
+    tables = []
+    while True:
+        table.flags.writeable = False
+        tables.append((table, start))
+        r = len(tables) + 1
+        if r > k or r * math.comb(n, r) > _TABLE_ENTRIES:
+            return tables
+        table, start = _extend_table(table, start)
+
+
+def _extend_table(table, start):
+    """The (r + 1)-table and its ``start`` from the r-table and its own.
+
+    The (r + 1)-combinations that begin with f are f followed by each
+    r-combination whose first element is above f: the columns from
+    ``start[f + 1]`` on, a suffix of the r-table. So the new table is those
+    suffixes side by side, one ``concatenate`` of views, under a first row
+    of f repeated, and its ``start`` is the running count of their columns.
+    """
+    count = table.shape[1] - start[1:]
+    out = np.empty((len(table) + 1, count.sum()), dtype=table.dtype)
+    out[0] = np.repeat(np.arange(len(count), dtype=table.dtype), count)
+    np.concatenate([table[:, f:] for f in start[1:].tolist()], axis=1, out=out[1:])
+    return out, np.concatenate(([0], np.cumsum(count)))
+
+
+def iter_combination_chunks(n: int, k: int, chunk: int = CHUNK, *, tables=None):
     """Yield (B, k) int arrays of k-combinations of range(n) in lexicographic order.
 
-    Each chunk is grown in numpy from its first combination ``first``, one
-    element position at a time. Level 0 holds ``first[0], first[0] + 1, ...``
-    up to ``n - k``. At level j each j-prefix takes the values from its last
-    element plus one up to ``n - k + j``, except the first prefix,
-    ``first[:j]``, which starts at ``first[j]``. Each level keeps only its
-    first B children and the index of each one's parent, and the rows are
-    rebuilt by following those indices back, one gather per level. This is
-    exact: every kept prefix has a completion, so the next B combinations
-    have at most B distinct j-prefixes, all among the first B. The next
-    ``first`` is the successor of the chunk's last combination, and the
-    stream ends at ``n - k, ..., n - 1``. No binomial coefficient is needed.
+    Rows come from ``tables``, the ``combination_tables(n, k)`` of the
+    caller, built here when it passes none. When the k-table exists, each
+    chunk is a slice of it. Otherwise, with R the largest table size, each
+    row is a (k - R)-prefix, drawn in order from the same generator's
+    (k - R)-combinations of range(n - R), followed by an R-combination whose
+    first element is above the prefix's last one: a column from
+    ``start[last + 1]`` on of the R-table. The prefix stream is recursive in
+    turn: the combinations of range(n - R) are those of ``R .. n-1`` shifted
+    down by R, a suffix of each table, so one set of tables serves every
+    level. Only table columns and pending rows are counted, so a stream of
+    more than 2^63 combinations is no special case.
 
     Each chunk is the transpose of a C-ordered (k, B) array, the layout in
     which sweeps gather (k, k, B) Gram stacks. B doubles from 64 up to the
@@ -123,39 +180,53 @@ def iter_combination_chunks(n: int, k: int, chunk: int = CHUNK):
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
+    if tables is None:
+        tables = combination_tables(n, k)
     cap = max(1, min(chunk, _CHUNK_ENTRIES // k**2))
+    for rows in _combination_rows(tables, k, 0, cap):
+        yield rows.T
+
+
+def _combination_rows(tables, k, lo, cap):
+    """(k, B) intp arrays of the k-combinations of ``lo .. n-1``, B doubling from 64 to cap."""
     size = min(64, cap)
-    first = list(range(k))
+    r = min(k, len(tables))
+    table, start = tables[r - 1]
+    end = table.shape[1]
+    if r == k:
+        a = start[lo]
+        while a < end:
+            yield table[:, a : a + size].astype(np.intp)
+            a += size
+            size = min(2 * size, cap)
+        return
+    # rows done .. total-1 are pending; row t is prefix p, the one with ends[p - 1] <= t < ends[p],
+    # then column t - ends[p] + end of the r-table, since every prefix's columns run to the end
+    head = np.empty((k - r, 0), dtype=np.intp)
+    ends = np.empty(0, dtype=np.intp)
+    prefixes = _combination_rows(tables, k - r, lo + r, cap)
+    done = total = 0
     while True:
-        values = [np.arange(first[0], min(first[0] + size, n - k + 1))]
-        parents = []
-        for j in range(1, k):
-            # prefix i has count[i] children, from its last element + 1 (the first
-            # prefix's from first[j]) up to top, numbered from ends[i] - count[i]
-            top = n - k + j
-            count = top - values[-1]
-            count[0] = top + 1 - first[j]
-            ends = np.cumsum(count)
-            m = int(ends.searchsorted(size))
-            if m < len(ends):  # keep the first size children
-                count = count[: m + 1]
-                count[m] -= ends[m] - size
-            parent = np.repeat(np.arange(len(count)), count)
-            values.append(np.arange(top + 1, top + 1 + len(parent)) - ends[parent])
-            parents.append(parent)
-        out = np.empty((k, len(values[-1])), dtype=np.intp)
-        out[-1] = values[-1]
-        up = slice(None)
-        for j in range(k - 2, -1, -1):
-            up = parents[j][up]
-            out[j] = values[j][up]
-        c = out[:, -1].tolist()
-        yield out.T
-        # the successor raises the rightmost element that can rise
-        i = next((i for i in range(k - 1, -1, -1) if c[i] < n - k + i), None)
-        if i is None:
+        while total - done < size and (block := next(prefixes, None)) is not None:
+            # prefixes of lo + r .. n-1, shifted down to lo .. n-1-r; unfinished ones stay
+            block -= r
+            keep = ends.searchsorted(done, side="right")
+            more = total - done + np.cumsum(end - start[block[-1] + 1])
+            head = np.concatenate((head[:, keep:], block), axis=1)
+            ends = np.concatenate((ends[keep:] - done, more))
+            done, total = 0, int(ends[-1])
+        if done == total:
             return
-        first = c[:i] + list(range(c[i] + 1, c[i] + 1 + k - i))
+        stop = min(done + size, total)
+        # prefixes i .. j own rows done .. stop-1, count[p] of them each
+        i, j = ends.searchsorted((done, stop - 1), side="right")
+        count = np.diff(np.minimum(ends[i : j + 1], stop), prepend=done)
+        out = np.empty((k, stop - done), dtype=np.intp)
+        out[: k - r] = np.repeat(head[:, i : j + 1], count, axis=1)
+        cols = np.arange(done + end, stop + end) - np.repeat(ends[i : j + 1], count)
+        out[k - r :] = np.take(table, cols, axis=1)
+        yield out
+        done = stop
         size = min(2 * size, cap)
 
 

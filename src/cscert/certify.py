@@ -26,8 +26,10 @@ is dependent under the tolerance itself. On a flag it scans sizes upward in
 lexicographic order, and the same argument settles part of that scan. Every
 subset of that size before the first flagged one, F, was clean under the
 doubled tolerance, so a subset whose lexicographically first superset of
-that size comes before F needs no rank test. On a partial Fourier matrix
-the top sweep tests one subset per cyclic-shift orbit instead
+that size comes before F needs no rank test. With j the smallest value
+missing from F, that holds for every subset of a size below min(M, N) - j,
+so those sizes are counted without being generated. On a partial Fourier
+matrix the top sweep tests one subset per cyclic-shift orbit instead
 (``_linalg.iter_orbit_chunks``): shifted columns have the same singular
 values, up to a rounding that the doubled tolerance absorbs. Those
 representatives are no lexicographic prefix, so there a flag settles
@@ -62,6 +64,7 @@ from ._linalg import (
     DEFAULT_BUDGET,
     RANK_RTOL,
     check_budget,
+    combination_tables,
     iter_combination_chunks,
     iter_orbit_chunks,
     positive_definite,
@@ -128,7 +131,12 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET) -> SparkResult:
     in lexicographic order was clean under the doubled tolerance, so every
     subset of one is independent under the rule itself: a k-subset whose
     lexicographically first size-min(M, N) superset precedes F reads
-    independent without a rank test (``_settled``).
+    independent without a rank test (``_settled``). Let j be the smallest
+    value missing from F. A k-subset misses at most j of ``0 .. j-1``, fewer
+    than ``min(M, N) - k`` when k < min(M, N) - j, so every subset of such a
+    size is settled: those sizes add C(N, k) each to the count and are not
+    generated. All sizes share one set of ``_linalg.combination_tables``,
+    built once per call.
     When the columns have cyclic shift structure (``_linalg.shift_invariant``)
     that sweep tests one subset per shift orbit, about C(N, min(M, N)) / N
     rank tests; its representatives are no lexicographic prefix, so a flag
@@ -142,14 +150,21 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET) -> SparkResult:
     top = min(m, n)
     total = sum(math.comb(n, k) for k in range(1, top + 1))
     full_rank = SparkResult(m + 1 if n > m else None, True, total)
+    tables = combination_tables(n, top)
     evaluate = test = rank_test(a.entries)
+    clean = 0  # sizes below this are settled whole
     if total <= budget:
         orbits = shift_invariant(a.entries)
-        chunks = iter_orbit_chunks(n, top) if orbits else iter_combination_chunks(n, top)
+        if orbits:
+            chunks = iter_orbit_chunks(n, top)
+        else:
+            chunks = iter_combination_chunks(n, top, tables=tables)
         first = sweep(chunks, rank_test(a.entries, 2 * RANK_RTOL)).witness
         if first is None:
             return full_rank
         if not orbits:
+            # a k-subset misses at most j < top - k of 0 .. j-1, so _settled holds for all of them
+            clean = top - next((i for i, v in enumerate(first) if v != i), top)
 
             def evaluate(combs):
                 rest = np.flatnonzero(~_settled(combs, first, top))
@@ -159,9 +174,9 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET) -> SparkResult:
                     mask[rest] = test(np.take(combs.T, rest, axis=1).T)
                 return mask
 
-    used = 0
-    for k in range(1, top + 1):
-        run = sweep(iter_combination_chunks(n, k), evaluate, budget - used)
+    used = sum(math.comb(n, k) for k in range(1, clean))
+    for k in range(max(clean, 1), top + 1):
+        run = sweep(iter_combination_chunks(n, k, tables=tables), evaluate, budget - used)
         used += run.covered
         if run.hit or not run.exact:
             # a cut sweep verified sizes < k fully, size k only partially
@@ -227,7 +242,9 @@ def welch_bound(m: int, n: int) -> float:
     return math.sqrt((n - m) / (m * (n - 1)))
 
 
-def rip_constant(a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET) -> RipResult:
+def rip_constant(
+    a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET, *, _tables=None
+) -> RipResult:
     """Isometry constant delta_K, the largest ``||G_S - I||_2`` over K-column subsets S.
 
     G_S is the Gram matrix of subset S, a principal K x K submatrix of the
@@ -280,6 +297,10 @@ def rip_constant(a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET) -> 
     without the certificate. ``fl(1 - x)`` and ``fl(x - 1)`` are monotone, so
     delta is the float a plain ``eigvalsh`` scan gives,
     ``max(1 - min lambda_min, max lambda_max - 1)``.
+
+    ``_tables`` passes in ``_linalg.combination_tables(N, k_max)``, so that
+    ``rip_profile`` builds them once for all its orders; a call without them
+    builds its own.
     """
     m, n = a.shape
     k = as_index(k, "order")
@@ -329,7 +350,9 @@ def rip_constant(a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET) -> 
             w = np.linalg.eigvalsh(g[c[:, :, None], c[:, None, :]])
             d = max(d, float((1.0 - w[:, 0]).max()), float((w[:, -1] - 1.0).max()))
 
-    run = sweep(iter_combination_chunks(n, k), deviation, budget)
+    if _tables is None:
+        _tables = combination_tables(n, k)
+    run = sweep(iter_combination_chunks(n, k, tables=_tables), deviation, budget)
     return RipResult(d, run.exact, run.covered)
 
 
@@ -352,10 +375,11 @@ def rip_profile(a: MeasurementMatrix, k_max: int, budget: int = DEFAULT_BUDGET) 
         raise ValueError(f"order must satisfy 1 <= K <= min(M, N) = {min(a.shape)}, got {k_max}")
     deltas = dict.fromkeys(range(1, k_max + 1), 0.0)
     exact = dict.fromkeys(deltas, False)
+    tables = combination_tables(a.shape[1], k_max) if k_max else None
     used = 0
     for k in deltas:
         if used < budget:
-            res = rip_constant(a, k, budget - used)
+            res = rip_constant(a, k, budget - used, _tables=tables)
             deltas[k], exact[k] = res.delta, res.exact
             used += res.evaluations
     return RipProfile(deltas, exact, used)

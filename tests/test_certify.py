@@ -26,7 +26,7 @@ from cscert import (
     spark,
     welch_bound,
 )
-from cscert._linalg import RANK_RTOL, any_dependent, iter_combination_chunks
+from cscert._linalg import RANK_RTOL, any_dependent, iter_combination_chunks, rank_test, sweep
 from cscert.certify import _settled
 
 # Frozen from the demo 5x8 matrix; independently recomputed below by
@@ -148,6 +148,9 @@ def test_spark_settles_the_subsets_whose_first_top_superset_precedes_the_flag(n)
             for flag in itertools.combinations(range(n), top):
                 got = _settled(combs, flag, top).tolist()
                 assert got == [u < flag for u in supersets], (n, top, k, flag)
+                # below size top - j, with j the smallest value missing from the flag, all are
+                j = next((i for i, v in enumerate(flag) if v != i), top)
+                assert all(got) or k >= top - j, (n, top, k, flag)
 
 
 def planted_8x16(s, i):
@@ -189,6 +192,55 @@ def test_spark_settles_most_of_the_upward_scan_after_a_top_flag(s, share, monkey
         tested += sum(received)
         logical += res.evaluations
     assert tested < share * logical
+
+
+def test_spark_skips_the_sizes_a_top_flag_settles_whole(monkeypatch):
+    # every k-subset with k < top - j is settled, with j the smallest value missing from
+    # the flagged top-subset, so spark counts those sizes without generating them
+    module = importlib.import_module("cscert.certify")
+    plain = module.iter_combination_chunks
+    sizes = []
+
+    def recorded(n, k, *args, **kwargs):
+        sizes.append(k)
+        return plain(n, k, *args, **kwargs)
+
+    monkeypatch.setattr(module, "iter_combination_chunks", recorded)
+    skipped = 0
+    for s in (6, 7, 8):
+        for i in range(5):
+            a = planted_8x16(s, i)
+            sizes.clear()
+            # counts against the one-subset scan: the test above at spark 7 and 8, and
+            # test_spark_matches_upward_scan on small matrices
+            assert spark(a).value == s, (s, i)
+            flag = sweep(plain(16, 8), rank_test(a.entries, 2 * RANK_RTOL)).witness
+            j = next((c for c, v in enumerate(flag) if v != c), 8)
+            # the top sweep, then the upward scan from size max(8 - j, 1) on
+            assert sizes == [8] + list(range(max(8 - j, 1), s + 1)), (s, i)
+            skipped += max(8 - j, 1) - 1
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("entry", ["spark", "rip_profile"])
+def test_spark_and_rip_profile_build_each_table_once_per_call(entry, monkeypatch):
+    module = importlib.import_module("cscert._linalg")
+    plain = module._extend_table
+    built = []
+
+    def counted(table, start):
+        built.append(len(table) + 1)
+        return plain(table, start)
+
+    monkeypatch.setattr(module, "_extend_table", counted)
+    # spark sweeps size 8, then scans sizes up to 7 after its flag
+    a = planted_8x16(7, 0)
+    call = {"spark": lambda: spark(a), "rip_profile": lambda: rip_profile(a, 8)}[entry]
+    call()
+    # each size from 2 to 8 is built from the one below it, once
+    assert built == list(range(2, 9))
+    call()
+    assert built == 2 * list(range(2, 9))
 
 
 @pytest.mark.parametrize("budget", [0, -3])

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cscert import _linalg
 from cscert._linalg import (
     _CHUNK_ENTRIES,
     _SCREEN_FLOOR,
     CHUNK,
     SCREEN,
+    combination_tables,
     dependent_mask,
     iter_combination_chunks,
     iter_orbit_chunks,
@@ -87,11 +89,7 @@ def test_combination_chunks_double_from_64_up_to_the_cap():
     assert sum(len(c) for c in chunks) == math.comb(27, 23)
 
 
-@settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 14), data=st.data())
-def test_combination_chunks_are_itertools_in_doubling_chunks(n, data):
-    k = data.draw(st.integers(1, n), label="k")
-    chunk = data.draw(st.one_of(st.just(1), st.integers(1, 3000), st.just(CHUNK)), label="chunk")
+def doubling_chunks_check(n, k, chunk):
     chunks = ended(iter_combination_chunks(n, k, chunk), math.comb(n, k))
     assert np.vstack(chunks).tolist() == [list(c) for c in itertools.combinations(range(n), k)]
     # sizes double from 64 up to the cap, and only the last chunk may fall short
@@ -103,6 +101,48 @@ def test_combination_chunks_are_itertools_in_doubling_chunks(n, data):
         size = min(2 * size, cap)
     assert [len(c) for c in chunks] == sizes
     assert all(c.dtype == np.intp and c.T.flags.c_contiguous for c in chunks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 14), data=st.data())
+def test_combination_chunks_are_itertools_in_doubling_chunks(n, data):
+    k = data.draw(st.integers(1, n), label="k")
+    chunk = data.draw(st.one_of(st.just(1), st.integers(1, 3000), st.just(CHUNK)), label="chunk")
+    doubling_chunks_check(n, k, chunk)
+
+
+def test_combination_tables_are_itertools():
+    for n in range(1, 13):
+        tables = combination_tables(n, n)
+        # at n <= 12 every size fits under the entry limit
+        assert len(tables) == n
+        for r, (table, start) in enumerate(tables, 1):
+            assert table.tolist() == np.array(list(itertools.combinations(range(n), r))).T.tolist()
+            assert table.dtype == np.uint8 and not table.flags.writeable
+            # start[f] is the first column whose first element is at least f
+            assert start.tolist() == [
+                sum(c < f for c in table[0].tolist()) for f in range(n + 1)
+            ], (n, r)
+    assert [t.dtype for t, _ in combination_tables(257, 2)] == [np.uint16, np.uint16]
+    # only sizes whose table holds at most 2^17 entries: all at n = 16, two at n = 256
+    assert len(combination_tables(16, 16)) == 16
+    assert len(combination_tables(256, 5)) == 2
+    assert len(combination_tables(16, 3)) == 3
+
+
+# with the tables this small, most rows are a prefix from the recursive stream and a suffix column
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 14), entries=st.sampled_from([1, 12, 60]), data=st.data())
+def test_combination_chunks_from_small_tables_are_itertools_in_doubling_chunks(n, entries, data):
+    k = data.draw(st.integers(1, n), label="k")
+    chunk = data.draw(st.one_of(st.just(1), st.integers(1, 3000), st.just(CHUNK)), label="chunk")
+    with mock.patch.object(_linalg, "_TABLE_ENTRIES", entries):
+        doubling_chunks_check(n, k, chunk)
+
+
+def test_combination_chunks_from_small_tables_double_from_64_up_to_the_cap():
+    with mock.patch.object(_linalg, "_TABLE_ENTRIES", 12):
+        test_combination_chunks_double_from_64_up_to_the_cap()
 
 
 @pytest.mark.parametrize("n, k", [(70, 35), (200, 100), (128, 40)])
