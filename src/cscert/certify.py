@@ -112,7 +112,7 @@ class RipResult(NamedTuple):
     evaluations: int
 
 
-def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET) -> SparkResult:
+def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET, *, _tables=None) -> SparkResult:
     """Smallest number of linearly dependent columns, by exhaustive enumeration.
 
     The result is that of scanning subset sizes k = 1, 2, ... and returning
@@ -136,7 +136,8 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET) -> SparkResult:
     than ``min(M, N) - k`` when k < min(M, N) - j, so every subset of such a
     size is settled: those sizes add C(N, k) each to the count and are not
     generated. All sizes share one set of ``_linalg.combination_tables``,
-    built once per call.
+    built once per call unless ``_tables`` passes in those of size up to at
+    least min(M, N), as ``certify`` does.
     When the columns have cyclic shift structure (``_linalg.shift_invariant``)
     that sweep tests one subset per shift orbit, about C(N, min(M, N)) / N
     rank tests; its representatives are no lexicographic prefix, so a flag
@@ -150,7 +151,7 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET) -> SparkResult:
     top = min(m, n)
     total = sum(math.comb(n, k) for k in range(1, top + 1))
     full_rank = SparkResult(m + 1 if n > m else None, True, total)
-    tables = combination_tables(n, top)
+    tables = combination_tables(n, top) if _tables is None else _tables
     evaluate = test = rank_test(a.entries)
     clean = 0  # sizes below this are settled whole
     if total <= budget:
@@ -365,8 +366,14 @@ class RipProfile:
     budget_used: int
 
 
-def rip_profile(a: MeasurementMatrix, k_max: int, budget: int = DEFAULT_BUDGET) -> RipProfile:
-    """Isometry constants for orders 1..k_max on one budget; orders past it read 0.0, inexact."""
+def rip_profile(
+    a: MeasurementMatrix, k_max: int, budget: int = DEFAULT_BUDGET, *, _tables=None
+) -> RipProfile:
+    """Isometry constants for orders 1..k_max on one budget; orders past it read 0.0, inexact.
+
+    Every order shares one set of ``_linalg.combination_tables``, built once
+    per call unless ``_tables`` passes in those of size up to at least k_max.
+    """
     budget = check_budget(budget)
     k_max = as_index(k_max, "order")
     if k_max < 0:
@@ -375,11 +382,12 @@ def rip_profile(a: MeasurementMatrix, k_max: int, budget: int = DEFAULT_BUDGET) 
         raise ValueError(f"order must satisfy 1 <= K <= min(M, N) = {min(a.shape)}, got {k_max}")
     deltas = dict.fromkeys(range(1, k_max + 1), 0.0)
     exact = dict.fromkeys(deltas, False)
-    tables = combination_tables(a.shape[1], k_max) if k_max else None
+    if _tables is None and k_max:
+        _tables = combination_tables(a.shape[1], k_max)
     used = 0
     for k in deltas:
         if used < budget:
-            res = rip_constant(a, k, budget - used, _tables=tables)
+            res = rip_constant(a, k, budget - used, _tables=_tables)
             deltas[k], exact[k] = res.delta, res.exact
             used += res.evaluations
     return RipProfile(deltas, exact, used)
@@ -499,8 +507,10 @@ def certify(
         _require_unit_columns(a)
     mu_res = coherence(a)
     welch = welch_bound(min(m, n), n)  # M >= N admits orthonormal columns: 0
-    spark_res = spark(a, budget)
-    profile = rip_profile(a, k_max, budget)
+    # one set of subset tables serves both sweeps
+    tables = combination_tables(n, min(m, n))
+    spark_res = spark(a, budget, _tables=tables)
+    profile = rip_profile(a, k_max, budget, _tables=tables)
 
     if spark_res.value is None:
         spark_limit = n  # full column rank: every support is identifiable

@@ -25,11 +25,17 @@ step 1, since ``|x_i + g x_j| = |x_j + g x_i|`` for real ``g = a_i^H a_j``.
 So an engine decision stands only when it cannot differ from the
 reference's: a pick when the two largest unpicked correlations are more
 than ``2 * amax * dev`` apart (``amax`` the largest column norm), a stop or
-continue when ``||r_g||`` is more than ``dev`` from ``residual_tol``. A row
-with any other step leaves the engine for good, and after the lockstep loop
+continue when ``||r_g||`` is more than ``dev`` from ``residual_tol``. The
+first pick is the exception: there the reference's residual is y itself,
+with no refit, so a row whose continue is sure but whose top two
+correlations are not apart takes the reference's own pick, the argmax of
+``|A^H y|`` by gemv (``_correlations``, shared with ``_reference_select``),
+and stays when that correlation is above 0. A row with any other step
+leaves the engine for good, and after the lockstep loop
 ``_reference_select``, the reference arithmetic itself, selects it again from
-the start. So the engine holds only decisions it made itself, and every
-support is the reference's.
+the start. So every pick the engine holds is one it cleared or one the
+reference made, and every support is the reference's: the bounds below
+depend on the support and kappa, not on who chose the pick.
 
 Why ``dev`` bounds the difference. Let ``u = 2^-53``, S the support after k
 picks, ``kappa = kappa_2(A_S)`` and ``r* = (I - P_S) y`` the exact residual.
@@ -110,21 +116,36 @@ T) fix that outcome for most trials, so only the others are refit:
 * Everything else is refit: rows the screen sent off, ``recovery_tol = 0``,
   and ``recovery_tol * sqrt(K) >= 1/2``, where neither argument is used.
 
-On 50 normalized 10x24 Gaussians at K=1..10 with 20 trials each, 7,149 of
-10,000 trials select a wrong support and 2,001 settle as hits. The 850 refit
-(8.5%) are the rows that left the engine with the right support.
+On 50 normalized 10x24 Gaussians at K=1..10 with 20 trials each, 7,148 of
+10,000 trials select a wrong support and the other 2,852 settle as hits: no
+trial leaves the engine, so none is refit. Before tied first picks were
+taken from the reference, 860 trials left the engine and 851 were refit.
 
 Draws. Trial t at sparsity K is ``generate_sparse_signal(N, K, [seed, K,
 t])``, which draws from ``np.random.default_rng([seed, K, t])``. Building
 that generator costs more than the draw itself, so ``monte_carlo`` derives
-every trial's PCG64 state in one numpy pass (``_pcg64_states``) and draws
-all trials through one ``Generator``, setting its state before each trial's
-``choice`` and ``random`` calls. The batch is exact, not approximate:
-NumPy's ``SeedSequence`` mixing (pool size 4, over the 32-bit words of seed,
-K and t) and PCG64's seeding are fixed, documented algorithms in uint32 and
-128-bit integer arithmetic, so the derived states are the generator's own,
-and ``test_batched_draws_match_the_reference_draw`` pins every support and
-value byte to the reference draw.
+every trial's PCG64 state in one numpy pass (``_pcg64_states``). One PCG64
+then reads ``2 * max K`` raw 64-bit words from each trial's state, and
+``_draws`` replays on them, in numpy passes over the whole batch, what
+NumPy 2.4's ``choice(N, K, replace=False)`` and ``random(K)`` do:
+
+* 32-bit draws are the low half of a fresh word, then its high half.
+* Floyd's method: for j = N-K .. N-1, a value on [0, j] by Lemire's method
+  (``m = u (j+1)``, rejected when ``m mod 2^32 < (2^32 - 1 - j) mod (j+1)``,
+  value ``m >> 32``), or j itself when the value was picked before. j = 0,
+  when K = N, draws nothing.
+* The shuffle: K-1 Lemire draws on [0, i], i = K-1 .. 1. Supports are
+  sorted, so only their count and rejections matter.
+* ``random(K)``: the next K whole words, ``(w >> 11) 2^-53``; a buffered
+  high half is skipped.
+
+A trial with any Lemire rejection (below j / 2^32 per draw), or in
+``choice``'s tail-shuffle regime (N > 10,000 and K > N // 50), is drawn by
+those calls themselves on the same generator. The batch is exact, not
+approximate: NumPy's ``SeedSequence`` mixing (pool size 4, over the 32-bit
+words of seed, K and t), PCG64's seeding and these draws are fixed
+algorithms in integer arithmetic, and ``test_batched_draws_match_the_reference_draw``
+pins every support and value byte to the reference draw.
 """
 
 from __future__ import annotations
@@ -169,6 +190,9 @@ _MASK128 = (1 << 128) - 1
 # monte_carlo selects at most about this many state entries (signal, basis,
 # R^-1) per batch of trials, so memory stays bounded for any trial count.
 _BATCH_ENTRIES = 1 << 20
+
+# _pcg64_states takes each trial index as one 32-bit word, so t < 2^32.
+_MAX_TRIALS = 1 << 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,24 +312,63 @@ def _draws(n: int, seed: int, ks: np.ndarray, ts: np.ndarray) -> tuple[np.ndarra
     """Signals of ``generate_sparse_signal(n, k, [seed, k, t])`` for each pair of ``ks``, ``ts``.
 
     Returns the (B, N) dense signals and each row's sorted support, padded
-    with N to the largest K. One generator draws every trial from its own
-    PCG64 state, with the same calls as the reference draw.
+    with N to the largest K. One PCG64 reads ``2 * max(ks)`` raw words from
+    each trial's state, and numpy passes over the whole batch replay on them
+    what ``choice(n, K, replace=False)`` and ``random(K)`` do: Floyd's method
+    and the shuffle, by Lemire's method on 32-bit halves, then K whole words
+    as phases (module docstring, "Draws"). A trial with a Lemire rejection,
+    or in ``choice``'s tail-shuffle regime, is drawn by those calls themselves.
     """
+    rows, k_max = len(ks), int(ks.max(initial=0))
     bit_generator = np.random.PCG64(0)
+    states = _pcg64_states(seed, ks, ts)
+    words = np.empty((rows, 2 * k_max), dtype=np.uint64)
+    for row, state in enumerate(states):
+        bit_generator.state = _pcg64_state(*state)
+        words[row] = bit_generator.random_raw(2 * k_max)
+    # next_uint32: the low half of a fresh word, then its high half; choice
+    # takes at most 2K - 1 halves, from the first K words
+    halves = np.empty((rows, 2 * k_max), dtype=np.uint64)
+    halves[:, 0::2] = words[:, :k_max] & np.uint64(_MASK32)
+    halves[:, 1::2] = words[:, :k_max] >> np.uint64(32)
+    step = np.arange(k_max)
+    held = step < ks[:, None]
+    full = (ks == n).astype(np.intp)  # Floyd's first bound is then 0, which draws nothing
+    # Floyd draws on [0, j] for j = n - K .. n - 1, then the shuffle on [0, i] for i = K - 1 .. 1
+    floyd = n - ks[:, None] + step
+    drawn = np.hstack([held & (floyd > 0), step[:-1] < ks[:, None] - 1])
+    bound = np.where(drawn, np.hstack([floyd, ks[:, None] - 1 - step[:-1]]), 0).astype(np.uint64)
+    at = np.hstack([step - full[:, None], (ks - full)[:, None] + step[:-1]])
+    span = bound + np.uint64(1)
+    m = np.take_along_axis(halves, np.maximum(at, 0), axis=1) * span
+    rejected = (m & np.uint64(_MASK32)) < (np.uint64(_MASK32) - bound) % span
+    redraw = rejected.any(axis=1) | ((n > 10_000) & (ks > n // 50))
+    # Floyd: take j itself when the draw repeats an earlier pick
+    value = (m[:, :k_max] >> np.uint64(32)).astype(np.intp)
+    picks = np.full((rows, k_max), n, dtype=np.intp)
+    for d in range(k_max):
+        seen = (picks[:, :d] == value[:, d, None]).any(axis=1)
+        picks[:, d] = np.where(seen, floyd[:, d], value[:, d])
+    # random(K): K whole words after the choice's, a buffered high half skipped
+    phases = (np.take_along_axis(words, (ks - full)[:, None] + step, axis=1)
+              >> np.uint64(11)) * 2.0**-53
     rng = np.random.Generator(bit_generator)
-    picks, phases = [], []
-    for k, (state, inc) in zip(ks.tolist(), _pcg64_states(seed, ks, ts)):
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        picks.append(rng.choice(n, size=k, replace=False))
-        phases.append(rng.random(k))
-    held = np.arange(ks.max(initial=0)) < ks[:, None]
-    truth = np.full(held.shape, n, dtype=np.intp)
-    truth[held] = np.concatenate(picks)
-    truth.sort(axis=1)
-    signals = np.zeros((len(ks), n), dtype=np.complex128)
-    signals[np.nonzero(held)[0], truth[held]] = np.exp(2j * np.pi * np.concatenate(phases))
+    for row in np.flatnonzero(redraw):
+        k = int(ks[row])
+        bit_generator.state = _pcg64_state(*states[row])
+        picks[row, :k] = rng.choice(n, size=k, replace=False)
+        phases[row, :k] = rng.random(k)
+    picks[~held] = n
+    truth = np.sort(picks, axis=1)
+    signals = np.zeros((rows, n), dtype=np.complex128)
+    signals[np.nonzero(held)[0], truth[held]] = np.exp(2j * np.pi * phases[held])
     return signals, truth
+
+
+def _pcg64_state(state: int, inc: int) -> dict:
+    """The ``PCG64.state`` dictionary at ``(state, inc)``, with no 32-bit half buffered."""
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
 
 
 def _refit(a: np.ndarray, y: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,6 +376,11 @@ def _refit(a: np.ndarray, y: np.ndarray, support: np.ndarray) -> tuple[np.ndarra
     cols = a[:, support]
     coeffs, *_ = np.linalg.lstsq(cols, y, rcond=None)
     return coeffs, y - cols @ coeffs
+
+
+def _correlations(a_h: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """``|A^H r|`` by gemv, as the reference arithmetic picks from it; ``a_h`` is ``a.conj().T``."""
+    return np.abs(a_h @ residual)
 
 
 def _reference_select(a, y, k_target: int, residual_tol: float) -> np.ndarray:
@@ -323,7 +391,7 @@ def _reference_select(a, y, k_target: int, residual_tol: float) -> np.ndarray:
         residual = _refit(a, y, np.sort(picked))[1] if picked else y
         if np.linalg.norm(residual) <= residual_tol:
             break
-        corr = np.abs(a_h @ residual)
+        corr = _correlations(a_h, residual)
         corr[picked] = -1.0
         picked.append(int(np.argmax(corr)))
     return np.sort(np.array(picked, dtype=np.intp))
@@ -337,8 +405,10 @@ def _select(a: np.ndarray, ys: np.ndarray, k_target,
     to the largest target, and a row drops out of it, not departed, once it
     holds its own target of picks. A row leaves the engine at the first step
     whose pick or stop the screen cannot clear, and ``_reference_select``
-    selects it again at its own target (module docstring). Also returns each
-    row's bound on ``kappa_2`` of its whole support, inf for the rows that left.
+    selects it again at its own target (module docstring). A first pick the
+    screen cannot clear is taken from the reference's own correlations of y
+    instead. Also returns each row's bound on ``kappa_2`` of its whole
+    support, inf for the rows that left.
     """
     rows, m = ys.shape
     targets = np.broadcast_to(np.asarray(k_target, dtype=np.intp), (rows,))
@@ -369,7 +439,16 @@ def _select(a: np.ndarray, ys: np.ndarray, k_target,
         top = corr[np.arange(live.size), pick]
         rival = np.partition(corr, -2, axis=1)[:, -2] if a.shape[1] > 1 else -1.0
         stop = res_norm + dev <= residual_tol
-        sure = (res_norm - dev > residual_tol) & (top - rival > 2 * amax * dev) & (top > 0)
+        go = res_norm - dev > residual_tol
+        apart = top - rival > 2 * amax * dev
+        if i == 0:
+            # the reference's first residual is y itself: its own pick costs one gemv
+            for j in np.flatnonzero(go & ~apart):
+                corr_ref = _correlations(a_conj.T, ys[live[j]])
+                pick[j] = corr_ref.argmax()
+                top[j] = corr_ref[pick[j]]
+            apart[:] = True  # every first pick is now one of the two arithmetics' own
+        sure = go & apart & (top > 0)
         cleared = (kappa <= _KAPPA_MAX) & (stop | sure)
         departed[live[~cleared]] = True
         live, pick = live[cleared & ~stop], pick[cleared & ~stop]
@@ -514,19 +593,22 @@ def monte_carlo(
     trials = as_index(trials, "trials")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"trials must be at most 2**32, got {trials}")
     limit = min(a.rows, a.cols)
     if any(k < 1 or k > limit for k in ks):
         raise ValueError(f"sparsities must lie in [1, min(M, N)] = [1, {limit}], got {ks}")
-    ks = list(dict.fromkeys(ks))
-    k_of = np.repeat(np.array(ks, dtype=np.intp), trials)
-    t_of = np.tile(np.arange(trials), len(ks))
-    k_max = max(ks, default=0)
+    ks = np.array(list(dict.fromkeys(ks)), dtype=np.intp)
+    k_max = int(ks.max(initial=0))
     batch = max(1, _BATCH_ENTRIES // (a.cols + k_max * (a.rows + k_max)))
-    hits = np.zeros(k_of.size, dtype=bool)
-    for s in range(0, k_of.size, batch):
-        cut = slice(s, s + batch)
-        hits[cut] = _recoveries(a, seed, k_of[cut], t_of[cut], recovery_tol)
-    rates = {k: int(h.sum()) / trials for k, h in zip(ks, hits.reshape(-1, trials))}
+    # trial j of the whole sweep is trial j % trials at sparsity ks[j // trials]
+    total = ks.size * trials
+    hits = np.zeros(ks.size, dtype=np.int64)
+    for s in range(0, total, batch):
+        which, t_of = np.divmod(np.arange(s, min(s + batch, total)), trials)
+        found = _recoveries(a, seed, ks[which], t_of, recovery_tol)
+        hits += np.bincount(which[found], minlength=ks.size)
+    rates = {k: int(h) / trials for k, h in zip(ks.tolist(), hits.tolist())}
     return ExperimentReport(
         matrix=a.describe(),
         trials=trials,

@@ -222,7 +222,7 @@ def test_spark_skips_the_sizes_a_top_flag_settles_whole(monkeypatch):
     assert skipped > 0
 
 
-@pytest.mark.parametrize("entry", ["spark", "rip_profile"])
+@pytest.mark.parametrize("entry", ["spark", "rip_profile", "certify"])
 def test_spark_and_rip_profile_build_each_table_once_per_call(entry, monkeypatch):
     module = importlib.import_module("cscert._linalg")
     plain = module._extend_table
@@ -235,7 +235,9 @@ def test_spark_and_rip_profile_build_each_table_once_per_call(entry, monkeypatch
     monkeypatch.setattr(module, "_extend_table", counted)
     # spark sweeps size 8, then scans sizes up to 7 after its flag
     a = planted_8x16(7, 0)
-    call = {"spark": lambda: spark(a), "rip_profile": lambda: rip_profile(a, 8)}[entry]
+    call = {"spark": lambda: spark(a), "rip_profile": lambda: rip_profile(a, 8),
+            # spark and the RIP profile share the tables certify builds
+            "certify": lambda: certify(a, k_max=8)}[entry]
     call()
     # each size from 2 to 8 is built from the one below it, once
     assert built == list(range(2, 9))

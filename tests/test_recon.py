@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,39 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=message):
             monte_carlo(demo_matrix, [1, 2], trials=5, seed=seed)
 
+    def test_trials_past_two_to_the_32_are_refused(self, demo_matrix):
+        # each trial index is one 32-bit word of its draw's seed
+        with pytest.raises(ValueError, match=r"^trials must be at most 2\*\*32, got 4294967297$"):
+            monte_carlo(demo_matrix, [1], trials=2**32 + 1, seed=0)
+
+    def test_memory_stays_bounded_for_a_billion_trials(self, demo_matrix, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        batches = []
+
+        def first_batch_only(a, seed, ks, ts, recovery_tol):
+            if batches:
+                raise Stop
+            batches.append(len(ks))
+            return np.zeros(len(ks), dtype=bool)
+
+        monkeypatch.setattr(recon, "_recoveries", first_batch_only)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                monte_carlo(demo_matrix, [1, 2], trials=10**9, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batches and peak < 4 * 2**20
+
+    def test_batch_boundaries_change_no_rate(self, demo_matrix, monkeypatch):
+        # batches of 7 trials cut across sparsities 1 | 2 | 3 of 5 trials each
+        want = monte_carlo(demo_matrix, [1, 2, 3], trials=5, seed=6).to_json()
+        monkeypatch.setattr(recon, "_BATCH_ENTRIES", 7 * (8 + 3 * (5 + 3)))
+        assert monte_carlo(demo_matrix, [1, 2, 3], trials=5, seed=6).to_json() == want
+
     def test_true_seed_reads_as_one(self, demo_matrix):
         # as in NumPy, where default_rng([True, K, t]) draws as [1, K, t]
         report = monte_carlo(demo_matrix, [1, 2, 3], trials=20, seed=True)
@@ -280,6 +314,49 @@ def test_batched_draws_match_the_reference_draw(seed, data, n):
     assert_draws_match_the_reference(n, seed, ks, ts)
     # the first trial alone: a one-trial batch
     assert_draws_match_the_reference(n, seed, ks[:1], ts[:1])
+
+
+@pytest.mark.parametrize("k", [200, 201])
+def test_batched_draws_match_the_reference_draw_at_both_choice_regimes(k):
+    # past N = 10,000 NumPy's choice runs Floyd's method up to K = N // 50 and
+    # shuffles the tail of arange(N) above it, which the batch leaves to choice itself
+    assert_draws_match_the_reference(10_001, 5, [k, 1, k], [0, 1, 2])
+
+
+def pcg64_state_with_a_zero_half(word):
+    """A PCG64 ``(state, inc)`` whose raw word number ``word`` has a low half of 0."""
+    inc = 2 * 0x9E3779B97F4A7C15 + 1
+    # the top six bits of hi are 0, so XSL-RR rotates by 0 and outputs hi ^ lo
+    state = 0x0123456789ABCDEF << 64 | 0x7654321089ABCDEF
+    inverse = pow(recon._PCG64_MULT, -1, 2**128)
+    for _ in range(word + 1):  # each word is output after one LCG step
+        state = (state - inc) * inverse % 2**128
+    return state, inc
+
+
+@pytest.mark.parametrize("n, k, word", [
+    # a zero half draws m = 0 on [0, j], rejected when 2^32 mod (j + 1) > 0:
+    # the first Floyd draw, on [0, 8], reads the low half of word 0
+    (10, 2, 0),
+    # Floyd draws nothing on [0, 0], then twice; the shuffle's first draw, on
+    # [0, 2], reads the low half of word 1, and its redraw moves the phases a word on
+    (3, 3, 1),
+])
+def test_batched_draws_redraw_a_trial_with_a_lemire_rejection(n, k, word, monkeypatch):
+    state, inc = pcg64_state_with_a_zero_half(word)
+    monkeypatch.setattr(recon, "_pcg64_states", lambda seed, ks, ts: [(state, inc)] * len(ks))
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = recon._pcg64_state(state, inc)
+    assert bit_generator.random_raw(word + 1)[word] & 0xFFFFFFFF == 0
+    ks = [k, 1, k]
+    signals, truth = recon._draws(n, 0, np.array(ks, dtype=np.intp), np.arange(3))
+    rng = np.random.Generator(bit_generator)
+    for x, row, k in zip(signals, truth, ks):
+        bit_generator.state = recon._pcg64_state(state, inc)
+        support = np.sort(rng.choice(n, size=k, replace=False))
+        values = np.exp(2j * np.pi * rng.random(k))
+        assert row[:k].tolist() == support.tolist()
+        assert x[support].tobytes() == values.tobytes()
 
 
 def reference_omp(a, y, k_target, residual_tol):
@@ -447,11 +524,13 @@ def test_rows_the_screen_cannot_clear_rerun_the_plain_loop_once(monkeypatch):
         return select(a, y, k_target, residual_tol)
 
     monkeypatch.setattr(recon, "_reference_select", counted)
-    # the exact K=2 ties of real columns: each tied row leaves at step 1
+    # the exact K=2 ties of real columns fall on the first pick, which the
+    # reference makes from y alone: the engine takes its pick and keeps the row
     a = _test_matrix("real", 3, 10, 24)
     ys = np.array([a @ generate_sparse_signal(24, 2, seed=[8, t]).to_dense() for t in range(200)])
     assert_engine_matches_reference(a, ys, 2, 1e-12)
-    assert 100 < len(calls) == len(set(calls)) < 200
+    assert calls == []
+    assert np.isfinite(recon._select(a, ys, 2, 1e-12)[1]).all()
     # the ill-conditioned pair above leaves through its kappa bound, once
     calls.clear()
     a = normalize_columns(MeasurementMatrix([[1, 1, 0], [0, 1e-9, 0], [0, 0, 1]])).entries
@@ -560,7 +639,11 @@ def count_refits(monkeypatch):
 
 
 def test_only_trials_a_support_cannot_settle_are_refit(monkeypatch):
-    a = _test_matrix("real", 17, 10, 24)
+    # columns 0 and 1 are 1e-9 apart: a support holding both leaves the engine
+    # through its kappa bound, right supports included
+    a = np.random.default_rng(17).standard_normal((10, 24))
+    a[:, 1] = a[:, 0] + 1e-9 * a[:, 2]
+    a = normalize_columns(MeasurementMatrix(a)).entries
     refits = count_refits(monkeypatch)
     trials, left = 40, []
     for k in range(1, 11):
