@@ -30,12 +30,13 @@ eigenvalue is then positive. Below the floor the shift is ``_SCREEN_FLOOR``
 itself, and a Gram whose eigenvalues are that small goes to the SVD. The
 theorem holds for every order of the inner sums, so the left-looking order
 keeps the bound and this factor 2. ``certify.rip_constant`` runs the same
-kernel on shifted Grams, and its ``8 K^3 eps`` margin covers this backward
-error as well as the rounding of its other bounds and of ``eigvalsh``.
+kernel, ``shifted_definite``, on its own shifts, and its ``8 K^3 eps``
+margin covers this backward error as well as the rounding of its other
+bounds and of ``eigvalsh``.
 
-Whether *any* k-subset is dependent is asked through ``any_dependent``,
-which returns a bool, no hit position and no count. On a matrix with cyclic
-shift structure (partial Fourier matrices on an integer grid) it tests one
+The first dependent k-subset is asked for through ``first_dependent``,
+which returns it, or None, and no count. On a matrix with cyclic shift
+structure (partial Fourier matrices on an integer grid) it tests one
 subset per orbit of the shifts S -> S + c (mod N), from
 ``iter_orbit_chunks``: about C(N, k) / N subsets instead of C(N, k). The
 representatives are generated directly, not drawn and filtered: a subset
@@ -58,9 +59,13 @@ by at most ``2 * sqrt(k) * 16 * N * eps``, 3e-13 at N=16 and k=8. Only a
 subset that close to the 1e-10 rule could get a different verdict from its
 shift. A check on the Gram would not do: a Gram entry off by 1e-12 of
 ``lambda_max`` moves ``lambda_min`` as much (Weyl), which moves
-``sigma_min / sigma_max`` by up to 1e-6. Sweeps that need the
-lexicographically first hit or the logical subset count (spark's upward scan
-and RIP constants) keep ``iter_combination_chunks``.
+``sigma_min / sigma_max`` by up to 1e-6. The representatives come in
+lexicographic order, each the smallest of its orbit, so every subset S
+before the first flagged representative F has its representative at or
+before S, swept clean: up to that shift rounding, F is the lexicographically
+first flagged subset, as a combination sweep's would be. Sweeps that need
+the logical subset count (spark's upward scan and RIP constants) keep
+``iter_combination_chunks``.
 
 ``iter_combination_chunks`` slices its k-subsets from
 ``combination_tables``: for each size r, the r-combinations of range(n) as
@@ -79,9 +84,10 @@ n - 1: one byte up to n = 256.
 Sweeps act on chunks of subsets only to batch the linear algebra: every
 evaluator gives what a scan of one subset at a time gives, so no result,
 count or budget depends on where chunks end. A sweep that ends on a hit
-returns the first flagged subset as its ``witness``; spark's size-min(M, N)
-sweep hands its witness to the upward scan, which then skips the rank test of
-every subset the clean prefix before it settles.
+returns the first flagged subset as its ``witness``. Spark's size-min(M, N)
+``first_dependent`` sweep, under twice the rank tolerance, which also
+absorbs the shift rounding, hands its witness to the upward scan, which then
+skips the rank test of every subset the clean prefix before it settles.
 """
 
 from __future__ import annotations
@@ -361,6 +367,13 @@ def positive_definite(stack: np.ndarray) -> np.ndarray:
     return ok
 
 
+def shifted_definite(g: np.ndarray, c: np.ndarray, shift) -> np.ndarray:
+    """``positive_definite`` of each ``G_S - shift * I``, S a column of the (k, B) indices c."""
+    stack = g[c[:, None, :], c[None, :, :]]
+    np.einsum("iib->ib", stack)[...] -= shift
+    return positive_definite(stack)
+
+
 def rank_test(entries: np.ndarray, rtol: float = RANK_RTOL):
     """The rank rule for column subsets of one matrix, screened by a Cholesky certificate.
 
@@ -371,22 +384,20 @@ def rank_test(entries: np.ndarray, rtol: float = RANK_RTOL):
     overflow. A subset is cleared when ``G_S - max(2 * SCREEN * trace(G_S),
     _SCREEN_FLOOR) * I`` is positive definite: since ``lambda_max <= trace``,
     that proves ``lambda_min > SCREEN * lambda_max`` with room for the
-    elimination's rounding. The Grams are gathered straight into the
-    (k, k, B) layout of ``positive_definite``. Subsets the screen cannot
-    clear go to ``dependent_mask`` on the unscaled columns.
+    elimination's rounding (``shifted_definite``). Subsets the screen
+    cannot clear go to ``dependent_mask`` on the unscaled columns.
     """
     peak = np.abs(entries).max()
     x = entries / peak if peak > 0 else entries
     if not x.imag.any():
         x = x.real
     g = x.conj().T @ x
+    diag = g.diagonal().real
 
     def evaluate(combs):
         c = combs.T
-        stack = g[c[:, None, :], c[None, :, :]]
-        diag = np.einsum("iib->ib", stack)
-        diag -= np.maximum(2 * SCREEN * diag.real.sum(axis=0), _SCREEN_FLOOR)
-        unsure = ~positive_definite(stack)
+        shift = np.maximum(2 * SCREEN * diag[c].sum(axis=0), _SCREEN_FLOOR)
+        unsure = ~shifted_definite(g, c, shift)
         mask = np.zeros(len(combs), dtype=bool)
         if unsure.any():
             mask[unsure] = dependent_mask(entries[:, combs[unsure]].transpose(1, 0, 2), rtol)
@@ -404,9 +415,8 @@ def check_budget(budget):
 
 class Sweep(NamedTuple):
     covered: int  # subsets a sequential scan evaluates, up to and including a hit
-    hit: bool  # some subset was flagged, which ended the sweep
     exact: bool  # False only when the budget cut the sweep short of a hit or the end
-    witness: tuple[int, ...] | None = None  # the flagged subset that ended the sweep
+    witness: tuple[int, ...] | None = None  # the flagged subset that ended the sweep, if any
 
 
 def sweep(chunks, evaluate, budget: float = math.inf) -> Sweep:
@@ -428,19 +438,20 @@ def sweep(chunks, evaluate, budget: float = math.inf) -> Sweep:
             mask = evaluate(combs)
             if mask is not None and mask.any():
                 i = int(np.argmax(mask))
-                return Sweep(covered + i + 1, True, True, tuple(combs[i].tolist()))
+                return Sweep(covered + i + 1, True, tuple(combs[i].tolist()))
             covered += len(combs)
         if cut:
-            return Sweep(covered, False, False)
-    return Sweep(covered, False, True)
+            return Sweep(covered, False)
+    return Sweep(covered, True)
 
 
-def any_dependent(entries: np.ndarray, k: int, rtol: float = RANK_RTOL) -> bool:
-    """Whether any k columns of ``entries`` are dependent under ``rank_test(entries, rtol)``.
+def first_dependent(entries: np.ndarray, k: int, rtol: float = RANK_RTOL, *, tables=None):
+    """The first k columns of ``entries`` flagged by ``rank_test(entries, rtol)``, or None.
 
     Sweeps one subset per cyclic-shift orbit when ``shift_invariant(entries)``,
-    every k-combination otherwise.
+    the k-combinations from ``tables`` otherwise. Either way every k-subset
+    before the returned one is clean, or a cyclic shift of a clean one.
     """
-    n = entries.shape[1]
-    chunks = iter_orbit_chunks(n, k) if shift_invariant(entries) else iter_combination_chunks(n, k)
-    return sweep(chunks, rank_test(entries, rtol)).hit
+    n, orbits = entries.shape[1], shift_invariant(entries)
+    chunks = iter_orbit_chunks(n, k) if orbits else iter_combination_chunks(n, k, tables=tables)
+    return sweep(chunks, rank_test(entries, rtol)).witness

@@ -30,13 +30,15 @@ that size comes before F needs no rank test. With j the smallest value
 missing from F, that holds for every subset of a size below min(M, N) - j,
 so those sizes are counted without being generated. On a partial Fourier
 matrix the top sweep tests one subset per cyclic-shift orbit instead
-(``_linalg.iter_orbit_chunks``): shifted columns have the same singular
-values, up to a rounding that the doubled tolerance absorbs. Those
-representatives are no lexicographic prefix, so there a flag settles
-nothing. So the rank tests actually run can reach C(N, min(M, N)) plus the
-budget. Every rank test is screened by a Cholesky certificate on the
-subset's Gram submatrix and falls back to the SVD rule only where the screen
-cannot clear the subset (see ``_linalg``); verdicts are the SVD rule's.
+(``_linalg.first_dependent``): shifted columns have the same singular
+values, up to a rounding that the doubled tolerance absorbs. The
+representatives come in lexicographic order, each the smallest of its
+orbit, so every subset before the first flagged one is a shift of a clean
+one, and that flag settles the scan the same way. The rank tests actually
+run can reach C(N, min(M, N)) plus the budget. Every rank test is screened
+by a Cholesky certificate on the subset's Gram submatrix and falls back to
+the SVD rule only where the screen cannot clear the subset (see
+``_linalg``); verdicts are the SVD rule's.
 
 RIP constants count every subset, but only subsets whose deviation
 ``||G_S - I||_2`` can exceed the largest one seen so far, d, get
@@ -65,11 +67,10 @@ from ._linalg import (
     RANK_RTOL,
     check_budget,
     combination_tables,
+    first_dependent,
     iter_combination_chunks,
-    iter_orbit_chunks,
-    positive_definite,
     rank_test,
-    shift_invariant,
+    shifted_definite,
     sweep,
 )
 from .matrix_core import MeasurementMatrix, as_index, gram, normalize_columns
@@ -140,11 +141,12 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET, *, _tables=None) -
     least min(M, N), as ``certify`` does.
     When the columns have cyclic shift structure (``_linalg.shift_invariant``)
     that sweep tests one subset per shift orbit, about C(N, min(M, N)) / N
-    rank tests; its representatives are no lexicographic prefix, so a flag
-    settles nothing. The rank tests actually run can reach C(N, min(M, N))
-    plus the budget. Each rank test is screened with a Cholesky certificate
-    on the subset's Gram submatrix (``_linalg.rank_test``), and only subsets
-    the screen cannot clear get an SVD.
+    rank tests (``_linalg.first_dependent``). Every subset before the first
+    flagged representative is a shift of a clean one, so its flag settles
+    the upward scan as a combination sweep's does. The rank tests run can
+    reach C(N, min(M, N)) plus the budget. Each is screened with a Cholesky
+    certificate on the subset's Gram submatrix (``_linalg.rank_test``), and
+    only subsets the screen cannot clear get an SVD.
     """
     budget = check_budget(budget)
     m, n = a.shape
@@ -155,31 +157,25 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET, *, _tables=None) -
     evaluate = test = rank_test(a.entries)
     clean = 0  # sizes below this are settled whole
     if total <= budget:
-        orbits = shift_invariant(a.entries)
-        if orbits:
-            chunks = iter_orbit_chunks(n, top)
-        else:
-            chunks = iter_combination_chunks(n, top, tables=tables)
-        first = sweep(chunks, rank_test(a.entries, 2 * RANK_RTOL)).witness
+        first = first_dependent(a.entries, top, 2 * RANK_RTOL, tables=tables)
         if first is None:
             return full_rank
-        if not orbits:
-            # a k-subset misses at most j < top - k of 0 .. j-1, so _settled holds for all of them
-            clean = top - next((i for i, v in enumerate(first) if v != i), top)
+        # a k-subset misses at most j < top - k of 0 .. j-1, so _settled holds for all of them
+        clean = top - next((i for i, v in enumerate(first) if v != i), top)
 
-            def evaluate(combs):
-                rest = np.flatnonzero(~_settled(combs, first, top))
-                mask = np.zeros(len(combs), dtype=bool)
-                if len(rest):
-                    # in the generator's layout, a C-ordered (k, B), in which Grams gather fast
-                    mask[rest] = test(np.take(combs.T, rest, axis=1).T)
-                return mask
+        def evaluate(combs):
+            rest = np.flatnonzero(~_settled(combs, first, top))
+            mask = np.zeros(len(combs), dtype=bool)
+            if len(rest):
+                # in the generator's layout, a C-ordered (k, B), in which Grams gather fast
+                mask[rest] = test(np.take(combs.T, rest, axis=1).T)
+            return mask
 
     used = sum(math.comb(n, k) for k in range(1, clean))
     for k in range(max(clean, 1), top + 1):
         run = sweep(iter_combination_chunks(n, k, tables=tables), evaluate, budget - used)
         used += run.covered
-        if run.hit or not run.exact:
+        if run.witness is not None or not run.exact:
             # a cut sweep verified sizes < k fully, size k only partially
             return SparkResult(k, run.exact, used)
     return full_rank
@@ -263,9 +259,9 @@ def rip_constant(
       largest ``(|G_S| r)_i / r_i``, one power step that can only lower that
       bound (Collatz-Wielandt: ``lambda_max(G_S) <= rho(|G_S|) <=
       max_i (|G_S| x)_i / x_i`` for any positive x); or else
-      ``(1 + d - m) I - G_S`` passes ``_linalg.positive_definite``;
+      ``(1 + d - m) I - G_S`` passes ``_linalg.shifted_definite``;
     * lower: ``1 - d + m <= -slack``; or else ``G_S - (1 - d + m) I`` passes
-      ``positive_definite``.
+      ``shifted_definite``.
 
     Each test proves ``lambda_max(G_S) < 1 + d - m`` or
     ``lambda_min(G_S) > 1 - d + m`` up to its own rounding. The margin
@@ -314,16 +310,9 @@ def rip_constant(
     margin = 8 * k**3 * scale
     slack = 8 * (m + k**2) * k * scale
     screen = g.real if not g.imag.any() else g
-    magnitude = np.abs(screen)
+    # (-G)_S + top * I is top * I - G_S exactly: negation rounds nothing
+    negated, magnitude = -screen, np.abs(screen)
     d = -math.inf
-
-    def definite(c, shift, upper):
-        # whether shift * I - G_S (upper) or G_S - shift * I is positive definite
-        stack = screen[c[:, None, :], c[None, :, :]]
-        np.einsum("iib->ib", stack)[...] -= shift
-        if upper:
-            np.negative(stack, out=stack)
-        return positive_definite(stack)
 
     def deviation(combs):
         nonlocal d
@@ -342,9 +331,9 @@ def rip_constant(
                 inside[rest] = step.max(axis=0) < top
                 rest = rest[~inside[rest]]
                 if len(rest):
-                    inside[rest] = definite(c[:, rest], top, upper=True)
+                    inside[rest] = shifted_definite(negated, c[:, rest], -top)
             if bottom > -slack and inside.any():
-                inside[inside] = definite(c[:, inside], bottom, upper=False)
+                inside[inside] = shifted_definite(screen, c[:, inside], bottom)
             unsure = ~inside
         if unsure.any():
             c = combs[unsure]

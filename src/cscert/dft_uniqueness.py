@@ -45,9 +45,9 @@ from ._codec import JsonReport
 from ._linalg import (
     DEFAULT_BUDGET,
     RANK_RTOL,
-    any_dependent,
     check_budget,
     dependent_mask,
+    first_dependent,
     iter_orbit_chunks,
     sweep,
 )
@@ -306,8 +306,8 @@ def dft_uniqueness_oracle(p: MissingSamplePattern, k: int) -> bool:
 
     Builds the partial inverse-DFT matrix on the available positions and tests
     every 2K-column submatrix for full column rank, one subset per
-    cyclic-shift orbit (``_linalg.any_dependent``): shifting a column subset
-    multiplies its columns by a unit-modulus diagonal, which keeps its
+    cyclic-shift orbit (``_linalg.first_dependent``): shifting a column
+    subset multiplies its columns by a unit-modulus diagonal, which keeps its
     singular values, so C(16, 8) = 12,870 subsets become 810.
     """
     k = as_index(k, "sparsity")
@@ -317,4 +317,4 @@ def dft_uniqueness_oracle(p: MissingSamplePattern, k: int) -> bool:
     if 2 * k > len(avail):
         return False
     entries = build_partial_idft(p.n, avail, normalize=False).entries
-    return not any_dependent(entries, 2 * k)
+    return first_dependent(entries, 2 * k) is None

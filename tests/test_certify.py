@@ -26,7 +26,7 @@ from cscert import (
     spark,
     welch_bound,
 )
-from cscert._linalg import RANK_RTOL, any_dependent, iter_combination_chunks, rank_test, sweep
+from cscert._linalg import RANK_RTOL, first_dependent, iter_combination_chunks, rank_test, sweep
 from cscert.certify import _settled
 
 # Frozen from the demo 5x8 matrix; independently recomputed below by
@@ -68,7 +68,7 @@ class TestSpark:
         # columns {0, 2} have sigma_min / sigma_max = 1.5e-10: the top sweep flags
         # them under 2 * RANK_RTOL, and the upward scan finds nothing under RANK_RTOL
         a = MeasurementMatrix([[1, 0, 1], [0, 1, 3e-10]])
-        assert any_dependent(a.entries, 2, 2 * RANK_RTOL)
+        assert first_dependent(a.entries, 2, 2 * RANK_RTOL) == (0, 2)
         assert spark(a) == SparkResult(3, True, 6)
 
     def test_budget_exhaustion_gives_lower_bound(self, demo_matrix):
@@ -162,19 +162,34 @@ def planted_8x16(s, i):
     return normalize_columns(MeasurementMatrix(a))
 
 
-@pytest.mark.parametrize("s, share", [(7, 0.4), (8, 0.15)])
-def test_spark_settles_most_of_the_upward_scan_after_a_top_flag(s, share, monkeypatch):
+def missing_zero_x_and_half(n):
+    """Partial IDFT matrices missing samples 0, x and n/2, for x = 1, 2, 3.
+
+    A signal on 0 and n/2 cancels every even frequency, so the spark is at
+    most n/2, below the n - 3 rows, and the orbit top sweep flags a subset.
+    """
+    return [build_partial_idft(n, [c for c in range(n) if c not in (0, x, n // 2)])
+            for x in (1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "kind, s, share",
+    [("planted", 7, 0.4), ("planted", 8, 0.15), ("idft", 6, 0.6), ("idft", 8, 0.6)],
+    ids=["7-0.4", "8-0.15", "idft-6-0.6", "idft-8-0.6"],
+)
+def test_spark_settles_most_of_the_upward_scan_after_a_top_flag(kind, s, share, monkeypatch):
     # every spark test would pass on a scan that settles nothing, so count the
     # subsets the upward scan hands to rank_test: 25% of the logical count at
-    # s = 7 and 7% at s = 8 when this was written
+    # s = 7 and 7% at s = 8 when this was written, and on partial IDFT matrices
+    # with N = 2s, whose top sweep tests one subset per shift orbit, 48% at N = 12
+    # and 51% at N = 16
     module = importlib.import_module("cscert.certify")
     plain = module.rank_test
     received = []
 
     def counted_rank_test(entries, rtol=RANK_RTOL):
+        # the upward scan's: the top sweep runs in _linalg, through its own binding
         evaluate = plain(entries, rtol)
-        if rtol != RANK_RTOL:  # the top sweep
-            return evaluate
 
         def counted(combs):
             received.append(len(combs))
@@ -184,8 +199,11 @@ def test_spark_settles_most_of_the_upward_scan_after_a_top_flag(s, share, monkey
 
     monkeypatch.setattr(module, "rank_test", counted_rank_test)
     tested = logical = 0
-    for i in range(5):
-        a = planted_8x16(s, i)
+    if kind == "planted":
+        inputs = [planted_8x16(s, i) for i in range(5)]
+    else:
+        inputs = missing_zero_x_and_half(2 * s)
+    for i, a in enumerate(inputs):
         received.clear()
         res = spark(a)
         assert tuple(res) == reference_spark(a, math.inf) and res.value == s, i
@@ -197,15 +215,16 @@ def test_spark_settles_most_of_the_upward_scan_after_a_top_flag(s, share, monkey
 def test_spark_skips_the_sizes_a_top_flag_settles_whole(monkeypatch):
     # every k-subset with k < top - j is settled, with j the smallest value missing from
     # the flagged top-subset, so spark counts those sizes without generating them
-    module = importlib.import_module("cscert.certify")
-    plain = module.iter_combination_chunks
+    plain = iter_combination_chunks
     sizes = []
 
     def recorded(n, k, *args, **kwargs):
         sizes.append(k)
         return plain(n, k, *args, **kwargs)
 
-    monkeypatch.setattr(module, "iter_combination_chunks", recorded)
+    # the top sweep runs in _linalg.first_dependent, the upward scan in certify
+    for module in ("cscert._linalg", "cscert.certify"):
+        monkeypatch.setattr(importlib.import_module(module), "iter_combination_chunks", recorded)
     skipped = 0
     for s in (6, 7, 8):
         for i in range(5):

@@ -15,6 +15,7 @@ from cscert import (
     dft_sparsity_limit,
     dft_uniqueness_oracle,
     load_pattern,
+    spark,
     stride_count,
 )
 from cscert import dft_uniqueness
@@ -26,6 +27,7 @@ from cscert._linalg import (
     rank_test,
     sweep,
 )
+from cscert.certify import _largest_k_below
 from cscert.dft_uniqueness import _MinSupport
 from cscert.matrix_core import build_partial_idft
 
@@ -338,7 +340,7 @@ class TestOracle:
         entries = build_partial_idft(n, p.available()).entries
         for k in range(1, len(p.available()) // 2 + 1):
             full = sweep(iter_combination_chunks(n, 2 * k), rank_test(entries))
-            assert dft_uniqueness_oracle(p, k) == (not full.hit), (p.missing, k)
+            assert dft_uniqueness_oracle(p, k) == (full.witness is None), (p.missing, k)
 
 
 class TestProperties:
@@ -364,6 +366,23 @@ class TestProperties:
         extra = int(rng.choice(remaining))
         bigger = MissingSamplePattern.of(16, positions | {extra})
         assert dft_sparsity_limit(bigger).k_max <= dft_sparsity_limit(p).k_max
+
+    def test_spark_of_the_partial_idft_gives_the_dft_limit(self):
+        # the partial IDFT's spark is S(Q), so its spark limit is the DFT limit; every
+        # pattern with a sample at N = 4 and 8, and a seeded sample at N = 16
+        rng = np.random.default_rng(26)
+        patterns = [(n, missing) for n in (4, 8) for q in range(1, n)
+                    for missing in itertools.combinations(range(n), q)]
+        patterns += [(16, rng.choice(16, size=int(rng.integers(1, 16)), replace=False))
+                     for _ in range(70)]
+        compared = 0
+        for n, missing in patterns:
+            p = MissingSamplePattern.of(n, missing)
+            res, lim = spark(build_partial_idft(n, p.available())), dft_sparsity_limit(p)
+            if res.exact and lim.exact:
+                assert _largest_k_below(res.value / 2) == lim.k_max, p.missing
+                compared += 1
+        assert compared == len(patterns) == 338
 
     def test_stride_counts_bounded_by_q(self):
         for seed in range(30):

@@ -42,11 +42,11 @@ def sequential_scan(combos, hits, budget):
     covered = 0
     for c in combos:
         if covered >= budget:
-            return covered, False, False, None
+            return covered, False, None
         covered += 1
         if c in hits:
-            return covered, True, True, c
-    return covered, False, True, None
+            return covered, True, c
+    return covered, True, None
 
 
 @settings(max_examples=300, deadline=None)
@@ -74,7 +74,7 @@ def test_sweep_matches_sequential_scan(n, data):
         label="budget",
     )
     got = sweep(chunks, evaluate, budget)
-    # covered, hit, exact and the witness, the first planted combination reached
+    # covered, exact and the witness, the first planted combination reached
     assert tuple(got) == sequential_scan(combos, hits, budget)
     assert seen == combos[: len(seen)] and len(seen) <= budget
 
