@@ -124,10 +124,16 @@ taken from the reference, 860 trials left the engine and 851 were refit.
 Draws. Trial t at sparsity K is ``generate_sparse_signal(N, K, [seed, K,
 t])``, which draws from ``np.random.default_rng([seed, K, t])``. Building
 that generator costs more than the draw itself, so ``monte_carlo`` derives
-every trial's PCG64 state in one numpy pass (``_pcg64_states``). One PCG64
-then reads ``2 * max K`` raw 64-bit words from each trial's state, and
-``_draws`` replays on them, in numpy passes over the whole batch, what
-NumPy 2.4's ``choice(N, K, replace=False)`` and ``random(K)`` do:
+every trial's PCG64 state in one numpy pass (``_pcg64_states``). PCG64's
+state is a 128-bit LCG, ``s -> s * MULT + inc mod 2^128``, and each raw
+64-bit word is the XSL-RR output of the state one step on. So word j of any
+trial is reached directly by jump-ahead (Brown, "Random number generation
+with arbitrary strides", Trans. Am. Nucl. Soc. 1994), and ``_pcg64_words``
+computes the first ``2 * max K`` words of the whole batch in one broadcast
+pass, in 128-bit arithmetic on (hi, lo) pairs of uint64 words, the high
+word of each 64-bit product taken from 32-bit limbs. ``_draws`` replays on
+these words, in numpy passes over the whole batch, what NumPy 2.4's
+``choice(N, K, replace=False)`` and ``random(K)`` do:
 
 * 32-bit draws are the low half of a fresh word, then its high half.
 * Floyd's method: for j = N-K .. N-1, a value on [0, j] by Lemire's method
@@ -141,11 +147,12 @@ NumPy 2.4's ``choice(N, K, replace=False)`` and ``random(K)`` do:
 
 A trial with any Lemire rejection (below j / 2^32 per draw), or in
 ``choice``'s tail-shuffle regime (N > 10,000 and K > N // 50), is drawn by
-those calls themselves on the same generator. The batch is exact, not
-approximate: NumPy's ``SeedSequence`` mixing (pool size 4, over the 32-bit
-words of seed, K and t), PCG64's seeding and these draws are fixed
-algorithms in integer arithmetic, and ``test_batched_draws_match_the_reference_draw``
-pins every support and value byte to the reference draw.
+those calls themselves, on a PCG64 set to the trial's state. The batch is
+exact, not approximate: NumPy's ``SeedSequence`` mixing (pool size 4, over
+the 32-bit words of seed, K and t), PCG64's seeding, LCG step and XSL-RR
+output, and these draws are fixed algorithms in integer arithmetic, and
+``test_batched_draws_match_the_reference_draw`` pins every support and
+value byte to the reference draw.
 """
 
 from __future__ import annotations
@@ -186,6 +193,8 @@ _SS_MIX_MULT_R = 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = (1 << 32) - 1
 _MASK128 = (1 << 128) - 1
+# a uint64's low-half mask and half-word shift
+_LOW32, _HALF = np.uint64(_MASK32), np.uint64(32)
 
 # monte_carlo selects at most about this many state entries (signal, basis,
 # R^-1) per batch of trials, so memory stays bounded for any trial count.
@@ -266,11 +275,38 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> np.uint32(16))
 
 
-def _pcg64_states(seed: int, ks: np.ndarray, ts: np.ndarray) -> list[tuple[int, int]]:
+def _u128(values) -> np.ndarray:
+    """Python ints in [0, 2^128) as a (2, n) uint64 array of their (hi, lo) words."""
+    return np.array([[v >> 64 for v in values], [v % (1 << 64) for v in values]], dtype=np.uint64)
+
+
+def _mul128(a, b):
+    """``a * b mod 2^128`` for (hi, lo) pairs of uint64 arrays.
+
+    The high word of ``a_lo * b_lo`` comes from its 32-bit limbs.
+    """
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    a0, a1, b0, b1 = a_lo & _LOW32, a_lo >> _HALF, b_lo & _LOW32, b_lo >> _HALF
+    t = a1 * b0 + (a0 * b0 >> _HALF)
+    w = (t & _LOW32) + a0 * b1
+    mulhi = a1 * b1 + (t >> _HALF) + (w >> _HALF)
+    return mulhi + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+def _add128(a, b):
+    """``a + b mod 2^128`` for (hi, lo) pairs of uint64 arrays."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg64_states(seed: int, ks: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """PCG64 ``(state, inc)`` of ``default_rng([seed, k, t])`` for each pair of ``ks``, ``ts``.
 
-    One numpy pass over all trials runs NumPy's SeedSequence mixing and
-    ``generate_state(4, uint64)`` in uint32 arithmetic, then PCG64's seeding
+    Returns a (2, 2, B) uint64 array: state and inc, each as its (hi, lo)
+    words. One numpy pass over all trials runs NumPy's SeedSequence mixing
+    and ``generate_state(4, uint64)`` in uint32 arithmetic, then PCG64's
+    seeding ``(s + inc) * MULT + inc mod 2^128`` in (hi, lo) arithmetic
     (module docstring, "Draws"). Needs ``0 <= seed``, ``1 <= k < 2^32`` and
     ``0 <= t < 2^32``.
     """
@@ -299,38 +335,51 @@ def _pcg64_states(seed: int, ks: np.ndarray, ts: np.ndarray) -> list[tuple[int, 
     for i in range(8):
         v, h = _hashmix(pool[i % _SS_POOL], h, _SS_MULT_B)
         state.append(v.astype(np.uint64))
-    s0, s1, s2, s3 = ((state[2 * j] | state[2 * j + 1] << np.uint64(32)).tolist()
-                      for j in range(4))
-    out = []
-    for a, b, c, d in zip(s0, s1, s2, s3):
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        out.append((((a << 64 | b) + inc) * _PCG64_MULT + inc & _MASK128, inc))
-    return out
+    s0, s1, s2, s3 = (state[2 * j] | state[2 * j + 1] << _HALF for j in range(4))
+    one = np.uint64(1)
+    inc = s2 << one | s3 >> np.uint64(63), s3 << one | one
+    seeded = _add128(_mul128(_add128((s0, s1), inc), _u128([_PCG64_MULT])), inc)
+    return np.array([seeded, inc])
+
+
+def _pcg64_words(states: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` raw words of PCG64 at each state of ``_pcg64_states``, as (B, count).
+
+    Each word is output after one LCG step, so word j (from 1) is the
+    XSL-RR output of ``s * MULT^j + inc * (MULT^(j-1) + ... + 1) mod 2^128``:
+    one broadcast pass over the whole array, its constants from Python ints.
+    """
+    powers, sums = [1], [0]
+    for _ in range(count):
+        sums.append(sums[-1] + powers[-1] & _MASK128)
+        powers.append(powers[-1] * _PCG64_MULT & _MASK128)
+    state, inc = states[..., None]
+    hi, lo = _add128(_mul128(state, _u128(powers[1:])), _mul128(inc, _u128(sums[1:])))
+    # XSL-RR: hi ^ lo rotated right by the top six bits of hi
+    x, rot = hi ^ lo, hi >> np.uint64(58)
+    return x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
 
 
 def _draws(n: int, seed: int, ks: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signals of ``generate_sparse_signal(n, k, [seed, k, t])`` for each pair of ``ks``, ``ts``.
 
     Returns the (B, N) dense signals and each row's sorted support, padded
-    with N to the largest K. One PCG64 reads ``2 * max(ks)`` raw words from
-    each trial's state, and numpy passes over the whole batch replay on them
-    what ``choice(n, K, replace=False)`` and ``random(K)`` do: Floyd's method
-    and the shuffle, by Lemire's method on 32-bit halves, then K whole words
-    as phases (module docstring, "Draws"). A trial with a Lemire rejection,
-    or in ``choice``'s tail-shuffle regime, is drawn by those calls themselves.
+    with N to the largest K. Every trial's first ``2 * max(ks)`` raw words
+    come from ``_pcg64_words`` in one pass, and numpy passes over the whole
+    batch replay on them what ``choice(n, K, replace=False)`` and
+    ``random(K)`` do: Floyd's method and the shuffle, by Lemire's method on
+    32-bit halves, then K whole words as phases (module docstring, "Draws").
+    A trial with a Lemire rejection, or in ``choice``'s tail-shuffle regime,
+    is drawn by those calls themselves, from a PCG64 set to its state.
     """
     rows, k_max = len(ks), int(ks.max(initial=0))
-    bit_generator = np.random.PCG64(0)
     states = _pcg64_states(seed, ks, ts)
-    words = np.empty((rows, 2 * k_max), dtype=np.uint64)
-    for row, state in enumerate(states):
-        bit_generator.state = _pcg64_state(*state)
-        words[row] = bit_generator.random_raw(2 * k_max)
+    words = _pcg64_words(states, 2 * k_max)
     # next_uint32: the low half of a fresh word, then its high half; choice
     # takes at most 2K - 1 halves, from the first K words
     halves = np.empty((rows, 2 * k_max), dtype=np.uint64)
-    halves[:, 0::2] = words[:, :k_max] & np.uint64(_MASK32)
-    halves[:, 1::2] = words[:, :k_max] >> np.uint64(32)
+    halves[:, 0::2] = words[:, :k_max] & _LOW32
+    halves[:, 1::2] = words[:, :k_max] >> _HALF
     step = np.arange(k_max)
     held = step < ks[:, None]
     full = (ks == n).astype(np.intp)  # Floyd's first bound is then 0, which draws nothing
@@ -341,10 +390,10 @@ def _draws(n: int, seed: int, ks: np.ndarray, ts: np.ndarray) -> tuple[np.ndarra
     at = np.hstack([step - full[:, None], (ks - full)[:, None] + step[:-1]])
     span = bound + np.uint64(1)
     m = np.take_along_axis(halves, np.maximum(at, 0), axis=1) * span
-    rejected = (m & np.uint64(_MASK32)) < (np.uint64(_MASK32) - bound) % span
+    rejected = (m & _LOW32) < (_LOW32 - bound) % span
     redraw = rejected.any(axis=1) | ((n > 10_000) & (ks > n // 50))
     # Floyd: take j itself when the draw repeats an earlier pick
-    value = (m[:, :k_max] >> np.uint64(32)).astype(np.intp)
+    value = (m[:, :k_max] >> _HALF).astype(np.intp)
     picks = np.full((rows, k_max), n, dtype=np.intp)
     for d in range(k_max):
         seen = (picks[:, :d] == value[:, d, None]).any(axis=1)
@@ -352,10 +401,12 @@ def _draws(n: int, seed: int, ks: np.ndarray, ts: np.ndarray) -> tuple[np.ndarra
     # random(K): K whole words after the choice's, a buffered high half skipped
     phases = (np.take_along_axis(words, (ks - full)[:, None] + step, axis=1)
               >> np.uint64(11)) * 2.0**-53
+    bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     for row in np.flatnonzero(redraw):
         k = int(ks[row])
-        bit_generator.state = _pcg64_state(*states[row])
+        (s_hi, s_lo), (i_hi, i_lo) = states[:, :, row].tolist()
+        bit_generator.state = _pcg64_state(s_hi << 64 | s_lo, i_hi << 64 | i_lo)
         picks[row, :k] = rng.choice(n, size=k, replace=False)
         phases[row, :k] = rng.random(k)
     picks[~held] = n
@@ -527,10 +578,12 @@ def _recoveries(a: MeasurementMatrix, seed: int, ks: np.ndarray, ts: np.ndarray,
 
     The trials may mix sparsities: each is selected to its own K, and the
     bounds that settle it (module docstring, "Scoring") are taken at that K.
-    A trial is refit only when its selected support cannot settle it.
+    One stacked product measures every trial, each row by the gemv that its
+    own ``a.entries @ x`` calls, so each y keeps its bytes. A trial is refit
+    only when its selected support cannot settle it.
     """
     signals, truth = _draws(a.cols, seed, ks, ts)
-    ys = np.array([a.entries @ x for x in signals])
+    ys = np.matmul(a.entries[None], signals[:, :, None])[:, :, 0]
     supports, kappa = _select(a.entries, ys, ks, DEFAULT_RESIDUAL_TOL)
     sizes = np.array([s.size for s in supports])
     selected = np.full(truth.shape, a.cols, dtype=np.intp)  # padded with N, as truth is
@@ -576,8 +629,9 @@ def monte_carlo(
     Per-trial randomness derives from (seed, K, trial index), so the report is
     independent of trial execution order. A repeated sparsity is swept once.
     The trials of a batch are drawn together, bit for bit the draws of
-    ``generate_sparse_signal`` (module docstring, "Draws"), and each is
-    measured by its own product; the selection engine then
+    ``generate_sparse_signal`` (module docstring, "Draws"), and measured by
+    one stacked product whose rows are bit for bit each trial's own
+    ``a @ x``; the selection engine then
     recovers the trials of all sparsities together in lockstep, each to its
     own K, in batches of bounded memory sized by the largest K, with
     ``omp``'s default residual tolerance. A trial is scored from

@@ -344,7 +344,9 @@ def pcg64_state_with_a_zero_half(word):
 ])
 def test_batched_draws_redraw_a_trial_with_a_lemire_rejection(n, k, word, monkeypatch):
     state, inc = pcg64_state_with_a_zero_half(word)
-    monkeypatch.setattr(recon, "_pcg64_states", lambda seed, ks, ts: [(state, inc)] * len(ks))
+    halves = np.array([recon._u128([state]), recon._u128([inc])])
+    monkeypatch.setattr(recon, "_pcg64_states",
+                        lambda seed, ks, ts: np.repeat(halves, len(ks), axis=2))
     bit_generator = np.random.PCG64(0)
     bit_generator.state = recon._pcg64_state(state, inc)
     assert bit_generator.random_raw(word + 1)[word] & 0xFFFFFFFF == 0
@@ -357,6 +359,68 @@ def test_batched_draws_redraw_a_trial_with_a_lemire_rejection(n, k, word, monkey
         values = np.exp(2j * np.pi * rng.random(k))
         assert row[:k].tolist() == support.tolist()
         assert x[support].tobytes() == values.tobytes()
+
+
+def u128_ints(pair):
+    hi, lo = pair
+    return [int(h) << 64 | int(l) for h, l in zip(hi.tolist(), lo.tolist())]
+
+
+def test_128_bit_add_and_multiply_match_python_ints():
+    rng = np.random.default_rng(0)
+    values = [0, 1, 2, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**64 + 1, 2**96 + 2**32 - 1,
+              2**127, 2**128 - 2**64, 2**128 - 1, recon._PCG64_MULT]
+    values += [int.from_bytes(rng.bytes(16), "little") for _ in range(20)]
+    values += [int.from_bytes(rng.bytes(8), "little") for _ in range(6)]
+    a = [x for x in values for _ in values]
+    b = [y for _ in values for y in values]
+    # lo words whose sum passes 2^64 carry into hi
+    assert any((x & 2**64 - 1) + (y & 2**64 - 1) >= 2**64 for x, y in zip(a, b))
+    got_sum = u128_ints(recon._add128(recon._u128(a), recon._u128(b)))
+    got_product = u128_ints(recon._mul128(recon._u128(a), recon._u128(b)))
+    assert got_sum == [(x + y) % 2**128 for x, y in zip(a, b)]
+    assert got_product == [x * y % 2**128 for x, y in zip(a, b)]
+
+
+def test_jump_ahead_words_match_random_raw():
+    rng = np.random.default_rng(1)
+    randoms = [int.from_bytes(rng.bytes(16), "little") for _ in range(4)]
+    # the top state, incs with the top bit set, and state 0 stepping by inc alone
+    pairs = [(2**128 - 1, 2**128 - 1), (2**128 - 1, 2**127 + 1), (0, 2**127 + 2**64 + 1), (0, 1),
+             (randoms[0], randoms[1] | 1), (randoms[2], randoms[3] | 2**127 | 1)]
+    states = np.array([recon._u128([s for s, _ in pairs]), recon._u128([i for _, i in pairs])])
+    bit_generator = np.random.PCG64(0)
+    for count in [1, 2, 3, 20, 128]:
+        words = recon._pcg64_words(states, count)
+        assert words.shape == (len(pairs), count) and words.dtype == np.uint64
+        for row, (state, inc) in zip(words, pairs):
+            bit_generator.state = recon._pcg64_state(state, inc)
+            assert row.tobytes() == bit_generator.random_raw(count).tobytes()
+
+
+@pytest.mark.parametrize("kind, seed", [("real", 0), ("complex", 0), ("idft", 0), ("idft", 1)])
+@pytest.mark.parametrize("m", [3, 7, 10, 24, 40])
+def test_stacked_measurement_matches_each_product(kind, seed, m, monkeypatch):
+    # seed 1 normalizes the partial IDFT columns, seed 0 leaves them unscaled
+    a = MeasurementMatrix(_test_matrix(kind, seed, m, 64))
+    seen = {}
+    draws, select = recon._draws, recon._select
+
+    def keep_signals(*args):
+        seen["signals"], truth = draws(*args)
+        return seen["signals"], truth
+
+    def keep_measurements(entries, ys, k_target, residual_tol):
+        seen["ys"] = ys
+        return select(entries, ys, k_target, residual_tol)
+
+    monkeypatch.setattr(recon, "_draws", keep_signals)
+    monkeypatch.setattr(recon, "_select", keep_measurements)
+    ks = np.repeat(np.arange(1, min(m, 10) + 1), 6)
+    recon._recoveries(a, seed, ks, np.arange(ks.size), recon.DEFAULT_RECOVERY_TOL)
+    assert seen["ys"].shape == (ks.size, m)
+    for y, x in zip(seen["ys"], seen["signals"]):
+        assert y.tobytes() == (a.entries @ x).tobytes()
 
 
 def reference_omp(a, y, k_target, residual_tol):
