@@ -321,7 +321,7 @@ def shift_invariant(entries: np.ndarray) -> bool:
         return False
     x = entries / peak
     tol = 16 * n * np.finfo(float).eps
-    if not x[:, 0].all() or np.abs(np.abs(x[:, 1]) - np.abs(x[:, 0])).max() > tol:
+    if not x[:, 0].all():
         return False
     # the N-th roots of unity nearest to D; their powers are exact up to one rounding
     r = np.rint(np.angle(x[:, 1] * x[:, 0].conj()) * n / (2 * np.pi)).astype(np.int64) % n

@@ -43,14 +43,14 @@ the SVD rule only where the screen cannot clear the subset (see
 RIP constants count every subset, but only subsets whose deviation
 ``||G_S - I||_2`` can exceed the largest one seen so far, d, get
 ``eigvalsh``. The others are excluded by proving ``lambda_max(G_S) < 1 + d``,
-cheapest test first (Gershgorin row sums of ``|G_S|``, one power step on
-them, then the Cholesky kernel on a shifted Gram), and ``lambda_min(G_S) >
-1 - d`` by the Cholesky kernel alone. Each bound keeps a margin of
-``8 K^3 eps`` times the largest Gram diagonal, above the rounding of the
-tests and of ``eigvalsh``. Once d is past 1 by that margin plus the furthest
-a computed Gram eigenvalue can land below 0, no lower side can raise d, and
-it is skipped (see ``rip_constant``). So delta, and every reported digit, is
-that of a plain ``eigvalsh`` scan.
+cheaper test first (one power step on the row sums of ``|G_S|``, a bound
+never above the largest row sum, then the Cholesky kernel on a shifted
+Gram), and ``lambda_min(G_S) > 1 - d`` by the Cholesky kernel alone. Each
+bound keeps a margin of ``8 K^3 eps`` times the largest Gram diagonal, above
+the rounding of the tests and of ``eigvalsh``. Once d is past 1 by that
+margin plus the furthest a computed Gram eigenvalue can land below 0, no
+lower side can raise d, and it is skipped (see ``rip_constant``). So delta,
+and every reported digit, is that of a plain ``eigvalsh`` scan.
 """
 
 from __future__ import annotations
@@ -160,11 +160,13 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET, *, _tables=None) -
         first = first_dependent(a.entries, top, 2 * RANK_RTOL, tables=tables)
         if first is None:
             return full_rank
-        # a k-subset misses at most j < top - k of 0 .. j-1, so _settled holds for all of them
-        clean = top - next((i for i, v in enumerate(first) if v != i), top)
+        # j, the smallest value missing from first: a k-subset misses at most
+        # j < top - k of 0 .. j-1, so _settled holds for all of them
+        j = next((i for i, v in enumerate(first) if v != i), top)
+        clean = top - j
 
         def evaluate(combs):
-            rest = np.flatnonzero(~_settled(combs, first, top))
+            rest = np.flatnonzero(~_settled(combs, first, top, j))
             mask = np.zeros(len(combs), dtype=bool)
             if len(rest):
                 # in the generator's layout, a C-ordered (k, B), in which Grams gather fast
@@ -181,13 +183,13 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET, *, _tables=None) -
     return full_rank
 
 
-def _settled(combs, first, top):
+def _settled(combs, first, top, j):
     """Mask over a (B, k) chunk of subsets T: True where T's first top-superset precedes ``first``.
 
-    Both are sorted and compared lexicographically. That superset, T plus
-    the smallest ``g = top - k`` columns outside T, precedes ``first`` only
-    if it holds ``0 .. j-1``, where j is the smallest value missing from
-    ``first``: that takes at most g of them missing from T. It does precede
+    Both are sorted and compared lexicographically; j is the smallest value
+    missing from ``first``. That superset, T plus the smallest
+    ``g = top - k`` columns outside T, precedes ``first`` only if it holds
+    ``0 .. j-1``: that takes at most g of them missing from T. It does precede
     it when it also holds j, that is when j is in T or fewer than g are
     missing, since ``first[j] > j``. When exactly g are missing and j is not
     in T, the superset is ``0 .. j-1`` followed by T's last ``top - j``
@@ -195,7 +197,6 @@ def _settled(combs, first, top):
     """
     k = combs.shape[1]
     g = top - k
-    j = next((i for i, v in enumerate(first) if v != i), top)
     missing = j - (combs < j).sum(axis=1)
     has_j = (combs == j).any(axis=1)
     settled = (missing <= g) & (has_j | (missing < g))
@@ -254,11 +255,12 @@ def rip_constant(
     later subset is excluded when both of its sides pass, each side trying
     its cheapest test first, on the real Gram when the matrix is real:
 
-    * upper: the largest Gershgorin row sum ``r_i = sum_(j in S) |g_ij|``,
-      from one gather of ``|G|``, is below ``1 + d - m``; or else the
-      largest ``(|G_S| r)_i / r_i``, one power step that can only lower that
-      bound (Collatz-Wielandt: ``lambda_max(G_S) <= rho(|G_S|) <=
-      max_i (|G_S| x)_i / x_i`` for any positive x); or else
+    * upper: the largest ``(|G_S| r)_i / r_i`` is below ``1 + d - m``, with
+      ``r_i = sum_(j in S) |g_ij|`` the row sums of one gather of ``|G|``
+      (Collatz-Wielandt: ``lambda_max(G_S) <= rho(|G_S|) <=
+      max_i (|G_S| x)_i / x_i`` for any positive x). This power step is
+      never above the Gershgorin bound ``max_i r_i``, since
+      ``(|G_S| r)_i <= max(r) r_i``, so it stands in for that test. Or else
       ``(1 + d - m) I - G_S`` passes ``_linalg.shifted_definite``;
     * lower: ``1 - d + m <= -slack``; or else ``G_S - (1 - d + m) I`` passes
       ``shifted_definite``.
@@ -271,7 +273,7 @@ def rip_constant(
     * the Cholesky certificate's backward error is at most about
       ``K (K + 1) eps ||A||`` for the shifted matrix A, and
       ``||A|| <= 2 K max(diag G)``;
-    * a row sum or power step errs by about ``K^2 eps max(diag G)``;
+    * the power step errs by about ``K^2 eps max(diag G)``;
     * ``eigvalsh`` errs by at most about ``K^2 eps ||G_S||`` (LAPACK bounds
       it by ``p(K) eps ||G_S||`` for a modest ``p``).
 
@@ -322,16 +324,11 @@ def rip_constant(
             moduli = magnitude[c[:, None, :], c[None, :, :]]
             rows = moduli.sum(axis=1)
             top, bottom = 1.0 + d - margin, 1.0 - d + margin
-            inside = rows.max(axis=0) < top
+            # one power step on |G_S| from its row sums (Collatz-Wielandt)
+            inside = (np.einsum("ijb,jb->ib", moduli, rows) / rows).max(axis=0) < top
             rest = np.flatnonzero(~inside)
             if len(rest):
-                # one power step on |G_S| from its row sums (Collatz-Wielandt)
-                r = rows[:, rest]
-                step = np.einsum("ijb,jb->ib", moduli[:, :, rest], r) / r
-                inside[rest] = step.max(axis=0) < top
-                rest = rest[~inside[rest]]
-                if len(rest):
-                    inside[rest] = shifted_definite(negated, c[:, rest], -top)
+                inside[rest] = shifted_definite(negated, c[:, rest], -top)
             if bottom > -slack and inside.any():
                 inside[inside] = shifted_definite(screen, c[:, inside], bottom)
             unsure = ~inside

@@ -12,11 +12,12 @@ the largest ``|A^H r|`` computed by gemv. ``omp`` runs that loop itself
 (``_reference_select``, then one refit on the final sorted support).
 ``monte_carlo`` gets the same picks from ``_select``, for the trials of every
 sparsity in lockstep, each row stopping at its own target. Each step takes
-one matrix product for all correlations, an argmax per row, and one
-Gram-Schmidt update: the new column is orthogonalized twice against the row's
-orthonormal basis Q (CGS2), and the residual loses its component along the
-new basis vector. Every decision below reads only its own row, so a row's
-support, bound and departure do not depend on which rows share its batch.
+one matrix product for all correlations (at the first a stacked gemv, below),
+an argmax per row, and one Gram-Schmidt update: the new column is
+orthogonalized twice against the row's orthonormal basis Q (CGS2), and the
+residual loses its component along the new basis vector. Every decision
+below reads only its own row, so a row's support, bound and departure do not
+depend on which rows share its batch.
 
 The screen. The engine's residual r_g and correlations differ from the
 reference ones in the last digits, and exact ties are real: on a real matrix
@@ -26,16 +27,17 @@ So an engine decision stands only when it cannot differ from the
 reference's: a pick when the two largest unpicked correlations are more
 than ``2 * amax * dev`` apart (``amax`` the largest column norm), a stop or
 continue when ``||r_g||`` is more than ``dev`` from ``residual_tol``. The
-first pick is the exception: there the reference's residual is y itself,
-with no refit, so a row whose continue is sure but whose top two
-correlations are not apart takes the reference's own pick, the argmax of
-``|A^H y|`` by gemv (``_correlations``, shared with ``_reference_select``),
-and stays when that correlation is above 0. A row with any other step
-leaves the engine for good, and after the lockstep loop
-``_reference_select``, the reference arithmetic itself, selects it again from
-the start. So every pick the engine holds is one it cleared or one the
-reference made, and every support is the reference's: the bounds below
-depend on the support and kappa, not on who chose the pick.
+first pick needs no screen: there the reference's residual is y itself,
+with no refit, so the engine takes the first correlations ``|A^H y|`` from
+one stacked product whose rows are each the gemv of the reference's own
+``A^H y``, byte for byte, and every first pick is the reference's. Such a
+row stays when its continue is sure and that correlation is above 0. A row
+with any step the screen cannot clear leaves the engine for good, and after
+the lockstep loop ``_reference_select``, the reference arithmetic itself,
+selects it again from the start. So every pick the engine holds is one it
+cleared or one the reference made, and every support is the reference's:
+the bounds below depend on the support and kappa, not on who chose the
+pick.
 
 Why ``dev`` bounds the difference. Let ``u = 2^-53``, S the support after k
 picks, ``kappa = kappa_2(A_S)`` and ``r* = (I - P_S) y`` the exact residual.
@@ -429,11 +431,6 @@ def _refit(a: np.ndarray, y: np.ndarray, support: np.ndarray) -> tuple[np.ndarra
     return coeffs, y - cols @ coeffs
 
 
-def _correlations(a_h: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """``|A^H r|`` by gemv, as the reference arithmetic picks from it; ``a_h`` is ``a.conj().T``."""
-    return np.abs(a_h @ residual)
-
-
 def _reference_select(a, y, k_target: int, residual_tol: float) -> np.ndarray:
     """The sorted support that the reference arithmetic (module docstring) selects for ``y``."""
     a_h = a.conj().T
@@ -442,7 +439,7 @@ def _reference_select(a, y, k_target: int, residual_tol: float) -> np.ndarray:
         residual = _refit(a, y, np.sort(picked))[1] if picked else y
         if np.linalg.norm(residual) <= residual_tol:
             break
-        corr = _correlations(a_h, residual)
+        corr = np.abs(a_h @ residual)
         corr[picked] = -1.0
         picked.append(int(np.argmax(corr)))
     return np.sort(np.array(picked, dtype=np.intp))
@@ -456,10 +453,11 @@ def _select(a: np.ndarray, ys: np.ndarray, k_target,
     to the largest target, and a row drops out of it, not departed, once it
     holds its own target of picks. A row leaves the engine at the first step
     whose pick or stop the screen cannot clear, and ``_reference_select``
-    selects it again at its own target (module docstring). A first pick the
-    screen cannot clear is taken from the reference's own correlations of y
-    instead. Also returns each row's bound on ``kappa_2`` of its whole
-    support, inf for the rows that left.
+    selects it again at its own target (module docstring). First picks are
+    not screened: the first step's correlations come from one stacked
+    product whose rows are each the reference's own gemv on y, byte for
+    byte, so each first pick is the reference's. Also returns each row's
+    bound on ``kappa_2`` of its whole support, inf for the rows that left.
     """
     rows, m = ys.shape
     targets = np.broadcast_to(np.asarray(k_target, dtype=np.intp), (rows,))
@@ -484,21 +482,17 @@ def _select(a: np.ndarray, ys: np.ndarray, k_target,
         kappa = 2.0 * np.sqrt(cols_sq[live] * r_inv_sq[live])
         dev = _SAFETY * m * (i + 1) * _U * (18 + i + 7 * kappa) * y_norm[live]
         res_norm = np.linalg.norm(r, axis=1)
-        corr = np.abs(r @ a_conj)
+        # the reference's first residual is y itself, so at i = 0 each row's
+        # own gemv, stacked, gives the reference's own correlations
+        corr = np.abs(r @ a_conj if i else np.matmul(a_conj.T[None], r[:, :, None])[:, :, 0])
         corr[np.arange(live.size)[:, None], picks[live, :i]] = -1.0
         pick = corr.argmax(axis=1)
         top = corr[np.arange(live.size), pick]
         rival = np.partition(corr, -2, axis=1)[:, -2] if a.shape[1] > 1 else -1.0
         stop = res_norm + dev <= residual_tol
         go = res_norm - dev > residual_tol
-        apart = top - rival > 2 * amax * dev
-        if i == 0:
-            # the reference's first residual is y itself: its own pick costs one gemv
-            for j in np.flatnonzero(go & ~apart):
-                corr_ref = _correlations(a_conj.T, ys[live[j]])
-                pick[j] = corr_ref.argmax()
-                top[j] = corr_ref[pick[j]]
-            apart[:] = True  # every first pick is now one of the two arithmetics' own
+        # a first pick is the reference's own; a later one stands when the top two are apart
+        apart = (i == 0) | (top - rival > 2 * amax * dev)
         sure = go & apart & (top > 0)
         cleared = (kappa <= _KAPPA_MAX) & (stop | sure)
         departed[live[~cleared]] = True

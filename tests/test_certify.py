@@ -146,10 +146,11 @@ def test_spark_settles_the_subsets_whose_first_top_superset_precedes_the_flag(n)
             ]
             combs = np.array(subsets)
             for flag in itertools.combinations(range(n), top):
-                got = _settled(combs, flag, top).tolist()
-                assert got == [u < flag for u in supersets], (n, top, k, flag)
-                # below size top - j, with j the smallest value missing from the flag, all are
+                # j, the smallest value missing from the flag
                 j = next((i for i, v in enumerate(flag) if v != i), top)
+                got = _settled(combs, flag, top, j).tolist()
+                assert got == [u < flag for u in supersets], (n, top, k, flag)
+                # below size top - j all are
                 assert all(got) or k >= top - j, (n, top, k, flag)
 
 
@@ -557,9 +558,11 @@ def test_rip_profile_matches_plain_eigvalsh_scan_as_delta_crosses_one(m, c, cplx
 
 def test_rip_margin_covers_eigvalsh_rounding_past_a_tight_gershgorin_sum(monkeypatch):
     # a triple at pairwise inner product c has Gershgorin sums equal to its
-    # lambda_max, 1 + 2c. With eigvalsh off by K^3 eps max(diag G) = 27 eps,
-    # inside the error the margin m covers, triple 0-2 at c = 0.6 sets d, and
-    # triple 6-8 at c + 6 eps raises it although its sums are below 1 + d
+    # lambda_max, 1 + 2c, and so has the power step from them, which stands in
+    # for the row-sum test: on this triple the two bounds are equal. With
+    # eigvalsh off by K^3 eps max(diag G) = 27 eps, inside the error the
+    # margin m covers, triple 0-2 at c = 0.6 sets d, and triple 6-8 at
+    # c + 6 eps raises it although its power step is below 1 + d
     plain = np.linalg.eigvalsh
 
     def rounded_outward(stack):

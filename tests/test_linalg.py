@@ -316,6 +316,12 @@ def test_shift_invariant_rejects_other_matrices():
     entries = build_partial_idft(16, range(10)).entries.copy()
     entries[3, 0] = 0
     assert not shift_invariant(entries)
+    # a scaled column keeps every phase; only the check against D^j x_0 rejects it
+    for normalize in (False, True):
+        for col in (1, 5):
+            entries = build_partial_idft(16, range(10), normalize).entries.copy()
+            entries[:, col] *= 2
+            assert not shift_invariant(entries)
 
 
 @settings(max_examples=200, deadline=None)

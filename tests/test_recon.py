@@ -419,8 +419,17 @@ def test_stacked_measurement_matches_each_product(kind, seed, m, monkeypatch):
     ks = np.repeat(np.arange(1, min(m, 10) + 1), 6)
     recon._recoveries(a, seed, ks, np.arange(ks.size), recon.DEFAULT_RECOVERY_TOL)
     assert seen["ys"].shape == (ks.size, m)
-    for y, x in zip(seen["ys"], seen["signals"]):
+    # step 0's correlations, stacked as _select forms them, are each row's own
+    # gemv, so every first pick is the reference's and stays in the engine
+    a_conj = a.entries.conj()
+    first = np.abs(np.matmul(a_conj.T[None], seen["ys"][:, :, None])[:, :, 0])
+    supports, kappa = select(a.entries, seen["ys"], 1, recon.DEFAULT_RESIDUAL_TOL)
+    assert np.isfinite(kappa).all()
+    for y, x, corr, support in zip(seen["ys"], seen["signals"], first, supports):
         assert y.tobytes() == (a.entries @ x).tobytes()
+        own = np.abs(a.entries.conj().T @ y)
+        assert corr.tobytes() == own.tobytes()
+        assert support.tolist() == [own.argmax()]
 
 
 def reference_omp(a, y, k_target, residual_tol):
