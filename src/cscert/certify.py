@@ -91,7 +91,8 @@ class NormalizationError(ValueError):
 def _require_unit_columns(a: MeasurementMatrix) -> None:
     if not a.normalized:
         raise NormalizationError(
-            "isometry constants assume unit-norm columns; apply normalize_columns first"
+            "isometry constants assume unit-norm columns; "
+            "apply normalize_columns first, or pass --normalize on the command line"
         )
 
 

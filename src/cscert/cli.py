@@ -233,7 +233,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise _UsageError("--seed must be non-negative")
         if not getattr(args, "budget", 1) >= 1:
-            raise _UsageError("--budget must be positive")
+            raise _UsageError(f"--budget must be at least 1, got {args.budget}")
         return _COMMANDS[args.command](args)
     except (_UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

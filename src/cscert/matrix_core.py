@@ -61,9 +61,9 @@ class CsvShapeError(ValueError):
 class DegenerateColumnError(ValueError):
     """An operation hit a zero column it cannot handle."""
 
-    def __init__(self, index: int, message: str | None = None):
+    def __init__(self, index: int):
         self.index = index
-        super().__init__(message or f"column {index} has zero norm")
+        super().__init__(f"column {index} has zero norm")
 
 
 @dataclass(frozen=True, eq=False)

@@ -149,7 +149,7 @@ these words, in numpy passes over the whole batch, what NumPy 2.4's
 
 A trial with any Lemire rejection (below j / 2^32 per draw), or in
 ``choice``'s tail-shuffle regime (N > 10,000 and K > N // 50), is drawn by
-those calls themselves, on a PCG64 set to the trial's state. The batch is
+``generate_sparse_signal`` itself, the reference draw. The batch is
 exact, not approximate: NumPy's ``SeedSequence`` mixing (pool size 4, over
 the 32-bit words of seed, K and t), PCG64's seeding, LCG step and XSL-RR
 output, and these draws are fixed algorithms in integer arithmetic, and
@@ -372,11 +372,10 @@ def _draws(n: int, seed: int, ks: np.ndarray, ts: np.ndarray) -> tuple[np.ndarra
     ``random(K)`` do: Floyd's method and the shuffle, by Lemire's method on
     32-bit halves, then K whole words as phases (module docstring, "Draws").
     A trial with a Lemire rejection, or in ``choice``'s tail-shuffle regime,
-    is drawn by those calls themselves, from a PCG64 set to its state.
+    is drawn by ``generate_sparse_signal`` itself.
     """
     rows, k_max = len(ks), int(ks.max(initial=0))
-    states = _pcg64_states(seed, ks, ts)
-    words = _pcg64_words(states, 2 * k_max)
+    words = _pcg64_words(_pcg64_states(seed, ks, ts), 2 * k_max)
     # next_uint32: the low half of a fresh word, then its high half; choice
     # takes at most 2K - 1 halves, from the first K words
     halves = np.empty((rows, 2 * k_max), dtype=np.uint64)
@@ -403,25 +402,15 @@ def _draws(n: int, seed: int, ks: np.ndarray, ts: np.ndarray) -> tuple[np.ndarra
     # random(K): K whole words after the choice's, a buffered high half skipped
     phases = (np.take_along_axis(words, (ks - full)[:, None] + step, axis=1)
               >> np.uint64(11)) * 2.0**-53
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for row in np.flatnonzero(redraw):
-        k = int(ks[row])
-        (s_hi, s_lo), (i_hi, i_lo) = states[:, :, row].tolist()
-        bit_generator.state = _pcg64_state(s_hi << 64 | s_lo, i_hi << 64 | i_lo)
-        picks[row, :k] = rng.choice(n, size=k, replace=False)
-        phases[row, :k] = rng.random(k)
     picks[~held] = n
     truth = np.sort(picks, axis=1)
     signals = np.zeros((rows, n), dtype=np.complex128)
     signals[np.nonzero(held)[0], truth[held]] = np.exp(2j * np.pi * phases[held])
+    for row in np.flatnonzero(redraw):
+        k = int(ks[row])
+        x = generate_sparse_signal(n, k, [seed, k, int(ts[row])])
+        signals[row], truth[row, :k] = x.to_dense(), x.support
     return signals, truth
-
-
-def _pcg64_state(state: int, inc: int) -> dict:
-    """The ``PCG64.state`` dictionary at ``(state, inc)``, with no 32-bit half buffered."""
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
 
 
 def _refit(a: np.ndarray, y: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -323,6 +323,12 @@ def test_batched_draws_match_the_reference_draw_at_both_choice_regimes(k):
     assert_draws_match_the_reference(10_001, 5, [k, 1, k], [0, 1, 2])
 
 
+def pcg64_state(state, inc):
+    """The ``PCG64.state`` dictionary at ``(state, inc)``, with no 32-bit half buffered."""
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
 def pcg64_state_with_a_zero_half(word):
     """A PCG64 ``(state, inc)`` whose raw word number ``word`` has a low half of 0."""
     inc = 2 * 0x9E3779B97F4A7C15 + 1
@@ -334,31 +340,46 @@ def pcg64_state_with_a_zero_half(word):
     return state, inc
 
 
-@pytest.mark.parametrize("n, k, word", [
+@pytest.mark.parametrize("n, k, word, rejecting", [
     # a zero half draws m = 0 on [0, j], rejected when 2^32 mod (j + 1) > 0:
-    # the first Floyd draw, on [0, 8], reads the low half of word 0
-    (10, 2, 0),
+    # the first Floyd draw, on [0, 8] or on [0, 9], reads the low half of word 0,
+    # so every row rejects
+    pytest.param(10, 2, 0, [0, 1, 2], id="10-2-0"),
     # Floyd draws nothing on [0, 0], then twice; the shuffle's first draw, on
-    # [0, 2], reads the low half of word 1, and its redraw moves the phases a word on
-    (3, 3, 1),
+    # [0, 2], reads the low half of word 1; K = 1 draws only word 0
+    pytest.param(3, 3, 1, [0, 2], id="3-3-1"),
 ])
-def test_batched_draws_redraw_a_trial_with_a_lemire_rejection(n, k, word, monkeypatch):
+def test_batched_draws_redraw_a_trial_with_a_lemire_rejection(n, k, word, rejecting, monkeypatch):
     state, inc = pcg64_state_with_a_zero_half(word)
     halves = np.array([recon._u128([state]), recon._u128([inc])])
     monkeypatch.setattr(recon, "_pcg64_states",
                         lambda seed, ks, ts: np.repeat(halves, len(ks), axis=2))
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return generate_sparse_signal(*args)
+
+    monkeypatch.setattr(recon, "generate_sparse_signal", recorded)
     bit_generator = np.random.PCG64(0)
-    bit_generator.state = recon._pcg64_state(state, inc)
+    bit_generator.state = pcg64_state(state, inc)
     assert bit_generator.random_raw(word + 1)[word] & 0xFFFFFFFF == 0
     ks = [k, 1, k]
     signals, truth = recon._draws(n, 0, np.array(ks, dtype=np.intp), np.arange(3))
+    # a rejecting row is the reference draw at its own seed, not at the injected state
+    assert calls == [(n, ks[t], [0, ks[t], t]) for t in rejecting]
     rng = np.random.Generator(bit_generator)
-    for x, row, k in zip(signals, truth, ks):
-        bit_generator.state = recon._pcg64_state(state, inc)
-        support = np.sort(rng.choice(n, size=k, replace=False))
-        values = np.exp(2j * np.pi * rng.random(k))
-        assert row[:k].tolist() == support.tolist()
+    for t, (x, row, k) in enumerate(zip(signals, truth, ks)):
+        if t in rejecting:
+            want = generate_sparse_signal(n, k, [0, k, t])
+            support, values = np.array(want.support), want.values
+        else:
+            bit_generator.state = pcg64_state(state, inc)
+            support = np.sort(rng.choice(n, size=k, replace=False))
+            values = np.exp(2j * np.pi * rng.random(k))
+        assert row[:k].tolist() == support.tolist() and (row[k:] == n).all()
         assert x[support].tobytes() == values.tobytes()
+        assert np.count_nonzero(x) == k
 
 
 def u128_ints(pair):
@@ -394,7 +415,7 @@ def test_jump_ahead_words_match_random_raw():
         words = recon._pcg64_words(states, count)
         assert words.shape == (len(pairs), count) and words.dtype == np.uint64
         for row, (state, inc) in zip(words, pairs):
-            bit_generator.state = recon._pcg64_state(state, inc)
+            bit_generator.state = pcg64_state(state, inc)
             assert row.tobytes() == bit_generator.random_raw(count).tobytes()
 
 
