@@ -13,14 +13,19 @@ limit is ``k_max = floor((S - 1) / 2)``, and it is found between two bounds.
   This is only an upper bound: N=16 with missing {3, 5, 11, 13} has penalty 8,
   so the closed form says K <= 3, yet a signal on those positions has a DFT
   with six nonzeros and the true limit is 2.
-* Lower: a decimation recursion. Splitting the spectrum into even and odd
-  frequencies, or the signal into even and odd positions, bounds ``S_N`` by
-  the smallest supports of four half-length patterns, each found by the same
-  routine one level down.
+* Lower: the larger of two bounds. The BCH bound of cyclic codes gives
+  ``S_N >= L + 1`` for the longest run of L available positions in a
+  progression whose step is odd. A burst of missing samples leaves
+  ``L = N - q``, which meets the closed form's ``S <= N - q + 1``, so nothing
+  else runs. Otherwise a decimation recursion: splitting the spectrum into
+  even and odd frequencies, or the signal into even and odd positions, bounds
+  ``S_N`` by the smallest supports of four half-length patterns, each found
+  by the same routine one level down.
 
 When the two bounds give different K, an exact sweep settles it: the largest
 zero set of a nonzero spectrum is the zero set of the null vector of some
-``q - 1`` rows of ``F[k, n] = w^{-kn}``, n in Q. Modulating a signal on Q by
+``q - 1`` rows of ``F[k, n] = w^{-kn}``, n in Q, read off the Householder
+reflectors of one raw QR per row set. Modulating a signal on Q by
 ``w^{cn}`` keeps it on Q and shifts its spectrum by c, so the null space of
 rows R + c (mod N) is that of rows R, modulated, with the same supports. One
 row set per cyclic-shift orbit is therefore enough
@@ -51,7 +56,7 @@ from ._linalg import (
     iter_orbit_chunks,
     sweep,
 )
-from .matrix_core import as_index, build_partial_idft, parse_list
+from .matrix_core import _fourier_rows, as_index, parse_list
 
 
 @dataclass(frozen=True)
@@ -186,6 +191,47 @@ class DftUniquenessResult(JsonReport):
         return "\n".join(lines) + "\n"
 
 
+def _bch_lower(n: int, q) -> int:
+    """The BCH bound on S_n(q): L + 1, for L the longest run a, a + d, ... of available positions.
+
+    The spectra of signals on q form a cyclic code whose zeros are the
+    available positions, so a run of L of them with step d a unit mod n bounds
+    its weight from below by L + 1 (Bose & Ray-Chaudhuri; van Lint & Wilson,
+    IEEE TIT 1986). Multiplying by a unit u maps such a run with step u^-1 to
+    consecutive positions, so L is the largest cyclic gap of u q, less one,
+    over the units u; u and -u give the same gaps, so odd u <= n / 2 cover
+    every unit mod 2^r. The units are taken in blocks of at most 2^20 entries.
+    """
+    missing = np.array(sorted(q), dtype=np.int64)
+    units = np.arange(1, n // 2 + 1, 2)
+    block = max(1, (1 << 20) // len(missing))
+    longest = 0
+    for start in range(0, len(units), block):
+        mapped = np.sort(units[start:start + block, None] * missing % n, axis=1)
+        gaps = np.diff(mapped, axis=1, append=mapped[:, :1] + n)
+        longest = max(longest, int(gaps.max()) - 1)
+    return longest + 1
+
+
+def _null_vectors(a: np.ndarray) -> np.ndarray:
+    """A unit null vector of each (q - 1) x q matrix of the stack ``a``, as rows.
+
+    It is the last column of Q in ``a^H = QR``. ``np.linalg.qr``'s raw mode
+    keeps Q as q - 1 Householder reflectors ``I - tau_j v_j v_j^H``, with v_j
+    1 at j followed by ``h[:, j, j+1:]``; applying them to e_q, right to
+    left, gives that column without building a q x q Q.
+    """
+    h, tau = np.linalg.qr(a.conj().transpose(0, 2, 1), mode="raw")
+    x = np.zeros((a.shape[0], a.shape[2]), dtype=complex)
+    x[:, -1] = 1
+    for j in range(a.shape[1] - 1, -1, -1):
+        v = h[:, j, j + 1:]
+        w = tau[:, j] * (x[:, j] + np.einsum("bi,bi->b", v.conj(), x[:, j + 1:]))
+        x[:, j] -= w
+        x[:, j + 1:] -= w[:, None] * v
+    return x
+
+
 class _MinSupport:
     """Smallest DFT support S_n(Q) of a nonzero signal on Q, for a pattern and its decimations.
 
@@ -209,19 +255,25 @@ class _MinSupport:
         return self.memo[key]
 
     def settle(self, n: int, q: frozenset[int], hi: int, step: int = 1) -> tuple[int, bool]:
-        """S_n(q), n >= 2, from the decimation bound and the upper bound ``hi``; and whether exact.
+        """S_n(q), n >= 2, from the lower bounds and the upper bound ``hi``; and whether exact.
 
         The caller reads a support S only as ``(S - 1) // step`` (``step=2``
-        gives K). So the zero-set sweep runs only when ``hi`` lies past the
-        decimation bound's granule, and stops at the first support confirmed
-        inside it. A sweep cut by the budget or by a refused support leaves the
-        bound, flagged inexact.
+        gives K). The BCH bound comes first: when ``hi`` lies inside its
+        granule, neither the decimation recursion nor any sweep below it
+        runs. Otherwise the larger of the two bounds is taken, and the
+        zero-set sweep runs only when ``hi`` lies past its granule, stopping
+        at the first support confirmed inside it. A sweep cut by the budget or
+        by a refused support leaves the bound, flagged inexact.
         """
-        lo = self.lower(n, q)
-        stop = lo - 1 - (lo - 1) % step + step
-        if stop >= hi:
+        def granule_end(s):
+            return s - 1 - (s - 1) % step + step
+
+        lo = _bch_lower(n, q)
+        if granule_end(lo) < hi:
+            lo = max(lo, self.lower(n, q))
+        if granule_end(lo) >= hi:
             return lo, True
-        best, exact = self.zero_set_sweep(n, q, hi, stop)
+        best, exact = self.zero_set_sweep(n, q, hi, granule_end(lo))
         return (best, True) if exact else (lo, False)
 
     def lower(self, n: int, q: frozenset[int]) -> float:
@@ -244,21 +296,25 @@ class _MinSupport:
     def zero_set_sweep(self, n: int, q: frozenset[int], hi: int, stop: float) -> tuple[int, bool]:
         """Smallest confirmed support below ``hi`` and whether the sweep was complete.
 
-        Scans the row sets in order, one at a time as far as any result shows:
+        Each row set's null vector comes from ``_null_vectors``, a raw QR and
+        its q - 1 reflectors. Scans the row sets in order, one at a time as
+        far as any result shows:
         each support T below the smallest confirmed so far is confirmed once
         the rows of ``f`` outside T are found dependent, and a refused one
         makes the result inexact. The first confirmed support of at most
-        ``stop`` is the hit that ends the sweep.
+        ``stop`` is the hit that ends the sweep. A spent budget covers no row
+        set, so neither ``f`` nor a chunk is built.
         """
+        if self.left < 1:
+            return hi, False
         cols = np.array(sorted(q))
         f = np.exp(-2j * np.pi * (np.outer(np.arange(n), cols) % n) / n)
         best, confirmed = hi, True
 
         def evaluate(rows):
             nonlocal best, confirmed
-            basis, _ = np.linalg.qr(f[rows].conj().transpose(0, 2, 1), mode="complete")
             # the null vector has unit norm, so its spectrum has norm sqrt(n)
-            nonzero = np.abs(basis[:, :, -1] @ f.T) > RANK_RTOL * math.sqrt(n)
+            nonzero = np.abs(_null_vectors(f[rows]) @ f.T) > RANK_RTOL * math.sqrt(n)
             support = nonzero.sum(axis=1)
             for i in np.flatnonzero(support < best):
                 if support[i] >= best:
@@ -282,8 +338,9 @@ def dft_sparsity_limit(
     """The largest K for which every K-sparse spectrum is unique given the samples.
 
     The closed form ``floor((N - penalty - 1) / 2)`` is reported as
-    ``closed_form_k_max``, an upper bound. The decimation lower bound settles
-    ``k_max`` when it gives the same K; otherwise an exact zero-set sweep does.
+    ``closed_form_k_max``, an upper bound. The lower bound (decimation and
+    BCH) settles ``k_max`` when it gives the same K; otherwise an exact
+    zero-set sweep does.
     The sweeps of all decimation levels together evaluate at most ``budget``
     row sets; once it runs out, ``k_max`` is the lower bound with
     ``exact=False``. With no missing samples ``k_max = N``:
@@ -304,7 +361,8 @@ def dft_sparsity_limit(
 def dft_uniqueness_oracle(p: MissingSamplePattern, k: int) -> bool:
     """Brute-force check that no two distinct K-sparse spectra share all samples.
 
-    Builds the partial inverse-DFT matrix on the available positions and tests
+    Builds the partial inverse-DFT block on the available positions, the
+    entries of ``build_partial_idft`` without its validation, and tests
     every 2K-column submatrix for full column rank, one subset per
     cyclic-shift orbit (``_linalg.first_dependent``): shifting a column
     subset multiplies its columns by a unit-modulus diagonal, which keeps its
@@ -316,5 +374,5 @@ def dft_uniqueness_oracle(p: MissingSamplePattern, k: int) -> bool:
     avail = p.available()
     if 2 * k > len(avail):
         return False
-    entries = build_partial_idft(p.n, avail, normalize=False).entries
+    entries = _fourier_rows(np.array(avail, dtype=np.float64), p.n, p.n, 1.0 / p.n)
     return first_dependent(entries, 2 * k) is None

@@ -28,7 +28,7 @@ from cscert._linalg import (
     sweep,
 )
 from cscert.certify import _largest_k_below
-from cscert.dft_uniqueness import _MinSupport
+from cscert.dft_uniqueness import _bch_lower, _MinSupport, _null_vectors
 from cscert.matrix_core import build_partial_idft
 
 WORKED_EXAMPLE = MissingSamplePattern.of(32, [2, 3, 8, 13, 19, 22, 23, 28, 30])
@@ -48,8 +48,17 @@ def plain_zero_set_scan(n: int, q) -> int:
     rows = np.array(list(itertools.combinations(range(n), len(q) - 1)))
     null = np.linalg.svd(f[rows])[2][:, -1].conj()
     supports = np.unique(np.abs(null @ f.T) > RANK_RTOL * math.sqrt(n), axis=0)
-    confirmed = [int(s.sum()) for s in supports if dependent_mask(idft[:, s][None])[0]]
-    return min(confirmed, default=n)
+    # the smallest confirmed support: confirm them smallest first
+    for s in supports[np.argsort(supports.sum(axis=1), kind="stable")]:
+        if dependent_mask(idft[:, s][None])[0]:
+            return int(s.sum())
+    return n
+
+
+def bch_alone(monkeypatch):
+    """Make the decimation recursion and the zero-set sweep fail if anything runs them."""
+    for name in ("lower", "zero_set_sweep"):
+        monkeypatch.setattr(_MinSupport, name, mock.Mock(side_effect=AssertionError(name)))
 
 
 def resplit(size):
@@ -225,12 +234,14 @@ class TestExactLimit:
         res = dft_sparsity_limit(p)
         assert res.exact and res.k_max == oracle_limit(p), p.missing
 
-    @given(st.sampled_from([8, 16]), st.integers(0, 2**32 - 1))
+    @given(st.sampled_from([8, 16, 32]), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_orbit_zero_set_sweep_matches_every_row_set(self, n, seed):
-        # the sweep takes one row set per cyclic-shift orbit; the reference takes them all
+        # the sweep takes one row set per cyclic-shift orbit; the reference takes them all,
+        # each null vector from an SVD, not from the sweep's reflectors
         rng = np.random.default_rng(seed)
-        q = sorted(int(m) for m in rng.choice(n, size=int(rng.integers(2, n)), replace=False))
+        size = int(rng.integers(2, n if n < 32 else 5))
+        q = sorted(int(m) for m in rng.choice(n, size=size, replace=False))
         best, exact = _MinSupport(math.inf).zero_set_sweep(n, frozenset(q), n, stop=0)
         assert exact and best == plain_zero_set_scan(n, q), q
 
@@ -286,10 +297,29 @@ class TestExactLimit:
         assert full.exact and cut.k_max <= full.k_max
         assert full.k_max == 10 and full.closed_form_k_max == cut.closed_form_k_max == 11
 
-    def test_large_n_sweep_holds_no_n_by_n_matrix(self):
-        # the bounds name K 1021 and 1022 here, so the zero-set sweep settles it;
-        # an (N-q) x N inverse DFT alone would take 64 MiB at N=2048
-        p = MissingSamplePattern.of(2048, [0, 1, 3])
+    def test_spent_budget_builds_no_zero_set_chunk(self, monkeypatch):
+        # a sweep with no budget left covers nothing, so it builds no row set
+        monkeypatch.setattr(dft_uniqueness, "iter_orbit_chunks",
+                            mock.Mock(side_effect=AssertionError("chunk built")))
+        m = _MinSupport(1)
+        m.left = 0
+        assert m.zero_set_sweep(256, frozenset(range(0, 256, 3)), 200, stop=0) == (200, False)
+        assert m.left == 0
+
+    def test_large_n_sweep_holds_no_n_by_n_matrix(self, monkeypatch):
+        # the bounds, BCH included, name K 1021 and 1022 here, so the zero-set sweep
+        # settles it; an (N-q) x N inverse DFT alone would take 64 MiB at N=2048
+        p = MissingSamplePattern.of(2048, [0, 1, 6])
+        swept = []
+        sweep_of = _MinSupport.zero_set_sweep
+
+        def counted(self, *args):
+            left = self.left
+            result = sweep_of(self, *args)
+            swept.append(left - self.left)
+            return result
+
+        monkeypatch.setattr(_MinSupport, "zero_set_sweep", counted)
         tracemalloc.start()
         try:
             res = dft_sparsity_limit(p)
@@ -297,7 +327,46 @@ class TestExactLimit:
         finally:
             tracemalloc.stop()
         assert res.exact and res.k_max == 1022
+        assert sum(swept) > 0
         assert peak < 64 << 20
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_zero_set_null_vectors_from_reflectors(self, n):
+        # unit norm, and a residual at the rounding of one Householder QR
+        rng = np.random.default_rng(n)
+        eps = np.finfo(float).eps
+        for q in range(2, n, n // 16):
+            cols = rng.choice(n, size=q, replace=False)
+            f = np.exp(-2j * np.pi * (np.outer(np.arange(n), cols) % n) / n)
+            rows = np.array([rng.choice(n, size=q - 1, replace=False) for _ in range(50)])
+            x = _null_vectors(f[rows])
+            assert np.abs(np.linalg.norm(x, axis=1) - 1).max() <= 1e-14, q
+            residual = np.linalg.norm(np.einsum("bij,bj->bi", f[rows], x), axis=1)
+            assert residual.max() <= 10 * q * eps, q
+
+    def test_bch_bound_never_exceeds_the_zero_set_scan(self):
+        # every N=8 pattern, and a seeded sample at N=16
+        rng = np.random.default_rng(16)
+        patterns = [(8, q) for size in range(2, 8) for q in itertools.combinations(range(8), size)]
+        patterns += [(16, sorted(rng.choice(16, size=int(rng.integers(2, 16)), replace=False)))
+                     for _ in range(200)]
+        for n, q in patterns:
+            assert _bch_lower(n, q) <= plain_zero_set_scan(n, q), q
+
+    @pytest.mark.parametrize("n, missing", [
+        (32, [m % 32 for m in range(27, 37)]),  # a burst that wraps past N - 1
+        (64, list(range(3, 11))),
+        (128, list(range(100, 110))),
+        (32, list(range(1, 30, 3))),  # missing along step 3
+        (8192, [0, 1, 3]),  # positions 4..8191 are one run: S >= 8189, and S <= 8190
+    ], ids=["burst-32", "burst-64", "burst-128", "step3-32", "013-8192"])
+    def test_bursts_need_no_sweep(self, n, missing, monkeypatch):
+        # the BCH bound reaches the closed form's K = (N - q) // 2: neither the
+        # decimation recursion nor any sweep runs, and a one-row-set budget settles it
+        bch_alone(monkeypatch)
+        res = dft_sparsity_limit(MissingSamplePattern.of(n, missing), budget=1)
+        k = (n - len(missing)) // 2
+        assert (res.k_max, res.exact, res.closed_form_k_max) == (k, True, k)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
