@@ -235,8 +235,8 @@ def main(argv=None) -> int:
         if not getattr(args, "budget", 1) >= 1:
             raise _UsageError(f"--budget must be at least 1, got {args.budget}")
         return _COMMANDS[args.command](args)
-    except (_UsageError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (_UsageError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -19,8 +19,8 @@ limit is ``k_max = floor((S - 1) / 2)``, and it is found between two bounds.
   ``L = N - q``, which meets the closed form's ``S <= N - q + 1``, so nothing
   else runs. Otherwise a decimation recursion: splitting the spectrum into
   even and odd frequencies, or the signal into even and odd positions, bounds
-  ``S_N`` by the smallest supports of four half-length patterns, each found
-  by the same routine one level down.
+  ``S_N`` by the smallest supports of four half-length patterns, each settled
+  by the routine that settles the top, ``_MinSupport.settle``, one level down.
 
 When the two bounds give different K, an exact sweep settles it: the largest
 zero set of a nonzero spectrum is the zero set of the null vector of some
@@ -48,6 +48,7 @@ import numpy as np
 
 from ._codec import JsonReport
 from ._linalg import (
+    _CHUNK_ENTRIES,
     DEFAULT_BUDGET,
     RANK_RTOL,
     check_budget,
@@ -200,11 +201,11 @@ def _bch_lower(n: int, q) -> int:
     IEEE TIT 1986). Multiplying by a unit u maps such a run with step u^-1 to
     consecutive positions, so L is the largest cyclic gap of u q, less one,
     over the units u; u and -u give the same gaps, so odd u <= n / 2 cover
-    every unit mod 2^r. The units are taken in blocks of at most 2^20 entries.
+    every unit mod 2^r. Blocks of units hold at most ``_CHUNK_ENTRIES`` entries.
     """
     missing = np.array(sorted(q), dtype=np.int64)
     units = np.arange(1, n // 2 + 1, 2)
-    block = max(1, (1 << 20) // len(missing))
+    block = max(1, _CHUNK_ENTRIES // len(missing))
     longest = 0
     for start in range(0, len(units), block):
         mapped = np.sort(units[start:start + block, None] * missing % n, axis=1)
@@ -235,29 +236,18 @@ def _null_vectors(a: np.ndarray) -> np.ndarray:
 class _MinSupport:
     """Smallest DFT support S_n(Q) of a nonzero signal on Q, for a pattern and its decimations.
 
-    Every sweep draws on one evaluation budget; values are cached per (n, Q).
+    Every sweep draws on one evaluation budget; ``settle`` caches per (n, Q, step).
     """
 
     def __init__(self, budget: float):
         self.left = budget
-        self.memo: dict[tuple[int, frozenset[int]], float] = {}
+        self.memo: dict[tuple[int, frozenset[int], int], tuple[float, bool]] = {}
 
-    def value(self, n: int, q: frozenset[int]) -> float:
-        """S_n(q) exactly, or its lower bound when a sweep was cut; inf when q is empty."""
-        if not q:
-            return math.inf
-        if n == 1:
-            return 1
-        key = (n, q)
-        if key not in self.memo:
-            hi = n - max(row.term for row in _stride_rows(n, sorted(q)))
-            self.memo[key] = self.settle(n, q, hi)[0]
-        return self.memo[key]
+    def settle(self, n: int, q: frozenset[int], step: int = 1) -> tuple[float, bool]:
+        """S_n(q), or its lower bound when a sweep was cut, and whether exact; inf for empty q.
 
-    def settle(self, n: int, q: frozenset[int], hi: int, step: int = 1) -> tuple[int, bool]:
-        """S_n(q), n >= 2, from the lower bounds and the upper bound ``hi``; and whether exact.
-
-        The caller reads a support S only as ``(S - 1) // step`` (``step=2``
+        The upper bound ``hi`` is q's own closed form, ``n - penalty``. The
+        caller reads a support S only as ``(S - 1) // step`` (``step=2``
         gives K). The BCH bound comes first: when ``hi`` lies inside its
         granule, neither the decimation recursion nor any sweep below it
         runs. Otherwise the larger of the two bounds is taken, and the
@@ -265,16 +255,26 @@ class _MinSupport:
         at the first support confirmed inside it. A sweep cut by the budget or
         by a refused support leaves the bound, flagged inexact.
         """
+        if not q:
+            return math.inf, True
+        if n == 1:
+            return 1, True
+        if (n, q, step) in self.memo:
+            return self.memo[n, q, step]
+
         def granule_end(s):
             return s - 1 - (s - 1) % step + step
 
+        hi = n - max(row.term for row in _stride_rows(n, sorted(q)))
         lo = _bch_lower(n, q)
         if granule_end(lo) < hi:
             lo = max(lo, self.lower(n, q))
-        if granule_end(lo) >= hi:
-            return lo, True
-        best, exact = self.zero_set_sweep(n, q, hi, granule_end(lo))
-        return (best, True) if exact else (lo, False)
+        result = lo, True
+        if granule_end(lo) < hi:
+            best, exact = self.zero_set_sweep(n, q, hi, granule_end(lo))
+            result = (best, True) if exact else (lo, False)
+        self.memo[n, q, step] = result
+        return result
 
     def lower(self, n: int, q: frozenset[int]) -> float:
         """Decimation lower bound on S_n(q), for n >= 2, from four half-length patterns."""
@@ -283,12 +283,12 @@ class _MinSupport:
         # when one half vanishes, x lives on the half-period pairs P
         pairs = frozenset(m for m in q if m < h and m + h in q)
         folded = frozenset(m % h for m in q)
-        by_frequency = min(self.value(h, pairs), 2 * self.value(h, folded))
+        by_frequency = min(self.settle(h, pairs)[0], 2 * self.settle(h, folded)[0])
         # X(k) and X(k+h) are X0(k) +/- w^-k X1(k) for the even and odd samples:
         # both are nonzero where just one of X0(k), X1(k) is, one is where both are
         even = frozenset(m // 2 for m in q if m % 2 == 0)
         odd = frozenset(m // 2 for m in q if m % 2)
-        s0, s1 = self.value(h, even), self.value(h, odd)
+        s0, s1 = self.settle(h, even)[0], self.settle(h, odd)[0]
         # an empty half has value inf, which leaves twice the other half
         by_time = min(2 * s0, 2 * s1, max(s0, s1))
         return max(by_frequency, by_time)
@@ -352,7 +352,7 @@ def dft_sparsity_limit(
     rows = _stride_rows(p.n, p.missing)
     penalty = max(row.term for row in rows)
     closed_form = max(0, (p.n - penalty - 1) // 2)
-    support, exact = _MinSupport(budget).settle(p.n, frozenset(p.missing), p.n - penalty, step=2)
+    support, exact = _MinSupport(budget).settle(p.n, frozenset(p.missing), step=2)
     k_max = (support - 1) // 2
     counts = {row.h: row.count for row in rows}
     return DftUniquenessResult(p.n, p.missing, counts, penalty, k_max, exact, closed_form, rows)

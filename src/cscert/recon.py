@@ -120,8 +120,7 @@ T) fix that outcome for most trials, so only the others are refit:
 
 On 50 normalized 10x24 Gaussians at K=1..10 with 20 trials each, 7,148 of
 10,000 trials select a wrong support and the other 2,852 settle as hits: no
-trial leaves the engine, so none is refit. Before tied first picks were
-taken from the reference, 860 trials left the engine and 851 were refit.
+trial leaves the engine, so none is refit.
 
 Draws. Trial t at sparsity K is ``generate_sparse_signal(N, K, [seed, K,
 t])``, which draws from ``np.random.default_rng([seed, K, t])``. Building

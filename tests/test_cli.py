@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -214,6 +215,13 @@ class TestDftLimitCommand:
         for budget, shown in [("0", "0.0"), ("0.5", "0.5"), ("nan", "nan")]:
             assert run("dft-limit", "--n", "8", "--missing", "5", "--budget", budget) == 1
             assert capsys.readouterr().err == f"error: --budget must be at least 1, got {shown}\n"
+
+    def test_out_of_memory_is_a_one_line_error(self, monkeypatch, capsys):
+        # N = 2^40 asks _stride_rows for a 2^39-entry histogram; the mock raises without allocating
+        monkeypatch.setattr("cscert.dft_uniqueness.dft_sparsity_limit",
+                            mock.Mock(side_effect=MemoryError))
+        assert run("dft-limit", "--n", str(1 << 40), "--missing", "0,1") == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
 
     def test_real_budget_counts_as_its_floor(self, capsys):
         reports = []

@@ -255,7 +255,6 @@ class TestExactLimit:
         size = int(rng.integers(2, n if n == 16 else 6 if budget > 700 else 21))
         q = frozenset(rng.choice(n, size=size, replace=False).tolist())
         stop = data.draw(st.integers(0, n), label="stop")
-        hi = n - max(row.term for row in dft_uniqueness._stride_rows(n, sorted(q)))
 
         def rule(stack):
             # a refusal depends on the support alone, as the rank rule's does
@@ -266,7 +265,7 @@ class TestExactLimit:
             with mock.patch.object(dft_uniqueness, "iter_orbit_chunks", chunks), \
                     mock.patch.object(dft_uniqueness, "dependent_mask", rule):
                 m = _MinSupport(budget)
-                settled = m.settle(n, q, hi, step=2)
+                settled = m.settle(n, q, step=2)
                 swept = m.zero_set_sweep(n, q, n, stop)
                 runs.add((settled, swept, m.left))
         assert len(runs) == 1, sorted(q)
@@ -296,6 +295,16 @@ class TestExactLimit:
         full = dft_sparsity_limit(p)
         assert full.exact and cut.k_max <= full.k_max
         assert full.k_max == 10 and full.closed_form_k_max == cut.closed_form_k_max == 11
+
+    def test_settle_answers_a_repeat_from_its_memo(self):
+        # the bounds of this N=32 pattern disagree, so the first settle sweeps to the end
+        # and leaves budget over; the second reads the memo and draws none of it
+        m = _MinSupport(10**5)
+        q = frozenset([4, 10, 13, 15, 16, 21, 23])
+        first = m.settle(32, q)
+        left = m.left
+        assert first[1] and 0 < left < 10**5
+        assert m.settle(32, q) == first and m.left == left
 
     def test_spent_budget_builds_no_zero_set_chunk(self, monkeypatch):
         # a sweep with no budget left covers nothing, so it builds no row set

@@ -694,6 +694,19 @@ def test_rates_match_refitting_every_trial_with_a_near_pair_in_the_support():
     assert_rates_match_refitting_every_trial(a, [2, 3], 40, 5)
 
 
+def test_duplicate_column_floors_rho_and_lifts_kappa_past_the_cap():
+    # the second pick repeats the first column, so CGS2 leaves a norm near 0 (exactly 0
+    # on some seeds): the floor keeps 1 / rho finite and the bound past _KAPPA_MAX
+    for seed in range(20):
+        a0 = np.random.default_rng(seed).standard_normal(3)
+        a0 /= np.linalg.norm(a0)
+        w = np.linalg.qr(a0[:, None], mode="complete")[0][:, 1]
+        a, y = np.column_stack([a0, a0]), a0 + w
+        supports, kappa = recon._select(a, y[None], 2, 0.0)
+        assert supports[0].tolist() == recon._reference_select(a, y, 2, 0.0).tolist() == [0, 1]
+        assert kappa[0] >= 2 * recon._KAPPA_MAX, seed
+
+
 def test_rates_match_refitting_every_trial_when_a_support_stops_inside_the_true_one():
     # column 4 lies along columns 0 + 1: once OMP holds two of the three, the
     # residual vanishes and it stops at a support strictly inside the true one,
