@@ -93,7 +93,8 @@ unpicked column can win so, and a zero column's floor would be 0.
 Scoring. ``monte_carlo`` counts a trial as a hit when the reference refit on
 the selected support S gives ``||x_hat - x|| / ||x|| <= recovery_tol``, both
 norms as computed. S and the true support T (``|T| = K``, ``|x_i| = 1`` on
-T) fix that outcome for most trials, so only the others are refit:
+T) fix that outcome for most trials, so only the others are refit; both are
+sorted and padded with N, so ``S = T`` is one row comparison:
 
 * Sure miss. If T is not within S (so ``S != T``, as ``|S| <= K``), x_hat is
   exactly 0 at some i in T but not in S, where ``|x_i| = 1``: the computed
@@ -434,27 +435,28 @@ def _reference_select(a, y, k_target: int, residual_tol: float) -> np.ndarray:
 
 
 def _select(a: np.ndarray, ys: np.ndarray, k_target,
-            residual_tol: float) -> tuple[list[np.ndarray], np.ndarray]:
-    """OMP supports, as sorted index arrays, of every row of ``ys`` in lockstep.
+            residual_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """OMP supports of every row of ``ys`` in lockstep, and each row's bound on ``kappa_2``.
 
-    ``k_target`` is one int for every row or one target per row. The loop runs
-    to the largest target, and a row drops out of it, not departed, once it
-    holds its own target of picks. A row leaves the engine at the first step
-    whose pick or stop the screen cannot clear, and ``_reference_select``
-    selects it again at its own target (module docstring). First picks are
-    not screened: the first step's correlations come from one stacked
-    product whose rows are each the reference's own gemv on y, byte for
-    byte, so each first pick is the reference's. Also returns each row's
-    bound on ``kappa_2`` of its whole support, inf for the rows that left.
+    The supports are one (rows, max target) intp array, each row sorted and
+    padded with N = ``a.shape[1]`` as ``_draws`` pads the true supports; a bound
+    covers its row's whole support, inf for the rows that left. ``k_target`` is
+    one int or one target per row. The loop runs to the largest target, and a
+    row drops out of it, not departed, once it holds its own target of picks. A
+    row leaves the engine at the first step whose pick or stop the screen cannot
+    clear, and ``_reference_select`` selects it again at its own target (module
+    docstring). First picks are not screened: the first step's correlations come
+    from one stacked product whose rows are each the reference's own gemv on y,
+    byte for byte, so each first pick is the reference's.
     """
-    rows, m = ys.shape
+    (rows, m), n = ys.shape, a.shape[1]
     targets = np.broadcast_to(np.asarray(k_target, dtype=np.intp), (rows,))
     k_max = int(targets.max(initial=0))
     a_conj = a.conj()
     col_norm = np.linalg.norm(a, axis=0)
     amax = col_norm.max()
     y_norm = np.linalg.norm(ys, axis=1)
-    picks = np.full((rows, k_max), -1, dtype=np.intp)  # -1: not picked
+    picks = np.full((rows, k_max), n, dtype=np.intp)  # n: not picked, so it sorts last
     basis = np.zeros((rows, k_max, m), dtype=np.complex128)  # rows of Q
     r_inv = np.zeros((rows, k_max, k_max), dtype=np.complex128)
     r_inv_sq = np.zeros(rows)  # ||R^-1||_F^2
@@ -476,7 +478,7 @@ def _select(a: np.ndarray, ys: np.ndarray, k_target,
         corr[np.arange(live.size)[:, None], picks[live, :i]] = -1.0
         pick = corr.argmax(axis=1)
         top = corr[np.arange(live.size), pick]
-        rival = np.partition(corr, -2, axis=1)[:, -2] if a.shape[1] > 1 else -1.0
+        rival = np.partition(corr, -2, axis=1)[:, -2] if n > 1 else -1.0
         stop = res_norm + dev <= residual_tol
         go = res_norm - dev > residual_tol
         # a first pick is the reference's own; a later one stands when the top two are apart
@@ -487,11 +489,11 @@ def _select(a: np.ndarray, ys: np.ndarray, k_target,
         live, pick = live[cleared & ~stop], pick[cleared & ~stop]
         picks[live, i] = pick
         # CGS2: orthogonalize the new columns twice against each row's basis
-        q = basis[live, :i]
-        v = a.T[pick]
+        q, v = basis[live, :i], a.T[pick]
+        q_conj = q.conj()
         h = np.zeros((live.size, i), dtype=np.complex128)
         for _ in range(2):
-            c = np.einsum("gim,gm->gi", q.conj(), v)
+            c = np.einsum("gim,gm->gi", q_conj, v)
             v = v - np.einsum("gi,gim->gm", c, q)
             h += c
         # the floor keeps the update finite and lifts kappa's bound past _KAPPA_MAX
@@ -504,12 +506,11 @@ def _select(a: np.ndarray, ys: np.ndarray, k_target,
         r_inv[live, i, i] = 1.0 / rho
         r_inv_sq[live] += np.sum(col.real**2 + col.imag**2, axis=1) + rho**-2.0
         cols_sq[live] += col_norm[pick] ** 2
-    # unpicked entries (-1) are a suffix of each row, so they sort to its front
-    ordered = np.sort(picks, axis=1)
-    first = k_max - (picks >= 0).sum(axis=1)
-    supports = [_reference_select(a, y, int(k), residual_tol) if gone else row[f:]
-                for y, row, f, k, gone in zip(ys, ordered, first.tolist(), targets, departed)]
-    return supports, np.where(departed, np.inf, 2.0 * np.sqrt(cols_sq * r_inv_sq))
+    selected = np.sort(picks, axis=1)
+    for row in np.flatnonzero(departed):
+        support = _reference_select(a, ys[row], int(targets[row]), residual_tol)
+        selected[row] = np.pad(support, (0, k_max - support.size), constant_values=n)
+    return selected, np.where(departed, np.inf, 2.0 * np.sqrt(cols_sq * r_inv_sq))
 
 
 def check_tol(tol: float, name: str) -> None:
@@ -561,15 +562,13 @@ def _recoveries(a: MeasurementMatrix, seed: int, ks: np.ndarray, ts: np.ndarray,
     The trials may mix sparsities: each is selected to its own K, and the
     bounds that settle it (module docstring, "Scoring") are taken at that K.
     One stacked product measures every trial, each row by the gemv that its
-    own ``a.entries @ x`` calls, so each y keeps its bytes. A trial is refit
-    only when its selected support cannot settle it.
+    own ``a.entries @ x`` calls, so each y keeps its bytes. Selected and true
+    supports are both rows padded with N, so one comparison finds the right
+    ones. A trial is refit only when its selected support cannot settle it.
     """
     signals, truth = _draws(a.cols, seed, ks, ts)
     ys = np.matmul(a.entries[None], signals[:, :, None])[:, :, 0]
-    supports, kappa = _select(a.entries, ys, ks, DEFAULT_RESIDUAL_TOL)
-    sizes = np.array([s.size for s in supports])
-    selected = np.full(truth.shape, a.cols, dtype=np.intp)  # padded with N, as truth is
-    selected[np.arange(truth.shape[1]) < sizes[:, None]] = np.concatenate(supports)
+    selected, kappa = _select(a.entries, ys, ks, DEFAULT_RESIDUAL_TOL)
     right = (selected == truth).all(axis=1)
     # a support missing a true atom misses by about 1 / sqrt(K)
     settles = recovery_tol * np.sqrt(ks) < 0.5
@@ -577,8 +576,9 @@ def _recoveries(a: MeasurementMatrix, seed: int, ks: np.ndarray, ts: np.ndarray,
     beta = 4 * (a.rows + 2) * (ks + 1) * _U * kappa
     hits = right & settles & (kappa <= _KAPPA_MAX) & (_SAFETY * beta <= recovery_tol / 2)
     for j in np.flatnonzero(~hits & (right | ~settles)):
+        support = selected[j][selected[j] < a.cols]
         x_hat = np.zeros(a.cols, dtype=np.complex128)
-        x_hat[supports[j]] = _refit(a.entries, ys[j], supports[j])[0]
+        x_hat[support] = _refit(a.entries, ys[j], support)[0]
         hits[j] = np.linalg.norm(x_hat - signals[j]) / np.linalg.norm(signals[j]) <= recovery_tol
     return hits
 

@@ -473,8 +473,13 @@ def reference_omp(a, y, k_target, residual_tol):
     return support, coeffs, res_norm
 
 
+def unpadded(selected, n):
+    """The rows of ``_select``'s supports without their padding ``n``, as a list."""
+    return [row[row < n] for row in selected]
+
+
 def assert_engine_matches_reference(a, ys, k, tol):
-    for y, support in zip(ys, recon._select(a, ys, k, tol)[0]):
+    for y, support in zip(ys, unpadded(recon._select(a, ys, k, tol)[0], a.shape[1])):
         coeffs, residual = recon._refit(a, y, support)
         want_support, want_coeffs, want_norm = reference_omp(a, y, k, tol)
         np.testing.assert_array_equal(support, want_support)
@@ -535,17 +540,19 @@ def test_mixed_targets_select_as_one_target_at_a_time(kind, seed, shape, tol):
     np.random.default_rng(seed).shuffle(ks)
     ys = np.array([a @ generate_sparse_signal(n, k, seed=[seed, t]).to_dense()
                    for t, k in enumerate(ks)])
-    supports, kappa = recon._select(a, ys, ks, tol)
+    selected, kappa = recon._select(a, ys, ks, tol)
+    supports = unpadded(selected, n)
     assert all(s.size <= k for s, k in zip(supports, ks))
     for k in np.unique(ks):
         rows = np.flatnonzero(ks == k)
         alone, alone_kappa = recon._select(a, ys[rows], int(k), tol)
+        alone = unpadded(alone, n)
         for s, want in zip([supports[r] for r in rows], alone):
             np.testing.assert_array_equal(s, want)
         assert kappa[rows].tobytes() == alone_kappa.tobytes()
         # one int and the same target per row select alike
         same, same_kappa = recon._select(a, ys[rows], np.full(rows.size, k), tol)
-        assert all(np.array_equal(s, w) for s, w in zip(same, alone))
+        assert all(np.array_equal(s, w) for s, w in zip(unpadded(same, n), alone))
         assert same_kappa.tobytes() == alone_kappa.tobytes()
 
 
@@ -605,8 +612,8 @@ def test_ill_conditioned_support_leaves_before_its_stop_is_trusted():
     a = normalize_columns(MeasurementMatrix([[1, 1, 0], [0, 1e-9, 0], [0, 0, 1]])).entries
     y = np.array([[1, 0.8, 0]], dtype=np.complex128)
     assert_engine_matches_reference(a, y, 3, 0.5)
-    supports, _ = recon._select(a, y, 3, 0.5)
-    assert supports[0].tolist() == [0, 1]
+    selected, _ = recon._select(a, y, 3, 0.5)
+    assert unpadded(selected, 3)[0].tolist() == [0, 1]
 
 
 def test_rows_the_screen_cannot_clear_rerun_the_plain_loop_once(monkeypatch):
@@ -716,11 +723,38 @@ def test_rates_match_refitting_every_trial_when_a_support_stops_inside_the_true_
     a = normalize_columns(MeasurementMatrix(a)).entries
     signals = [generate_sparse_signal(5, 3, seed=[5, 3, t]) for t in range(40)]
     ys = np.array([a @ x.to_dense() for x in signals])
-    supports, kappa = recon._select(a, ys, 3, recon.DEFAULT_RESIDUAL_TOL)
+    selected, kappa = recon._select(a, ys, 3, recon.DEFAULT_RESIDUAL_TOL)
     inside = [set(s.tolist()) < set(x.support) and k <= recon._KAPPA_MAX
-              for s, x, k in zip(supports, signals, kappa)]
+              for s, x, k in zip(unpadded(selected, 5), signals, kappa)]
     assert sum(inside) >= 3
     assert_rates_match_refitting_every_trial(a, [2, 3], 40, 5)
+
+
+def test_one_padded_support_array_scores_a_mixed_batch():
+    # columns 2 and 5 are 1e-9 apart, so a support holding both leaves the engine;
+    # column 4 lies along columns 0 + 1, so some residuals vanish inside the true support
+    a = np.random.default_rng(0).standard_normal((4, 7))
+    a[:, 4] = a[:, 0] + a[:, 1]
+    a[:, 5] = a[:, 2] + 1e-9 * a[:, 3]
+    a = normalize_columns(MeasurementMatrix(a)).entries
+    ks = np.repeat(np.arange(1, 5), 40)
+    np.random.default_rng(0).shuffle(ks)
+    ts = np.arange(ks.size)
+    signals, truth = recon._draws(7, 5, ks, ts)
+    ys = np.matmul(a[None], signals[:, :, None])[:, :, 0]
+    selected, kappa = recon._select(a, ys, ks, recon.DEFAULT_RESIDUAL_TOL)
+    assert isinstance(selected, np.ndarray) and selected.shape == truth.shape
+    refs = [recon._reference_select(a, y, int(k), recon.DEFAULT_RESIDUAL_TOL) for y, k in zip(ys, ks)]
+    for row, ref in zip(selected, refs):
+        assert row.tolist() == ref.tolist() + [7] * (4 - ref.size)
+    drawn = [generate_sparse_signal(7, int(k), [5, int(k), int(t)]).support for k, t in zip(ks, ts)]
+    # rows that left, some of them stopping short, and kept rows stopping inside the true support
+    gone = np.isinf(kappa)
+    assert sum(r.size < k for r, k, g in zip(refs, ks, gone) if g) >= 2
+    assert sum(set(r.tolist()) < set(d) for r, d, g in zip(refs, drawn, gone) if not g) >= 2
+    right = (selected == truth).all(axis=1)
+    assert right.tolist() == [r.tolist() == list(d) for r, d in zip(refs, drawn)]
+    assert 0 < right.sum() < ks.size
 
 
 def count_refits(monkeypatch):
