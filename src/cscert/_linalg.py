@@ -83,7 +83,12 @@ n - 1: one byte up to n = 256.
 
 Sweeps act on chunks of subsets only to batch the linear algebra: every
 evaluator gives what a scan of one subset at a time gives, so no result,
-count or budget depends on where chunks end. A sweep that ends on a hit
+count or budget depends on where chunks end. Chunk widths ramp up from 64
+subsets, doubling to the cap, only where a small first chunk pays: in
+sweeps that may stop early (spark, the DFT oracle) and in an unseeded RIP
+order, whose whole first chunk goes to ``eigvalsh``. A seeded RIP order
+(``certify.rip_profile``) takes every chunk at the cap, where the numpy
+call overhead per subset is lowest. A sweep that ends on a hit
 returns the first flagged subset as its ``witness``. Spark's size-min(M, N)
 ``first_dependent`` sweep, under twice the rank tolerance, which also
 absorbs the shift rounding, hands its witness to the upward scan, which then
@@ -162,7 +167,7 @@ def _extend_table(table, start):
     return out, np.concatenate(([0], np.cumsum(count)))
 
 
-def iter_combination_chunks(n: int, k: int, chunk: int = CHUNK, *, tables=None):
+def iter_combination_chunks(n: int, k: int, chunk: int = CHUNK, *, tables=None, ramp=True):
     """Yield (B, k) int arrays of k-combinations of range(n) in lexicographic order.
 
     Rows come from ``tables``, the ``combination_tables(n, k)`` of the
@@ -178,24 +183,27 @@ def iter_combination_chunks(n: int, k: int, chunk: int = CHUNK, *, tables=None):
     more than 2^63 combinations is no special case.
 
     Each chunk is the transpose of a C-ordered (k, B) array, the layout in
-    which sweeps gather (k, k, B) Gram stacks. B doubles from 64 up to the
-    cap, so that a sweep that stops at its first few subsets does not pay
-    for a full batch. Memory rule: a chunk holds at most about 2^20 entries
-    of its k x k matrices, so the cap is ``chunk`` and at most ``2^20 / k^2``
-    (below ``CHUNK`` only from k = 23 on).
+    which sweeps gather (k, k, B) Gram stacks. With ``ramp``, B doubles from
+    64 up to the cap, so that a sweep that stops at its first few subsets
+    (spark, the DFT sweeps), or whose first chunk goes whole to ``eigvalsh``
+    (an unseeded RIP order), does not pay for a full batch; a seeded RIP
+    order neither stops nor sends its first chunk whole, so it passes
+    ``ramp=False`` and every chunk is at the cap. Memory rule: a chunk holds
+    at most about 2^20 entries of its k x k matrices, so the cap is
+    ``chunk`` and at most ``2^20 / k^2`` (below ``CHUNK`` only from k = 23
+    on).
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
     if tables is None:
         tables = combination_tables(n, k)
     cap = max(1, min(chunk, _CHUNK_ENTRIES // k**2))
-    for rows in _combination_rows(tables, k, 0, cap):
+    for rows in _combination_rows(tables, k, 0, cap, min(64, cap) if ramp else cap):
         yield rows.T
 
 
-def _combination_rows(tables, k, lo, cap):
-    """(k, B) intp arrays of the k-combinations of ``lo .. n-1``, B doubling from 64 to cap."""
-    size = min(64, cap)
+def _combination_rows(tables, k, lo, cap, size):
+    """(k, B) intp arrays of the k-combinations of ``lo .. n-1``, B doubling from size to cap."""
     r = min(k, len(tables))
     table, start = tables[r - 1]
     end = table.shape[1]
@@ -210,7 +218,7 @@ def _combination_rows(tables, k, lo, cap):
     # then column t - ends[p] + end of the r-table, since every prefix's columns run to the end
     head = np.empty((k - r, 0), dtype=np.intp)
     ends = np.empty(0, dtype=np.intp)
-    prefixes = _combination_rows(tables, k - r, lo + r, cap)
+    prefixes = _combination_rows(tables, k - r, lo + r, cap, size)
     done = total = 0
     while True:
         while total - done < size and (block := next(prefixes, None)) is not None:

@@ -51,6 +51,22 @@ the rounding of the tests and of ``eigvalsh``. Once d is past 1 by that
 margin plus the furthest a computed Gram eigenvalue can land below 0, no
 lower side can raise d, and it is skipped (see ``rip_constant``). So delta,
 and every reported digit, is that of a plain ``eigvalsh`` scan.
+
+``rip_profile`` starts d near its final value. Before it sweeps an order
+K >= 2 whose whole sweep fits the budget left, it runs ``eigvalsh`` on the
+N - K + 1 extensions of order K - 1's extremal subset S. G_S is a principal
+submatrix of each extension's Gram, so by Cauchy interlacing each extension
+deviates from the identity by at least delta_(K-1). That seed is exact: d
+is always the largest of some deviations that the plain scan computes from
+the same Gram submatrices (``eigvalsh`` gives a matrix the same result in
+any stack), so every subset it excludes still lies at or below the final
+d, and every delta, flag and count stays the scan's. A seeded order needs
+no first chunk sent whole to ``eigvalsh``, so it is swept at full chunk
+width from its first subset. An order the budget may cut is not seeded,
+since a seed outside the scanned prefix could raise the lower bound that
+prefix reports; nor is a standalone ``rip_constant`` call. On normalized
+7x16 Gaussians to order 7, ``eigvalsh`` then receives about 0.4% of the
+subsets, against about 2% with d from each order's first chunk.
 """
 
 from __future__ import annotations
@@ -242,7 +258,7 @@ def welch_bound(m: int, n: int) -> float:
 
 
 def rip_constant(
-    a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET, *, _tables=None
+    a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET, *, _tables=None, _extremal=None
 ) -> RipResult:
     """Isometry constant delta_K, the largest ``||G_S - I||_2`` over K-column subsets S.
 
@@ -252,9 +268,10 @@ def rip_constant(
     budget the result is the lower bound seen so far, flagged ``exact=False``.
 
     Only subsets whose deviation can exceed the running maximum d get
-    ``eigvalsh``; every subset of the first chunk does, while d is -inf. A
-    later subset is excluded when both of its sides pass, each side trying
-    its cheapest test first, on the real Gram when the matrix is real:
+    ``eigvalsh``; without a seed, every subset of the first chunk does,
+    while d is -inf. A later subset is excluded when both of its sides pass,
+    each side trying its cheapest test first, on the real Gram when the
+    matrix is real:
 
     * upper: the largest ``(|G_S| r)_i / r_i`` is below ``1 + d - m``, with
       ``r_i = sum_(j in S) |g_ij|`` the row sums of one gather of ``|G|``
@@ -300,7 +317,15 @@ def rip_constant(
 
     ``_tables`` passes in ``_linalg.combination_tables(N, k_max)``, so that
     ``rip_profile`` builds them once for all its orders; a call without them
-    builds its own.
+    builds its own. ``_extremal`` is ``rip_profile``'s one-item list: it
+    holds order K - 1's extremal subset, one whose computed deviation is
+    delta_(K-1), and the call leaves order K's there. When the whole order
+    fits ``budget``, the N - K + 1 sorted extensions of that subset get
+    ``eigvalsh`` in one stack of their own and set d, outside the
+    evaluation count, and the sweep takes full-width chunks from its first
+    subset (see the module docstring for why this is exact). A call that
+    may be cut is not seeded, so its result is always the plain scan's over
+    the subsets it covers.
     """
     m, n = a.shape
     k = as_index(k, "order")
@@ -315,10 +340,18 @@ def rip_constant(
     screen = g.real if not g.imag.any() else g
     # (-G)_S + top * I is top * I - G_S exactly: negation rounds nothing
     negated, magnitude = -screen, np.abs(screen)
-    d = -math.inf
+    d, extremal = -math.inf, None  # extremal: a subset whose computed deviation is d
+
+    def raise_d(c):
+        # eigvalsh on the Gram submatrices of the (B, K) subsets c
+        nonlocal d, extremal
+        w = np.linalg.eigvalsh(g[c[:, :, None], c[:, None, :]])
+        dev = np.maximum(1.0 - w[:, 0], w[:, -1] - 1.0)
+        i = int(dev.argmax())
+        if dev[i] > d:
+            d, extremal = float(dev[i]), c[i]
 
     def deviation(combs):
-        nonlocal d
         unsure = np.ones(len(combs), dtype=bool)
         if d > -math.inf:
             c = combs.T
@@ -334,13 +367,20 @@ def rip_constant(
                 inside[inside] = shifted_definite(screen, c[:, inside], bottom)
             unsure = ~inside
         if unsure.any():
-            c = combs[unsure]
-            w = np.linalg.eigvalsh(g[c[:, :, None], c[:, None, :]])
-            d = max(d, float((1.0 - w[:, 0]).max()), float((w[:, -1] - 1.0).max()))
+            raise_d(combs[unsure])
 
+    seed = None if _extremal is None else _extremal[0]
+    if seed is not None and math.comb(n, k) <= budget:
+        # the N - K + 1 extensions of order K - 1's extremal subset, each sorted
+        rest = np.delete(np.arange(n), seed)
+        raise_d(np.sort(np.column_stack((np.broadcast_to(seed, (len(rest), k - 1)), rest))))
     if _tables is None:
         _tables = combination_tables(n, k)
-    run = sweep(iter_combination_chunks(n, k, tables=_tables), deviation, budget)
+    # a seeded sweep sends no first chunk whole to eigvalsh, so it starts at full width
+    chunks = iter_combination_chunks(n, k, tables=_tables, ramp=d == -math.inf)
+    run = sweep(chunks, deviation, budget)
+    if _extremal is not None:
+        _extremal[0] = extremal
     return RipResult(d, run.exact, run.covered)
 
 
@@ -360,6 +400,13 @@ def rip_profile(
 
     Every order shares one set of ``_linalg.combination_tables``, built once
     per call unless ``_tables`` passes in those of size up to at least k_max.
+    Each order K >= 2 whose C(N, K) subsets all fit the budget left is
+    seeded from order K - 1's extremal subset: its running maximum starts at
+    the largest deviation of that subset's N - K + 1 extensions, each at
+    least delta_(K-1) by interlacing. Those N - K + 1 Grams per order, in
+    one ``eigvalsh`` call, are outside ``budget_used``. An order the budget
+    may cut runs unseeded, so it reports its scanned prefix's own lower bound.
+    Every delta, flag and count is that of plain scans sharing the budget.
     """
     budget = check_budget(budget)
     k_max = as_index(k_max, "order")
@@ -371,10 +418,10 @@ def rip_profile(
     exact = dict.fromkeys(deltas, False)
     if _tables is None and k_max:
         _tables = combination_tables(a.shape[1], k_max)
-    used = 0
+    used, extremal = 0, [None]
     for k in deltas:
         if used < budget:
-            res = rip_constant(a, k, budget - used, _tables=_tables)
+            res = rip_constant(a, k, budget - used, _tables=_tables, _extremal=extremal)
             deltas[k], exact[k] = res.delta, res.exact
             used += res.evaluations
     return RipProfile(deltas, exact, used)

@@ -12,6 +12,7 @@ from cscert import (
     MeasurementMatrix,
     MissingSamplePattern,
     NormalizationError,
+    RipProfile,
     SparkResult,
     build_gaussian,
     build_partial_idft,
@@ -427,18 +428,18 @@ def planted_triples(first, last):
     columns 3-5 are orthonormal. So every Gram submatrix is block diagonal,
     and a subset deviates from the identity only as much as its part in one
     triple. A triple is either "dependent" (two columns at inner product -0.2
-    and their sum: lambda = 0, 1.2, 1.8) or a number c, the inner product of
-    every pair (lambda = 1 - c, 1 - c, 1 + 2c).
+    and their sum: lambda = 0, 1.2, 1.8), a number c, the inner product of
+    every pair (lambda = 1 - c, 1 - c, 1 + 2c), or its own 3 x 3 Gram.
     """
     q = np.linalg.qr(np.random.default_rng(3).standard_normal((9, 9)))[0]
     z = q.copy()
     for cols, kind in ((slice(0, 3), first), (slice(6, 9), last)):
         basis = q[:, cols]
-        if kind == "dependent":
+        if isinstance(kind, str):  # "dependent"
             pair = basis[:, :2] @ np.linalg.cholesky([[1, -0.2], [-0.2, 1]]).T
             z[:, cols] = np.column_stack([pair, pair.sum(axis=1)])
         else:
-            g = np.full((3, 3), kind) + (1 - kind) * np.eye(3)
+            g = np.full((3, 3), kind) + (1 - kind) * np.eye(3) if np.ndim(kind) == 0 else kind
             z[:, cols] = basis @ np.linalg.cholesky(g).T
     return normalize_columns(MeasurementMatrix(z))
 
@@ -494,6 +495,28 @@ def test_rip_power_step_divides_each_row_by_its_own_sum():
     assert repr(tuple(res)) == repr(reference_rip(a, 4, math.inf))
 
 
+def drawn_unit_matrix(kind, m, data):
+    """A unit-column matrix of m rows and at most 10 columns, of the given kind."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = m if kind == "orthonormal" else data.draw(st.integers(m, 10), label="n")
+    if kind in ("idft", "near-repeated"):
+        n = max(n, 2)
+    if kind == "idft":
+        positions = sorted(rng.choice(n, size=min(m, n), replace=False))
+        return build_partial_idft(n, positions, normalize=True)
+    cplx = kind == "complex" or data.draw(st.booleans(), label="complex")
+    z = rng.standard_normal((m, n)) + (1j * rng.standard_normal((m, n)) if cplx else 0)
+    if kind == "orthonormal":
+        z = np.linalg.qr(z)[0]
+    elif kind == "repeated":
+        z = z[:, rng.integers(0, max(1, n // 2), size=n)]
+    elif kind == "near-repeated":
+        # lambda_min of a subset holding both columns is near 1e-18
+        i, j = rng.choice(n, size=2, replace=False)
+        z[:, j] = z[:, i] + 1e-9 * np.linalg.norm(z[:, i]) * rng.standard_normal(m)
+    return normalize_columns(MeasurementMatrix(z))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(
@@ -503,25 +526,7 @@ def test_rip_power_step_divides_each_row_by_its_own_sum():
 )
 def test_rip_constant_matches_plain_eigvalsh_scan(kind, m, data):
     # the exclusion certificate may skip eigvalsh, never change a reported bit
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    n = m if kind == "orthonormal" else data.draw(st.integers(m, 10), label="n")
-    if kind in ("idft", "near-repeated"):
-        n = max(n, 2)
-    if kind == "idft":
-        positions = sorted(rng.choice(n, size=min(m, n), replace=False))
-        a = build_partial_idft(n, positions, normalize=True)
-    else:
-        cplx = kind == "complex" or data.draw(st.booleans(), label="complex")
-        z = rng.standard_normal((m, n)) + (1j * rng.standard_normal((m, n)) if cplx else 0)
-        if kind == "orthonormal":
-            z = np.linalg.qr(z)[0]
-        elif kind == "repeated":
-            z = z[:, rng.integers(0, max(1, n // 2), size=n)]
-        elif kind == "near-repeated":
-            # lambda_min of a subset holding both columns is near 1e-18
-            i, j = rng.choice(n, size=2, replace=False)
-            z[:, j] = z[:, i] + 1e-9 * np.linalg.norm(z[:, i]) * rng.standard_normal(m)
-        a = normalize_columns(MeasurementMatrix(z))
+    a = drawn_unit_matrix(kind, m, data)
     for k in range(1, min(a.shape) + 1):
         total = math.comb(a.cols, k)
         budget = data.draw(
@@ -554,6 +559,73 @@ def test_rip_profile_matches_plain_eigvalsh_scan_as_delta_crosses_one(m, c, cplx
     expected = {k: reference_rip(a, k, math.inf)[0] for k in deltas}
     assert repr(deltas) == repr(expected)
     assert expected[2] < 1.0 and expected[3] >= 2 * c - 1e-12
+
+
+def reference_profile(a, k_max, budget):
+    """``rip_profile`` from plain scans: one budget across orders, the orders past it 0.0, inexact."""
+    deltas = dict.fromkeys(range(1, k_max + 1), 0.0)
+    exact = dict.fromkeys(deltas, False)
+    used = 0
+    for k in deltas:
+        if used < budget:
+            deltas[k], exact[k], evaluations = reference_rip(a, k, budget - used)
+            used += evaluations
+    return RipProfile(deltas, exact, used)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "complex", "idft", "repeated", "near-repeated"]),
+    m=st.integers(1, 6),
+    data=st.data(),
+)
+def test_rip_profile_matches_plain_eigvalsh_scans_on_a_shared_budget(kind, m, data):
+    # an order is seeded from the one below only when its whole sweep fits the
+    # budget left, so draw budgets where that switches, at each cumulative
+    # C(N, K) +-1, and at the unseeded sweep's chunk edges +-1 inside each order
+    a = drawn_unit_matrix(kind, m, data)
+    k_max = data.draw(st.integers(1, min(a.shape)), label="k_max")
+    done = list(itertools.accumulate(math.comb(a.cols, k) for k in range(1, k_max + 1)))
+    edges = {e + d for e in done for d in (-1, 0, 1)}
+    edges |= {before + e for k, before in enumerate([0] + done[:-1], 1)
+              for e in chunk_edges(a.cols, k)}
+    budget = data.draw(
+        st.one_of(st.sampled_from(sorted(edges - {0})), st.integers(1, done[-1] + 1)),
+        label="budget",
+    )
+    assert repr(rip_profile(a, k_max, budget)) == repr(reference_profile(a, k_max, budget))
+
+
+def test_rip_profile_finds_a_late_extreme_that_no_seed_extension_reaches(monkeypatch):
+    # columns 0-1 meet at 0.7, order 2's extremal pair, and the last triple,
+    # 6-8, meets pairwise at 0.45 (lambda = 0.55, 0.55, 1.9). Every extension
+    # of (0, 1) deviates by 0.7, so order 3's seed sets d = 0.7, and the last
+    # subset must raise it to 0.9
+    plain = np.linalg.eigvalsh
+    stacks = []
+
+    def recorded(stack):
+        stacks.append(stack.shape)
+        return plain(stack)
+
+    pair = np.eye(3)
+    pair[0, 1] = pair[1, 0] = 0.7
+    a = planted_triples(pair, 0.45)
+    g = gram(a)
+
+    def dev(s):
+        w = plain(g[np.ix_(s, s)])
+        return max(1.0 - w[0], w[-1] - 1.0)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    profile = rip_profile(a, 3)
+    assert profile.deltas[2] == dev((0, 1)) > max(dev(s) for s in itertools.combinations(
+        range(2, 9), 2))
+    assert max(dev(sorted({0, 1, j})) for j in range(2, 9)) < profile.deltas[3]
+    assert profile.deltas[3] == dev((6, 7, 8))
+    # the seed ran: the 7 extensions of (0, 1) in a stack of their own
+    assert (7, 3, 3) in stacks
+    assert repr(profile) == repr(reference_profile(a, 3, math.inf))
 
 
 def test_rip_margin_covers_eigvalsh_rounding_past_a_tight_gershgorin_sum(monkeypatch):
@@ -612,11 +684,13 @@ def idft_16_on_8_rows(seed):
     return build_partial_idft(16, rows, normalize=True)
 
 
-@pytest.mark.parametrize("build, share", [(gaussian_7x16, 0.05), (idft_16_on_8_rows, 0.25)])
+@pytest.mark.parametrize("build, share", [(gaussian_7x16, 0.01), (idft_16_on_8_rows, 0.25)])
 def test_rip_exclusion_keeps_most_subsets_from_eigvalsh(build, share, monkeypatch):
     # every digit test would pass on a certificate that excludes nothing, so
-    # count the subsets eigvalsh receives: at most 2.1% of the Gaussians'
-    # 26,332 and 15.5% of the partial IDFTs' 39,202 when this was written
+    # count the subsets eigvalsh receives, the seeds included: at most 0.44% of
+    # the Gaussians' 26,332 and 14.6% of the partial IDFTs' 39,202 when this was
+    # written. Seeding each order from the one below's extremal subset brought
+    # the Gaussians' share down from 2.1%, when d came from each first chunk
     plain = np.linalg.eigvalsh
     received = []
 
