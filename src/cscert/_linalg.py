@@ -84,15 +84,12 @@ n - 1: one byte up to n = 256.
 Sweeps act on chunks of subsets only to batch the linear algebra: every
 evaluator gives what a scan of one subset at a time gives, so no result,
 count or budget depends on where chunks end. Chunk widths ramp up from 64
-subsets, doubling to the cap, only where a small first chunk pays: in
-sweeps that may stop early (spark, the DFT oracle) and in an unseeded RIP
-order, whose whole first chunk goes to ``eigvalsh``. A seeded RIP order
-(``certify.rip_profile``) takes every chunk at the cap, where the numpy
-call overhead per subset is lowest. A sweep that ends on a hit
-returns the first flagged subset as its ``witness``. Spark's size-min(M, N)
-``first_dependent`` sweep, under twice the rank tolerance, which also
-absorbs the shift rounding, hands its witness to the upward scan, which then
-skips the rank test of every subset the clean prefix before it settles.
+subsets, doubling to the cap, only where a small first chunk pays: in a
+sweep that may stop early or that spends more on its first chunk than on
+the rest. Every other sweep takes every chunk at the cap, where the numpy
+call overhead per subset is lowest. A sweep that ends on a hit returns the
+first flagged subset as its ``witness``; ``certify`` sets out how spark and
+the RIP constants use what earlier sweeps found.
 """
 
 from __future__ import annotations
@@ -184,14 +181,12 @@ def iter_combination_chunks(n: int, k: int, chunk: int = CHUNK, *, tables=None, 
 
     Each chunk is the transpose of a C-ordered (k, B) array, the layout in
     which sweeps gather (k, k, B) Gram stacks. With ``ramp``, B doubles from
-    64 up to the cap, so that a sweep that stops at its first few subsets
-    (spark, the DFT sweeps), or whose first chunk goes whole to ``eigvalsh``
-    (an unseeded RIP order), does not pay for a full batch; a seeded RIP
-    order neither stops nor sends its first chunk whole, so it passes
-    ``ramp=False`` and every chunk is at the cap. Memory rule: a chunk holds
-    at most about 2^20 entries of its k x k matrices, so the cap is
-    ``chunk`` and at most ``2^20 / k^2`` (below ``CHUNK`` only from k = 23
-    on).
+    64 up to the cap, so that a sweep that may stop at its first few
+    subsets, or that spends more on its first chunk than on the rest, does
+    not pay for a full batch; with ``ramp=False`` every chunk is at the cap.
+    Memory rule: a chunk holds at most about 2^20 entries of its k x k
+    matrices, so the cap is ``chunk`` and at most ``2^20 / k^2`` (below
+    ``CHUNK`` only from k = 23 on).
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")

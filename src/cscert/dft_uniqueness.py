@@ -102,7 +102,7 @@ def load_pattern(path) -> MissingSamplePattern:
 
     Line 2 goes through ``matrix_core.parse_list``. Errors name the file and the line.
     """
-    lines = Path(path).read_text().splitlines() + ["", ""]
+    lines = Path(path).read_text("utf-8-sig").splitlines() + ["", ""]
     line = 1
     try:
         n = int(lines[0])

@@ -146,7 +146,7 @@ def parse_list(raw: str, what: str, kind: type = int) -> list:
 
 def load_matrix_csv(path) -> MeasurementMatrix:
     """Load a matrix from CSV, one row per line, cells real or ``a+bi``; errors name the file."""
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    lines = [ln for ln in Path(path).read_text("utf-8-sig").splitlines() if ln.strip()]
     try:
         if not lines:
             raise CsvShapeError("no rows")

@@ -400,16 +400,27 @@ class TestRip:
             assert rip_constant(demo_matrix, k).delta == pytest.approx(oracle, abs=1e-10)
 
 
+def plain_deviation(a, s):
+    """``||G_S - I||_2`` of the subset s, from ``eigvalsh`` of its Gram submatrix alone."""
+    w = np.linalg.eigvalsh(gram(a)[np.ix_(s, s)])
+    return max(1.0 - float(w[0]), float(w[-1]) - 1.0)
+
+
 def reference_rip(a, k, budget):
-    """Plain scan: eigvalsh of one Gram submatrix at a time, stopping at the budget."""
-    g = gram(a)
-    lo, hi, used = math.inf, -math.inf, 0
+    """Plain scan: eigvalsh of one Gram submatrix at a time, stopping at the budget.
+
+    Returns delta, exact, evaluations and the witness: the lexicographically
+    first subset scanned whose deviation is delta.
+    """
+    delta, witness, used = -math.inf, None, 0
     for comb in itertools.combinations(range(a.cols), k):
         if used == budget:
             break
-        w = np.linalg.eigvalsh(g[np.ix_(comb, comb)])
-        lo, hi, used = min(lo, float(w[0])), max(hi, float(w[-1])), used + 1
-    return max(1.0 - lo, hi - 1.0), used == math.comb(a.cols, k), used
+        dev = plain_deviation(a, comb)
+        if dev > delta:
+            delta, witness = dev, comb
+        used += 1
+    return delta, used == math.comb(a.cols, k), used, witness
 
 
 def chunk_edges(n, k):
@@ -533,7 +544,7 @@ def test_rip_constant_matches_plain_eigvalsh_scan(kind, m, data):
             st.one_of(st.sampled_from(chunk_edges(a.cols, k)), st.integers(1, total + 1)),
             label=f"budget {k}",
         )
-        # delta, exact, evaluations
+        # delta, exact, evaluations, witness
         assert repr(tuple(rip_constant(a, k, budget))) == repr(reference_rip(a, k, budget)), k
 
 
@@ -568,7 +579,7 @@ def reference_profile(a, k_max, budget):
     used = 0
     for k in deltas:
         if used < budget:
-            deltas[k], exact[k], evaluations = reference_rip(a, k, budget - used)
+            deltas[k], exact[k], evaluations, _ = reference_rip(a, k, budget - used)
             used += evaluations
     return RipProfile(deltas, exact, used)
 
@@ -597,7 +608,7 @@ def test_rip_profile_matches_plain_eigvalsh_scans_on_a_shared_budget(kind, m, da
 
 
 def test_rip_profile_finds_a_late_extreme_that_no_seed_extension_reaches(monkeypatch):
-    # columns 0-1 meet at 0.7, order 2's extremal pair, and the last triple,
+    # columns 0-1 meet at 0.7, order 2's witness, and the last triple,
     # 6-8, meets pairwise at 0.45 (lambda = 0.55, 0.55, 1.9). Every extension
     # of (0, 1) deviates by 0.7, so order 3's seed sets d = 0.7, and the last
     # subset must raise it to 0.9
@@ -675,6 +686,58 @@ def test_rip_skips_the_lower_side_only_past_the_gram_rounding():
     assert repr(tuple(res)) == repr(reference_rip(a, 2, math.inf))
 
 
+def unit_5x10(kind, seed):
+    """A 5x10 unit-column matrix: real or complex Gaussian, or a partial IDFT."""
+    rng = np.random.default_rng(seed)
+    if kind == "idft":
+        return build_partial_idft(10, sorted(rng.choice(10, 5, replace=False)), normalize=True)
+    z = rng.standard_normal((5, 10)) + (1j * rng.standard_normal((5, 10)) if kind == "complex" else 0)
+    return normalize_columns(MeasurementMatrix(z))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "idft"])
+@pytest.mark.parametrize("seed", range(3))
+def test_rip_constant_witness_is_the_first_maximizer_of_the_covered_prefix(kind, seed):
+    # C(10, 3) = 120 subsets; the budgets cut inside the first chunk (64), at
+    # its edge, inside the second, and not at all
+    a = unit_5x10(kind, seed)
+    subsets = list(itertools.combinations(range(10), 3))
+    for budget in (1, 17, 64, 65, 100, 120):
+        res = rip_constant(a, 3, budget)
+        devs = [plain_deviation(a, s) for s in subsets[:budget]]
+        assert res.delta == max(devs) and res.exact == (budget == 120), budget
+        assert res.witness == subsets[devs.index(res.delta)], budget
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "idft"])
+@pytest.mark.parametrize("budget", [20_000_000, 385, 384, 300, 60, 12])
+def test_rip_profile_seeds_each_order_from_the_witness_below(kind, budget, monkeypatch):
+    # orders 1-5 of a 5x10 matrix take 10, 45, 120, 210 and 252 subsets, so
+    # order 4 fits a budget of 385 whole and is cut at 384 and 300, order 3
+    # is cut at 60 and order 2 at 12
+    module = importlib.import_module("cscert.certify")
+    plain = module.rip_constant
+    calls = []
+
+    def recorded(a, k, budget, **kwargs):
+        res = plain(a, k, budget, **kwargs)
+        calls.append((k, budget, kwargs["_seed"], res))
+        return res
+
+    monkeypatch.setattr(module, "rip_constant", recorded)
+    a = unit_5x10(kind, 4)
+    profile = rip_profile(a, 5, budget)
+    assert [k for k, *_ in calls] == [k for k in profile.deltas if k <= len(calls)]
+    previous = None
+    for k, left, seed, res in calls:
+        assert len(res.witness) == k and list(res.witness) == sorted(set(res.witness))
+        assert plain_deviation(a, res.witness) == res.delta == profile.deltas[k], k
+        assert seed == (previous if math.comb(10, k) <= left else None), k
+        previous = res.witness
+    # order 2 is seeded once its 45 subsets fit after order 1's 10
+    assert any(seed is not None for _, _, seed, _ in calls) == (budget >= 55)
+
+
 def gaussian_7x16(seed):
     return normalize_columns(build_gaussian(7, 16, seed))
 
@@ -689,7 +752,7 @@ def test_rip_exclusion_keeps_most_subsets_from_eigvalsh(build, share, monkeypatc
     # every digit test would pass on a certificate that excludes nothing, so
     # count the subsets eigvalsh receives, the seeds included: at most 0.44% of
     # the Gaussians' 26,332 and 14.6% of the partial IDFTs' 39,202 when this was
-    # written. Seeding each order from the one below's extremal subset brought
+    # written. Seeding each order from the one below's witness brought
     # the Gaussians' share down from 2.1%, when d came from each first chunk
     plain = np.linalg.eigvalsh
     received = []

@@ -410,6 +410,17 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: --seed must be non-negative\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, work", [
+        (("dft-limit", "--n", "16", "--missing", "1"), "cscert.dft_uniqueness.dft_sparsity_limit"),
+        (("certify", "--matrix", str(DEMO_CSV)), "cscert.cli.certify"),
+    ], ids=["dft-limit", "certify"])
+    def test_out_into_a_missing_directory_fails_before_the_work(self, tmp_path, monkeypatch,
+                                                               capsys, command, work):
+        monkeypatch.setattr(work, mock.Mock(side_effect=AssertionError("computed")))
+        missing = tmp_path / "no" / "dir"
+        assert run(*command, "--out", str(missing / "x")) == 1
+        assert capsys.readouterr().err == f"error: --out: no such directory: {missing}\n"
+
     @pytest.mark.parametrize("argv, message", [
         (["certify", "--matrix", str(DEMO_CSV), "--kmax", "0"], "--kmax must be positive"),
         (["dft-limit"], "either --pattern or --n is required"),

@@ -101,6 +101,11 @@ class TestPattern:
         f.write_text("32\n2,3,8,13,19,22,23,28,30\n\n  \n")
         assert load_pattern(f) == WORKED_EXAMPLE
 
+    def test_load_pattern_with_a_byte_order_mark(self, tmp_path):
+        f = tmp_path / "bom.txt"
+        f.write_bytes(b"\xef\xbb\xbf32\n2,3,8,13,19,22,23,28,30\n")
+        assert load_pattern(f) == WORKED_EXAMPLE
+
     def test_load_pattern_without_missing(self, tmp_path):
         f = tmp_path / "full.txt"
         f.write_text("16\n\n")

@@ -71,6 +71,13 @@ class TestCsv:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{f}: {what}')}$"):
             load_matrix_csv(f)
 
+    def test_byte_order_mark_loads_as_the_plain_file(self, tmp_path):
+        # spreadsheets export CSV as UTF-8 with a leading byte-order mark
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text("1,2.5\n-3i,4\n")
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        np.testing.assert_array_equal(load_matrix_csv(bom).entries, load_matrix_csv(plain).entries)
+
     def test_complex_cells(self, tmp_path):
         f = tmp_path / "cplx.csv"
         f.write_text("1+2i,0.5\n-3i,1.25-0.5i\n")
