@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Time two checkouts against each other with perfbench, in alternating pairs.
+
+    python3 scripts/pair_bench.py PARENT_DIR CHANGE_DIR --workload certify-early-exit --pairs 10
+
+Each pair runs ``perfbench/run.py`` once on each side, the parent first in
+even pairs and the change first in odd ones, so that a slow phase of the host
+falls on both sides. Every run happens in a fresh temporary copy of the
+checkout's ``src/``, ``perfbench/`` and ``BENCHMARK.json``, so nothing is
+written into either checkout. Standard output gets one table row per
+end-to-end metric of ``BENCHMARK.json``: the parent's median and quartiles,
+the change's median, their difference and the pairs the change won. A last
+line names the metrics whose medians lie further apart than the parent's
+quartile spread. Progress goes to standard error.
+"""
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HEADER = ("  | workload | metric | parent median [q1, q3] | change median | diff | wins |\n"
+          "  |---|---|---|---|---|---|")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run in a fresh copy of ``checkout``; returns its metric values."""
+    with tempfile.TemporaryDirectory(prefix="pair-bench-") as tmp:
+        copy = Path(tmp)
+        shutil.copytree(checkout / "src", copy / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(checkout / "perfbench", copy / "perfbench",
+                        ignore=shutil.ignore_patterns(".out", "__pycache__"))
+        shutil.copy2(checkout / "BENCHMARK.json", copy / "BENCHMARK.json")
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=copy, capture_output=True, text=True, check=True,
+        )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        raise RuntimeError(f"{checkout}: {result['failed']} of {result['attempted']} ops failed")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def summarize(workload: str, parent: list, change: list, metrics: list) -> list:
+    """Table rows from paired runs: ``parent[i]`` and ``change[i]`` map metric names to values.
+
+    ``metrics`` is BENCHMARK.json's ``end_to_end`` list. A pair is a win when
+    the change's value is better than the parent's in the metric's direction.
+    """
+    rows = []
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        p = [run[name] for run in parent]
+        c = [run[name] for run in change]
+        q1, mid, q3 = statistics.quantiles(p, n=4, method="inclusive")
+        med = statistics.median(c)
+        wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
+        rows.append({"workload": workload, "metric": name, "parent": mid, "q1": q1, "q3": q3,
+                     "change": med, "diff": med / mid - 1.0 if mid else 0.0,
+                     "wins": wins, "pairs": len(p), "beyond_spread": abs(med - mid) > q3 - q1})
+    return rows
+
+
+def format_table(rows: list) -> str:
+    """The rows in the pair-table format of CHANGES.md, then the metrics past the spread."""
+    lines = [HEADER]
+    for r in rows:
+        lines.append(f"  | {r['workload']} | {r['metric']} | {r['parent']:.4g} "
+                     f"[{r['q1']:.4g}, {r['q3']:.4g}] | {r['change']:.4g} | "
+                     f"{100 * r['diff']:+.1f}% | {r['wins']}/{r['pairs']} |")
+    beyond = [f"{r['workload']} {r['metric']}" for r in rows if r["beyond_spread"]]
+    lines.append("median gap beyond the parent's quartile spread: "
+                 + (", ".join(beyond) or "none"))
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=7919)
+    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
+    args = parser.parse_args(argv)
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    runs = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            runs[side].append(run_once(getattr(args, side), args.workload, args.seed, seconds))
+        print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
+            f"{k} {runs['parent'][-1][k]:.4g} / {runs['change'][-1][k]:.4g}"
+            for k in ("wall_s", "op_tail_s") if k in runs["parent"][-1]), file=sys.stderr)
+    print(format_table(summarize(args.workload, runs["parent"], runs["change"],
+                                 spec["end_to_end"])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

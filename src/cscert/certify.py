@@ -28,7 +28,12 @@ subset of that size before the first flagged one, F, was clean under the
 doubled tolerance, so a subset whose lexicographically first superset of
 that size comes before F needs no rank test. With j the smallest value
 missing from F, that holds for every subset of a size below min(M, N) - j,
-so those sizes are counted without being generated. On a partial Fourier
+so those sizes are counted without being generated. At size min(M, N)
+itself every subset before F is settled, so one rank test of F under the
+tolerance settles that size: if F is dependent, it is the scan's first hit,
+counted by its lexicographic rank, and the size is not generated. Only an F
+dependent under the doubled tolerance alone sends the scan through that
+size's subsets from F on. On a partial Fourier
 matrix the top sweep tests one subset per cyclic-shift orbit instead
 (``_linalg.first_dependent``): shifted columns have the same singular
 values, up to a rounding that the doubled tolerance absorbs. The
@@ -45,7 +50,9 @@ RIP constants count every subset, but only subsets whose deviation
 ``eigvalsh``. The others are excluded by proving ``lambda_max(G_S) < 1 + d``,
 cheaper test first (one power step on the row sums of ``|G_S|``, a bound
 never above the largest row sum, then the Cholesky kernel on a shifted
-Gram), and ``lambda_min(G_S) > 1 - d`` by the Cholesky kernel alone. Each
+Gram), and ``lambda_min(G_S) > 1 - d`` by the Cholesky kernel alone, or, for
+a pair, in closed form: by Weyl, both eigenvalues of G_S lie within
+``|g_ij| + max_i |g_ii - 1|`` of 1. Each
 bound keeps a margin of ``8 K^3 eps`` times the largest Gram diagonal, above
 the rounding of the tests and of ``eigvalsh``. Once d is past 1 by that
 margin plus the furthest a computed Gram eigenvalue can land below 0, no
@@ -155,9 +162,13 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET, *, _tables=None) -
     value missing from F. A k-subset misses at most j of ``0 .. j-1``, fewer
     than ``min(M, N) - k`` when k < min(M, N) - j, so every subset of such a
     size is settled: those sizes add C(N, k) each to the count and are not
-    generated. All sizes share one set of ``_linalg.combination_tables``,
-    built once per call unless ``_tables`` passes in those of size up to at
-    least min(M, N), as ``certify`` does.
+    generated. At size min(M, N) itself every subset before F is settled, so
+    F is rank-tested alone under the tolerance. If it is dependent, the
+    result is min(M, N), counted by F's lexicographic rank (``_lex_rank``),
+    and that size is not generated; if not, that size's pass runs as for any
+    other. All sizes share one set of ``_linalg.combination_tables``, built
+    once per call unless ``_tables`` passes in those of size up to at least
+    min(M, N), as ``certify`` does.
     When the columns have cyclic shift structure (``_linalg.shift_invariant``)
     that sweep tests one subset per shift orbit, about C(N, min(M, N)) / N
     rank tests (``_linalg.first_dependent``). Every subset before the first
@@ -174,7 +185,7 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET, *, _tables=None) -
     full_rank = SparkResult(m + 1 if n > m else None, True, total)
     tables = combination_tables(n, top) if _tables is None else _tables
     evaluate = test = rank_test(a.entries)
-    clean = 0  # sizes below this are settled whole
+    first, clean = None, 0  # sizes below clean are settled whole
     if total <= budget:
         first = first_dependent(a.entries, top, 2 * RANK_RTOL, tables=tables)
         if first is None:
@@ -194,12 +205,22 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET, *, _tables=None) -
 
     used = sum(math.comb(n, k) for k in range(1, clean))
     for k in range(max(clean, 1), top + 1):
+        if k == top and first is not None and test(np.array([first]))[0]:
+            # every top-subset before first is settled, so the scan's first hit is first itself
+            return SparkResult(top, True, used + _lex_rank(first, n) + 1)
         run = sweep(iter_combination_chunks(n, k, tables=tables), evaluate, budget - used)
         used += run.covered
         if run.witness is not None or not run.exact:
             # a cut sweep verified sizes < k fully, size k only partially
             return SparkResult(k, run.exact, used)
     return full_rank
+
+
+def _lex_rank(subset, n):
+    """0-based position of a sorted subset among the same-size combinations of range(n)."""
+    t = len(subset)
+    # C(N - 1 - v, t - i) subsets follow it with the same first i elements and a larger i-th
+    return math.comb(n, t) - 1 - sum(math.comb(n - 1 - v, t - i) for i, v in enumerate(subset))
 
 
 def _settled(combs, first, top, j):
@@ -284,7 +305,10 @@ def rip_constant(
       never above the Gershgorin bound ``max_i r_i``, since
       ``(|G_S| r)_i <= max(r) r_i``, so it stands in for that test. Or else
       ``(1 + d - m) I - G_S`` passes ``_linalg.shifted_definite``;
-    * lower: ``1 - d + m <= -slack``; or else ``G_S - (1 - d + m) I`` passes
+    * lower: ``1 - d + m <= -slack``; or else, at K = 2,
+      ``|g_ij| + max_i |g_ii - 1| < d - m``, which puts both eigenvalues of
+      G_S within ``d - m`` of 1 (Weyl, with the diagonal and the off-diagonal
+      part as the two terms); or else ``G_S - (1 - d + m) I`` passes
       ``shifted_definite``.
 
     Each test proves ``lambda_max(G_S) < 1 + d - m`` or
@@ -342,6 +366,7 @@ def rip_constant(
     screen = g.real if not g.imag.any() else g
     # (-G)_S + top * I is top * I - G_S exactly: negation rounds nothing
     negated, magnitude = -screen, np.abs(screen)
+    spread = float(np.abs(g.diagonal().real - 1.0).max())
     d, witness = -math.inf, None
 
     def raise_d(c):
@@ -365,8 +390,12 @@ def rip_constant(
             rest = np.flatnonzero(~inside)
             if len(rest):
                 inside[rest] = shifted_definite(negated, c[:, rest], -top)
-            if bottom > -slack and inside.any():
-                inside[inside] = shifted_definite(screen, c[:, inside], bottom)
+            lower = inside & (bottom > -slack)
+            if k == 2:
+                # Weyl: a pair's eigenvalues lie within |g_ij| + max_i |g_ii - 1| of 1
+                lower[lower] = magnitude[c[0, lower], c[1, lower]] + spread >= d - margin
+            if lower.any():
+                inside[lower] = shifted_definite(screen, c[:, lower], bottom)
             unsure = ~inside
         if unsure.any():
             raise_d(combs[unsure])

@@ -133,6 +133,22 @@ def _parse_cell(text: str, row: int, col: int) -> complex:
         raise CsvParseError(f"row {row}, column {col}: cannot parse {text!r}") from None
 
 
+def _parse_row(cells: list, row: int) -> list:
+    """A row's values: one ``float`` per cell when all are finite reals, else ``_parse_cell``'s.
+
+    ``float`` takes inf and nan, which ``_parse_cell`` parses otherwise, so
+    only an all-finite row keeps the fast path; every diagnostic is
+    ``_parse_cell``'s.
+    """
+    try:
+        values = [float(c) for c in cells]
+        if all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    return [_parse_cell(c, row, i) for i, c in enumerate(cells)]
+
+
 def parse_list(raw: str, what: str, kind: type = int) -> list:
     """Comma-separated ``kind`` values: a blank string is no values, an empty entry an error."""
     if not raw.strip():
@@ -156,7 +172,7 @@ def load_matrix_csv(path) -> MeasurementMatrix:
             cells = line.split(",")
             if len(cells) != width:
                 raise CsvShapeError(f"row {r} has {len(cells)} fields, expected {width}")
-            rows.append([_parse_cell(c, r, i) for i, c in enumerate(cells)])
+            rows.append(_parse_row(cells, r))
         return MeasurementMatrix(np.array(rows, dtype=np.complex128), kind="loaded")
     except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from None

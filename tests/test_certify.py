@@ -1,10 +1,11 @@
+import functools
 import importlib
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cscert import (
@@ -27,7 +28,14 @@ from cscert import (
     spark,
     welch_bound,
 )
-from cscert._linalg import RANK_RTOL, first_dependent, iter_combination_chunks, rank_test, sweep
+from cscert._linalg import (
+    RANK_RTOL,
+    first_dependent,
+    iter_combination_chunks,
+    rank_test,
+    shift_invariant,
+    sweep,
+)
 from cscert.certify import _settled
 
 # Frozen from the demo 5x8 matrix; independently recomputed below by
@@ -94,8 +102,21 @@ def reference_spark(a, budget):
     return (m + 1 if n > m else None), True, used
 
 
+class Drawn:
+    """Fixed draws, by label, for an explicit example of a test that draws from ``st.data()``."""
+
+    def __init__(self, **values):
+        self.values = values
+
+    def draw(self, strategy, label):
+        return self.values[label]
+
+
 @settings(max_examples=150, deadline=None)
 @given(m=st.integers(1, 5), n=st.integers(1, 8), data=st.data())
+# s = min(M, N): the top sweep flags the planted 4-subset under twice the rule's tolerance
+# but the rule clears it, so the upward scan runs its size-4 pass and finds spark M + 1
+@example(m=4, n=6, data=Drawn(seed=40, spark=4, scale=2e-10, budget=56))
 def test_spark_matches_upward_scan(m, n, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     entries = rng.standard_normal((m, n))
@@ -237,10 +258,73 @@ def test_spark_skips_the_sizes_a_top_flag_settles_whole(monkeypatch):
             assert spark(a).value == s, (s, i)
             flag = sweep(plain(16, 8), rank_test(a.entries, 2 * RANK_RTOL)).witness
             j = next((c for c, v in enumerate(flag) if v != c), 8)
-            # the top sweep, then the upward scan from size max(8 - j, 1) on
-            assert sizes == [8] + list(range(max(8 - j, 1), s + 1)), (s, i)
+            # the top sweep, then the upward scan from size max(8 - j, 1) on; at s = 8
+            # one rank test of the flag settles size 8, which is not generated again
+            assert sizes == [8] + list(range(max(8 - j, 1), min(s, 7) + 1)), (s, i)
             skipped += max(8 - j, 1) - 1
     assert skipped > 0
+
+
+def recorded_top_subsets(monkeypatch, top):
+    """The size-``top`` subsets that spark's upward scan hands to rank_test, in order."""
+    # the upward scan's: the top sweep runs in _linalg, through its own binding
+    module = importlib.import_module("cscert.certify")
+    plain = module.rank_test
+    received = []
+
+    def recorded_rank_test(entries, rtol=RANK_RTOL):
+        evaluate = plain(entries, rtol)
+
+        def recorded(combs):
+            received.extend(tuple(c) for c in combs.tolist() if len(c) == top)
+            return evaluate(combs)
+
+        return recorded
+
+    monkeypatch.setattr(module, "rank_test", recorded_rank_test)
+    return received
+
+
+def idft_12_on_9_rows():
+    # missing samples 0, 1 and 3: spark 9, the row count
+    return build_partial_idft(12, [c for c in range(12) if c not in (0, 1, 3)])
+
+
+def flagged_under_twice_the_tolerance_only():
+    # the fixed example of test_spark_matches_upward_scan: spark 5, past min(M, N) = 4
+    rng = np.random.default_rng(40)
+    entries = rng.standard_normal((4, 6))
+    cols = rng.choice(6, size=4, replace=False)
+    entries[:, cols[-1]] = (
+        entries[:, cols[:-1]] @ rng.standard_normal(3) + 2e-10 * rng.standard_normal(4)
+    )
+    return MeasurementMatrix(entries)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [*(functools.partial(planted_8x16, 8, i) for i in range(5)), idft_12_on_9_rows,
+     flagged_under_twice_the_tolerance_only],
+    ids=[*(f"planted-8-{i}" for i in range(5)), "idft-12-on-9", "clean-at-the-rule"],
+)
+def test_spark_settles_the_top_size_with_one_rank_test_of_the_flag(build, monkeypatch):
+    # every top-subset before the flag F is settled, so at spark = min(M, N) the upward
+    # scan hands rank_test F alone at that size and counts F's lexicographic rank
+    a = build()
+    m, n = a.shape
+    top = min(m, n)
+    # the partial IDFT's top sweep runs on shift orbits
+    assert shift_invariant(a.entries) == (build is idft_12_on_9_rows)
+    flag = first_dependent(a.entries, top, 2 * RANK_RTOL)
+    received = recorded_top_subsets(monkeypatch, top)
+    res = spark(a)
+    assert tuple(res) == reference_spark(a, math.inf)
+    if build is flagged_under_twice_the_tolerance_only:
+        # the rule clears F, so after F alone the size-top pass tests every subset from F on
+        assert res == (m + 1, True, 56)
+        assert received == [flag] + [c for c in itertools.combinations(range(n), top) if c >= flag]
+    else:
+        assert res.value == top and received == [flag]
 
 
 @pytest.mark.parametrize("entry", ["spark", "rip_profile", "certify"])
@@ -768,6 +852,27 @@ def test_rip_exclusion_keeps_most_subsets_from_eigvalsh(build, share, monkeypatc
         profile = rip_profile(a, min(a.shape))
         assert all(profile.exact.values())
         assert sum(received) < share * profile.budget_used, seed
+
+
+def test_rip_excludes_most_pairs_in_closed_form(monkeypatch):
+    # a pair's eigenvalues lie within |g_ij| + max_i |g_ii - 1| of 1, so most pairs skip
+    # the Cholesky kernel: without that test every seeded pair reached its lower side, and
+    # with it 266 of the 4,200 pairs here reached its upper side when this was written
+    module = importlib.import_module("cscert.certify")
+    plain = module.shifted_definite
+    received = []
+
+    def counted(g, c, shift):
+        if len(c) == 2:
+            received.append(c.shape[1])
+        return plain(g, c, shift)
+
+    monkeypatch.setattr(module, "shifted_definite", counted)
+    for s in range(2, 9):
+        for i in range(5):
+            a = planted_8x16(s, i)
+            assert repr(rip_profile(a, 2)) == repr(reference_profile(a, 2, math.inf))
+    assert sum(received) < 0.1 * 35 * math.comb(16, 2)
 
 
 class TestConditionNumberBound:

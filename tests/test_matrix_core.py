@@ -1,4 +1,6 @@
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from cscert import (
     welch_bound,
 )
 from cscert import MissingSamplePattern, SparseVector, generate_sparse_signal, monte_carlo, omp
+from cscert import matrix_core
 from cscert.certify import rip_profile
 from cscert.dft_uniqueness import dft_uniqueness_oracle, stride_count
 from cscert._linalg import iter_combination_chunks, iter_orbit_chunks
@@ -94,6 +97,52 @@ class TestCsv:
             assert f.read_text().endswith("\n")
             b = load_matrix_csv(f)
             np.testing.assert_array_equal(a.entries, b.entries)
+
+
+# cells that take each branch of the row-wise parse and of _parse_cell: i/j suffixes,
+# spaces inside a cell, underscores, nan, inf, signed zeros, overflow, empty cells and
+# byte-order marks, which the loader skips only at the start of the file
+CSV_CELL_TOKENS = [
+    "", " ", "0", "-0", "+0.0", "-0.0", "-0e0", "1.5", " 2.5 ", "\t-7\t", "4.9e-324",
+    "nan", "-nan", "NaN", "inf", "-inf", "+Infinity", "infinity", "1e400", "-1e-400",
+    "1i", "2j", "-3.5i", "1+2i", "1 + 2i", "- 4", "1 5", "1_000", "1__0", "_1", "1_",
+    "1e1_0", "0x1", "(1)", "\ufeff1", "1\ufeff",
+]
+csv_cells = st.one_of(
+    st.sampled_from(CSV_CELL_TOKENS),
+    st.floats().map(repr),
+    st.text(alphabet="0123456789.+-eEij_ nfa\ufeff", max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 3).flatmap(
+        lambda width: st.lists(st.lists(csv_cells, min_size=width, max_size=width),
+                               min_size=1, max_size=3)),
+    bom=st.booleans(),
+)
+def test_row_wise_parse_matches_the_parse_of_every_cell(tmp_path_factory, rows, bom):
+    # a row of finite reals is parsed with one float() per cell, any other row cell by cell;
+    # either way each file gives the entries, or the exception, of parsing every cell
+    path = tmp_path_factory.getbasetemp() / "row_wise.csv"
+    path.write_text(("\ufeff" if bom else "") + "\n".join(",".join(r) for r in rows) + "\n",
+                    encoding="utf-8")
+
+    def outcome():
+        # a subnormal peak entry makes _column_norms warn, so the warnings are compared too
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            try:
+                a = load_matrix_csv(path)
+            except ValueError as exc:
+                return type(exc), str(exc)
+        return a.shape, a.entries.tobytes(), [str(w.message) for w in warned]
+
+    row_wise = outcome()
+    with mock.patch.object(matrix_core, "_parse_row", lambda cells, row: [
+            matrix_core._parse_cell(c, row, i) for i, c in enumerate(cells)]):
+        assert row_wise == outcome()
 
 
 class TestConstructors:

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -21,3 +22,46 @@ def test_script_runs(argv):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def load_pair_bench():
+    spec = importlib.util.spec_from_file_location(
+        "pair_bench", REPO_ROOT / "scripts" / "pair_bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pair_bench_formats_the_pair_table():
+    pair_bench = load_pair_bench()
+    metrics = [{"name": "wall_s", "better": "lower"}, {"name": "work_per_s", "better": "higher"}]
+    parent = [{"wall_s": w, "work_per_s": r}
+              for w, r in zip([0.20, 0.21, 0.22, 0.19], [1.0e6, 1.1e6, 1.2e6, 1.3e6])]
+    change = [{"wall_s": w, "work_per_s": 1.5e6} for w in [0.18, 0.19, 0.20, 0.23]]
+    table = pair_bench.format_table(pair_bench.summarize("w", parent, change, metrics))
+    assert table.splitlines() == [
+        "  | workload | metric | parent median [q1, q3] | change median | diff | wins |",
+        "  |---|---|---|---|---|---|",
+        # the change won three pairs of four; its median is within the parent's spread
+        "  | w | wall_s | 0.205 [0.1975, 0.2125] | 0.195 | -4.9% | 3/4 |",
+        "  | w | work_per_s | 1.15e+06 [1.075e+06, 1.225e+06] | 1.5e+06 | +30.4% | 4/4 |",
+        "median gap beyond the parent's quartile spread: w work_per_s",
+    ]
+
+
+def test_pair_bench_runs_in_a_copy_of_the_checkout(tmp_path):
+    # a stand-in run.py that writes its output directory next to itself, as perfbench does
+    checkout = tmp_path / "checkout"
+    (checkout / "src").mkdir(parents=True)
+    (checkout / "perfbench").mkdir()
+    (checkout / "BENCHMARK.json").write_text("{}")
+    (checkout / "perfbench" / "run.py").write_text(
+        "import json, pathlib, sys\n"
+        "out = pathlib.Path(__file__).parent / '.out'\n"
+        "out.mkdir()\n"
+        "(out / 'args').write_text(' '.join(sys.argv[1:]))\n"
+        "print(json.dumps({'correct': True, 'attempted': 3, 'failed': 0,\n"
+        "                  'metrics': {'wall_s': {'value': 0.5, 'unit': 's'}}}))\n")
+    before = sorted(p.relative_to(checkout) for p in checkout.rglob("*"))
+    assert load_pair_bench().run_once(checkout, "certify-generic", 7919, 0.5) == {"wall_s": 0.5}
+    assert sorted(p.relative_to(checkout) for p in checkout.rglob("*")) == before
