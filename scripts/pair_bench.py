@@ -2,16 +2,19 @@
 """Time two checkouts against each other with perfbench, in alternating pairs.
 
     python3 scripts/pair_bench.py PARENT_DIR CHANGE_DIR --workload certify-early-exit --pairs 10
+    python3 scripts/pair_bench.py PARENT_DIR CHANGE_DIR --workload all
 
-Each pair runs ``perfbench/run.py`` once on each side, the parent first in
-even pairs and the change first in odd ones, so that a slow phase of the host
-falls on both sides. Every run happens in a fresh temporary copy of the
-checkout's ``src/``, ``perfbench/`` and ``BENCHMARK.json``, so nothing is
-written into either checkout. Standard output gets one table row per
-end-to-end metric of ``BENCHMARK.json``: the parent's median and quartiles,
-the change's median, their difference and the pairs the change won. A last
-line names the metrics whose medians lie further apart than the parent's
-quartile spread. Progress goes to standard error.
+``--workload`` may be repeated; ``all`` names every workload of the
+parent's ``BENCHMARK.json``. Each pair runs ``perfbench/run.py`` once on each
+side for every named workload in turn, the parent first in even pairs and
+the change first in odd ones, so that a slow phase of the host falls on both
+sides. Every run happens in a fresh temporary copy of the checkout's
+``src/``, ``perfbench/`` and ``BENCHMARK.json``, so nothing is written into
+either checkout. Standard output gets one table, with one row per workload
+and end-to-end metric of ``BENCHMARK.json``: the parent's median and
+quartiles, the change's median, their difference and the pairs the change
+won. A last line names the rows whose medians lie further apart than the
+parent's quartile spread. Progress goes to standard error.
 """
 
 import argparse
@@ -84,22 +87,32 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="a BENCHMARK.json workload, or all; may be repeated")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7919)
     parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, since the table needs quartiles")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = known if "all" in args.workload else list(dict.fromkeys(args.workload))
+    unknown = sorted(set(workloads) - set(known))
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; "
+                     f"BENCHMARK.json has {', '.join(known)}")
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    runs = {"parent": [], "change": []}
+    runs = {w: {"parent": [], "change": []} for w in workloads}
     for i in range(args.pairs):
-        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            runs[side].append(run_once(getattr(args, side), args.workload, args.seed, seconds))
-        print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
-            f"{k} {runs['parent'][-1][k]:.4g} / {runs['change'][-1][k]:.4g}"
-            for k in ("wall_s", "op_tail_s") if k in runs["parent"][-1]), file=sys.stderr)
-    print(format_table(summarize(args.workload, runs["parent"], runs["change"],
-                                 spec["end_to_end"])))
+        for w in workloads:
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                runs[w][side].append(run_once(getattr(args, side), w, args.seed, seconds))
+            print(f"pair {i + 1}/{args.pairs} {w}: " + ", ".join(
+                f"{k} {runs[w]['parent'][-1][k]:.4g} / {runs[w]['change'][-1][k]:.4g}"
+                for k in ("wall_s", "op_tail_s") if k in runs[w]["parent"][-1]), file=sys.stderr)
+    print(format_table([row for w in workloads for row in summarize(
+        w, runs[w]["parent"], runs[w]["change"], spec["end_to_end"])]))
     return 0
 
 

@@ -26,15 +26,16 @@ is dependent under the tolerance itself. On a flag it scans sizes upward in
 lexicographic order, and the same argument settles part of that scan. Every
 subset of that size before the first flagged one, F, was clean under the
 doubled tolerance, so a subset whose lexicographically first superset of
-that size comes before F needs no rank test. With j the smallest value
-missing from F, that holds for every subset of a size below min(M, N) - j,
-so those sizes are counted without being generated. At size min(M, N)
-itself every subset before F is settled, so one rank test of F under the
-tolerance settles that size: if F is dependent, it is the scan's first hit,
-counted by its lexicographic rank, and the size is not generated. Only an F
-dependent under the doubled tolerance alone sends the scan through that
-size's subsets from F on. On a partial Fourier
-matrix the top sweep tests one subset per cyclic-shift orbit instead
+that size comes before F needs no rank test (``_settled``). With j the
+smallest value missing from F, that holds for every subset of a size below
+min(M, N) - j, so those sizes are counted without being generated. At size
+min(M, N) itself every subset before F is settled, so one rank test of F
+under the tolerance settles that size: if F is dependent, it is the scan's
+first hit, counted by its lexicographic rank (``_lex_rank``), and the size
+is not generated. Only an F dependent under the doubled tolerance alone
+sends the scan through that size's subsets from F on. When the columns have
+cyclic shift structure (``_linalg.shift_invariant``), as a partial Fourier
+matrix's do, the top sweep tests one subset per shift orbit instead
 (``_linalg.first_dependent``): shifted columns have the same singular
 values, up to a rounding that the doubled tolerance absorbs. The
 representatives come in lexicographic order, each the smallest of its
@@ -47,12 +48,12 @@ the SVD rule only where the screen cannot clear the subset (see
 
 RIP constants count every subset, but only subsets whose deviation
 ``||G_S - I||_2`` can exceed the largest one seen so far, d, get
-``eigvalsh``. The others are excluded by proving ``lambda_max(G_S) < 1 + d``,
-cheaper test first (one power step on the row sums of ``|G_S|``, a bound
-never above the largest row sum, then the Cholesky kernel on a shifted
-Gram), and ``lambda_min(G_S) > 1 - d`` by the Cholesky kernel alone, or, for
-a pair, in closed form: by Weyl, both eigenvalues of G_S lie within
-``|g_ij| + max_i |g_ii - 1|`` of 1. Each
+``eigvalsh``. The others are excluded by proving ``lambda_max(G_S) < 1 + d``
+and ``lambda_min(G_S) > 1 - d``, cheaper test first. One power step on the
+row sums r of ``|G_S|``, ``p_i = (|G_S| r)_i / r_i``, puts every eigenvalue
+of G_S in ``[min_i (2 g_ii - p_i), max_i p_i]`` (weighted Gershgorin: each
+lies within ``p_i - g_ii`` of some ``g_ii``), at every order; a side that
+interval leaves open goes to the Cholesky kernel on a shifted Gram. Each
 bound keeps a margin of ``8 K^3 eps`` times the largest Gram diagonal, above
 the rounding of the tests and of ``eigvalsh``. Once d is past 1 by that
 margin plus the furthest a computed Gram eigenvalue can land below 0, no
@@ -151,32 +152,14 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET, *, _tables=None) -
     one; one ``budget`` caps it across all sizes. On budget exhaustion the
     best-known lower bound is returned with ``exact=False``.
 
-    When the whole scan fits the budget, size min(M, N) is swept first under
-    twice the rank tolerance. If it flags nothing, every smaller subset is
-    independent too (interlacing), and the scan's result follows without it.
-    If it flags a subset F, the upward scan runs, but every subset before F
-    in lexicographic order was clean under the doubled tolerance, so every
-    subset of one is independent under the rule itself: a k-subset whose
-    lexicographically first size-min(M, N) superset precedes F reads
-    independent without a rank test (``_settled``). Let j be the smallest
-    value missing from F. A k-subset misses at most j of ``0 .. j-1``, fewer
-    than ``min(M, N) - k`` when k < min(M, N) - j, so every subset of such a
-    size is settled: those sizes add C(N, k) each to the count and are not
-    generated. At size min(M, N) itself every subset before F is settled, so
-    F is rank-tested alone under the tolerance. If it is dependent, the
-    result is min(M, N), counted by F's lexicographic rank (``_lex_rank``),
-    and that size is not generated; if not, that size's pass runs as for any
-    other. All sizes share one set of ``_linalg.combination_tables``, built
+    The search reaches that result by a shorter path: a sweep of size
+    min(M, N) under twice the rank tolerance (one subset per shift orbit on
+    columns with cyclic shift structure), the sizes and subsets its first
+    flag settles, and one rank test of that flag at the top size. The
+    module docstring has why each step is exact and how many rank tests
+    run. All sizes share one set of ``_linalg.combination_tables``, built
     once per call unless ``_tables`` passes in those of size up to at least
     min(M, N), as ``certify`` does.
-    When the columns have cyclic shift structure (``_linalg.shift_invariant``)
-    that sweep tests one subset per shift orbit, about C(N, min(M, N)) / N
-    rank tests (``_linalg.first_dependent``). Every subset before the first
-    flagged representative is a shift of a clean one, so its flag settles
-    the upward scan as a combination sweep's does. The rank tests run can
-    reach C(N, min(M, N)) plus the budget. Each is screened with a Cholesky
-    certificate on the subset's Gram submatrix (``_linalg.rank_test``), and
-    only subsets the screen cannot clear get an SVD.
     """
     budget = check_budget(budget)
     m, n = a.shape
@@ -293,23 +276,24 @@ def rip_constant(
     is delta; unseeded, the lexicographically first of the subsets covered.
 
     Only subsets whose deviation can exceed the running maximum d get
-    ``eigvalsh``; without a seed, every subset of the first chunk does,
-    while d is -inf. A later subset is excluded when both of its sides pass,
-    each side trying its cheapest test first, on the real Gram when the
-    matrix is real:
+    ``eigvalsh``; without a seed, every subset of the first chunk does, while
+    d is -inf. A later subset is excluded when both of its sides pass, each
+    side trying its cheapest test first, on the real Gram when the matrix is
+    real. The cheapest is one power step on ``|G_S|`` from its row sums
+    ``r_i = sum_(j in S) |g_ij|``: ``p_i = (|G_S| r)_i / r_i``. By Gershgorin's
+    theorem on ``R^-1 G_S R``, R = diag(r), each eigenvalue of G_S lies within
+    ``p_i - g_ii`` of some ``g_ii`` (Varga, *Gersgorin and His Circles*,
+    2004), so all lie in ``[min_i (2 g_ii - p_i), max_i p_i]``. The upper end
+    is never above the plain Gershgorin bound ``max_i r_i``, as
+    ``(|G_S| r)_i <= max(r) r_i``. At K = 1 the interval is ``g_11``; for a
+    pair with a unit diagonal it is ``[1 - |g_12|, 1 + |g_12|]``, the pair's
+    spectrum.
 
-    * upper: the largest ``(|G_S| r)_i / r_i`` is below ``1 + d - m``, with
-      ``r_i = sum_(j in S) |g_ij|`` the row sums of one gather of ``|G|``
-      (Collatz-Wielandt: ``lambda_max(G_S) <= rho(|G_S|) <=
-      max_i (|G_S| x)_i / x_i`` for any positive x). This power step is
-      never above the Gershgorin bound ``max_i r_i``, since
-      ``(|G_S| r)_i <= max(r) r_i``, so it stands in for that test. Or else
-      ``(1 + d - m) I - G_S`` passes ``_linalg.shifted_definite``;
-    * lower: ``1 - d + m <= -slack``; or else, at K = 2,
-      ``|g_ij| + max_i |g_ii - 1| < d - m``, which puts both eigenvalues of
-      G_S within ``d - m`` of 1 (Weyl, with the diagonal and the off-diagonal
-      part as the two terms); or else ``G_S - (1 - d + m) I`` passes
-      ``shifted_definite``.
+    * upper: ``max_i p_i < 1 + d - m``; or else ``(1 + d - m) I - G_S``
+      passes ``_linalg.shifted_definite``;
+    * lower: ``1 - d + m <= -slack``; or else
+      ``min_i (2 g_ii - p_i) > 1 - d + m``; or else ``G_S - (1 - d + m) I``
+      passes ``shifted_definite``.
 
     Each test proves ``lambda_max(G_S) < 1 + d - m`` or
     ``lambda_min(G_S) > 1 - d + m`` up to its own rounding. The margin
@@ -319,7 +303,8 @@ def rip_constant(
     * the Cholesky certificate's backward error is at most about
       ``K (K + 1) eps ||A||`` for the shifted matrix A, and
       ``||A|| <= 2 K max(diag G)``;
-    * the power step errs by about ``K^2 eps max(diag G)``;
+    * the power step errs by about ``K^2 eps max(diag G)``, and the lower
+      end's one subtraction by one rounding more;
     * ``eigvalsh`` errs by at most about ``K^2 eps ||G_S||`` (LAPACK bounds
       it by ``p(K) eps ||G_S||`` for a modest ``p``).
 
@@ -366,7 +351,6 @@ def rip_constant(
     screen = g.real if not g.imag.any() else g
     # (-G)_S + top * I is top * I - G_S exactly: negation rounds nothing
     negated, magnitude = -screen, np.abs(screen)
-    spread = float(np.abs(g.diagonal().real - 1.0).max())
     d, witness = -math.inf, None
 
     def raise_d(c):
@@ -385,17 +369,17 @@ def rip_constant(
             moduli = magnitude[c[:, None, :], c[None, :, :]]
             rows = moduli.sum(axis=1)
             top, bottom = 1.0 + d - margin, 1.0 - d + margin
-            # one power step on |G_S| from its row sums (Collatz-Wielandt)
-            inside = (np.einsum("ijb,jb->ib", moduli, rows) / rows).max(axis=0) < top
+            # one power step on |G_S| from its row sums: p_i = (|G_S| r)_i / r_i
+            p = np.einsum("ijb,jb->ib", moduli, rows) / rows
+            inside = p.max(axis=0) < top
             rest = np.flatnonzero(~inside)
             if len(rest):
                 inside[rest] = shifted_definite(negated, c[:, rest], -top)
-            lower = inside & (bottom > -slack)
-            if k == 2:
-                # Weyl: a pair's eigenvalues lie within |g_ij| + max_i |g_ii - 1| of 1
-                lower[lower] = magnitude[c[0, lower], c[1, lower]] + spread >= d - margin
-            if lower.any():
-                inside[lower] = shifted_definite(screen, c[:, lower], bottom)
+            if bottom > -slack:
+                # weighted Gershgorin: every eigenvalue lies within p_i - g_ii of some g_ii
+                lower = inside & ((2.0 * np.einsum("iib->ib", moduli) - p).min(axis=0) <= bottom)
+                if lower.any():
+                    inside[lower] = shifted_definite(screen, c[:, lower], bottom)
             unsure = ~inside
         if unsure.any():
             raise_d(combs[unsure])
@@ -469,7 +453,7 @@ def _largest_k_below(threshold: float) -> int:
 
 
 def _bound(threshold: float | None, prefix: str = "") -> str:
-    """A threshold for the text report; None, where mu or the Welch bound is 0, bounds nothing."""
+    """A text-report threshold; None, where 1/mu is infinite or the Welch bound 0, bounds nothing."""
     return "no bound" if threshold is None else f"{prefix}{threshold}"
 
 
@@ -576,7 +560,8 @@ def certify(
         spark_limit = _largest_k_below(spark_res.value / 2.0)
 
     mu = mu_res.mu
-    if mu > 0.0:
+    # a subnormal mu bounds nothing either: 1/mu overflows
+    if mu > 0.0 and 1.0 / mu < math.inf:
         coh_threshold = 0.5 * (1.0 + 1.0 / mu)
         coh_limit = _largest_k_below(coh_threshold)
         spark_lb = 1.0 + 1.0 / mu

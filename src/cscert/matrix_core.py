@@ -24,6 +24,14 @@ NORMALIZED_ATOL = 1e-9
 _UNDERFLOW_NORM = 1e-150
 
 
+def _lift(arr: np.ndarray, cols) -> np.ndarray:
+    """A copy of ``arr`` with the columns ``cols`` times 2^600: exact, and normal if subnormal."""
+    arr = arr.copy()
+    for part in (arr.real, arr.imag):  # apart: a complex product would turn -0.0 into +0.0
+        part[:, cols] *= 2.0**600
+    return arr
+
+
 def _column_norms(arr: np.ndarray) -> np.ndarray:
     """Euclidean column norms, finite and accurate wherever the entries' moduli are.
 
@@ -38,7 +46,9 @@ def _column_norms(arr: np.ndarray) -> np.ndarray:
     redo = np.flatnonzero(np.isinf(norms) | (norms < _UNDERFLOW_NORM))
     peak = np.abs(arr[:, redo]).max(axis=0)
     redo, peak = redo[peak > 0], peak[peak > 0]
-    norms[redo] = peak * np.linalg.norm(arr[:, redo] / peak, axis=0)
+    # numpy divides complex by real through the reciprocal, which overflows for a subnormal peak
+    cols = _lift(arr[:, redo], peak < np.finfo(float).tiny)
+    norms[redo] = peak * np.linalg.norm(cols / np.abs(cols).max(axis=0), axis=0)
     return norms
 
 
@@ -261,7 +271,12 @@ def normalize_columns(a: MeasurementMatrix) -> MeasurementMatrix:
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DegenerateColumnError(int(zero[0]))
-    return MeasurementMatrix(a.entries / norms[None, :], kind=a.kind)
+    entries, low = a.entries, norms < np.finfo(float).tiny
+    if low.any():
+        # a subnormal norm has lost digits and its reciprocal overflows: lift, measure again
+        entries = _lift(entries, low)
+        norms[low] = _column_norms(entries[:, low])
+    return MeasurementMatrix(entries / norms[None, :], kind=a.kind)
 
 
 def gram(a: MeasurementMatrix) -> np.ndarray:

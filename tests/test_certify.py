@@ -1,6 +1,7 @@
 import functools
 import importlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -394,6 +395,25 @@ def test_rip_profile_orders_past_the_budget_read_zero_inexact():
         rip_profile(a, 5, budget=1)
 
 
+@pytest.mark.parametrize("tiny, bounded", [(1e-310, False), (1e-300, True)])
+def test_a_coherence_whose_inverse_overflows_bounds_nothing(tiny, bounded):
+    # at mu of about 7e-311, 1/mu overflows, so the coherence route bounds nothing, as at
+    # mu = 0, and the limit is N; at mu = 1e-300 the thresholds stay finite
+    a = normalize_columns(MeasurementMatrix([[tiny, 1.0], [0.0, 1.0], [1.0, 0.0]]))
+    report = certify(a)
+    assert 0.0 < report.coherence < 1e-299
+    assert (report.coherence_k_threshold is not None) == bounded
+    assert (report.spark_lower_bound_from_mu is not None) == bounded
+    assert bounded or report.coherence_limit == 2
+    assert ("spark >= 1 + 1/mu = no bound" in report.to_text()) != bounded
+
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    json.loads(report.to_json(), parse_constant=refuse)
+    assert CertificationReport.from_json(report.to_json()) == report
+
+
 class TestCoherence:
     def test_demo_matrix_six_way_tie(self, demo_matrix):
         res = coherence(demo_matrix)
@@ -591,12 +611,21 @@ def test_rip_power_step_divides_each_row_by_its_own_sum():
 
 
 def drawn_unit_matrix(kind, m, data):
-    """A unit-column matrix of m rows and at most 10 columns, of the given kind."""
+    """A unit-column matrix of m rows and at most 10 columns, of the given kind.
+
+    The near-square kinds, a Gaussian and a partial IDFT, have one to three
+    columns more than rows, so that delta stays below 1 at orders past 2.
+    """
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    n = m if kind == "orthonormal" else data.draw(st.integers(m, 10), label="n")
-    if kind in ("idft", "near-repeated"):
+    if kind == "orthonormal":
+        n = m
+    elif kind.startswith("near-square"):
+        n = m + data.draw(st.integers(1, 3), label="columns past the rows")
+    else:
+        n = data.draw(st.integers(m, 10), label="n")
+    if kind in ("idft", "near-square idft", "near-repeated"):
         n = max(n, 2)
-    if kind == "idft":
+    if kind in ("idft", "near-square idft"):
         positions = sorted(rng.choice(n, size=min(m, n), replace=False))
         return build_partial_idft(n, positions, normalize=True)
     cplx = kind == "complex" or data.draw(st.booleans(), label="complex")
@@ -612,10 +641,10 @@ def drawn_unit_matrix(kind, m, data):
     return normalize_columns(MeasurementMatrix(z))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    kind=st.sampled_from(
-        ["gaussian", "complex", "idft", "orthonormal", "repeated", "near-repeated"]),
+    kind=st.sampled_from(["gaussian", "complex", "idft", "orthonormal", "repeated",
+                          "near-repeated", "near-square", "near-square idft"]),
     m=st.integers(1, 6),
     data=st.data(),
 )
@@ -855,9 +884,11 @@ def test_rip_exclusion_keeps_most_subsets_from_eigvalsh(build, share, monkeypatc
 
 
 def test_rip_excludes_most_pairs_in_closed_form(monkeypatch):
-    # a pair's eigenvalues lie within |g_ij| + max_i |g_ii - 1| of 1, so most pairs skip
-    # the Cholesky kernel: without that test every seeded pair reached its lower side, and
-    # with it 266 of the 4,200 pairs here reached its upper side when this was written
+    # the power step's interval [min_i (2 g_ii - p_i), max_i p_i] holds every eigenvalue
+    # (weighted Gershgorin), and for a pair with a unit diagonal it is 1 -+ |g_12|, the
+    # pair's spectrum, so most pairs skip the Cholesky kernel: without a closed-form lower
+    # test every seeded pair reached its lower side, and with one 266 of the 4,200 pairs
+    # here reached its upper side when this was written
     module = importlib.import_module("cscert.certify")
     plain = module.shifted_definite
     received = []
@@ -873,6 +904,71 @@ def test_rip_excludes_most_pairs_in_closed_form(monkeypatch):
             a = planted_8x16(s, i)
             assert repr(rip_profile(a, 2)) == repr(reference_profile(a, 2, math.inf))
     assert sum(received) < 0.1 * 35 * math.comb(16, 2)
+
+
+def idft_24_on_12_rows(seed):
+    rows = sorted(np.random.default_rng(seed).choice(24, 12, replace=False))
+    return build_partial_idft(24, rows, normalize=True)
+
+
+def test_rip_weighted_gershgorin_keeps_most_lower_sides_from_the_kernel(monkeypatch):
+    # delta stays below 1 to order 5 on these partial IDFTs, so the lower side stays live.
+    # The Cholesky kernel got 110,278 lower sides when only pairs had a closed-form lower
+    # test, and 22,922 with min_i (2 g_ii - p_i) at every order when this was written
+    module = importlib.import_module("cscert.certify")
+    plain = module.shifted_definite
+    received = []
+
+    def counted(g, c, shift):
+        # a lower side's shift is 1 - d + m, above -slack; an upper side's is -(1 + d - m)
+        if shift > -0.5:
+            received.append(c.shape[1])
+        return plain(g, c, shift)
+
+    monkeypatch.setattr(module, "shifted_definite", counted)
+    for seed in range(2):
+        a = idft_24_on_12_rows(seed)
+        profile = rip_profile(a, 5)
+        assert profile.deltas[5] < 1.0
+        assert repr(profile) == repr(reference_profile(a, 5, math.inf))
+    assert sum(received) < 30_000
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 8),
+    rows=st.integers(1, 10),
+    cplx=st.booleans(),
+    equiangular=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rip_gershgorin_interval_holds_every_eigenvalue(k, rows, cplx, equiangular, seed):
+    # with r the row sums of |G_S| and p_i = (|G_S| r)_i / r_i, rip_constant's power step,
+    # every eigenvalue lies within p_i - g_ii of some g_ii (weighted Gershgorin), so in
+    # [min_i (2 g_ii - p_i), max_i p_i], up to the margin m = 8 K^3 eps max(diag G) that
+    # covers the rounding of both ends and of eigvalsh. An equiangular stack,
+    # g_ij = c u_i conj(u_j) off a unit diagonal with |u_i| = 1, meets the upper end:
+    # lambda_max = 1 + (K - 1) c = p_i
+    rng = np.random.default_rng(seed)
+    if equiangular:
+        c = rng.uniform(0.0, 1.0, (16, 1, 1))
+        u = (np.exp(2j * np.pi * rng.uniform(size=(16, k))) if cplx
+             else rng.choice([-1.0, 1.0], (16, k)))
+        g = (c + (1.0 - c) * np.eye(k)) * u[:, :, None] * u[:, None, :].conj()
+    else:
+        z = rng.standard_normal((16, rows, k))
+        z = z + (1j * rng.standard_normal((16, rows, k)) if cplx else 0)
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        g = z.conj().transpose(0, 2, 1) @ z
+    g = (g + g.conj().transpose(0, 2, 1)) / 2.0  # exactly Hermitian, as gram() makes it
+    g[:, range(k), range(k)] = rng.uniform(1.0 - 1e-9, 1.0 + 1e-9, (16, k))
+    moduli = np.abs(g).transpose(1, 2, 0)  # (K, K, B), as rip_constant gathers |G_S|
+    r = moduli.sum(axis=1)
+    p = np.einsum("ijb,jb->ib", moduli, r) / r
+    lower, upper = (2.0 * np.einsum("iib->ib", moduli) - p).min(axis=0), p.max(axis=0)
+    w = np.linalg.eigvalsh(g)
+    margin = 8 * k**3 * EPS * (1.0 + 1e-9)
+    assert np.all(lower - margin < w[:, 0]) and np.all(w[:, -1] < upper + margin)
 
 
 class TestConditionNumberBound:

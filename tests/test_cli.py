@@ -98,6 +98,31 @@ class TestCertifyCommand:
         assert capsys.readouterr().err == (
             "error: certify needs at least two columns, got a 3x1 matrix\n")
 
+    @pytest.mark.parametrize("text, bounded", [
+        ("1e-310,1\n0,1\n", True), ("4.9e-324,1\n0,1\n", True),
+        # mu is about 7e-311, so 1/mu overflows and bounds nothing, as mu = 0 does
+        ("1e-310,1\n0,1\n1,0\n", False),
+    ])
+    def test_subnormal_entries_certify_with_warnings_as_errors(self, tmp_path, text, bounded):
+        f = tmp_path / "subnormal.csv"
+        f.write_text(text)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "cscert", "certify", "--matrix", str(f),
+             "--normalize", "--format", "json"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+        def refuse(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        report = json.loads(proc.stdout, parse_constant=refuse)
+        assert (report["coherence_k_threshold"] is not None) == bounded
+        assert (report["spark_lower_bound_from_mu"] is not None) == bounded
+        assert bounded or report["coherence_limit"] == 2
+
     def test_unnormalized_entries_near_1e_170_are_a_one_line_error(self, tmp_path, capsys):
         # their Gram underflows; the diagnostic names the missing normalization
         f = tmp_path / "tiny.csv"

@@ -130,7 +130,7 @@ def test_row_wise_parse_matches_the_parse_of_every_cell(tmp_path_factory, rows, 
                     encoding="utf-8")
 
     def outcome():
-        # a subnormal peak entry makes _column_norms warn, so the warnings are compared too
+        # the warnings are compared too: a numpy warning must come from both paths alike
         with warnings.catch_warnings(record=True) as warned:
             warnings.simplefilter("always")
             try:
@@ -235,6 +235,38 @@ class TestColumnOps:
         entries[:, 2] = 0
         with pytest.raises(DegenerateColumnError, match="column 2"):
             normalize_columns(MeasurementMatrix(entries))
+
+    @pytest.mark.parametrize("column", [
+        [4.9e-324], [1e-310, 0.0], [3e-320j, -2e-321], [1e-310 + 1e-311j, 5e-324, 0.0],
+        [2.2e-308, 1e-320],
+    ])
+    def test_subnormal_columns_normalize_without_a_warning(self, column):
+        # numpy divides a complex column by a real subnormal peak or norm through its
+        # reciprocal, which overflows; such a column is lifted by 2^600 first, exactly, and
+        # a normal column beside it keeps numpy's bits
+        column = np.array(column, dtype=complex)
+        other = np.arange(1.0, len(column) + 1) * (1 - 2j)
+        entries = np.column_stack([column, other])
+        lifted = column * 2.0**600
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = matrix_core._column_norms(entries)
+            a = normalize_columns(MeasurementMatrix(entries))
+            alone = normalize_columns(MeasurementMatrix(other[:, None]))
+        assert norms[0] == pytest.approx(np.linalg.norm(lifted) / 2.0**600, rel=1e-3)
+        assert a.normalized
+        np.testing.assert_allclose(a.entries[:, 0], lifted / np.linalg.norm(lifted), atol=1e-15)
+        assert a.entries[:, 1].tobytes() == alone.entries[:, 0].tobytes()
+
+    def test_a_single_subnormal_cell_loads_and_normalizes(self, tmp_path):
+        f = tmp_path / "cell.csv"
+        f.write_text("4.9e-324\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = load_matrix_csv(f)
+            b = normalize_columns(a)
+        assert a.entries[0, 0] == 5e-324 and not a.normalized
+        assert b.entries.tolist() == [[1.0]] and b.normalized
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

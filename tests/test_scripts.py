@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -65,3 +66,44 @@ def test_pair_bench_runs_in_a_copy_of_the_checkout(tmp_path):
     before = sorted(p.relative_to(checkout) for p in checkout.rglob("*"))
     assert load_pair_bench().run_once(checkout, "certify-generic", 7919, 0.5) == {"wall_s": 0.5}
     assert sorted(p.relative_to(checkout) for p in checkout.rglob("*")) == before
+
+
+def test_pair_bench_runs_every_named_workload_in_each_pair(tmp_path, monkeypatch, capsys):
+    pair_bench = load_pair_bench()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 3,
+        "workloads": [{"name": "a"}, {"name": "b"}, {"name": "c"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower"}],
+    }))
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed, seconds))
+        base = {"a": 0.2, "b": 0.3, "c": 0.4}[workload]
+        return {"wall_s": base / 2 if checkout == change else base}
+
+    monkeypatch.setattr(pair_bench, "run_once", fake_run_once)
+    argv = [str(parent), str(change), "--pairs", "3", "--seed", "5"]
+    assert pair_bench.main(argv + ["--workload", "c", "--workload", "a"]) == 0
+    # each pair runs every workload on both sides, the parent first in even pairs
+    sides = [("parent", "change"), ("change", "parent"), ("parent", "change")]
+    assert calls == [(side, w, 5, 3) for first in sides for w in "ca" for side in first]
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "  | c | wall_s | 0.4 [0.4, 0.4] | 0.2 | -50.0% | 3/3 |",
+        "  | a | wall_s | 0.2 [0.2, 0.2] | 0.1 | -50.0% | 3/3 |",
+        "median gap beyond the parent's quartile spread: c wall_s, a wall_s",
+    ]
+    calls.clear()
+    assert pair_bench.main(argv[:2] + ["--pairs", "2", "--workload", "all"]) == 0
+    assert [w for _, w, *_ in calls] == ["a", "a", "b", "b", "c", "c"] * 2
+    calls.clear()
+    # bad arguments are usage errors before any run
+    with pytest.raises(SystemExit):
+        pair_bench.main(argv + ["--workload", "a", "--workload", "nope"])
+    assert calls == [] and "unknown workload nope" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        pair_bench.main(argv[:2] + ["--pairs", "1", "--workload", "a"])
+    assert calls == [] and "--pairs must be at least 2" in capsys.readouterr().err
