@@ -463,8 +463,8 @@ class CertificationReport(JsonReport):
 
     Real-valued fields are stored rounded to 12 significant digits so a report
     round-trips exactly through its JSON form. Integer limits are the largest
-    K satisfying each criterion's strict inequality; ``*_threshold`` fields
-    keep the raw real bounds for traceability.
+    K, at most N, satisfying each criterion's strict inequality; ``*_threshold``
+    fields keep the raw real bounds for traceability.
     """
 
     rows: int
@@ -563,7 +563,7 @@ def certify(
     # a subnormal mu bounds nothing either: 1/mu overflows
     if mu > 0.0 and 1.0 / mu < math.inf:
         coh_threshold = 0.5 * (1.0 + 1.0 / mu)
-        coh_limit = _largest_k_below(coh_threshold)
+        coh_limit = min(_largest_k_below(coh_threshold), n)
         spark_lb = 1.0 + 1.0 / mu
     else:
         coh_threshold = None

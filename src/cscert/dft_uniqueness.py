@@ -41,6 +41,7 @@ desk scale.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -127,27 +128,24 @@ def stride_count(p: MissingSamplePattern, h: int) -> int:
 
 @dataclass(frozen=True)
 class StrideRow:
-    """One derivation row: residue histogram for a single modulus."""
+    """One derivation row: the largest residue class of the missing positions modulo 2^h."""
 
     h: int
     modulus: int
-    residue_counts: tuple[int, ...]
-    argmax_residue: int
+    argmax_residue: int  # the smallest residue among the largest classes
     count: int
     term: int
 
 
 def _stride_rows(n: int, missing) -> tuple[StrideRow, ...]:
-    """The closed form's rows, one per modulus 2^h below n."""
-    missing = np.array(missing, dtype=np.intp)
+    """The closed form's rows, one per modulus 2^h below n, in O(q) per modulus."""
     rows = []
     for h in range(n.bit_length() - 1):
         modulus = 1 << h
-        hist = np.bincount(missing % modulus, minlength=modulus)
-        argmax = int(hist.argmax())
-        count = int(hist[argmax])
-        term = modulus * (count - 1)
-        rows.append(StrideRow(h, modulus, tuple(hist.tolist()), argmax, count, term))
+        classes = Counter(m % modulus for m in missing)
+        count = max(classes.values(), default=0)
+        argmax = min((r for r, c in classes.items() if c == count), default=0)
+        rows.append(StrideRow(h, modulus, argmax, count, modulus * (count - 1)))
     return tuple(rows)
 
 
@@ -158,7 +156,7 @@ class DftUniquenessResult(JsonReport):
     ``k_max`` is the exact limit when ``exact`` is set, and otherwise a proven
     lower bound (the sweep ran out of budget). ``closed_form_k_max`` is the
     paper's stride-count value, an upper bound on the true limit, so the two
-    always bracket it.
+    always bracket it. ``derivation`` holds its rows, one per modulus 2^h < N.
     """
 
     n: int
@@ -201,14 +199,14 @@ def _bch_lower(n: int, q) -> int:
     IEEE TIT 1986). Multiplying by a unit u maps such a run with step u^-1 to
     consecutive positions, so L is the largest cyclic gap of u q, less one,
     over the units u; u and -u give the same gaps, so odd u <= n / 2 cover
-    every unit mod 2^r. Blocks of units hold at most ``_CHUNK_ENTRIES`` entries.
+    every unit mod 2^r. Blocks of units, each built apart, map to at most ``_CHUNK_ENTRIES`` entries.
     """
     missing = np.array(sorted(q), dtype=np.int64)
-    units = np.arange(1, n // 2 + 1, 2)
     block = max(1, _CHUNK_ENTRIES // len(missing))
     longest = 0
-    for start in range(0, len(units), block):
-        mapped = np.sort(units[start:start + block, None] * missing % n, axis=1)
+    for start in range(1, n // 2 + 1, 2 * block):
+        units = np.arange(start, min(start + 2 * block, n // 2 + 1), 2)
+        mapped = np.sort(units[:, None] * missing % n, axis=1)
         gaps = np.diff(mapped, axis=1, append=mapped[:, :1] + n)
         longest = max(longest, int(gaps.max()) - 1)
     return longest + 1
@@ -265,7 +263,7 @@ class _MinSupport:
         def granule_end(s):
             return s - 1 - (s - 1) % step + step
 
-        hi = n - max(row.term for row in _stride_rows(n, sorted(q)))
+        hi = n - max(row.term for row in _stride_rows(n, q))
         lo = _bch_lower(n, q)
         if granule_end(lo) < hi:
             lo = max(lo, self.lower(n, q))

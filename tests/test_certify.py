@@ -398,13 +398,16 @@ def test_rip_profile_orders_past_the_budget_read_zero_inexact():
 @pytest.mark.parametrize("tiny, bounded", [(1e-310, False), (1e-300, True)])
 def test_a_coherence_whose_inverse_overflows_bounds_nothing(tiny, bounded):
     # at mu of about 7e-311, 1/mu overflows, so the coherence route bounds nothing, as at
-    # mu = 0, and the limit is N; at mu = 1e-300 the thresholds stay finite
+    # mu = 0, and the limit is N; at mu = 1e-300 the thresholds stay finite and raw, and the
+    # limit is capped at N, since a support of two columns holds at most two entries
     a = normalize_columns(MeasurementMatrix([[tiny, 1.0], [0.0, 1.0], [1.0, 0.0]]))
     report = certify(a)
     assert 0.0 < report.coherence < 1e-299
     assert (report.coherence_k_threshold is not None) == bounded
     assert (report.spark_lower_bound_from_mu is not None) == bounded
-    assert bounded or report.coherence_limit == 2
+    assert report.coherence_limit == 2
+    assert not bounded or report.coherence_k_threshold > 1e299
+    assert "  unique for K <= 2  (K < " in report.to_text()
     assert ("spark >= 1 + 1/mu = no bound" in report.to_text()) != bounded
 
     def refuse(name):

@@ -123,6 +123,17 @@ class TestCertifyCommand:
         assert (report["spark_lower_bound_from_mu"] is not None) == bounded
         assert bounded or report["coherence_limit"] == 2
 
+    def test_a_tiny_coherence_limit_is_capped_at_n(self, tmp_path, capsys):
+        # mu is about 7e-301: the threshold stays raw, the limit is the 2 columns' N
+        f = tmp_path / "tiny_mu.csv"
+        f.write_text("1e-300,1\n0,1\n1,0\n")
+        assert run("certify", "--matrix", str(f), "--normalize", "--format", "json") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["coherence_limit"] == report["spark_limit"] == 2
+        assert report["coherence_k_threshold"] > 1e299
+        assert run("certify", "--matrix", str(f), "--normalize") == 0
+        assert "  unique for K <= 2  (K < 7.07106781187e+299)" in capsys.readouterr().out
+
     def test_unnormalized_entries_near_1e_170_are_a_one_line_error(self, tmp_path, capsys):
         # their Gram underflows; the diagnostic names the missing normalization
         f = tmp_path / "tiny.csv"
@@ -190,6 +201,14 @@ class TestDftLimitCommand:
         assert res.k_max == 7
         assert res.to_json() == out.read_text()
 
+    def test_json_report_grows_with_log_n(self, capsys):
+        # one derivation row per modulus 2^h < N, with no per-residue counts
+        assert run("dft-limit", "--n", str(1 << 20), "--missing", "0,1", "--format", "json") == 0
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert len(out) < 4096 and len(report["derivation"]) == 20
+        assert report["k_max"] == 524287 and report["exact"] is True
+
     def test_non_power_of_two_rejected(self, capsys):
         assert run("dft-limit", "--n", "12", "--missing", "1") == 1
         assert "power of two" in capsys.readouterr().err
@@ -242,7 +261,7 @@ class TestDftLimitCommand:
             assert capsys.readouterr().err == f"error: --budget must be at least 1, got {shown}\n"
 
     def test_out_of_memory_is_a_one_line_error(self, monkeypatch, capsys):
-        # N = 2^40 asks _stride_rows for a 2^39-entry histogram; the mock raises without allocating
+        # any MemoryError of the limit is one line; the mock raises it without allocating
         monkeypatch.setattr("cscert.dft_uniqueness.dft_sparsity_limit",
                             mock.Mock(side_effect=MemoryError))
         assert run("dft-limit", "--n", str(1 << 40), "--missing", "0,1") == 1

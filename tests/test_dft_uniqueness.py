@@ -55,6 +55,14 @@ def plain_zero_set_scan(n: int, q) -> int:
     return n
 
 
+def histogram_row(missing, h):
+    """(h, modulus, residue, count, term) of the closed form, read off the full histogram mod 2^h."""
+    modulus = 1 << h
+    hist = np.bincount(np.array(missing, dtype=np.intp) % modulus, minlength=modulus)
+    residue = int(hist.argmax())  # the first, so the smallest, of the largest classes
+    return h, modulus, residue, int(hist[residue]), modulus * (int(hist[residue]) - 1)
+
+
 def bch_alone(monkeypatch):
     """Make the decimation recursion and the zero-set sweep fail if anything runs them."""
     for name in ("lower", "zero_set_sweep"):
@@ -155,6 +163,30 @@ class TestStrideCount:
         )
         p = MissingSamplePattern.of(n, positions)
         assert stride_count(p, 0) == p.q
+
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_the_residue_histogram(self, data):
+        r = data.draw(st.integers(1, 12))
+        n = 1 << r
+        # a progression with a power-of-two step fills its classes evenly, so the largest tie
+        start, step = data.draw(st.integers(0, n - 1)), 1 << data.draw(st.integers(0, 4))
+        length = data.draw(st.integers(0, n))
+        extra = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+        missing = sorted({(start + step * i) % n for i in range(length)} | set(extra))
+        rows = dft_uniqueness._stride_rows(n, missing)
+        assert [(row.h, row.modulus, row.argmax_residue, row.count, row.term)
+                for row in rows] == [histogram_row(missing, h) for h in range(r)]
+        p = MissingSamplePattern.of(n, missing)
+        assert [stride_count(p, h) for h in range(r)] == [row.count for row in rows]
+
+    def test_empty_pattern_counts_nothing(self):
+        for r in range(1, 13):
+            p = MissingSamplePattern(1 << r, ())
+            assert [stride_count(p, h) for h in range(r)] == [0] * r
+            assert dft_uniqueness._stride_rows(p.n, ()) == tuple(
+                dft_uniqueness.StrideRow(*histogram_row([], h)) for h in range(r))
 
 
 class TestSparsityLimit:
@@ -366,6 +398,16 @@ class TestExactLimit:
                      for _ in range(200)]
         for n, q in patterns:
             assert _bch_lower(n, q) <= plain_zero_set_scan(n, q), q
+
+    def test_bch_bound_does_not_depend_on_its_blocks_of_units(self, monkeypatch):
+        # each block of units is built apart; cuts of one unit, or ragged ones, give the same bound
+        rng = np.random.default_rng(17)
+        patterns = [(n, rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+                    for n in (2, 4, 8, 16, 64, 256) for _ in range(20)]
+        whole = [_bch_lower(n, q) for n, q in patterns]
+        for entries in (1, 5, 12):
+            monkeypatch.setattr(dft_uniqueness, "_CHUNK_ENTRIES", entries)
+            assert [_bch_lower(n, q) for n, q in patterns] == whole, entries
 
     @pytest.mark.parametrize("n, missing", [
         (32, [m % 32 for m in range(27, 37)]),  # a burst that wraps past N - 1

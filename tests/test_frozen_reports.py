@@ -12,7 +12,9 @@ through one generator from states derived in one pass. ``data/frozen_dft.json`` 
 ``dft-limit --format json`` texts on fixed N=16 and N=32 missing-sample
 patterns, and ``dft_uniqueness_oracle`` verdicts at K = 1 .. limit + 1,
 captured before both DFT paths drew their subsets from unranked
-combinations. Any later speed-up that changes one reported digit fails
+combinations; it was regenerated once, when the derivation rows dropped
+their full residue histograms (``residue_counts``), and every other byte
+stayed the same. Any later speed-up that changes one reported digit fails
 here. Regenerate them only for an intended change of results:
 ``PYTHONPATH=src python tests/test_frozen_reports.py`` rewrites all three
 files from the current code.
