@@ -82,14 +82,14 @@ microseconds per 4 KB, so they use the smallest unsigned dtype that holds
 n - 1: one byte up to n = 256.
 
 Sweeps act on chunks of subsets only to batch the linear algebra: every
-evaluator gives what a scan of one subset at a time gives, so no result,
-count or budget depends on where chunks end. Chunk widths ramp up from 64
-subsets, doubling to the cap, only where a small first chunk pays: in a
-sweep that may stop early or that spends more on its first chunk than on
-the rest. Every other sweep takes every chunk at the cap, where the numpy
-call overhead per subset is lowest. A sweep that ends on a hit returns the
-first flagged subset as its ``witness``; ``certify`` sets out how spark and
-the RIP constants use what earlier sweeps found.
+evaluator answers with the position of the first subset a scan of one subset
+at a time would flag, or None, so no result, count or budget depends on where
+chunks end. Chunk widths ramp up from 64 subsets, doubling to the cap, only
+where a small first chunk pays: in a sweep that may stop early or that spends
+more on its first chunk than on the rest. Every other sweep takes every chunk
+at the cap, where the numpy call overhead per subset is lowest. A sweep that
+ends on a hit returns that subset as its ``witness``; ``certify`` sets out
+how spark and the RIP constants use what earlier sweeps found.
 """
 
 from __future__ import annotations
@@ -380,15 +380,15 @@ def shifted_definite(g: np.ndarray, c: np.ndarray, shift) -> np.ndarray:
 def rank_test(entries: np.ndarray, rtol: float = RANK_RTOL):
     """The rank rule for column subsets of one matrix, screened by a Cholesky certificate.
 
-    Returns ``evaluate(combs)``: for a (B, k) index chunk, the mask that
-    ``dependent_mask(stack, rtol)`` gives on the (B, M, k) stack of those
-    columns. The Gram is formed once, here, on real dtype when every imaginary
-    part is zero and after scaling the largest entry to 1, so that it cannot
-    overflow. A subset is cleared when ``G_S - max(2 * SCREEN * trace(G_S),
-    _SCREEN_FLOOR) * I`` is positive definite: since ``lambda_max <= trace``,
-    that proves ``lambda_min > SCREEN * lambda_max`` with room for the
-    elimination's rounding (``shifted_definite``). Subsets the screen
-    cannot clear go to ``dependent_mask`` on the unscaled columns.
+    Returns ``evaluate(combs)``: for a (B, k) index chunk, the position of the
+    first subset that ``dependent_mask(stack, rtol)`` flags on the (B, M, k)
+    stack of those columns, or None. The Gram is formed once, here, on real
+    dtype when every imaginary part is zero and after scaling the largest entry
+    to 1, so that it cannot overflow. A subset is cleared when ``G_S - max(2 *
+    SCREEN * trace(G_S), _SCREEN_FLOOR) * I`` is positive definite: since
+    ``lambda_max <= trace``, that proves ``lambda_min > SCREEN * lambda_max``
+    with room for the elimination's rounding (``shifted_definite``). Subsets
+    the screen cannot clear go to ``dependent_mask`` on the unscaled columns.
     """
     peak = np.abs(entries).max()
     x = entries / peak if peak > 0 else entries
@@ -401,10 +401,11 @@ def rank_test(entries: np.ndarray, rtol: float = RANK_RTOL):
         c = combs.T
         shift = np.maximum(2 * SCREEN * diag[c].sum(axis=0), _SCREEN_FLOOR)
         unsure = ~shifted_definite(g, c, shift)
-        mask = np.zeros(len(combs), dtype=bool)
         if unsure.any():
-            mask[unsure] = dependent_mask(entries[:, combs[unsure]].transpose(1, 0, 2), rtol)
-        return mask
+            dependent = dependent_mask(entries[:, combs[unsure]].transpose(1, 0, 2), rtol)
+            if dependent.any():
+                return int(np.flatnonzero(unsure)[dependent.argmax()])
+        return None
 
     return evaluate
 
@@ -426,11 +427,11 @@ def sweep(chunks, evaluate, budget: float = math.inf) -> Sweep:
     """Evaluate subset chunks in order until the first hit or the budget runs out.
 
     ``evaluate`` receives each (B, k) chunk, cut so that no more than
-    ``budget`` subsets are evaluated in total, and returns a boolean mask that
-    flags hits, or None when it never ends the sweep early. It must act as a
-    scan of one subset at a time, flagging no subset that such a scan would
-    not reach, so that no result depends on where chunks end. The first
-    flagged subset is returned as ``witness``.
+    ``budget`` subsets are evaluated in total, and returns the position in
+    the chunk of the first subset that a scan of one subset at a time would
+    flag, or None when that scan flags none of them (an evaluator that never
+    ends the sweep early always returns None). So no result depends on where
+    chunks end. The flagged subset is returned as ``witness``.
     """
     covered = 0
     for combs in chunks:
@@ -438,9 +439,8 @@ def sweep(chunks, evaluate, budget: float = math.inf) -> Sweep:
         if cut:
             combs = combs[: budget - covered]
         if len(combs):
-            mask = evaluate(combs)
-            if mask is not None and mask.any():
-                i = int(np.argmax(mask))
+            i = evaluate(combs)
+            if i is not None:
                 return Sweep(covered + i + 1, True, tuple(combs[i].tolist()))
             covered += len(combs)
         if cut:
@@ -452,8 +452,8 @@ def first_dependent(entries: np.ndarray, k: int, rtol: float = RANK_RTOL, *, tab
     """The first k columns of ``entries`` flagged by ``rank_test(entries, rtol)``, or None.
 
     Sweeps one subset per cyclic-shift orbit when ``shift_invariant(entries)``,
-    the k-combinations from ``tables`` otherwise. Either way every k-subset
-    before the returned one is clean, or a cyclic shift of a clean one.
+    the k-combinations from ``tables`` otherwise, up to ``rank_test``'s first
+    flag. Every k-subset before it is clean, or a cyclic shift of a clean one.
     """
     n, orbits = entries.shape[1], shift_invariant(entries)
     chunks = iter_orbit_chunks(n, k) if orbits else iter_combination_chunks(n, k, tables=tables)

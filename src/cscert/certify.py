@@ -180,15 +180,13 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET, *, _tables=None) -
 
         def evaluate(combs):
             rest = np.flatnonzero(~_settled(combs, first, top, j))
-            mask = np.zeros(len(combs), dtype=bool)
-            if len(rest):
-                # in the generator's layout, a C-ordered (k, B), in which Grams gather fast
-                mask[rest] = test(np.take(combs.T, rest, axis=1).T)
-            return mask
+            # in the generator's layout, a C-ordered (k, B), in which Grams gather fast
+            i = test(np.take(combs.T, rest, axis=1).T) if len(rest) else None
+            return None if i is None else int(rest[i])
 
     used = sum(math.comb(n, k) for k in range(1, clean))
     for k in range(max(clean, 1), top + 1):
-        if k == top and first is not None and test(np.array([first]))[0]:
+        if k == top and first is not None and test(np.array([first])) is not None:
             # every top-subset before first is settled, so the scan's first hit is first itself
             return SparkResult(top, True, used + _lex_rank(first, n) + 1)
         run = sweep(iter_combination_chunks(n, k, tables=tables), evaluate, budget - used)

@@ -190,7 +190,7 @@ class DftUniquenessResult(JsonReport):
         return "\n".join(lines) + "\n"
 
 
-def _bch_lower(n: int, q) -> int:
+def _bch_lower(n: int, q, stop) -> int:
     """The BCH bound on S_n(q): L + 1, for L the longest run a, a + d, ... of available positions.
 
     The spectra of signals on q form a cyclic code whose zeros are the
@@ -200,6 +200,9 @@ def _bch_lower(n: int, q) -> int:
     consecutive positions, so L is the largest cyclic gap of u q, less one,
     over the units u; u and -u give the same gaps, so odd u <= n / 2 cover
     every unit mod 2^r. Blocks of units, each built apart, map to at most ``_CHUNK_ENTRIES`` entries.
+    The scan stops after the first block whose bound reaches ``stop``, so it
+    returns the full scan's bound when that is below ``stop``, and otherwise
+    a bound of at least ``stop`` and at most the full scan's.
     """
     missing = np.array(sorted(q), dtype=np.int64)
     block = max(1, _CHUNK_ENTRIES // len(missing))
@@ -209,6 +212,8 @@ def _bch_lower(n: int, q) -> int:
         mapped = np.sort(units[:, None] * missing % n, axis=1)
         gaps = np.diff(mapped, axis=1, append=mapped[:, :1] + n)
         longest = max(longest, int(gaps.max()) - 1)
+        if longest + 1 >= stop:
+            break
     return longest + 1
 
 
@@ -246,12 +251,13 @@ class _MinSupport:
 
         The upper bound ``hi`` is q's own closed form, ``n - penalty``. The
         caller reads a support S only as ``(S - 1) // step`` (``step=2``
-        gives K). The BCH bound comes first: when ``hi`` lies inside its
-        granule, neither the decimation recursion nor any sweep below it
-        runs. Otherwise the larger of the two bounds is taken, and the
-        zero-set sweep runs only when ``hi`` lies past its granule, stopping
-        at the first support confirmed inside it. A sweep cut by the budget or
-        by a refused support leaves the bound, flagged inexact.
+        gives K). The BCH bound comes first, its scan cut once it reaches
+        ``hi``'s granule: when ``hi`` lies inside its granule, neither the
+        decimation recursion nor any sweep below it runs. Otherwise the
+        larger of the two bounds is taken, and the zero-set sweep runs only
+        when ``hi`` lies past its granule, stopping at the first support
+        confirmed inside it. A sweep cut by the budget or by a refused
+        support leaves the bound, flagged inexact.
         """
         if not q:
             return math.inf, True
@@ -264,7 +270,7 @@ class _MinSupport:
             return s - 1 - (s - 1) % step + step
 
         hi = n - max(row.term for row in _stride_rows(n, q))
-        lo = _bch_lower(n, q)
+        lo = _bch_lower(n, q, hi - (hi - 1) % step)
         if granule_end(lo) < hi:
             lo = max(lo, self.lower(n, q))
         result = lo, True
@@ -322,7 +328,7 @@ class _MinSupport:
                     continue
                 best = int(support[i])
                 if best <= stop:
-                    return np.arange(len(rows)) == i
+                    return int(i)
             return None
 
         run = sweep(iter_orbit_chunks(n, len(q) - 1), evaluate, self.left)

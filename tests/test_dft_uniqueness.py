@@ -397,17 +397,45 @@ class TestExactLimit:
         patterns += [(16, sorted(rng.choice(16, size=int(rng.integers(2, 16)), replace=False)))
                      for _ in range(200)]
         for n, q in patterns:
-            assert _bch_lower(n, q) <= plain_zero_set_scan(n, q), q
+            assert _bch_lower(n, q, math.inf) <= plain_zero_set_scan(n, q), q
 
     def test_bch_bound_does_not_depend_on_its_blocks_of_units(self, monkeypatch):
         # each block of units is built apart; cuts of one unit, or ragged ones, give the same bound
         rng = np.random.default_rng(17)
         patterns = [(n, rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
                     for n in (2, 4, 8, 16, 64, 256) for _ in range(20)]
-        whole = [_bch_lower(n, q) for n, q in patterns]
+        whole = [_bch_lower(n, q, math.inf) for n, q in patterns]
         for entries in (1, 5, 12):
             monkeypatch.setattr(dft_uniqueness, "_CHUNK_ENTRIES", entries)
-            assert [_bch_lower(n, q) for n, q in patterns] == whole, entries
+            assert [_bch_lower(n, q, math.inf) for n, q in patterns] == whole, entries
+
+    @given(st.integers(1, 10), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bch_scan_stops_between_its_threshold_and_the_full_bound(self, r, data):
+        # blocks of a few units, so that a stop can fall before the last block
+        n = 1 << r
+        q = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 40)), label="q")
+        entries = data.draw(st.integers(1, 64), label="entries")
+        with mock.patch.object(dft_uniqueness, "_CHUNK_ENTRIES", entries):
+            full = _bch_lower(n, q, math.inf)
+            # thresholds at and just around the full bound are the off-by-one cases
+            near = st.integers(max(1, full - 3), full + 1)
+            stop = data.draw(st.one_of(st.integers(1, n + 1), near), label="stop")
+            got = _bch_lower(n, q, stop)
+        if full < stop:
+            assert got == full
+        else:
+            assert stop <= got <= full
+
+    def test_settle_maps_two_missing_samples_by_one_block_of_units(self, monkeypatch):
+        # unit 1 alone gives N - 1, the closed form's hi, so the scan stops after
+        # its first block instead of mapping all N / 4 odd units up to N / 2
+        n = 1 << 20
+        monkeypatch.setattr(dft_uniqueness, "_CHUNK_ENTRIES", 1 << 10)
+        bch_alone(monkeypatch)
+        with mock.patch.object(np, "sort", wraps=np.sort) as sort:
+            assert _MinSupport(1).settle(n, frozenset({0, 1}), step=2) == (n - 1, True)
+        assert sort.call_count == 1
 
     @pytest.mark.parametrize("n, missing", [
         (32, [m % 32 for m in range(27, 37)]),  # a burst that wraps past N - 1

@@ -64,7 +64,8 @@ def test_sweep_matches_sequential_scan(n, data):
     def evaluate(combs):
         rows = [tuple(c) for c in combs.tolist()]
         seen.extend(rows)
-        return np.array([c in hits for c in rows]) if stops else None
+        # the position of the chunk's first planted combination, or None
+        return next((i for i, c in enumerate(rows) if c in hits), None)
 
     chunks = ended(iter_combination_chunks(n, k, chunk), total)
     # budgets on a chunk edge and on C(n, k) itself are the off-by-one cases
@@ -182,8 +183,11 @@ def test_rank_test_matches_svd_rule(m, n, data):
             noise = scale * rng.standard_normal(m)
             a[:, j] = a[:, others] @ rng.standard_normal(len(others)) + noise
     combs = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
-    got = rank_test(a)(combs)
-    assert got.tolist() == [svd_rule(a, c) for c in combs]
+    verdicts = [svd_rule(a, c) for c in combs]
+    evaluate = rank_test(a)
+    # one subset per chunk gives each subset's verdict; the whole chunk names the first dependent one
+    assert [evaluate(combs[i : i + 1]) for i in range(len(combs))] == [0 if v else None for v in verdicts]
+    assert evaluate(combs) == (verdicts.index(True) if any(verdicts) else None)
 
 
 def necklaces(n, k):
@@ -394,5 +398,6 @@ def test_rank_test_screen_clears_exactly_above_its_threshold(k, cplx, above, dat
 
     with mock.patch("cscert._linalg.dependent_mask", recording):
         got = rank_test(a)(np.array([cols], dtype=np.intp))
-    assert got.tolist() == [svd_rule(a, cols)] == [False]
+    # the one-subset chunk names no dependent subset, as the rule finds none
+    assert (got, svd_rule(a, cols)) == (None, False)
     assert (sum(sent) == 0) == above
