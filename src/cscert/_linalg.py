@@ -38,8 +38,8 @@ The first dependent k-subset is asked for through ``first_dependent``,
 which returns it, or None, and no count. On a matrix with cyclic shift
 structure (partial Fourier matrices on an integer grid) it tests one
 subset per orbit of the shifts S -> S + c (mod N), from
-``iter_orbit_chunks``: about C(N, k) / N subsets instead of C(N, k). The
-representatives are generated directly, not drawn and filtered: a subset
+``iter_orbit_chunks``: ``orbits(N, k)``, about C(N, k) / N, instead of
+C(N, k). The representatives are generated directly, not filtered: a subset
 holding 0 is one orbit's representative iff its gap sequence is a necklace,
 and gap prefixes grow by the Fredricksen-Kessler-Maiorana rule (a prefix of
 period p extends only by gaps ``b >= a_(t+1-p)``), as Ruskey and Sawada
@@ -309,6 +309,13 @@ def iter_orbit_chunks(n: int, k: int):
             out = np.zeros((k, int(keep.sum())), dtype=np.intp)
             np.cumsum(child[:, keep], axis=0, out=out[1:])
             yield out.T
+
+
+def orbits(n: int, k: int) -> int:
+    """The k-subsets of range(n) up to shifts, as many as ``iter_orbit_chunks`` yields (Burnside)."""
+    g = math.gcd(n, k)
+    phi = {d: sum(math.gcd(j, d) == 1 for j in range(d)) for d in range(1, g + 1) if g % d == 0}
+    return sum(phi[d] * math.comb(n // d, k // d) for d in phi) // n
 
 
 def shift_invariant(entries: np.ndarray) -> bool:

@@ -74,7 +74,8 @@ def build_parser() -> _Parser:
     p.add_argument("--pattern", default=None,
                    help="pattern file: first line N, second line missing positions")
     p.add_argument("--budget", type=float, default=DEFAULT_BUDGET,
-                   help="max row sets evaluated by the exact zero-set sweep")
+                   help="max row sets the exact zero-set sweeps evaluate; the top level tests "
+                        "column subsets instead when they are fewer and its row sets would fit")
     p.add_argument("--allow-approx", action="store_true",
                    help="exit 0 even if the budget truncated the sweep")
     p.add_argument("--format", choices=("json", "text"), default="text")

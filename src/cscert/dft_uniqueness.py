@@ -22,20 +22,24 @@ limit is ``k_max = floor((S - 1) / 2)``, and it is found between two bounds.
   ``S_N`` by the smallest supports of four half-length patterns, each settled
   by the routine that settles the top, ``_MinSupport.settle``, one level down.
 
-When the two bounds give different K, an exact sweep settles it: the largest
-zero set of a nonzero spectrum is the zero set of the null vector of some
-``q - 1`` rows of ``F[k, n] = w^{-kn}``, n in Q, read off the Householder
-reflectors of one raw QR per row set. Modulating a signal on Q by
-``w^{cn}`` keeps it on Q and shifts its spectrum by c, so the null space of
-rows R + c (mod N) is that of rows R, modulated, with the same supports. One
-row set per cyclic-shift orbit is therefore enough
-(``_linalg.iter_orbit_chunks``), about C(N, q - 1) / N of them. Each support
-T found is confirmed with the package's rank rule on the rows of ``F`` outside
-T, which are dependent exactly when the oracle's inverse-DFT columns T are
-(duality). The sweep has a budget; when it runs out the reported
-limit is the lower bound and is flagged as such. The brute-force
-``dft_uniqueness_oracle`` is independent of all this and cross-checks it at
-desk scale.
+When the two bounds give different K, an exact sweep settles it from either
+side of one duality: the rows of ``F[k, n] = w^{-kn}``, n in Q, outside a set
+T are dependent exactly when the available rows' inverse-DFT columns T are.
+
+* Rows: the largest zero set of a nonzero spectrum is that of the null
+  vector of some ``q - 1`` rows of F, read off the Householder reflectors of
+  one raw QR per row set, and confirmed by the rank rule on the rows outside
+  it. Modulating a signal on Q by ``w^{cn}`` shifts its spectrum by c, so
+  one row set per cyclic-shift orbit is enough, ``orbits(N, q - 1)`` of them.
+* Columns: scanning K down, the first K whose 2K columns are all independent
+  (``dft_uniqueness_oracle``'s test) is the limit.
+
+The top level takes the columns when their worst case, ``orbits(N, 2K)``
+summed over the open K, is at most the rows' and the rows fit the budget
+left. Reports cannot differ: such a row sweep would run to its end, the top
+level is the budget's last consumer, and both sides decide S's granule by the
+same 1e-10 rank rule. A row sweep that runs out of budget leaves the lower
+bound, flagged as such.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +61,7 @@ from ._linalg import (
     dependent_mask,
     first_dependent,
     iter_orbit_chunks,
+    orbits,
     sweep,
 )
 from .matrix_core import _fourier_rows, as_index, parse_list
@@ -239,7 +245,7 @@ def _null_vectors(a: np.ndarray) -> np.ndarray:
 class _MinSupport:
     """Smallest DFT support S_n(Q) of a nonzero signal on Q, for a pattern and its decimations.
 
-    Every sweep draws on one evaluation budget; ``settle`` caches per (n, Q, step).
+    Every row sweep draws on one evaluation budget; ``settle`` caches per (n, Q, step).
     """
 
     def __init__(self, budget: float):
@@ -254,10 +260,10 @@ class _MinSupport:
         gives K). The BCH bound comes first, its scan cut once it reaches
         ``hi``'s granule: when ``hi`` lies inside its granule, neither the
         decimation recursion nor any sweep below it runs. Otherwise the
-        larger of the two bounds is taken, and the zero-set sweep runs only
-        when ``hi`` lies past its granule, stopping at the first support
-        confirmed inside it. A sweep cut by the budget or by a refused
-        support leaves the bound, flagged inexact.
+        larger of the two bounds is taken, and a sweep runs only when ``hi``
+        lies past its granule (at ``step=2`` from the cheaper side), stopping
+        at the first support confirmed inside it. A sweep cut by the budget
+        or by a refused support leaves the bound, flagged inexact.
         """
         if not q:
             return math.inf, True
@@ -275,7 +281,8 @@ class _MinSupport:
             lo = max(lo, self.lower(n, q))
         result = lo, True
         if granule_end(lo) < hi:
-            best, exact = self.zero_set_sweep(n, q, hi, granule_end(lo))
+            columns = self.column_scan(n, q, lo, hi) if step == 2 else None
+            best, exact = columns or self.zero_set_sweep(n, q, hi, granule_end(lo))
             result = (best, True) if exact else (lo, False)
         self.memo[n, q, step] = result
         return result
@@ -296,6 +303,20 @@ class _MinSupport:
         # an empty half has value inf, which leaves twice the other half
         by_time = min(2 * s0, 2 * s1, max(s0, s1))
         return max(by_frequency, by_time)
+
+    def column_scan(self, n: int, q: frozenset[int], lo: int, hi: int):
+        """``(2K + 1, True)`` for the K of S_n(q) in ``[lo, hi]``, or None for the row side.
+
+        The count rule is the module docstring's; no K passing gives ``lo``'s.
+        """
+        k_lo, k_hi = (lo - 1) // 2, (hi - 1) // 2
+        rows = orbits(n, len(q) - 1)
+        costs = accumulate(orbits(n, 2 * k) for k in range(k_hi, k_lo, -1))
+        if rows > self.left or any(cost > rows for cost in costs):
+            return None
+        avail = sorted(set(range(n)) - q)
+        k = next((k for k in range(k_hi, k_lo, -1) if _independent(n, avail, 2 * k)), k_lo)
+        return 2 * k + 1, True
 
     def zero_set_sweep(self, n: int, q: frozenset[int], hi: int, stop: float) -> tuple[int, bool]:
         """Smallest confirmed support below ``hi`` and whether the sweep was complete.
@@ -344,10 +365,10 @@ def dft_sparsity_limit(
     The closed form ``floor((N - penalty - 1) / 2)`` is reported as
     ``closed_form_k_max``, an upper bound. The lower bound (decimation and
     BCH) settles ``k_max`` when it gives the same K; otherwise an exact
-    zero-set sweep does.
-    The sweeps of all decimation levels together evaluate at most ``budget``
-    row sets; once it runs out, ``k_max`` is the lower bound with
-    ``exact=False``. With no missing samples ``k_max = N``:
+    sweep does, over row sets or over column subsets, whichever side has
+    fewer. The row sweeps of all decimation levels together evaluate at
+    most ``budget`` row sets; once it runs out, ``k_max`` is the lower bound
+    with ``exact=False``. With no missing samples ``k_max = N``:
     the complete DFT is invertible, so every spectrum is recoverable.
     """
     budget = check_budget(budget)
@@ -370,7 +391,8 @@ def dft_uniqueness_oracle(p: MissingSamplePattern, k: int) -> bool:
     every 2K-column submatrix for full column rank, one subset per
     cyclic-shift orbit (``_linalg.first_dependent``): shifting a column
     subset multiplies its columns by a unit-modulus diagonal, which keeps its
-    singular values, so C(16, 8) = 12,870 subsets become 810.
+    singular values, so C(16, 8) = 12,870 subsets become 810. The test is
+    ``_independent``, the column side of ``dft_sparsity_limit``.
     """
     k = as_index(k, "sparsity")
     if k < 1:
@@ -378,5 +400,10 @@ def dft_uniqueness_oracle(p: MissingSamplePattern, k: int) -> bool:
     avail = p.available()
     if 2 * k > len(avail):
         return False
-    entries = _fourier_rows(np.array(avail, dtype=np.float64), p.n, p.n, 1.0 / p.n)
-    return first_dependent(entries, 2 * k) is None
+    return _independent(p.n, avail, 2 * k)
+
+
+def _independent(n: int, avail, size: int) -> bool:
+    """Whether every ``size`` columns of the inverse DFT's rows ``avail`` are independent."""
+    entries = _fourier_rows(np.array(avail, dtype=np.float64), n, n, 1.0 / n)
+    return first_dependent(entries, size) is None

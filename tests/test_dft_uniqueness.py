@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cscert import (
@@ -24,6 +24,7 @@ from cscert._linalg import (
     dependent_mask,
     iter_combination_chunks,
     iter_orbit_chunks,
+    orbits,
     rank_test,
     sweep,
 )
@@ -67,6 +68,56 @@ def bch_alone(monkeypatch):
     """Make the decimation recursion and the zero-set sweep fail if anything runs them."""
     for name in ("lower", "zero_set_sweep"):
         monkeypatch.setattr(_MinSupport, name, mock.Mock(side_effect=AssertionError(name)))
+
+
+def row_sweeps(monkeypatch):
+    """The signal length of every zero-set sweep run from here on, in order."""
+    lengths = []
+    sweep_of = _MinSupport.zero_set_sweep
+
+    def recorded(self, n, *args):
+        lengths.append(n)
+        return sweep_of(self, n, *args)
+
+    monkeypatch.setattr(_MinSupport, "zero_set_sweep", recorded)
+    return lengths
+
+
+def opened(streams, chunks=iter_orbit_chunks):
+    """``chunks``, recording the (n, k) of every stream it opens in ``streams``."""
+    def recorded(n, k):
+        streams.append((n, k))
+        return chunks(n, k)
+    return recorded
+
+
+def top_bracket(p):
+    """The limit's K, and the (lo, hi) on S that its top level left to a sweep, or None."""
+    brackets = []
+    scan = _MinSupport.column_scan
+
+    def recorded(self, n, q, lo, hi):
+        brackets.append((lo, hi))
+        return scan(self, n, q, lo, hi)
+
+    with mock.patch.object(_MinSupport, "column_scan", recorded):
+        k_max = dft_sparsity_limit(p).k_max
+    return k_max, (brackets[0] if brackets else None)
+
+
+def row_side(n, q):
+    """The K of the row side's exact S: the zero-set sweep over every row set, with no stop."""
+    best, exact = _MinSupport(math.inf).zero_set_sweep(n, frozenset(q), n, stop=0)
+    assert exact
+    return (best - 1) // 2
+
+
+def column_side(n, q, lo, hi):
+    """The column side's K for S in [lo, hi], with the count rule made to choose that side."""
+    with mock.patch.object(dft_uniqueness, "orbits", lambda n, k: 0):
+        support, exact = _MinSupport(math.inf).column_scan(n, frozenset(q), lo, hi)
+    assert exact
+    return (support - 1) // 2
 
 
 def resplit(size):
@@ -299,21 +350,71 @@ class TestExactLimit:
 
         runs = set()
         for chunks in iter_orbit_chunks, resplit(1), resplit(7):
-            with mock.patch.object(dft_uniqueness, "iter_orbit_chunks", chunks), \
+            streams = []
+            with mock.patch.object(dft_uniqueness, "iter_orbit_chunks", opened(streams, chunks)), \
                     mock.patch.object(dft_uniqueness, "dependent_mask", rule):
                 m = _MinSupport(budget)
                 settled = m.settle(n, q, step=2)
                 swept = m.zero_set_sweep(n, q, n, stop)
-                runs.add((settled, swept, m.left))
+                # the top level's row sets were swept, unless the budget ran out first
+                top = streams.count((n, len(q) - 1))
+                assert top or m.left < 1, sorted(q)
+                runs.add((settled, swept, m.left, top))
         assert len(runs) == 1, sorted(q)
+
+    def test_row_and_column_sides_give_the_limit_on_every_n8_pattern(self):
+        # the column side scans every K the pattern allows; q = 1 has no row set
+        for size in range(2, 8):
+            for q in itertools.combinations(range(8), size):
+                k_max, _ = top_bracket(MissingSamplePattern.of(8, q))
+                assert row_side(8, q) == column_side(8, q, 1, 9 - size) == k_max, q
+
+    @given(st.sampled_from([16, 32]), st.integers(2, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_row_and_column_sides_give_the_limit_at_n16_and_n32(self, n, size, seed):
+        q = sorted(np.random.default_rng(seed).choice(n, size=size, replace=False).tolist())
+        k_max, bracket = top_bracket(MissingSamplePattern.of(n, q))
+        assert row_side(n, q) == k_max, q
+        # at N=16 the column side scans every K the pattern allows; at N=32 that runs to
+        # millions of rank tests, so it scans the bracket the bounds left, up to 30,000 of them
+        if n == 16:
+            bracket = 1, n - len(q) + 1
+        if bracket:
+            lo, hi = bracket
+            assume(sum(orbits(n, 2 * k) for k in range((lo + 1) // 2, (hi + 1) // 2)) <= 30_000)
+            assert column_side(n, q, lo, hi) == k_max, q
+
+    def test_column_side_settles_a_q8_limit_without_a_top_level_row_set(self, monkeypatch):
+        # the bounds leave K in (2, 3]: the column side's worst case, orbits(16, 6) = 504
+        # rank tests, is below the row side's orbits(16, 7) = 715 row sets
+        p = MissingSamplePattern.of(16, [1, 3, 4, 5, 6, 8, 11, 14])
+        streams = []
+        monkeypatch.setattr(dft_uniqueness, "iter_orbit_chunks", opened(streams))
+        res = dft_sparsity_limit(p)
+        assert (res.k_max, res.exact) == (3, True) == (oracle_limit(p), True)
+        assert (16, 7) not in streams
+
+    def test_budget_below_the_row_sets_keeps_the_zero_set_sweep(self, monkeypatch):
+        # with fewer than orbits(16, 7) = 715 row sets left, the count rule keeps the
+        # zero-set sweep, even though the column side would need no budget; the budget
+        # cuts it, so the limit is the bounds' K, labelled as a lower bound
+        p = MissingSamplePattern.of(16, [1, 3, 4, 5, 6, 8, 11, 14])
+        streams = []
+        monkeypatch.setattr(dft_uniqueness, "iter_orbit_chunks", opened(streams))
+        lengths = row_sweeps(monkeypatch)
+        res = dft_sparsity_limit(p, budget=700)
+        assert (16, 7) in streams and 16 in lengths
+        assert (res.k_max, res.exact) == (2, False)
 
     def test_refused_support_is_a_labelled_lower_bound(self, monkeypatch):
         # the closed form says 3 and the true limit is 2; a support the rank rule
         # refuses proves nothing, so the limit stays the decimation bound, flagged
         monkeypatch.setattr(dft_uniqueness, "dependent_mask",
                             lambda stack: np.zeros(len(stack), dtype=bool))
+        lengths = row_sweeps(monkeypatch)
         res = dft_sparsity_limit(MissingSamplePattern.of(16, [3, 5, 11, 13]))
         assert (res.k_max, res.exact, res.closed_form_k_max) == (2, False, 3)
+        assert lengths[-1] == 16  # the top level ran the zero-set sweep
 
     @pytest.mark.parametrize("missing", [[0, 1, 4, 5], [0, 1, 2, 3, 4]])
     def test_bounds_naming_one_k_need_no_sweep(self, missing):
@@ -322,26 +423,32 @@ class TestExactLimit:
         res = dft_sparsity_limit(MissingSamplePattern.of(8, missing), budget=1)
         assert (res.k_max, res.exact, res.closed_form_k_max) == (1, True, 1)
 
-    def test_cut_sweep_is_a_labelled_lower_bound(self):
+    def test_cut_sweep_is_a_labelled_lower_bound(self, monkeypatch):
         # the bounds around this N=32 pattern name K 6 and 11, so only the
         # zero-set sweep settles it (at 10), and one row set cannot
         p = MissingSamplePattern.of(32, [4, 10, 13, 15, 16, 21, 23])
+        lengths = row_sweeps(monkeypatch)
         cut = dft_sparsity_limit(p, budget=1)
+        assert lengths[-1] == 32  # the top level ran the zero-set sweep
         assert not cut.exact
         assert cut.k_max <= cut.closed_form_k_max
+        del lengths[:]
         full = dft_sparsity_limit(p)
+        assert lengths[-1] == 32
         assert full.exact and cut.k_max <= full.k_max
         assert full.k_max == 10 and full.closed_form_k_max == cut.closed_form_k_max == 11
 
-    def test_settle_answers_a_repeat_from_its_memo(self):
+    def test_settle_answers_a_repeat_from_its_memo(self, monkeypatch):
         # the bounds of this N=32 pattern disagree, so the first settle sweeps to the end
         # and leaves budget over; the second reads the memo and draws none of it
+        lengths = row_sweeps(monkeypatch)
         m = _MinSupport(10**5)
         q = frozenset([4, 10, 13, 15, 16, 21, 23])
         first = m.settle(32, q)
         left = m.left
         assert first[1] and 0 < left < 10**5
         assert m.settle(32, q) == first and m.left == left
+        assert lengths.count(32) == 1  # one top-level zero-set sweep, in the first settle
 
     def test_spent_budget_builds_no_zero_set_chunk(self, monkeypatch):
         # a sweep with no budget left covers nothing, so it builds no row set

@@ -18,6 +18,7 @@ from cscert._linalg import (
     dependent_mask,
     iter_combination_chunks,
     iter_orbit_chunks,
+    orbits,
     positive_definite,
     rank_test,
     shift_invariant,
@@ -190,17 +191,21 @@ def test_rank_test_matches_svd_rule(m, n, data):
     assert evaluate(combs) == (verdicts.index(True) if any(verdicts) else None)
 
 
-def necklaces(n, k):
-    """Burnside: the number of k-subsets of Z_n up to cyclic shifts."""
-    g = math.gcd(n, k)
-    phi = [sum(math.gcd(i, d) == 1 for i in range(1, d + 1)) for d in range(g + 1)]
-    return sum(phi[d] * math.comb(n // d, k // d) for d in range(1, g + 1) if g % d == 0) // n
+def test_orbit_count_is_the_number_of_representatives():
+    # every k up to n = 22, and the k with at most 2^20 subsets up to n = 32:
+    # all 280 million representatives of n <= 32 take minutes to generate
+    for n in range(1, 33):
+        for k in range(1, n + 1):
+            if math.comb(n, k) <= 1 << 20:
+                count = orbits(n, k)
+                assert sum(map(len, ended(iter_orbit_chunks(n, k), count))) == count, (n, k)
+    assert orbits(16, 8) == 810 and orbits(16, 7) == 715 and orbits(7, 0) == 1
 
 
 def test_orbit_chunks_yield_one_subset_per_cyclic_orbit():
     for n in range(1, 13):
         for k in range(1, n + 1):
-            chunks = ended(iter_orbit_chunks(n, k), necklaces(n, k))
+            chunks = ended(iter_orbit_chunks(n, k), orbits(n, k))
             assert all(0 < len(c) <= CHUNK for c in chunks)
             got = [tuple(c) for c in np.vstack(chunks).tolist()]
             canonical = {
@@ -208,12 +213,12 @@ def test_orbit_chunks_yield_one_subset_per_cyclic_orbit():
                 for s in itertools.combinations(range(n), k)
             }
             assert got == sorted(canonical), (n, k)
-            assert len(got) == necklaces(n, k), (n, k)
+            assert len(got) == orbits(n, k), (n, k)
     assert sum(len(c) for c in ended(iter_orbit_chunks(16, 8), 810)) == 810
-    assert max(len(c) for c in ended(iter_orbit_chunks(20, 8), necklaces(20, 8))) <= CHUNK
+    assert max(len(c) for c in ended(iter_orbit_chunks(20, 8), orbits(20, 8))) <= CHUNK
     # above n = 512 the cap keeps a chunk's length-n spectra within 2^20 entries
-    sizes = [len(c) for c in ended(iter_orbit_chunks(1024, 3), necklaces(1024, 3))]
-    assert max(sizes) <= 1024 and sum(sizes) == necklaces(1024, 3)
+    sizes = [len(c) for c in ended(iter_orbit_chunks(1024, 3), orbits(1024, 3))]
+    assert max(sizes) <= 1024 and sum(sizes) == orbits(1024, 3)
 
 
 def sorted_orbit_filter(n, k):
@@ -232,7 +237,7 @@ def test_orbit_chunks_match_the_sorted_filter():
     for n in range(13, 25):
         for k in range(1, n + 1):
             if math.comb(n - 1, k - 1) <= 40_000:
-                got = np.vstack(ended(iter_orbit_chunks(n, k), necklaces(n, k))).tolist()
+                got = np.vstack(ended(iter_orbit_chunks(n, k), orbits(n, k))).tolist()
                 assert got == sorted_orbit_filter(n, k), (n, k)
 
 
@@ -275,7 +280,7 @@ def candidate_filter_chunks(n, k):
 def test_orbit_chunks_match_the_candidate_filter_at_n_32():
     # below n = 25 the orbit-count and sorted-filter tests check every (n, k) the filter reaches
     for k in range(2, 9):
-        got = np.vstack(ended(iter_orbit_chunks(32, k), necklaces(32, k)))
+        got = np.vstack(ended(iter_orbit_chunks(32, k), orbits(32, k)))
         assert np.array_equal(got, np.vstack(list(candidate_filter_chunks(32, k)))), k
 
 
