@@ -75,8 +75,9 @@ size down, so each table is built from the last one in one pass. A table is
 kept only while it holds at most 2^17 entries, every size at n = 16 and
 sizes 1 and 2 at n = 256. Above the largest kept size R, a row is a prefix
 from the recursive stream of (k - R)-combinations followed by a column of
-the R-table. ``spark`` and ``rip_profile`` build the tables once per call
-and pass them to every sweep they run; nothing keeps them past the call.
+the R-table, laid out one block of prefixes at a time. ``spark`` and
+``rip_profile`` build the tables once per call and pass them to every sweep
+they run; nothing keeps them past the call.
 They are built fresh, and a fresh allocation faults its pages in at a few
 microseconds per 4 KB, so they use the smallest unsigned dtype that holds
 n - 1: one byte up to n = 256.
@@ -84,10 +85,10 @@ n - 1: one byte up to n = 256.
 Sweeps act on chunks of subsets only to batch the linear algebra: every
 evaluator answers with the position of the first subset a scan of one subset
 at a time would flag, or None, so no result, count or budget depends on where
-chunks end. Chunk widths ramp up from 64 subsets, doubling to the cap, only
-where a small first chunk pays: in a sweep that may stop early or that spends
-more on its first chunk than on the rest. Every other sweep takes every chunk
-at the cap, where the numpy call overhead per subset is lowest. A sweep that
+chunks end. Chunk widths ramp up, chunk i at most ``min(64 * 2^i, cap)``,
+only where a small first chunk pays: in a sweep that may stop early or that
+spends more on its first chunk than on the rest. Every other sweep takes
+chunks of up to the cap, where the numpy call overhead per subset is lowest. A sweep that
 ends on a hit returns that subset as its ``witness``; ``certify`` sets out
 how spark and the RIP constants use what earlier sweeps found.
 """
@@ -176,14 +177,16 @@ def iter_combination_chunks(n: int, k: int, chunk: int = CHUNK, *, tables=None, 
     ``start[last + 1]`` on of the R-table. The prefix stream is recursive in
     turn: the combinations of range(n - R) are those of ``R .. n-1`` shifted
     down by R, a suffix of each table, so one set of tables serves every
-    level. Only table columns and pending rows are counted, so a stream of
-    more than 2^63 combinations is no special case.
+    level. Each block of prefixes lays out its own rows, and only table
+    columns and one block's rows are counted, so a stream of more than 2^63
+    combinations is no special case.
 
     Each chunk is the transpose of a C-ordered (k, B) array, the layout in
-    which sweeps gather (k, k, B) Gram stacks. With ``ramp``, B doubles from
-    64 up to the cap, so that a sweep that may stop at its first few
+    which sweeps gather (k, k, B) Gram stacks. With ``ramp``, chunk i holds
+    at most ``min(64 * 2^i, cap)`` subsets (exactly, but for the last, when
+    the k-table exists), so that a sweep that may stop at its first few
     subsets, or that spends more on its first chunk than on the rest, does
-    not pay for a full batch; with ``ramp=False`` every chunk is at the cap.
+    not pay for a full batch; with ``ramp=False`` the bound is the cap.
     Memory rule: a chunk holds at most about 2^20 entries of its k x k
     matrices, so the cap is ``chunk`` and at most ``2^20 / k^2`` (below
     ``CHUNK`` only from k = 23 on).
@@ -198,7 +201,7 @@ def iter_combination_chunks(n: int, k: int, chunk: int = CHUNK, *, tables=None, 
 
 
 def _combination_rows(tables, k, lo, cap, size):
-    """(k, B) intp arrays of the k-combinations of ``lo .. n-1``, B doubling from size to cap."""
+    """(k, B) intp arrays of the k-combinations of ``lo .. n-1``, B <= size, doubling to cap."""
     r = min(k, len(tables))
     table, start = tables[r - 1]
     end = table.shape[1]
@@ -209,34 +212,25 @@ def _combination_rows(tables, k, lo, cap, size):
             a += size
             size = min(2 * size, cap)
         return
-    # rows done .. total-1 are pending; row t is prefix p, the one with ends[p - 1] <= t < ends[p],
-    # then column t - ends[p] + end of the r-table, since every prefix's columns run to the end
-    head = np.empty((k - r, 0), dtype=np.intp)
-    ends = np.empty(0, dtype=np.intp)
-    prefixes = _combination_rows(tables, k - r, lo + r, cap, size)
-    done = total = 0
-    while True:
-        while total - done < size and (block := next(prefixes, None)) is not None:
-            # prefixes of lo + r .. n-1, shifted down to lo .. n-1-r; unfinished ones stay
-            block -= r
-            keep = ends.searchsorted(done, side="right")
-            more = total - done + np.cumsum(end - start[block[-1] + 1])
-            head = np.concatenate((head[:, keep:], block), axis=1)
-            ends = np.concatenate((ends[keep:] - done, more))
-            done, total = 0, int(ends[-1])
-        if done == total:
-            return
-        stop = min(done + size, total)
-        # prefixes i .. j own rows done .. stop-1, count[p] of them each
-        i, j = ends.searchsorted((done, stop - 1), side="right")
-        count = np.diff(np.minimum(ends[i : j + 1], stop), prepend=done)
-        out = np.empty((k, stop - done), dtype=np.intp)
-        out[: k - r] = np.repeat(head[:, i : j + 1], count, axis=1)
-        cols = np.arange(done + end, stop + end) - np.repeat(ends[i : j + 1], count)
-        out[k - r :] = np.take(table, cols, axis=1)
-        yield out
-        done = stop
-        size = min(2 * size, cap)
+    for block in _combination_rows(tables, k - r, lo + r, cap, size):
+        # prefixes of lo + r .. n-1, shifted down to lo .. n-1-r; the block's row t is prefix p,
+        # the one with ends[p - 1] <= t < ends[p], then column t - ends[p] + end of the r-table,
+        # since every prefix's columns run to the end
+        block -= r
+        ends = np.cumsum(end - start[block[-1] + 1])
+        done, total = 0, int(ends[-1])
+        while done < total:
+            stop = min(done + size, total)
+            # prefixes i .. j own rows done .. stop-1, count[p] of them each
+            i, j = ends.searchsorted((done, stop - 1), side="right")
+            count = np.diff(np.minimum(ends[i : j + 1], stop), prepend=done)
+            out = np.empty((k, stop - done), dtype=np.intp)
+            out[: k - r] = np.repeat(block[:, i : j + 1], count, axis=1)
+            cols = np.arange(done + end, stop + end) - np.repeat(ends[i : j + 1], count)
+            out[k - r :] = np.take(table, cols, axis=1)
+            yield out
+            done = stop
+            size = min(2 * size, cap)
 
 
 def iter_orbit_chunks(n: int, k: int):

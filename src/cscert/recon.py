@@ -544,6 +544,9 @@ def omp(
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (a.rows,):
         raise ValueError(f"measurement vector must have shape {(a.rows,)}, got {y.shape}")
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValueError(f"measurement {bad[0]}: non-finite value {y[bad[0]]}")
     if k_target > min(a.rows, a.cols):
         raise ValueError(
             f"k_target {k_target} exceeds min(M, N) = {min(a.rows, a.cols)} "

@@ -3,6 +3,7 @@ import importlib
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from cscert import (
     welch_bound,
 )
 from cscert._linalg import (
+    DEFAULT_BUDGET,
     RANK_RTOL,
     first_dependent,
     iter_combination_chunks,
@@ -349,6 +351,27 @@ def test_spark_and_rip_profile_build_each_table_once_per_call(entry, monkeypatch
     assert built == list(range(2, 9))
     call()
     assert built == 2 * list(range(2, 9))
+
+
+@settings(max_examples=12, deadline=None)
+@given(m=st.integers(4, 7), n=st.integers(18, 24), planted=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), cut=st.booleans())
+def test_certify_and_spark_do_not_depend_on_the_largest_table(m, n, planted, seed, cut):
+    # small entry limits send most sizes down the prefix path, large ones keep every table;
+    # a budget cut, if any, falls wherever it falls in either layout
+    module = importlib.import_module("cscert._linalg")
+    rng = np.random.default_rng(seed)
+    entries = rng.standard_normal((m, n))
+    if planted:
+        cols = rng.choice(n, size=int(rng.integers(2, m + 1)), replace=False)
+        entries[:, cols[0]] = entries[:, cols[1:]] @ rng.standard_normal(len(cols) - 1)
+    a = normalize_columns(MeasurementMatrix(entries))
+    budget = int(rng.integers(1, 20_000)) if cut else DEFAULT_BUDGET
+    results = []
+    for limit in (1, 60, 1 << 17, 1 << 30):
+        with mock.patch.object(module, "_TABLE_ENTRIES", limit):
+            results.append((certify(a, budget=budget).to_json(), spark(a, budget)))
+    assert results[1:] == results[:1] * 3
 
 
 @pytest.mark.parametrize("budget", [0, -3])

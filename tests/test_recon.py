@@ -158,6 +158,15 @@ class TestOmp:
         x_hat, residual = omp(demo_matrix, np.ones(5), k_target=0)
         assert x_hat.nnz == 0 and residual == np.linalg.norm(np.ones(5))
 
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])
+    def test_non_finite_measurement_is_a_one_line_error(self, demo_matrix, bad):
+        y = np.ones(5, dtype=complex)
+        y[2] += bad
+        y[4] += bad
+        with pytest.raises(ValueError, match=r"^measurement 2: non-finite value \S+$"):
+            omp(demo_matrix, y, k_target=2)
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_residual_tol_must_be_finite_and_non_negative(self, demo_matrix, tol):
         message = rf"^residual_tol must be a finite non-negative number, got {tol}$"
