@@ -3,6 +3,7 @@
 
     python3 scripts/pair_bench.py PARENT_DIR CHANGE_DIR --workload certify-early-exit --pairs 10
     python3 scripts/pair_bench.py PARENT_DIR CHANGE_DIR --workload all
+    python3 scripts/pair_bench.py PARENT_DIR CHANGE_DIR --workload all --claim dft-oracle:op_tail_s
 
 ``--workload`` may be repeated; ``all`` names every workload of the
 parent's ``BENCHMARK.json``. Each pair runs ``perfbench/run.py`` once on each
@@ -14,7 +15,11 @@ either checkout. Standard output gets one table, with one row per workload
 and end-to-end metric of ``BENCHMARK.json``: the parent's median and
 quartiles, the change's median, their difference and the pairs the change
 won. A last line names the rows whose medians lie further apart than the
-parent's quartile spread. Progress goes to standard error.
+parent's quartile spread. With ``--claim WORKLOAD:METRIC``, two more lines
+say whether the claim rule holds for that row (the change won at least nine
+pairs in ten, and its median beats the parent's by more than the parent's
+quartile spread) and name every other row whose change is worse than its
+``BENCHMARK.json`` bound. Progress goes to standard error.
 """
 
 import argparse
@@ -66,8 +71,24 @@ def summarize(workload: str, parent: list, change: list, metrics: list) -> list:
         wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
         rows.append({"workload": workload, "metric": name, "parent": mid, "q1": q1, "q3": q3,
                      "change": med, "diff": med / mid - 1.0 if mid else 0.0,
-                     "wins": wins, "pairs": len(p), "beyond_spread": abs(med - mid) > q3 - q1})
+                     "wins": wins, "pairs": len(p), "beyond_spread": abs(med - mid) > q3 - q1,
+                     "lower": lower, "bound": m.get("bound")})
     return rows
+
+
+def claim_lines(rows: list, claim: tuple) -> list:
+    """Whether the claim rule holds for the ``(workload, metric)`` row, and the other rows past their bounds."""
+    row = next(r for r in rows if (r["workload"], r["metric"]) == claim)
+    better = (row["change"] < row["parent"]) if row["lower"] else (row["change"] > row["parent"])
+    holds = 10 * row["wins"] >= 9 * row["pairs"] and better and row["beyond_spread"]
+    gap, spread = abs(row["change"] - row["parent"]), row["q3"] - row["q1"]
+    worse = [f"{r['workload']} {r['metric']} {100 * r['diff']:+.1f}% (bound {100 * r['bound']:.0f}%)"
+             for r in rows if (r["workload"], r["metric"]) != claim and r["bound"] is not None
+             and (r["diff"] if r["lower"] else -r["diff"]) > r["bound"]]
+    return [f"claim {' '.join(claim)}: {'holds' if holds else 'fails'} ({row['wins']}/{row['pairs']} "
+            f"pairs won, {'better' if better else 'worse'} by {gap:.4g} against a parent "
+            f"quartile spread of {spread:.4g})",
+            "other rows worse than their bound: " + (", ".join(worse) or "none")]
 
 
 def format_table(rows: list) -> str:
@@ -92,6 +113,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7919)
     parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                        help="check the claim rule on this row and the bounds on the others")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, since the table needs quartiles")
@@ -102,6 +125,10 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown workload {', '.join(unknown)}; "
                      f"BENCHMARK.json has {', '.join(known)}")
+    claim = tuple(args.claim.split(":", 1)) if args.claim else None
+    if claim and (len(claim) != 2 or claim[0] not in workloads
+                  or claim[1] not in [m["name"] for m in spec["end_to_end"]]):
+        parser.error(f"--claim {args.claim} names no row of the table")
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     runs = {w: {"parent": [], "change": []} for w in workloads}
     for i in range(args.pairs):
@@ -111,8 +138,11 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}/{args.pairs} {w}: " + ", ".join(
                 f"{k} {runs[w]['parent'][-1][k]:.4g} / {runs[w]['change'][-1][k]:.4g}"
                 for k in ("wall_s", "op_tail_s") if k in runs[w]["parent"][-1]), file=sys.stderr)
-    print(format_table([row for w in workloads for row in summarize(
-        w, runs[w]["parent"], runs[w]["change"], spec["end_to_end"])]))
+    rows = [row for w in workloads
+            for row in summarize(w, runs[w]["parent"], runs[w]["change"], spec["end_to_end"])]
+    print(format_table(rows))
+    if claim:
+        print("\n".join(claim_lines(rows, claim)))
     return 0
 
 

@@ -34,6 +34,46 @@ kernel, ``shifted_definite``, on its own shifts, and its ``8 K^3 eps``
 margin covers this backward error as well as the rounding of its other
 bounds and of ``eigvalsh``.
 
+A wide matrix has a second screen, on its null side, which costs q x q
+work per subset however large k is, q = n - m. It is sound as follows, x
+being the m x n scaled matrix and ``x^H = Q R`` the complete Householder QR
+(Q is n x n, Q1 its first m columns, y = Q2 its last q, and R1 the top of
+R). ``W_S``, the q x q sum of ``y_c^H y_c`` over the rows c of y outside
+S, has ``lambda_min(W_S) = sigma_min(Q1[S])^2`` when Q is unitary, and
+``x_S^H = Q1[S] R1``, so ``sigma_min(x_S) >= sigma_min(R1) *
+sqrt(lambda_min(W_S))`` while ``sigma_max(x_S) <= ||x||_F``. The computed
+Q and R are not exact, so ``_null_screen`` measures three residuals in
+place of the a priori bounds on Householder QR's backward error and on
+its Q's loss of orthogonality (Higham, ch. 19): e on ``Q^H Q - I``, d on
+``x^H - Q1 R1`` and eta on ``Z R1 - I``, Z the computed inverse of R1.
+Each is ``_residual_bound``: the computed Frobenius norm of the computed
+difference, times ``1 + (size + 3) eps`` for the rounding of the
+difference and the norm, plus ``2 (p + 3) eps ||a||_F ||b||_F``, four
+times the ``gamma_(p+2)`` bound on the rounding of a complex product of
+inner dimension p (Higham, Sec. 3.6). Then ``s = (1 - eta) / ||Z||_F``
+is at most ``sigma_min(R1)``. Q is square, so ``Q Q^H`` has the
+eigenvalues of ``Q^H Q``; so ``(Q Q^H)[S, S]`` and ``Q2^H Q2`` are within
+e of I, and ``sigma_min(Q1[S])^2 >= lambda_min(W_S) - 2 e``. With
+``x^H[S] = Q1[S] R1 + D[S]``, that gives ``sigma_min(x_S) >=
+s * sqrt(lambda_min(W_S) - 2 e) - d``, so ``lambda_min(W_S) > 2 e +
+((sqrt(SCREEN) ||x||_F + d) / s)^2``, about ``SCREEN * cond(R1)^2``,
+proves ``sigma_min / sigma_max > sqrt(SCREEN)``, the Gram screen's own
+claim. The threshold t is that bound times 1.01, for the rounding of
+``||x||_F``, s and the bound itself, plus ``4 q (n + q + 4) eps``: the
+computed W_S is within ``gamma_(n+2) ||Q2||_F^2``, about
+``(n + 2) q eps / 2``, of W_S; subtracting t rounds each diagonal entry
+by at most ``3 eps / 2``; and positive pivots on ``A = W_S - t I``, with
+``||A|| < 3``, prove ``lambda_min(A) > -3 q (q + 1) eps`` by the bound
+above. A subset is cleared when
+``positive_definite`` passes ``W_S - t I``, as ``_null_clears`` builds
+it. When ``eta >= 1`` or ``t >= 1``, R1 is too ill-conditioned for these
+margins and no subset takes the null side. The proof is about the scaled
+x; as on the Gram side, the rounding of the scaling and of the SVD is far
+below the six orders between ``sqrt(SCREEN)`` and the rule. A subset the
+null side cannot clear goes on to the Gram screen and then the SVD, so
+the null side, like the Gram screen, never changes a verdict. It pays
+where q is much smaller than k; ``_null_side_pays`` counts the costs.
+
 The first dependent k-subset is asked for through ``first_dependent``,
 which returns it, or None, and no count. On a matrix with cyclic shift
 structure (partial Fourier matrices on an integer grid) it tests one
@@ -120,6 +160,8 @@ SCREEN = 1e-8
 # The screen's shift is at least this: Gram entries rounded in the subnormal
 # range carry an absolute error (about k * M * 5e-324), not a relative one.
 _SCREEN_FLOOR = 1e-200
+
+_EPS = np.finfo(float).eps
 
 # Default cap on subsets evaluated per spark, RIP-profile or DFT-limit call.
 DEFAULT_BUDGET = 20_000_000
@@ -379,7 +421,7 @@ def shifted_definite(g: np.ndarray, c: np.ndarray, shift) -> np.ndarray:
 
 
 def rank_test(entries: np.ndarray, rtol: float = RANK_RTOL):
-    """The rank rule for column subsets of one matrix, screened by a Cholesky certificate.
+    """The rank rule for column subsets of one matrix, screened by Cholesky certificates.
 
     Returns ``evaluate(combs)``: for a (B, k) index chunk, the position of the
     first subset that ``dependent_mask(stack, rtol)`` flags on the (B, M, k)
@@ -388,8 +430,11 @@ def rank_test(entries: np.ndarray, rtol: float = RANK_RTOL):
     to 1, so that it cannot overflow. A subset is cleared when ``G_S - max(2 *
     SCREEN * trace(G_S), _SCREEN_FLOOR) * I`` is positive definite: since
     ``lambda_max <= trace``, that proves ``lambda_min > SCREEN * lambda_max``
-    with room for the elimination's rounding (``shifted_definite``). Subsets
-    the screen cannot clear go to ``dependent_mask`` on the unscaled columns.
+    with room for the elimination's rounding (``shifted_definite``). On a
+    wide matrix, a chunk that ``_null_side_pays`` for first goes through the
+    null side's q x q certificate (module docstring), built on the first
+    such chunk, and only the subsets it leaves go on to the Gram's. Subsets
+    no screen clears go to ``dependent_mask`` on the unscaled columns.
     """
     peak = np.abs(entries).max()
     x = entries / peak if peak > 0 else entries
@@ -397,18 +442,94 @@ def rank_test(entries: np.ndarray, rtol: float = RANK_RTOL):
         x = x.real
     g = x.conj().T @ x
     diag = g.diagonal().real
+    null = []  # [(z, t)] once built, [None] when R1 is too ill-conditioned for it
 
     def evaluate(combs):
+        kept = None
+        if _null_side_pays(*x.shape, *combs.shape, built=bool(null)):
+            if not null:
+                null.append(_null_screen(x))
+            if null[0] is not None:
+                kept = np.flatnonzero(~_null_clears(*null[0], combs.T))
+                if not len(kept):
+                    return None
+                # in the caller's layout, a C-ordered (k, B), in which Grams gather fast
+                combs = np.take(combs.T, kept, axis=1).T
         c = combs.T
         shift = np.maximum(2 * SCREEN * diag[c].sum(axis=0), _SCREEN_FLOOR)
         unsure = ~shifted_definite(g, c, shift)
         if unsure.any():
             dependent = dependent_mask(entries[:, combs[unsure]].transpose(1, 0, 2), rtol)
             if dependent.any():
-                return int(np.flatnonzero(unsure)[dependent.argmax()])
+                i = int(np.flatnonzero(unsure)[dependent.argmax()])
+                return i if kept is None else int(kept[i])
         return None
 
     return evaluate
+
+
+def _null_side_pays(m: int, n: int, b: int, k: int, built: bool) -> bool:
+    """Whether b k-subsets of an m x n matrix cost less on the null side than on their Grams.
+
+    Per subset, the Gram side gathers and eliminates k x k entries, and the
+    null side writes an n-long 0/1 mask that one product folds into q x q
+    entries, q = n - m: counted as k^2 against q n, plus 2 n^3 once for the
+    null side's QR and residual products until it is ``built``.
+    """
+    q = n - m
+    return q > 0 and b * (k * k - q * n) > (0 if built else 2 * n**3)
+
+
+def _null_screen(x: np.ndarray):
+    """``(z, t)`` for the null-side certificate of a wide x, or None when R1 is too ill-conditioned.
+
+    Row ``i q + j`` of z holds ``conj(y[c, i]) * y[c, j]`` for every column c,
+    y the computed null rows (the last q columns of Q), and t is the
+    threshold of the module docstring, from the measured residuals of the QR.
+    """
+    m, n = x.shape
+    q = n - m
+    with np.errstate(all="ignore"):
+        basis, r = np.linalg.qr(x.conj().T, mode="complete")
+        r1 = r[:m]
+        try:
+            inv = np.linalg.inv(r1)
+        except np.linalg.LinAlgError:
+            return None
+        e = _residual_bound(np.eye(n), basis.conj().T, basis)
+        d = _residual_bound(x.conj().T, basis[:, :m], r1)
+        eta = _residual_bound(np.eye(m), inv, r1)
+        s = (1 - eta) / _frobenius(inv)
+        t = 2 * e + 1.01 * ((math.sqrt(SCREEN) * _frobenius(x) + d) / s) ** 2 + 4 * q * (n + q + 4) * _EPS
+    if not (eta < 1 and t < 1):
+        return None
+    y = basis[:, m:]
+    return np.ascontiguousarray((y.conj()[:, :, None] * y[:, None, :]).reshape(n, q * q).T), t
+
+
+def _null_clears(z: np.ndarray, t: float, c: np.ndarray) -> np.ndarray:
+    """Mask over the columns S of the (k, B) indices c: True where ``W_S - t I`` is positive definite.
+
+    ``W_S``, the sum of ``_null_screen``'s rows z over the columns outside S,
+    is one product with a 0/1 mask.
+    """
+    n, b = z.shape[1], c.shape[1]
+    keep = np.ones((n, b), dtype=z.dtype)
+    keep[c, np.arange(b)] = 0
+    w = (z @ keep).reshape(math.isqrt(len(z)), -1, b)
+    np.einsum("iib->ib", w)[...] -= t
+    return positive_definite(w)
+
+
+def _frobenius(a: np.ndarray) -> np.float64:
+    """``||a||_F``, a numpy scalar, so that a norm out of range gives inf under ``np.errstate``."""
+    return np.sqrt(np.vdot(a, a).real)
+
+
+def _residual_bound(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """An upper bound on ``||c - a b||_F`` from its computed value (module docstring)."""
+    p = a.shape[1]
+    return (1 + (c.size + 3) * _EPS) * _frobenius(c - a @ b) + 2 * (p + 3) * _EPS * _frobenius(a) * _frobenius(b)
 
 
 def check_budget(budget):

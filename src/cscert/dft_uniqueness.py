@@ -32,7 +32,10 @@ T are dependent exactly when the available rows' inverse-DFT columns T are.
   it. Modulating a signal on Q by ``w^{cn}`` shifts its spectrum by c, so
   one row set per cyclic-shift orbit is enough, ``orbits(N, q - 1)`` of them.
 * Columns: scanning K down, the first K whose 2K columns are all independent
-  (``dft_uniqueness_oracle``'s test) is the limit.
+  (``dft_uniqueness_oracle``'s test) is the limit. Shifting a column subset
+  keeps its singular values, so one subset per cyclic-shift orbit is enough;
+  for ``N/2 < 2K < N`` they are the complements of the orbits of ``N - 2K``
+  columns, which take fewer necklace levels to generate.
 
 The top level takes the columns when their worst case, ``orbits(N, 2K)``
 summed over the open K, is at most the rows' and the rows fit the budget
@@ -62,6 +65,7 @@ from ._linalg import (
     first_dependent,
     iter_orbit_chunks,
     orbits,
+    rank_test,
     sweep,
 )
 from .matrix_core import _fourier_rows, as_index, parse_list
@@ -391,7 +395,9 @@ def dft_uniqueness_oracle(p: MissingSamplePattern, k: int) -> bool:
     every 2K-column submatrix for full column rank, one subset per
     cyclic-shift orbit (``_linalg.first_dependent``): shifting a column
     subset multiplies its columns by a unit-modulus diagonal, which keeps its
-    singular values, so C(16, 8) = 12,870 subsets become 810. The test is
+    singular values, so C(16, 8) = 12,870 subsets become 810. For
+    ``N/2 < 2K < N`` the representatives are the complements of those of
+    ``N - 2K`` columns: complement commutes with shifts. The test is
     ``_independent``, the column side of ``dft_sparsity_limit``.
     """
     k = as_index(k, "sparsity")
@@ -404,6 +410,27 @@ def dft_uniqueness_oracle(p: MissingSamplePattern, k: int) -> bool:
 
 
 def _independent(n: int, avail, size: int) -> bool:
-    """Whether every ``size`` columns of the inverse DFT's rows ``avail`` are independent."""
+    """Whether every ``size`` columns of the inverse DFT's rows ``avail`` are independent.
+
+    For ``n / 2 < size < n`` the sweep takes the complements of
+    ``iter_orbit_chunks(n, n - size)``: complement commutes with shifts, so
+    they are one subset per orbit too, from necklaces of fewer gaps. The
+    caller reads only whether a subset is flagged, so which subset of an
+    orbit stands for it does not matter.
+    """
     entries = _fourier_rows(np.array(avail, dtype=np.float64), n, n, 1.0 / n)
-    return first_dependent(entries, size) is None
+    if not n < 2 * size < 2 * n:
+        return first_dependent(entries, size) is None
+    return sweep(_complements(iter_orbit_chunks(n, n - size), n), rank_test(entries)).witness is None
+
+
+def _complements(chunks, n: int):
+    """Each (B, t) chunk's subsets' complements in range(n), sorted, as (B, n - t) chunks.
+
+    Each is the transpose of a C-ordered (n - t, B) array, the layout in
+    which ``rank_test`` gathers Grams fast.
+    """
+    for t in chunks:
+        keep = np.ones((len(t), n), dtype=bool)
+        np.put_along_axis(keep, t, False, axis=1)
+        yield np.ascontiguousarray(np.nonzero(keep)[1].reshape(len(t), -1).T).T

@@ -232,6 +232,9 @@ class SparseVector:
                 f"need one value per support index, got {vals.size} values "
                 f"for support of size {len(idx)}"
             )
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise ValueError(f"position {idx[bad[0]]}: non-finite value {vals[bad[0]]}")
         vals.setflags(write=False)
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "support", idx)
@@ -541,7 +544,7 @@ def omp(
     k_target = as_index(k_target, "k_target")
     if k_target < 0:
         raise ValueError(f"k_target must be non-negative, got {k_target}")
-    y = np.asarray(y, dtype=np.complex128)
+    y = np.ascontiguousarray(y, dtype=np.complex128)
     if y.shape != (a.rows,):
         raise ValueError(f"measurement vector must have shape {(a.rows,)}, got {y.shape}")
     bad = np.flatnonzero(~np.isfinite(y))
@@ -552,10 +555,17 @@ def omp(
             f"k_target {k_target} exceeds min(M, N) = {min(a.rows, a.cols)} "
             f"for a {a.rows}x{a.cols} matrix"
         )
-    support = _reference_select(a.entries, y, k_target, residual_tol)
+    # y scaled by 2^-e, its largest part in [1/2, 1), so that no norm overflows; a power
+    # of two scales every rounded step exactly while none leaves the normal range, so the
+    # support is y's own
+    parts = y.view(np.float64)
+    e = int(np.frexp(np.abs(parts).max(initial=0.0))[1])
+    y = np.ldexp(parts, -e).view(np.complex128)
+    support = _reference_select(a.entries, y, k_target, np.ldexp(residual_tol, -e))
     coeffs, residual = _refit(a.entries, y, support)
+    coeffs = np.ldexp(coeffs.view(np.float64), e).view(np.complex128)
     solution = SparseVector(a.cols, tuple(support.tolist()), coeffs)
-    return solution, float(np.linalg.norm(residual))
+    return solution, float(np.ldexp(np.linalg.norm(residual), e))
 
 
 def _recoveries(a: MeasurementMatrix, seed: int, ks: np.ndarray, ts: np.ndarray,

@@ -22,6 +22,7 @@ from cscert import dft_uniqueness
 from cscert._linalg import (
     RANK_RTOL,
     dependent_mask,
+    first_dependent,
     iter_combination_chunks,
     iter_orbit_chunks,
     orbits,
@@ -621,6 +622,37 @@ class TestOracle:
         for k in range(1, len(p.available()) // 2 + 1):
             full = sweep(iter_combination_chunks(n, 2 * k), rank_test(entries))
             assert dft_uniqueness_oracle(p, k) == (full.witness is None), (p.missing, k)
+
+    def test_complement_sweep_matches_the_orbit_sweep_on_every_n16_pattern(self):
+        # _independent sweeps the complements of necklaces of N - 2K columns for N/2 < 2K < N.
+        # Every pattern maps to one that misses 0 by a shift and to one whose missing set is the
+        # smallest of its multiples by the odd units; shifts scale the rows and units permute the
+        # columns, which keeps every verdict, so these patterns stand for all of them
+        for q in range(7):
+            for missing in itertools.combinations(range(16), q):
+                if q and missing[0]:
+                    break
+                if missing > min(tuple(sorted(u * m % 16 for m in missing)) for u in range(1, 16, 2)):
+                    continue
+                avail = [i for i in range(16) if i not in missing]
+                entries = build_partial_idft(16, avail).entries
+                for size in range(10, len(avail) + 1, 2):
+                    got = dft_uniqueness._independent(16, avail, size)
+                    assert got == (first_dependent(entries, size) is None), (missing, size)
+
+    @pytest.mark.parametrize("missing, sizes", [
+        ((), (26, 28, 30)),
+        ((5,), (28, 30)),
+        ((0, 16), (28, 30)),
+        ((0, 8, 16, 24), (28,)),
+        ((3, 4, 11, 20, 29), (26,)),
+        ((1, 2, 7, 13, 17, 22), (26,)),
+    ])
+    def test_complement_sweep_matches_the_orbit_sweep_at_n32(self, missing, sizes):
+        avail = [i for i in range(32) if i not in missing]
+        entries = build_partial_idft(32, avail).entries
+        for size in sizes:
+            assert dft_uniqueness._independent(32, avail, size) == (first_dependent(entries, size) is None)
 
 
 class TestProperties:

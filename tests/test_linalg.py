@@ -171,14 +171,28 @@ def svd_rule(a, cols):
     return len(s) < len(cols) or bool(s[-1] <= 1e-10 * s[0])
 
 
+def null_side_always(m, n, b, k, built):
+    """A cost rule that sends every chunk of a wide matrix to the null side first."""
+    return n > m
+
+
 @settings(max_examples=300, deadline=None)
 @given(m=st.integers(1, 6), n=st.integers(1, 8), data=st.data())
 def test_rank_test_matches_svd_rule(m, n, data):
-    k = data.draw(st.integers(1, n), label="k")
+    # wide: q = 1..3 null directions and k > q, every chunk screened on the null side first
+    wide = data.draw(st.booleans(), label="wide")
+    if wide:
+        n = m + data.draw(st.integers(1, 3), label="q")
+        k = data.draw(st.integers(n - m + 1, n), label="k")
+    else:
+        k = data.draw(st.integers(1, n), label="k")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    a = rng.standard_normal((m, n))
-    if data.draw(st.booleans(), label="complex"):
-        a = a + 1j * rng.standard_normal((m, n))
+    if wide and data.draw(st.booleans(), label="partial idft"):
+        a = build_partial_idft(n, sorted(rng.choice(n, size=m, replace=False))).entries.copy()
+    else:
+        a = rng.standard_normal((m, n))
+        if data.draw(st.booleans(), label="complex"):
+            a = a + 1j * rng.standard_normal((m, n))
     for _ in range(data.draw(st.integers(0, 2), label="plants")):
         j = int(rng.integers(n))
         kind = data.draw(st.sampled_from(["combination", "zero", "duplicate"]), label="kind")
@@ -195,10 +209,83 @@ def test_rank_test_matches_svd_rule(m, n, data):
             a[:, j] = a[:, others] @ rng.standard_normal(len(others)) + noise
     combs = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
     verdicts = [svd_rule(a, c) for c in combs]
-    evaluate = rank_test(a)
-    # one subset per chunk gives each subset's verdict; the whole chunk names the first dependent one
-    assert [evaluate(combs[i : i + 1]) for i in range(len(combs))] == [0 if v else None for v in verdicts]
-    assert evaluate(combs) == (verdicts.index(True) if any(verdicts) else None)
+    with mock.patch.object(_linalg, "_null_side_pays", null_side_always if wide else _linalg._null_side_pays):
+        evaluate = rank_test(a)
+        # one subset per chunk gives each subset's verdict; the whole chunk names the first dependent one
+        assert [evaluate(combs[i : i + 1]) for i in range(len(combs))] == [0 if v else None for v in verdicts]
+        assert evaluate(combs) == (verdicts.index(True) if any(verdicts) else None)
+
+
+def flagged_positions(evaluate, combs):
+    """Every position that ``evaluate`` flags, from its first flag on each remaining suffix."""
+    found, start = [], 0
+    while start < len(combs):
+        i = evaluate(combs[start:])
+        if i is None:
+            break
+        found.append(start + i)
+        start += i + 1
+    return found
+
+
+@pytest.mark.parametrize("name, a, k", [
+    # 13 of 16 inverse-DFT rows, q = 3, on which 168 of the 8,008 10-subsets are dependent
+    ("partial idft", build_partial_idft(16, [0, 1, 2, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14]).entries, 10),
+    ("complex gaussian", None, 12),
+    ("planted", None, 10),
+])
+def test_rank_test_takes_the_null_side_by_its_cost_rule_and_keeps_every_verdict(name, a, k):
+    rng = np.random.default_rng(7)
+    if name == "complex gaussian":
+        a = rng.standard_normal((14, 18)) + 1j * rng.standard_normal((14, 18))
+    elif name == "planted":
+        # 12 x 15: column 14 is a combination of columns 0-3 within 1e-12, under the rule
+        a = rng.standard_normal((12, 15))
+        a[:, 14] = a[:, :4] @ rng.standard_normal(4) + 1e-12 * rng.standard_normal(12)
+    n = a.shape[1]
+    combs = np.vstack(list(iter_combination_chunks(n, k, ramp=False)))
+    verdicts = [svd_rule(a, c) for c in combs]
+    assert _linalg._null_side_pays(*a.shape, len(combs), k, built=False)
+    cleared, clears = [], _linalg._null_clears
+
+    def recording(z, t, c):
+        mask = clears(z, t, c)
+        cleared.append((int(mask.sum()), len(mask)))
+        return mask
+
+    with mock.patch.object(_linalg, "_null_clears", recording):
+        got = flagged_positions(rank_test(a), combs)
+    assert got == [i for i, v in enumerate(verdicts) if v]
+    # the null side ran first, and its margins cleared every subset the rule finds independent
+    assert cleared[0] == (len(combs) - len(got), len(combs))
+    # the cost rule keeps Gaussians as tall as certify's benchmarks on the Gram side
+    assert not _linalg._null_side_pays(7, 16, CHUNK, 8, built=True)
+
+
+def test_null_side_refuses_an_ill_conditioned_r1_and_keeps_every_verdict():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((6, 8))
+    # cond(R1) about 1e6: SCREEN * cond^2 is past 1, so no subset could be cleared
+    a[2] *= 1e-6
+    assert _linalg._null_screen(a) is None
+    # rows that are dependent leave R1 singular, and a tiny row leaves R1^-1 past the float range
+    b = a.copy()
+    b[3] = b[1]
+    assert _linalg._null_screen(b) is None
+    for scale in (1e-155, 1e-300):
+        tiny = rng.standard_normal((6, 8))
+        tiny[2] *= scale
+        assert _linalg._null_screen(tiny) is None
+    # a milder cond(R1), about 1e3, keeps the null side
+    c = rng.standard_normal((6, 8))
+    c[2] *= 1e-3
+    assert _linalg._null_screen(c) is not None
+    for x in (a, b, c):
+        combs = np.array(list(itertools.combinations(range(8), 7)), dtype=np.intp)
+        verdicts = [svd_rule(x, cols) for cols in combs]
+        with mock.patch.object(_linalg, "_null_side_pays", null_side_always):
+            evaluate = rank_test(x)
+            assert [evaluate(combs[i : i + 1]) for i in range(len(combs))] == [0 if v else None for v in verdicts]
 
 
 def test_orbit_count_is_the_number_of_representatives():
@@ -416,3 +503,57 @@ def test_rank_test_screen_clears_exactly_above_its_threshold(k, cplx, above, dat
     # the one-subset chunk names no dependent subset, as the rule finds none
     assert (got, svd_rule(a, cols)) == (None, False)
     assert (sum(sent) == 0) == above
+
+
+def _with_null_space(rng, m, q, k, cplx):
+    """``build(w)``: an m x (m + q) matrix whose null rows V have ``V_T V_T^H = P diag(w) P^H``.
+
+    T is every column from k on, so ``lambda_min(W_S) = min(w)`` for S = range(k).
+    A fixed random T x U, U the rows orthogonal to V, so only w changes between builds.
+    """
+    def unitary(size):
+        z = rng.standard_normal((size, size)) + (1j * rng.standard_normal((size, size)) if cplx else 0)
+        return np.linalg.qr(z)[0]
+    n = m + q
+    p, left, right = unitary(q), unitary(k)[:, :q], unitary(n - k)[:, :q]
+    mix = unitary(m) @ np.diag(rng.uniform(0.5, 2, size=m)) @ unitary(m) * 10.0 ** rng.uniform(-100, 100)
+
+    def build(w):
+        v = np.hstack([p @ np.diag(np.sqrt(1 - w)) @ left.conj().T, p @ np.diag(np.sqrt(w)) @ right.conj().T])
+        rows = np.linalg.qr(v.conj().T, mode="complete")[0][:, q:].conj().T
+        return mix @ rows
+    return build
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.integers(1, 3), cplx=st.booleans(), above=st.booleans(), data=st.data())
+def test_null_side_clears_exactly_above_its_threshold(q, cplx, above, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    m = data.draw(st.integers(q, 7), label="rows")
+    k = data.draw(st.integers(q, m), label="k")
+    build = _with_null_space(rng, m, q, k, cplx)
+    w = rng.uniform(0.3, 1, size=q)
+    # lambda_min(W_S) just above or below the threshold that the screen computes for this x
+    _, t = _linalg._null_screen(build(w))
+    assert SCREEN * m < t < 1e-3
+    w[0] = t * (1 + (1 if above else -1) * 10.0 ** -data.draw(st.floats(2, 4), label="gap"))
+    a = build(w)
+    z, t = _linalg._null_screen(a)
+    cols = np.arange(k)
+    assert _linalg._null_clears(z, t, cols[:, None]).tolist() == [above]
+    s = np.linalg.svd(a[:, cols], compute_uv=False)
+    if above:
+        # what a cleared subset proves
+        assert s[-1] > math.sqrt(SCREEN) * s[0]
+    screened, gram_screen = [], _linalg.shifted_definite
+
+    def recording(g, c, shift):
+        screened.append(c.shape[1])
+        return gram_screen(g, c, shift)
+
+    with mock.patch.object(_linalg, "_null_side_pays", null_side_always), \
+            mock.patch.object(_linalg, "shifted_definite", recording):
+        got = rank_test(a)(cols[None])
+    # the subset is independent, and only one the null side left reaches the Gram screen
+    assert (got, svd_rule(a, cols)) == (None, False)
+    assert (sum(screened) == 0) == above

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from cscert import (
     ExperimentReport,
     SparseVector,
+    build_gaussian,
     build_partial_idft,
     generate_sparse_signal,
     monte_carlo,
@@ -65,6 +67,11 @@ class TestSparseVector:
     def test_support_is_a_plain_int_tuple(self):
         x = SparseVector(8, np.array([1, 5]), np.ones(2))
         assert x.support == (1, 5) and all(type(i) is int for i in x.support)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan)])
+    def test_non_finite_value_is_a_one_line_error_naming_its_position(self, bad):
+        with pytest.raises(ValueError, match=r"^position 4: non-finite value \S+$"):
+            SparseVector(8, (0, 4, 6), [1.0, bad, bad])
 
 
 class TestMeasure:
@@ -157,6 +164,19 @@ class TestOmp:
             omp(demo_matrix, np.ones(5), k_target=-2)
         x_hat, residual = omp(demo_matrix, np.ones(5), k_target=0)
         assert x_hat.nnz == 0 and residual == np.linalg.norm(np.ones(5))
+
+    def test_huge_measurement_selects_as_its_scaled_copy_without_overflow(self):
+        a = normalize_columns(build_gaussian(5, 8, 1))
+        y = np.full(5, 1e200)
+        scaled = np.ldexp(y, -600)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x_hat, residual = omp(a, y, 2)
+            x_ref, residual_ref = omp(a, scaled, 2)
+        assert x_hat.support == x_ref.support
+        assert math.isfinite(residual) and residual == np.ldexp(residual_ref, 600)
+        np.testing.assert_array_equal(x_hat.values, np.ldexp(x_ref.values.real, 600)
+                                      + 1j * np.ldexp(x_ref.values.imag, 600))
 
     @pytest.mark.parametrize(
         "bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])

@@ -107,3 +107,46 @@ def test_pair_bench_runs_every_named_workload_in_each_pair(tmp_path, monkeypatch
     with pytest.raises(SystemExit):
         pair_bench.main(argv[:2] + ["--pairs", "1", "--workload", "a"])
     assert calls == [] and "--pairs must be at least 2" in capsys.readouterr().err
+
+
+def test_pair_bench_checks_a_claim_and_the_other_rows_bounds():
+    pair_bench = load_pair_bench()
+    metrics = [{"name": "op_tail_s", "better": "lower", "bound": 0.25},
+               {"name": "work_per_s", "better": "higher", "bound": 0.25}]
+    parent = [{"op_tail_s": t, "work_per_s": 100.0} for t in [1.00, 1.02, 0.98, 1.01, 0.99,
+                                                                1.00, 1.03, 0.97, 1.00, 1.01]]
+
+    def rows(tails, rate):
+        change = [{"op_tail_s": t, "work_per_s": rate} for t in tails]
+        return pair_bench.summarize("w", parent, change, metrics)
+
+    # nine pairs of ten won, the median 20% lower against a spread under 2%: the claim holds
+    won = [0.8] * 9 + [1.2]
+    assert pair_bench.claim_lines(rows(won, 90.0), ("w", "op_tail_s")) == [
+        "claim w op_tail_s: holds (9/10 pairs won, better by 0.2 against a parent "
+        "quartile spread of 0.0175)",
+        "other rows worse than their bound: none",
+    ]
+    # eight pairs won fail the rule, whatever the gap; a rate 30% down is past its bound
+    lines = pair_bench.claim_lines(rows([0.8] * 8 + [1.2] * 2, 70.0), ("w", "op_tail_s"))
+    assert lines[0].startswith("claim w op_tail_s: fails (8/10 pairs won, better by 0.2")
+    assert lines[1] == "other rows worse than their bound: w work_per_s -30.0% (bound 25%)"
+    # every pair won by less than the parent's quartile spread fails too
+    close = [run["op_tail_s"] - 0.005 for run in parent]
+    assert "fails (10/10" in pair_bench.claim_lines(rows(close, 100.0), ("w", "op_tail_s"))[0]
+    # a claim on a metric that got worse fails, and the claimed row is not listed again
+    lines = pair_bench.claim_lines(rows([0.8] * 10, 50.0), ("w", "work_per_s"))
+    assert lines == ["claim w work_per_s: fails (0/10 pairs won, worse by 50 against a "
+                     "parent quartile spread of 0)", "other rows worse than their bound: none"]
+
+
+def test_pair_bench_refuses_a_claim_on_no_row(tmp_path, capsys):
+    pair_bench = load_pair_bench()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 3, "workloads": [{"name": "a"}, {"name": "b"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}],
+    }))
+    for claim in ["b:wall_s", "a:op_tail_s", "a"]:
+        with pytest.raises(SystemExit):
+            pair_bench.main([str(tmp_path), str(tmp_path), "--workload", "a", "--claim", claim])
+        assert f"--claim {claim} names no row of the table" in capsys.readouterr().err
