@@ -14,12 +14,13 @@ sides. Every run happens in a fresh temporary copy of the checkout's
 either checkout. Standard output gets one table, with one row per workload
 and end-to-end metric of ``BENCHMARK.json``: the parent's median and
 quartiles, the change's median, their difference and the pairs the change
-won. A last line names the rows whose medians lie further apart than the
-parent's quartile spread. With ``--claim WORKLOAD:METRIC``, two more lines
-say whether the claim rule holds for that row (the change won at least nine
-pairs in ten, and its median beats the parent's by more than the parent's
-quartile spread) and name every other row whose change is worse than its
-``BENCHMARK.json`` bound. Progress goes to standard error.
+won. A line under it names the rows whose medians lie further apart than
+the parent's quartile spread, and a last one every row whose change is
+worse than its ``BENCHMARK.json`` bound. With ``--claim WORKLOAD:METRIC``,
+a line before that last one says whether the claim rule holds for that row
+(the change won at least nine pairs in ten, and its median beats the
+parent's by more than the parent's quartile spread), and the last line
+leaves that row out. Progress goes to standard error.
 """
 
 import argparse
@@ -82,13 +83,17 @@ def claim_lines(rows: list, claim: tuple) -> list:
     better = (row["change"] < row["parent"]) if row["lower"] else (row["change"] > row["parent"])
     holds = 10 * row["wins"] >= 9 * row["pairs"] and better and row["beyond_spread"]
     gap, spread = abs(row["change"] - row["parent"]), row["q3"] - row["q1"]
+    return [f"claim {' '.join(claim)}: {'holds' if holds else 'fails'} ({row['wins']}/{row['pairs']} "
+            f"pairs won, {'better' if better else 'worse'} by {gap:.4g} against a parent "
+            f"quartile spread of {spread:.4g})", bound_line(rows, claim)]
+
+
+def bound_line(rows: list, claim=None) -> str:
+    """The rows, but for the claimed one if any, whose change is worse than their bound."""
     worse = [f"{r['workload']} {r['metric']} {100 * r['diff']:+.1f}% (bound {100 * r['bound']:.0f}%)"
              for r in rows if (r["workload"], r["metric"]) != claim and r["bound"] is not None
              and (r["diff"] if r["lower"] else -r["diff"]) > r["bound"]]
-    return [f"claim {' '.join(claim)}: {'holds' if holds else 'fails'} ({row['wins']}/{row['pairs']} "
-            f"pairs won, {'better' if better else 'worse'} by {gap:.4g} against a parent "
-            f"quartile spread of {spread:.4g})",
-            "other rows worse than their bound: " + (", ".join(worse) or "none")]
+    return f"{'other rows' if claim else 'rows'} worse than their bound: " + (", ".join(worse) or "none")
 
 
 def format_table(rows: list) -> str:
@@ -141,8 +146,7 @@ def main(argv=None) -> int:
     rows = [row for w in workloads
             for row in summarize(w, runs[w]["parent"], runs[w]["change"], spec["end_to_end"])]
     print(format_table(rows))
-    if claim:
-        print("\n".join(claim_lines(rows, claim)))
+    print("\n".join(claim_lines(rows, claim)) if claim else bound_line(rows))
     return 0
 
 

@@ -74,25 +74,25 @@ null side cannot clear goes on to the Gram screen and then the SVD, so
 the null side, like the Gram screen, never changes a verdict. It pays
 where q is much smaller than k; ``_null_side_pays`` counts the costs.
 
-The first dependent k-subset is asked for through ``first_dependent``,
-which returns it, or None, and no count. On a matrix with cyclic shift
-structure (partial Fourier matrices on an integer grid) it tests one
-subset per orbit of the shifts S -> S + c (mod N), from
+Two sweeps that read only their first flagged subset, and no count, test
+one subset per orbit of the shifts S -> S + c (mod N), from
 ``iter_orbit_chunks``: ``orbits(N, k)``, about C(N, k) / N, instead of
-C(N, k). The representatives are generated directly, not filtered: a subset
-holding 0 is one orbit's representative iff its gap sequence is a necklace,
-and gap prefixes grow by the Fredricksen-Kessler-Maiorana rule (a prefix of
-period p extends only by gaps ``b >= a_(t+1-p)``), as Ruskey and Sawada
-generate fixed-density necklaces (SIAM J. Comput. 29, 1999).
-``shift_invariant`` detects the structure numerically, from the entries
-rather than a label: column j must equal ``D^j`` times column 0 for one
-diagonal D of N-th roots of unity, so that columns S + c are D^c times
-columns S and have the same singular values.
-It allows a deviation of ``16 * N * eps`` of the peak entry per entry: the
-phase ``2 pi p k / N`` of a computed Fourier entry is rounded at the size of
-N, and the largest deviation measured on partial inverse-DFT matrices is
-about ``5 * N * eps`` at every N from 8 to 4096. Within that tolerance a
-shift moves each singular value of a k-column subset by at most
+C(N, k). The DFT column test (``dft_uniqueness``) may, since it builds its
+rows as Fourier rows; spark's top sweep (``certify``) may on the matrices
+in which ``shift_invariant`` finds that structure. The representatives are
+generated directly, not filtered: a subset holding 0 is one orbit's
+representative iff its gap sequence is a necklace, and gap prefixes grow by
+the Fredricksen-Kessler-Maiorana rule (a prefix of period p extends only by
+gaps ``b >= a_(t+1-p)``), as Ruskey and Sawada generate fixed-density
+necklaces (SIAM J. Comput. 29, 1999). ``shift_invariant`` detects the
+structure numerically, from the entries rather than a label: column j must
+equal ``D^j`` times column 0 for one diagonal D of N-th roots of unity, so
+that columns S + c are D^c times columns S and have the same singular
+values. It allows a deviation of ``16 * N * eps`` of the peak entry per
+entry: the phase ``2 pi p k / N`` of a computed Fourier entry is rounded at
+the size of N, and the largest deviation measured on partial inverse-DFT
+matrices is about ``5 * N * eps`` at every N from 8 to 4096. Within that
+tolerance a shift moves each singular value of a k-column subset by at most
 ``2 * sqrt(M * k) * 16 * N * eps`` of the peak entry, so on a Fourier matrix
 (every column norm ``sqrt(M)`` times the peak) ``sigma_min / sigma_max`` moves
 by at most ``2 * sqrt(k) * 16 * N * eps``, 3e-13 at N=16 and k=8. Only a
@@ -569,14 +569,3 @@ def sweep(chunks, evaluate, budget: float = math.inf) -> Sweep:
             return Sweep(covered, False)
     return Sweep(covered, True)
 
-
-def first_dependent(entries: np.ndarray, k: int, rtol: float = RANK_RTOL, *, tables=None):
-    """The first k columns of ``entries`` flagged by ``rank_test(entries, rtol)``, or None.
-
-    Sweeps one subset per cyclic-shift orbit when ``shift_invariant(entries)``,
-    the k-combinations from ``tables`` otherwise, up to ``rank_test``'s first
-    flag. Every k-subset before it is clean, or a cyclic shift of a clean one.
-    """
-    n, orbits = entries.shape[1], shift_invariant(entries)
-    chunks = iter_orbit_chunks(n, k) if orbits else iter_combination_chunks(n, k, tables=tables)
-    return sweep(chunks, rank_test(entries, rtol)).witness

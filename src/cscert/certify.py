@@ -36,7 +36,7 @@ is not generated. Only an F dependent under the doubled tolerance alone
 sends the scan through that size's subsets from F on. When the columns have
 cyclic shift structure (``_linalg.shift_invariant``), as a partial Fourier
 matrix's do, the top sweep tests one subset per shift orbit instead
-(``_linalg.first_dependent``): shifted columns have the same singular
+(``_linalg.iter_orbit_chunks``): shifted columns have the same singular
 values, up to a rounding that the doubled tolerance absorbs. The
 representatives come in lexicographic order, each the smallest of its
 orbit, so every subset before the first flagged one is a shift of a clean
@@ -92,9 +92,10 @@ from ._linalg import (
     RANK_RTOL,
     check_budget,
     combination_tables,
-    first_dependent,
     iter_combination_chunks,
+    iter_orbit_chunks,
     rank_test,
+    shift_invariant,
     shifted_definite,
     sweep,
 )
@@ -170,7 +171,11 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET, *, _tables=None) -
     evaluate = test = rank_test(a.entries)
     first, clean = None, 0  # sizes below clean are settled whole
     if total <= budget:
-        first = first_dependent(a.entries, top, 2 * RANK_RTOL, tables=tables)
+        if shift_invariant(a.entries):
+            chunks = iter_orbit_chunks(n, top)
+        else:
+            chunks = iter_combination_chunks(n, top, tables=tables)
+        first = sweep(chunks, rank_test(a.entries, 2 * RANK_RTOL)).witness
         if first is None:
             return full_rank
         # j, the smallest value missing from first: a k-subset misses at most

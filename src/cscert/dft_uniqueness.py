@@ -32,10 +32,12 @@ T are dependent exactly when the available rows' inverse-DFT columns T are.
   it. Modulating a signal on Q by ``w^{cn}`` shifts its spectrum by c, so
   one row set per cyclic-shift orbit is enough, ``orbits(N, q - 1)`` of them.
 * Columns: scanning K down, the first K whose 2K columns are all independent
-  (``dft_uniqueness_oracle``'s test) is the limit. Shifting a column subset
-  keeps its singular values, so one subset per cyclic-shift orbit is enough;
-  for ``N/2 < 2K < N`` they are the complements of the orbits of ``N - 2K``
-  columns, which take fewer necklace levels to generate.
+  (``dft_uniqueness_oracle``'s test, on one rank test built for the whole
+  scan) is the limit. The rows are built as Fourier rows, so shifting a
+  column subset keeps its singular values, and one subset per cyclic-shift
+  orbit is enough, with no check of that structure; for ``N/2 < 2K < N``
+  they are the complements of the orbits of ``N - 2K`` columns, which take
+  fewer necklace levels to generate.
 
 The top level takes the columns when their worst case, ``orbits(N, 2K)``
 summed over the open K, is at most the rows' and the rows fit the budget
@@ -62,7 +64,6 @@ from ._linalg import (
     RANK_RTOL,
     check_budget,
     dependent_mask,
-    first_dependent,
     iter_orbit_chunks,
     orbits,
     rank_test,
@@ -318,9 +319,8 @@ class _MinSupport:
         costs = accumulate(orbits(n, 2 * k) for k in range(k_hi, k_lo, -1))
         if rows > self.left or any(cost > rows for cost in costs):
             return None
-        avail = sorted(set(range(n)) - q)
-        k = next((k for k in range(k_hi, k_lo, -1) if _independent(n, avail, 2 * k)), k_lo)
-        return 2 * k + 1, True
+        size = _first_independent(n, sorted(set(range(n)) - q), range(2 * k_hi, 2 * k_lo, -2))
+        return (size or 2 * k_lo) + 1, True
 
     def zero_set_sweep(self, n: int, q: frozenset[int], hi: int, stop: float) -> tuple[int, bool]:
         """Smallest confirmed support below ``hi`` and whether the sweep was complete.
@@ -393,12 +393,12 @@ def dft_uniqueness_oracle(p: MissingSamplePattern, k: int) -> bool:
     Builds the partial inverse-DFT block on the available positions, the
     entries of ``build_partial_idft`` without its validation, and tests
     every 2K-column submatrix for full column rank, one subset per
-    cyclic-shift orbit (``_linalg.first_dependent``): shifting a column
-    subset multiplies its columns by a unit-modulus diagonal, which keeps its
-    singular values, so C(16, 8) = 12,870 subsets become 810. For
-    ``N/2 < 2K < N`` the representatives are the complements of those of
-    ``N - 2K`` columns: complement commutes with shifts. The test is
-    ``_independent``, the column side of ``dft_sparsity_limit``.
+    cyclic-shift orbit: shifting a column subset multiplies its columns by
+    a unit-modulus diagonal, which keeps its singular values, so C(16, 8) =
+    12,870 subsets become 810. For ``N/2 < 2K < N`` the representatives are
+    the complements of those of ``N - 2K`` columns: complement commutes with
+    shifts. The test is ``_first_independent`` at the one size 2K, the
+    column side of ``dft_sparsity_limit``.
     """
     k = as_index(k, "sparsity")
     if k < 1:
@@ -406,22 +406,28 @@ def dft_uniqueness_oracle(p: MissingSamplePattern, k: int) -> bool:
     avail = p.available()
     if 2 * k > len(avail):
         return False
-    return _independent(p.n, avail, 2 * k)
+    return _first_independent(p.n, avail, [2 * k]) is not None
 
 
-def _independent(n: int, avail, size: int) -> bool:
-    """Whether every ``size`` columns of the inverse DFT's rows ``avail`` are independent.
+def _first_independent(n: int, avail, sizes):
+    """The first of ``sizes`` whose column subsets of the inverse DFT's rows ``avail`` are independent.
 
-    For ``n / 2 < size < n`` the sweep takes the complements of
-    ``iter_orbit_chunks(n, n - size)``: complement commutes with shifts, so
-    they are one subset per orbit too, from necklaces of fewer gaps. The
-    caller reads only whether a subset is flagged, so which subset of an
-    orbit stands for it does not matter.
+    None when no size passes. One ``rank_test`` serves every size, each swept
+    one subset per cyclic-shift orbit from the side with fewer gaps:
+    ``iter_orbit_chunks(n, size)``, or for ``n / 2 < size < n`` the
+    complements of ``iter_orbit_chunks(n, n - size)``, one per orbit too since
+    complement commutes with shifts. The caller reads only whether a subset
+    is flagged, so which subset of an orbit stands for it does not matter.
     """
-    entries = _fourier_rows(np.array(avail, dtype=np.float64), n, n, 1.0 / n)
-    if not n < 2 * size < 2 * n:
-        return first_dependent(entries, size) is None
-    return sweep(_complements(iter_orbit_chunks(n, n - size), n), rank_test(entries)).witness is None
+    evaluate = rank_test(_fourier_rows(np.array(avail, dtype=np.float64), n, n, 1.0 / n))
+    for size in sizes:
+        if n < 2 * size < 2 * n:
+            chunks = _complements(iter_orbit_chunks(n, n - size), n)
+        else:
+            chunks = iter_orbit_chunks(n, size)
+        if sweep(chunks, evaluate).witness is None:
+            return size
+    return None
 
 
 def _complements(chunks, n: int):

@@ -33,8 +33,8 @@ from cscert import (
 from cscert._linalg import (
     DEFAULT_BUDGET,
     RANK_RTOL,
-    first_dependent,
     iter_combination_chunks,
+    iter_orbit_chunks,
     rank_test,
     shift_invariant,
     sweep,
@@ -80,7 +80,7 @@ class TestSpark:
         # columns {0, 2} have sigma_min / sigma_max = 1.5e-10: the top sweep flags
         # them under 2 * RANK_RTOL, and the upward scan finds nothing under RANK_RTOL
         a = MeasurementMatrix([[1, 0, 1], [0, 1, 3e-10]])
-        assert first_dependent(a.entries, 2, 2 * RANK_RTOL) == (0, 2)
+        assert sweep(iter_combination_chunks(3, 2), rank_test(a.entries, 2 * RANK_RTOL)).witness == (0, 2)
         assert spark(a) == SparkResult(3, True, 6)
 
     def test_budget_exhaustion_gives_lower_bound(self, demo_matrix):
@@ -214,8 +214,9 @@ def test_spark_settles_most_of_the_upward_scan_after_a_top_flag(kind, s, share, 
     received = []
 
     def counted_rank_test(entries, rtol=RANK_RTOL):
-        # the upward scan's: the top sweep runs in _linalg, through its own binding
         evaluate = plain(entries, rtol)
+        if rtol != RANK_RTOL:
+            return evaluate  # the top sweep's, under the doubled tolerance
 
         def counted(combs):
             received.append(len(combs))
@@ -248,9 +249,8 @@ def test_spark_skips_the_sizes_a_top_flag_settles_whole(monkeypatch):
         sizes.append(k)
         return plain(n, k, *args, **kwargs)
 
-    # the top sweep runs in _linalg.first_dependent, the upward scan in certify
-    for module in ("cscert._linalg", "cscert.certify"):
-        monkeypatch.setattr(importlib.import_module(module), "iter_combination_chunks", recorded)
+    # the top sweep and the upward scan both run in certify
+    monkeypatch.setattr(importlib.import_module("cscert.certify"), "iter_combination_chunks", recorded)
     skipped = 0
     for s in (6, 7, 8):
         for i in range(5):
@@ -270,13 +270,14 @@ def test_spark_skips_the_sizes_a_top_flag_settles_whole(monkeypatch):
 
 def recorded_top_subsets(monkeypatch, top):
     """The size-``top`` subsets that spark's upward scan hands to rank_test, in order."""
-    # the upward scan's: the top sweep runs in _linalg, through its own binding
     module = importlib.import_module("cscert.certify")
     plain = module.rank_test
     received = []
 
     def recorded_rank_test(entries, rtol=RANK_RTOL):
         evaluate = plain(entries, rtol)
+        if rtol != RANK_RTOL:
+            return evaluate  # the top sweep's, under the doubled tolerance
 
         def recorded(combs):
             received.extend(tuple(c) for c in combs.tolist() if len(c) == top)
@@ -318,7 +319,8 @@ def test_spark_settles_the_top_size_with_one_rank_test_of_the_flag(build, monkey
     top = min(m, n)
     # the partial IDFT's top sweep runs on shift orbits
     assert shift_invariant(a.entries) == (build is idft_12_on_9_rows)
-    flag = first_dependent(a.entries, top, 2 * RANK_RTOL)
+    chunks = iter_orbit_chunks(n, top) if shift_invariant(a.entries) else iter_combination_chunks(n, top)
+    flag = sweep(chunks, rank_test(a.entries, 2 * RANK_RTOL)).witness
     received = recorded_top_subsets(monkeypatch, top)
     res = spark(a)
     assert tuple(res) == reference_spark(a, math.inf)

@@ -22,7 +22,6 @@ from cscert import dft_uniqueness
 from cscert._linalg import (
     RANK_RTOL,
     dependent_mask,
-    first_dependent,
     iter_combination_chunks,
     iter_orbit_chunks,
     orbits,
@@ -612,6 +611,14 @@ class TestOracle:
         with pytest.raises(ValueError):
             dft_uniqueness_oracle(WORKED_EXAMPLE, 0)
 
+    @pytest.mark.parametrize("n", [2**r for r in range(1, 7)])
+    def test_no_missing_samples_settles_every_k_up_to_half_n(self, n):
+        # 2K = N is the one subset of every column, swept as its own orbit, not as the
+        # complement of no column; 2K = N + 2 exceeds the N samples
+        p = MissingSamplePattern.of(n, [])
+        assert dft_uniqueness_oracle(p, n // 2)
+        assert not dft_uniqueness_oracle(p, n // 2 + 1)
+
     @given(st.sampled_from([8, 16]), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_orbit_sweep_matches_full_sweep(self, n, seed):
@@ -624,7 +631,9 @@ class TestOracle:
             assert dft_uniqueness_oracle(p, k) == (full.witness is None), (p.missing, k)
 
     def test_complement_sweep_matches_the_orbit_sweep_on_every_n16_pattern(self):
-        # _independent sweeps the complements of necklaces of N - 2K columns for N/2 < 2K < N.
+        # the column test sweeps the complements of necklaces of N - size columns for
+        # N/2 < size < N; the reference sweeps the orbits of size columns themselves, as the
+        # column test does at every size up to N/2, and at N, which these sizes hold too.
         # Every pattern maps to one that misses 0 by a shift and to one whose missing set is the
         # smallest of its multiples by the odd units; shifts scale the rows and units permute the
         # columns, which keeps every verdict, so these patterns stand for all of them
@@ -635,10 +644,16 @@ class TestOracle:
                 if missing > min(tuple(sorted(u * m % 16 for m in missing)) for u in range(1, 16, 2)):
                     continue
                 avail = [i for i in range(16) if i not in missing]
-                entries = build_partial_idft(16, avail).entries
-                for size in range(10, len(avail) + 1, 2):
-                    got = dft_uniqueness._independent(16, avail, size)
-                    assert got == (first_dependent(entries, size) is None), (missing, size)
+                evaluate = rank_test(build_partial_idft(16, avail).entries)
+                sizes = range(10, len(avail) + 1, 2)  # 2K, as the oracle and the column scan ask
+                passing = [size for size in sizes
+                           if sweep(iter_orbit_chunks(16, size), evaluate).witness is None]
+                for size in sizes:
+                    got = dft_uniqueness._first_independent(16, avail, [size])
+                    assert got == (size if size in passing else None), (missing, size)
+                # one rank test shared by a downward scan stops at the largest passing size
+                got = dft_uniqueness._first_independent(16, avail, sizes[::-1])
+                assert got == max(passing, default=None), missing
 
     @pytest.mark.parametrize("missing, sizes", [
         ((), (26, 28, 30)),
@@ -649,10 +664,12 @@ class TestOracle:
         ((1, 2, 7, 13, 17, 22), (26,)),
     ])
     def test_complement_sweep_matches_the_orbit_sweep_at_n32(self, missing, sizes):
+        # the reference sweeps every combination, not one per orbit
         avail = [i for i in range(32) if i not in missing]
-        entries = build_partial_idft(32, avail).entries
+        evaluate = rank_test(build_partial_idft(32, avail).entries)
         for size in sizes:
-            assert dft_uniqueness._independent(32, avail, size) == (first_dependent(entries, size) is None)
+            full = sweep(iter_combination_chunks(32, size), evaluate).witness is None
+            assert (dft_uniqueness._first_independent(32, avail, [size]) == size) == full, size
 
 
 class TestProperties:

@@ -95,6 +95,8 @@ def test_pair_bench_runs_every_named_workload_in_each_pair(tmp_path, monkeypatch
         "  | c | wall_s | 0.4 [0.4, 0.4] | 0.2 | -50.0% | 3/3 |",
         "  | a | wall_s | 0.2 [0.2, 0.2] | 0.1 | -50.0% | 3/3 |",
         "median gap beyond the parent's quartile spread: c wall_s, a wall_s",
+        # with no claim, the bound check still closes the output
+        "rows worse than their bound: none",
     ]
     calls.clear()
     assert pair_bench.main(argv[:2] + ["--pairs", "2", "--workload", "all"]) == 0
@@ -138,6 +140,12 @@ def test_pair_bench_checks_a_claim_and_the_other_rows_bounds():
     lines = pair_bench.claim_lines(rows([0.8] * 10, 50.0), ("w", "work_per_s"))
     assert lines == ["claim w work_per_s: fails (0/10 pairs won, worse by 50 against a "
                      "parent quartile spread of 0)", "other rows worse than their bound: none"]
+    # with no claim, every row past its bound is named, and none is left out
+    assert pair_bench.bound_line(rows(won, 90.0)) == "rows worse than their bound: none"
+    assert pair_bench.bound_line(rows([1.3] * 10, 50.0)) == (
+        "rows worse than their bound: w op_tail_s +30.0% (bound 25%), w work_per_s -50.0% (bound 25%)")
+    assert pair_bench.claim_lines(rows([1.3] * 10, 50.0), ("w", "work_per_s"))[1] == (
+        "other rows worse than their bound: w op_tail_s +30.0% (bound 25%)")
 
 
 def test_pair_bench_refuses_a_claim_on_no_row(tmp_path, capsys):
