@@ -420,21 +420,23 @@ def shifted_definite(g: np.ndarray, c: np.ndarray, shift) -> np.ndarray:
     return positive_definite(stack)
 
 
-def rank_test(entries: np.ndarray, rtol: float = RANK_RTOL):
+def rank_test(entries: np.ndarray):
     """The rank rule for column subsets of one matrix, screened by Cholesky certificates.
 
-    Returns ``evaluate(combs)``: for a (B, k) index chunk, the position of the
-    first subset that ``dependent_mask(stack, rtol)`` flags on the (B, M, k)
-    stack of those columns, or None. The Gram is formed once, here, on real
-    dtype when every imaginary part is zero and after scaling the largest entry
-    to 1, so that it cannot overflow. A subset is cleared when ``G_S - max(2 *
-    SCREEN * trace(G_S), _SCREEN_FLOOR) * I`` is positive definite: since
-    ``lambda_max <= trace``, that proves ``lambda_min > SCREEN * lambda_max``
-    with room for the elimination's rounding (``shifted_definite``). On a
-    wide matrix, a chunk that ``_null_side_pays`` for first goes through the
-    null side's q x q certificate (module docstring), built on the first
-    such chunk, and only the subsets it leaves go on to the Gram's. Subsets
-    no screen clears go to ``dependent_mask`` on the unscaled columns.
+    Returns ``evaluate(combs, rtol=RANK_RTOL)``: for a (B, k) index chunk, the
+    position of the first subset that ``dependent_mask(stack, rtol)`` flags on
+    the (B, M, k) stack of those columns, or None. A call may pass a larger
+    ``rtol``, as spark's top sweep passes twice the rule's. The Gram is formed
+    once, here, on real dtype when every imaginary part is zero and after
+    scaling the largest entry to 1, so that it cannot overflow. A subset is
+    cleared when ``G_S - max(2 * SCREEN * trace(G_S), _SCREEN_FLOOR) * I``
+    is positive definite: since ``lambda_max <= trace``, that proves
+    ``lambda_min > SCREEN * lambda_max`` with room for the elimination's
+    rounding (``shifted_definite``). On a wide matrix, a chunk that
+    ``_null_side_pays`` for first goes through the null side's q x q
+    certificate (module docstring), built on the first such chunk, and only
+    the subsets it leaves go on to the Gram's. Subsets no screen clears go
+    to ``dependent_mask`` on the unscaled columns.
     """
     peak = np.abs(entries).max()
     x = entries / peak if peak > 0 else entries
@@ -444,7 +446,7 @@ def rank_test(entries: np.ndarray, rtol: float = RANK_RTOL):
     diag = g.diagonal().real
     null = []  # [(z, t)] once built, [None] when R1 is too ill-conditioned for it
 
-    def evaluate(combs):
+    def evaluate(combs, rtol=RANK_RTOL):
         kept = None
         if _null_side_pays(*x.shape, *combs.shape, built=bool(null)):
             if not null:

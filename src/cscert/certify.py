@@ -153,14 +153,14 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET, *, _tables=None) -
     one; one ``budget`` caps it across all sizes. On budget exhaustion the
     best-known lower bound is returned with ``exact=False``.
 
-    The search reaches that result by a shorter path: a sweep of size
-    min(M, N) under twice the rank tolerance (one subset per shift orbit on
-    columns with cyclic shift structure), the sizes and subsets its first
-    flag settles, and one rank test of that flag at the top size. The
-    module docstring has why each step is exact and how many rank tests
-    run. All sizes share one set of ``_linalg.combination_tables``, built
-    once per call unless ``_tables`` passes in those of size up to at least
-    min(M, N), as ``certify`` does.
+    The search reaches that result by a shorter path, on one ``rank_test``:
+    a sweep of size min(M, N) under twice the rank tolerance (one subset per
+    shift orbit on columns with cyclic shift structure), the sizes and
+    subsets its first flag settles, and one rank test of that flag at the
+    top size. The module docstring has why each step is exact and how many
+    rank tests run. All sizes share one set of
+    ``_linalg.combination_tables``, built once per call unless ``_tables``
+    passes in those of size up to at least min(M, N), as ``certify`` does.
     """
     budget = check_budget(budget)
     m, n = a.shape
@@ -175,7 +175,7 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET, *, _tables=None) -
             chunks = iter_orbit_chunks(n, top)
         else:
             chunks = iter_combination_chunks(n, top, tables=tables)
-        first = sweep(chunks, rank_test(a.entries, 2 * RANK_RTOL)).witness
+        first = sweep(chunks, lambda combs: test(combs, 2 * RANK_RTOL)).witness
         if first is None:
             return full_rank
         # j, the smallest value missing from first: a k-subset misses at most

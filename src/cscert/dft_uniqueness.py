@@ -32,12 +32,12 @@ T are dependent exactly when the available rows' inverse-DFT columns T are.
   it. Modulating a signal on Q by ``w^{cn}`` shifts its spectrum by c, so
   one row set per cyclic-shift orbit is enough, ``orbits(N, q - 1)`` of them.
 * Columns: scanning K down, the first K whose 2K columns are all independent
-  (``dft_uniqueness_oracle``'s test, on one rank test built for the whole
-  scan) is the limit. The rows are built as Fourier rows, so shifting a
-  column subset keeps its singular values, and one subset per cyclic-shift
-  orbit is enough, with no check of that structure; for ``N/2 < 2K < N``
-  they are the complements of the orbits of ``N - 2K`` columns, which take
-  fewer necklace levels to generate.
+  (``dft_uniqueness_oracle``'s test, on the rank test that lives with the
+  pattern object and serves its every K and call) is the limit. The rows
+  are built as Fourier rows, so shifting a column subset keeps its singular
+  values, and one subset per cyclic-shift orbit is enough, with no check of
+  that structure; for ``N/2 < 2K < N`` they are the complements of the
+  orbits of ``N - 2K`` columns, which take fewer necklace levels to generate.
 
 The top level takes the columns when their worst case, ``orbits(N, 2K)``
 summed over the open K, is at most the rows' and the rows fit the budget
@@ -52,6 +52,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 
@@ -107,6 +108,20 @@ class MissingSamplePattern:
     def available(self) -> tuple[int, ...]:
         gone = set(self.missing)
         return tuple(p for p in range(self.n) if p not in gone)
+
+    @cached_property
+    def _column_test(self):
+        """``rank_test`` of the inverse DFT's rows ``available()``, built on first use and kept here.
+
+        Every column sweep on this pattern shares its Gram and null side. It is
+        no part of the value: equality, hash and repr read the fields alone,
+        and copies and pickles are rebuilt from them (``__reduce__``).
+        """
+        avail = np.array(self.available(), dtype=np.float64)
+        return rank_test(_fourier_rows(avail, self.n, self.n, 1.0 / self.n))
+
+    def __reduce__(self):
+        return type(self), (self.n, self.missing)
 
 
 def load_pattern(path) -> MissingSamplePattern:
@@ -253,8 +268,9 @@ class _MinSupport:
     Every row sweep draws on one evaluation budget; ``settle`` caches per (n, Q, step).
     """
 
-    def __init__(self, budget: float):
+    def __init__(self, budget: float, pattern: MissingSamplePattern):
         self.left = budget
+        self.pattern = pattern
         self.memo: dict[tuple[int, frozenset[int], int], tuple[float, bool]] = {}
 
     def settle(self, n: int, q: frozenset[int], step: int = 1) -> tuple[float, bool]:
@@ -313,13 +329,15 @@ class _MinSupport:
         """``(2K + 1, True)`` for the K of S_n(q) in ``[lo, hi]``, or None for the row side.
 
         The count rule is the module docstring's; no K passing gives ``lo``'s.
+        Only the top level (``step=2``) calls it, so (n, q) is ``self.pattern``'s,
+        whose column test it sweeps.
         """
         k_lo, k_hi = (lo - 1) // 2, (hi - 1) // 2
         rows = orbits(n, len(q) - 1)
         costs = accumulate(orbits(n, 2 * k) for k in range(k_hi, k_lo, -1))
         if rows > self.left or any(cost > rows for cost in costs):
             return None
-        size = _first_independent(n, sorted(set(range(n)) - q), range(2 * k_hi, 2 * k_lo, -2))
+        size = _first_independent(self.pattern, range(2 * k_hi, 2 * k_lo, -2))
         return (size or 2 * k_lo) + 1, True
 
     def zero_set_sweep(self, n: int, q: frozenset[int], hi: int, stop: float) -> tuple[int, bool]:
@@ -381,7 +399,7 @@ def dft_sparsity_limit(
     rows = _stride_rows(p.n, p.missing)
     penalty = max(row.term for row in rows)
     closed_form = max(0, (p.n - penalty - 1) // 2)
-    support, exact = _MinSupport(budget).settle(p.n, frozenset(p.missing), step=2)
+    support, exact = _MinSupport(budget, p).settle(p.n, frozenset(p.missing), step=2)
     k_max = (support - 1) // 2
     counts = {row.h: row.count for row in rows}
     return DftUniquenessResult(p.n, p.missing, counts, penalty, k_max, exact, closed_form, rows)
@@ -398,34 +416,35 @@ def dft_uniqueness_oracle(p: MissingSamplePattern, k: int) -> bool:
     12,870 subsets become 810. For ``N/2 < 2K < N`` the representatives are
     the complements of those of ``N - 2K`` columns: complement commutes with
     shifts. The test is ``_first_independent`` at the one size 2K, the
-    column side of ``dft_sparsity_limit``.
+    column side of ``dft_sparsity_limit``, on the rank test that lives with
+    ``p``: asking K = 1, 2, ... of one pattern object forms its Gram once.
     """
     k = as_index(k, "sparsity")
     if k < 1:
         raise ValueError(f"sparsity must be >= 1, got {k}")
-    avail = p.available()
-    if 2 * k > len(avail):
+    if 2 * k > p.n - p.q:
         return False
-    return _first_independent(p.n, avail, [2 * k]) is not None
+    return _first_independent(p, [2 * k]) is not None
 
 
-def _first_independent(n: int, avail, sizes):
-    """The first of ``sizes`` whose column subsets of the inverse DFT's rows ``avail`` are independent.
+def _first_independent(p: MissingSamplePattern, sizes):
+    """The first of ``sizes`` whose column subsets of ``p``'s partial inverse DFT are independent.
 
-    None when no size passes. One ``rank_test`` serves every size, each swept
-    one subset per cyclic-shift orbit from the side with fewer gaps:
+    None when no size passes. Every size, and every call on the same ``p``,
+    uses the rank test that lives with ``p`` (``p._column_test``). Each size
+    is swept one subset per cyclic-shift orbit from the side with fewer gaps:
     ``iter_orbit_chunks(n, size)``, or for ``n / 2 < size < n`` the
     complements of ``iter_orbit_chunks(n, n - size)``, one per orbit too since
     complement commutes with shifts. The caller reads only whether a subset
     is flagged, so which subset of an orbit stands for it does not matter.
     """
-    evaluate = rank_test(_fourier_rows(np.array(avail, dtype=np.float64), n, n, 1.0 / n))
+    n = p.n
     for size in sizes:
         if n < 2 * size < 2 * n:
             chunks = _complements(iter_orbit_chunks(n, n - size), n)
         else:
             chunks = iter_orbit_chunks(n, size)
-        if sweep(chunks, evaluate).witness is None:
+        if sweep(chunks, p._column_test).witness is None:
             return size
     return None
 

@@ -52,6 +52,11 @@ def unit_gaussian(seed, rows=4, cols=6):
     return normalize_columns(build_gaussian(rows, cols, seed))
 
 
+def top_sweep_test(a):
+    """Spark's top-sweep evaluator: the rank test of ``a`` at twice the rule's tolerance."""
+    return functools.partial(rank_test(a.entries), rtol=2 * RANK_RTOL)
+
+
 class TestSpark:
     def test_demo_matrix(self, demo_matrix):
         assert spark(demo_matrix) == (6, True, 218)
@@ -80,7 +85,7 @@ class TestSpark:
         # columns {0, 2} have sigma_min / sigma_max = 1.5e-10: the top sweep flags
         # them under 2 * RANK_RTOL, and the upward scan finds nothing under RANK_RTOL
         a = MeasurementMatrix([[1, 0, 1], [0, 1, 3e-10]])
-        assert sweep(iter_combination_chunks(3, 2), rank_test(a.entries, 2 * RANK_RTOL)).witness == (0, 2)
+        assert sweep(iter_combination_chunks(3, 2), top_sweep_test(a)).witness == (0, 2)
         assert spark(a) == SparkResult(3, True, 6)
 
     def test_budget_exhaustion_gives_lower_bound(self, demo_matrix):
@@ -213,14 +218,13 @@ def test_spark_settles_most_of_the_upward_scan_after_a_top_flag(kind, s, share, 
     plain = module.rank_test
     received = []
 
-    def counted_rank_test(entries, rtol=RANK_RTOL):
-        evaluate = plain(entries, rtol)
-        if rtol != RANK_RTOL:
-            return evaluate  # the top sweep's, under the doubled tolerance
+    def counted_rank_test(entries):
+        evaluate = plain(entries)
 
-        def counted(combs):
-            received.append(len(combs))
-            return evaluate(combs)
+        def counted(combs, rtol=RANK_RTOL):
+            if rtol == RANK_RTOL:  # not the top sweep's call, under the doubled tolerance
+                received.append(len(combs))
+            return evaluate(combs, rtol)
 
         return counted
 
@@ -259,7 +263,7 @@ def test_spark_skips_the_sizes_a_top_flag_settles_whole(monkeypatch):
             # counts against the one-subset scan: the test above at spark 7 and 8, and
             # test_spark_matches_upward_scan on small matrices
             assert spark(a).value == s, (s, i)
-            flag = sweep(plain(16, 8), rank_test(a.entries, 2 * RANK_RTOL)).witness
+            flag = sweep(plain(16, 8), top_sweep_test(a)).witness
             j = next((c for c, v in enumerate(flag) if v != c), 8)
             # the top sweep, then the upward scan from size max(8 - j, 1) on; at s = 8
             # one rank test of the flag settles size 8, which is not generated again
@@ -274,14 +278,13 @@ def recorded_top_subsets(monkeypatch, top):
     plain = module.rank_test
     received = []
 
-    def recorded_rank_test(entries, rtol=RANK_RTOL):
-        evaluate = plain(entries, rtol)
-        if rtol != RANK_RTOL:
-            return evaluate  # the top sweep's, under the doubled tolerance
+    def recorded_rank_test(entries):
+        evaluate = plain(entries)
 
-        def recorded(combs):
-            received.extend(tuple(c) for c in combs.tolist() if len(c) == top)
-            return evaluate(combs)
+        def recorded(combs, rtol=RANK_RTOL):
+            if rtol == RANK_RTOL:  # not the top sweep's call, under the doubled tolerance
+                received.extend(tuple(c) for c in combs.tolist() if len(c) == top)
+            return evaluate(combs, rtol)
 
         return recorded
 
@@ -320,7 +323,7 @@ def test_spark_settles_the_top_size_with_one_rank_test_of_the_flag(build, monkey
     # the partial IDFT's top sweep runs on shift orbits
     assert shift_invariant(a.entries) == (build is idft_12_on_9_rows)
     chunks = iter_orbit_chunks(n, top) if shift_invariant(a.entries) else iter_combination_chunks(n, top)
-    flag = sweep(chunks, rank_test(a.entries, 2 * RANK_RTOL)).witness
+    flag = sweep(chunks, top_sweep_test(a)).witness
     received = recorded_top_subsets(monkeypatch, top)
     res = spark(a)
     assert tuple(res) == reference_spark(a, math.inf)
@@ -330,6 +333,22 @@ def test_spark_settles_the_top_size_with_one_rank_test_of_the_flag(build, monkey
         assert received == [flag] + [c for c in itertools.combinations(range(n), top) if c >= flag]
     else:
         assert res.value == top and received == [flag]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [functools.partial(planted_8x16, 7, 0), idft_12_on_9_rows, functools.partial(unit_gaussian, 0)],
+    ids=["planted-7", "idft-12-on-9", "generic-4x6"],
+)
+def test_spark_forms_one_gram_for_its_top_sweep_and_upward_scan(build, monkeypatch):
+    # the top sweep passes twice the tolerance per call to the rank test the upward scan uses
+    module = importlib.import_module("cscert.certify")
+    plain = module.rank_test
+    built = []
+    monkeypatch.setattr(module, "rank_test", lambda entries: built.append(entries.shape) or plain(entries))
+    a = build()
+    assert tuple(spark(a)) == reference_spark(a, math.inf)
+    assert built == [a.shape]
 
 
 @pytest.mark.parametrize("entry", ["spark", "rip_profile", "certify"])

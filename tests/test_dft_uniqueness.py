@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import re
 import tracemalloc
 from unittest import mock
@@ -18,7 +20,7 @@ from cscert import (
     spark,
     stride_count,
 )
-from cscert import dft_uniqueness
+from cscert import _linalg, dft_uniqueness
 from cscert._linalg import (
     RANK_RTOL,
     dependent_mask,
@@ -40,6 +42,20 @@ def oracle_limit(p: MissingSamplePattern) -> int:
     while dft_uniqueness_oracle(p, k):
         k += 1
     return k - 1
+
+
+def assert_shared_test_answers_like_fresh_ones(n, missing, order, limit_first):
+    """The oracle at K in ``order``, asked of one pattern object, against fresh objects, and its limit."""
+    def fresh():
+        return MissingSamplePattern.of(n, missing)
+
+    report = dft_sparsity_limit(fresh()).to_json()
+    p = fresh()
+    if limit_first:
+        assert dft_sparsity_limit(p).to_json() == report
+    for k in order:
+        assert dft_uniqueness_oracle(p, k) == dft_uniqueness_oracle(fresh(), k), (missing, k)
+    assert dft_sparsity_limit(p).to_json() == report, missing
 
 
 def plain_zero_set_scan(n: int, q, rows=None) -> int:
@@ -122,9 +138,14 @@ def top_bracket(p):
     return k_max, (brackets[0] if brackets else None)
 
 
+def top_level(budget, n, q):
+    """A ``_MinSupport`` whose top level is the pattern of length n missing q."""
+    return _MinSupport(budget, MissingSamplePattern.of(n, q))
+
+
 def row_side(n, q):
     """The K of the row side's exact S: the zero-set sweep over every row set, with no stop."""
-    best, exact = _MinSupport(math.inf).zero_set_sweep(n, frozenset(q), n, stop=0)
+    best, exact = top_level(math.inf, n, q).zero_set_sweep(n, frozenset(q), n, stop=0)
     assert exact
     return (best - 1) // 2
 
@@ -132,7 +153,7 @@ def row_side(n, q):
 def column_side(n, q, lo, hi):
     """The column side's K for S in [lo, hi], with the count rule made to choose that side."""
     with mock.patch.object(dft_uniqueness, "orbits", lambda n, k: 0):
-        support, exact = _MinSupport(math.inf).column_scan(n, frozenset(q), lo, hi)
+        support, exact = top_level(math.inf, n, q).column_scan(n, frozenset(q), lo, hi)
     assert exact
     return (support - 1) // 2
 
@@ -164,6 +185,21 @@ class TestPattern:
             MissingSamplePattern(8, (3, 3))
         with pytest.raises(ValueError, match=r"^missing positions must lie in \[0, 8\)$"):
             MissingSamplePattern(8, (8,))
+
+    def test_a_used_pattern_keeps_its_column_test_out_of_its_value(self):
+        # the limit's column side and the oracle leave their rank test with the object;
+        # it takes no part in equality, hash or repr, and copies and pickles leave it behind
+        used = MissingSamplePattern.of(16, [0, 2, 3, 9])
+        dft_sparsity_limit(used)
+        for k in range(1, 7):
+            dft_uniqueness_oracle(used, k)
+        assert "_column_test" in vars(used)
+        fresh = MissingSamplePattern.of(16, [0, 2, 3, 9])
+        for twin in used, copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used)):
+            assert twin == fresh and hash(twin) == hash(fresh) and repr(twin) == repr(fresh)
+            assert twin is used or "_column_test" not in vars(twin)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        assert {used: 1}[fresh] == 1
 
     def test_available_is_complement(self):
         p = MissingSamplePattern.of(8, [1, 4])
@@ -347,7 +383,7 @@ class TestExactLimit:
         rng = np.random.default_rng(seed)
         size = int(rng.integers(2, n if n < 32 else 5))
         q = sorted(int(m) for m in rng.choice(n, size=size, replace=False))
-        best, exact = _MinSupport(math.inf).zero_set_sweep(n, frozenset(q), n, stop=0)
+        best, exact = top_level(math.inf, n, q).zero_set_sweep(n, frozenset(q), n, stop=0)
         assert exact and best == plain_zero_set_scan(n, q), q
 
     @given(st.sampled_from([16, 32]), st.integers(0, 2**32 - 1), st.booleans(), st.data())
@@ -370,7 +406,7 @@ class TestExactLimit:
             streams = []
             with mock.patch.object(dft_uniqueness, "iter_orbit_chunks", opened(streams, chunks)), \
                     mock.patch.object(dft_uniqueness, "dependent_mask", rule):
-                m = _MinSupport(budget)
+                m = top_level(budget, n, q)
                 settled = m.settle(n, q, step=2)
                 swept = m.zero_set_sweep(n, q, n, stop)
                 # the top level's row sets were swept, unless the budget ran out first
@@ -459,8 +495,8 @@ class TestExactLimit:
         # the bounds of this N=32 pattern disagree, so the first settle sweeps to the end
         # and leaves budget over; the second reads the memo and draws none of it
         lengths = row_sweeps(monkeypatch)
-        m = _MinSupport(10**5)
         q = frozenset([4, 10, 13, 15, 16, 21, 23])
+        m = top_level(10**5, 32, q)
         first = m.settle(32, q)
         left = m.left
         assert first[1] and 0 < left < 10**5
@@ -471,7 +507,7 @@ class TestExactLimit:
         # a sweep with no budget left covers nothing, so it builds no row set
         monkeypatch.setattr(dft_uniqueness, "iter_orbit_chunks",
                             mock.Mock(side_effect=AssertionError("chunk built")))
-        m = _MinSupport(1)
+        m = top_level(1, 256, range(0, 256, 3))
         m.left = 0
         assert m.zero_set_sweep(256, frozenset(range(0, 256, 3)), 200, stop=0) == (200, False)
         assert m.left == 0
@@ -561,7 +597,7 @@ class TestExactLimit:
         monkeypatch.setattr(dft_uniqueness, "_CHUNK_ENTRIES", 1 << 10)
         bch_alone(monkeypatch)
         with mock.patch.object(np, "sort", wraps=np.sort) as sort:
-            assert _MinSupport(1).settle(n, frozenset({0, 1}), step=2) == (n - 1, True)
+            assert top_level(1, n, [0, 1]).settle(n, frozenset({0, 1}), step=2) == (n - 1, True)
         assert sort.call_count == 1
 
     @pytest.mark.parametrize("n, missing", [
@@ -619,6 +655,42 @@ class TestOracle:
         assert dft_uniqueness_oracle(p, n // 2)
         assert not dft_uniqueness_oracle(p, n // 2 + 1)
 
+    @given(st.permutations(range(1, 5)), st.booleans())
+    @settings(max_examples=5, deadline=None)
+    def test_one_pattern_object_answers_like_fresh_ones_on_every_n8_pattern(self, order, limit_first):
+        for q in range(9):
+            for missing in itertools.combinations(range(8), q):
+                assert_shared_test_answers_like_fresh_ones(8, missing, order, limit_first)
+
+    @given(st.sets(st.integers(0, 15), max_size=15), st.permutations(range(1, 9)), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_one_pattern_object_answers_like_fresh_ones_at_n16(self, missing, order, limit_first):
+        # whichever call comes first builds the null side, and later chunks that
+        # _null_side_pays(built=True) sends to it must keep every verdict
+        assert_shared_test_answers_like_fresh_ones(16, sorted(missing), order, limit_first)
+
+    def test_a_scan_builds_the_column_test_once(self, monkeypatch):
+        # the limit, then the oracle at K = 1, 2, ... until False, as scripts/certify_demo.py
+        # asks it: one Fourier row block, one Gram and one null-side certificate for all
+        built = {"rows": 0, "gram": 0, "null": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(dft_uniqueness, "_fourier_rows", counted("rows", dft_uniqueness._fourier_rows))
+        monkeypatch.setattr(dft_uniqueness, "rank_test", counted("gram", dft_uniqueness.rank_test))
+        monkeypatch.setattr(_linalg, "_null_screen", counted("null", _linalg._null_screen))
+        p = MissingSamplePattern.of(16, [0, 5])  # K = 7: 14 columns, where the null side pays
+        assert dft_sparsity_limit(p).k_max == oracle_limit(p) == 7
+        assert built == {"rows": 1, "gram": 1, "null": 1}
+        # a limit that the bounds settle builds no column test at all
+        burst = MissingSamplePattern.of(1 << 24, [0, 1])
+        assert dft_sparsity_limit(burst).exact and "_column_test" not in vars(burst)
+        assert built == {"rows": 1, "gram": 1, "null": 1}
+
     @given(st.sampled_from([8, 16]), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_orbit_sweep_matches_full_sweep(self, n, seed):
@@ -644,15 +716,16 @@ class TestOracle:
                 if missing > min(tuple(sorted(u * m % 16 for m in missing)) for u in range(1, 16, 2)):
                     continue
                 avail = [i for i in range(16) if i not in missing]
+                p = MissingSamplePattern.of(16, missing)
                 evaluate = rank_test(build_partial_idft(16, avail).entries)
                 sizes = range(10, len(avail) + 1, 2)  # 2K, as the oracle and the column scan ask
                 passing = [size for size in sizes
                            if sweep(iter_orbit_chunks(16, size), evaluate).witness is None]
                 for size in sizes:
-                    got = dft_uniqueness._first_independent(16, avail, [size])
+                    got = dft_uniqueness._first_independent(p, [size])
                     assert got == (size if size in passing else None), (missing, size)
                 # one rank test shared by a downward scan stops at the largest passing size
-                got = dft_uniqueness._first_independent(16, avail, sizes[::-1])
+                got = dft_uniqueness._first_independent(p, sizes[::-1])
                 assert got == max(passing, default=None), missing
 
     @pytest.mark.parametrize("missing, sizes", [
@@ -666,10 +739,11 @@ class TestOracle:
     def test_complement_sweep_matches_the_orbit_sweep_at_n32(self, missing, sizes):
         # the reference sweeps every combination, not one per orbit
         avail = [i for i in range(32) if i not in missing]
+        p = MissingSamplePattern.of(32, missing)
         evaluate = rank_test(build_partial_idft(32, avail).entries)
         for size in sizes:
             full = sweep(iter_combination_chunks(32, size), evaluate).witness is None
-            assert (dft_uniqueness._first_independent(32, avail, [size]) == size) == full, size
+            assert (dft_uniqueness._first_independent(p, [size]) == size) == full, size
 
 
 class TestProperties:
