@@ -107,6 +107,18 @@ first flagged subset, as a combination sweep's would be. Sweeps that need
 the logical subset count (spark's upward scan and RIP constants) keep
 ``iter_combination_chunks``.
 
+An orbit set of at most 2^17 entries, every size at n = 16 (32,928
+entries, 263 KB, together) and sizes 1-5 and 28-32 at n = 32, is generated
+once per process and kept in ``_ORBIT_SETS``, keyed on (n, k), for the
+rest of it. Generating a set costs as much as the rank tests it feeds, or
+more (0.13-0.33 ms at n = 16 and k = 4, 6, 8, on one core), and a process
+that asks the oracle or the DFT limit of many patterns, or spark of many
+partial Fourier matrices, asks for the same sets again and again.
+The kept chunks are read-only: every caller iterates over the same arrays,
+so none may change what the next one reads. A larger set streams lazily,
+one generator step per chunk, as a sweep that stops early takes only its
+first few chunks.
+
 ``iter_combination_chunks`` slices its k-subsets from
 ``combination_tables``: for each size r, the r-combinations of range(n) as
 the columns of one read-only array, in lexicographic order. The
@@ -117,10 +129,12 @@ sizes 1 and 2 at n = 256. Above the largest kept size R, a row is a prefix
 from the recursive stream of (k - R)-combinations followed by a column of
 the R-table, laid out one block of prefixes at a time. ``spark`` and
 ``rip_profile`` build the tables once per call and pass them to every sweep
-they run; nothing keeps them past the call.
-They are built fresh, and a fresh allocation faults its pages in at a few
-microseconds per 4 KB, so they use the smallest unsigned dtype that holds
-n - 1: one byte up to n = 256.
+they run; nothing keeps them past the call. Unlike the orbit sets, they are
+built in one vectorized pass per size, about 0.11-0.15 ms per ``certify`` at
+n = 16, and a kept copy measured only 0.251 -> 0.239 s of certify-generic
+``wall_s``. They are built fresh, and a fresh allocation faults its pages
+in at a few microseconds per 4 KB, so they use the smallest unsigned dtype
+that holds n - 1: one byte up to n = 256.
 
 Sweeps act on chunks of subsets only to batch the linear algebra: every
 evaluator answers with the position of the first subset a scan of one subset
@@ -150,8 +164,13 @@ CHUNK = 2048
 # A chunk of k-subsets holds at most about this many k x k matrix entries.
 _CHUNK_ENTRIES = 1 << 20
 
-# A combination table holds at most this many entries: every size at n = 16.
+# A combination table, or a kept orbit set, holds at most this many entries:
+# every size at n = 16.
 _TABLE_ENTRIES = 1 << 17
+
+# The orbit sets ``iter_orbit_chunks`` has generated whole, by (n, k): tuples
+# of read-only chunks, kept for the life of the process.
+_ORBIT_SETS: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
 # A subset whose Gram eigenvalues satisfy lambda_min > SCREEN * lambda_max is
 # independent without an SVD; the screen certifies it with a Cholesky test.
@@ -276,7 +295,7 @@ def _combination_rows(tables, k, lo, cap, size):
 
 
 def iter_orbit_chunks(n: int, k: int):
-    """Yield (B, k) int arrays of one k-subset of range(n) per cyclic-shift orbit.
+    """An iterator of (B, k) int arrays of one k-subset of range(n) per cyclic-shift orbit.
 
     Each subset holds 0 and is the lexicographically smallest of its shifts
     S + c (mod n), and subsets come in lexicographic order. A subset holding
@@ -304,11 +323,43 @@ def iter_orbit_chunks(n: int, k: int):
     Grams, so cap is at most ``2^20 / n`` and ``2^20 / k^2``. Gaps are below
     n, and every caller holds n columns, far fewer than 2^31, so int32 holds
     them, which halves the frames.
+
+    A set of at most ``_TABLE_ENTRIES`` entries (``_kept``), the tables'
+    rule, is generated whole on its first call and kept in ``_ORBIT_SETS``
+    for the rest of the process; later calls iterate over the kept chunks.
+    Chunks are read-only, so no caller can change what the next one reads.
+    A larger set streams lazily, one step per chunk, and is never kept.
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
+    if not _kept(n, k):
+        return _necklaces(n, k)
+    chunks = _ORBIT_SETS.get((n, k))
+    if chunks is None:
+        chunks = _ORBIT_SETS[n, k] = tuple(_necklaces(n, k))
+    return iter(chunks)
+
+
+def _kept(n: int, k: int) -> bool:
+    """Whether the k-subset orbit set of range(n), ``k * orbits(n, k)`` entries, fits ``_TABLE_ENTRIES``.
+
+    It holds at least k entries, and at least ``C(n, k) / n >= 2^j / n``
+    for ``j = min(k, n - k)``, since ``C(n, j) >= 2^j`` for ``j <= n / 2``.
+    Those bounds turn a large set away before ``orbits`` counts it, whose
+    binomials could run to millions of bits: the count it does run has
+    ``min(k, n - k)`` below the bit length of n plus 17.
+    """
+    if k > _TABLE_ENTRIES or min(k, n - k) >= (n * _TABLE_ENTRIES).bit_length():
+        return False
+    return k * orbits(n, k) <= _TABLE_ENTRIES
+
+
+def _necklaces(n: int, k: int):
+    """The chunks of ``iter_orbit_chunks(n, k)``, generated one step at a time and read-only."""
     if k == 1:
-        yield np.zeros((1, 1), dtype=np.intp)
+        out = np.zeros((1, 1), dtype=np.intp)
+        out.flags.writeable = False
+        yield out
         return
     cap = max(1, min(CHUNK, _CHUNK_ENTRIES // n, _CHUNK_ENTRIES // k**2))
     one = np.ones(1, dtype=np.intp)
@@ -344,6 +395,7 @@ def iter_orbit_chunks(n: int, k: int):
         if keep.any():
             out = np.zeros((k, int(keep.sum())), dtype=np.intp)
             np.cumsum(child[:, keep], axis=0, out=out[1:])
+            out.flags.writeable = False
             yield out.T
 
 

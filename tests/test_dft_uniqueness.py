@@ -1,3 +1,4 @@
+import collections
 import copy
 import itertools
 import math
@@ -658,9 +659,21 @@ class TestOracle:
     @given(st.permutations(range(1, 5)), st.booleans())
     @settings(max_examples=5, deadline=None)
     def test_one_pattern_object_answers_like_fresh_ones_on_every_n8_pattern(self, order, limit_first):
-        for q in range(9):
-            for missing in itertools.combinations(range(8), q):
-                assert_shared_test_answers_like_fresh_ones(8, missing, order, limit_first)
+        # from an empty memo, each orbit set is generated once for all 256 patterns: the
+        # helper runs the limit and the oracle at every K on fresh pattern objects too
+        generated = collections.Counter()
+        necklaces = _linalg._necklaces
+
+        def counted(n, k):
+            generated[n, k] += 1
+            return necklaces(n, k)
+
+        with mock.patch.object(_linalg, "_ORBIT_SETS", {}), \
+                mock.patch.object(_linalg, "_necklaces", counted):
+            for q in range(9):
+                for missing in itertools.combinations(range(8), q):
+                    assert_shared_test_answers_like_fresh_ones(8, missing, order, limit_first)
+        assert generated and set(generated.values()) == {1}, generated
 
     @given(st.sets(st.integers(0, 15), max_size=15), st.permutations(range(1, 9)), st.booleans())
     @settings(max_examples=40, deadline=None)

@@ -12,6 +12,7 @@ from cscert import _linalg
 from cscert._linalg import (
     _CHUNK_ENTRIES,
     _SCREEN_FLOOR,
+    _TABLE_ENTRIES,
     CHUNK,
     SCREEN,
     combination_tables,
@@ -316,6 +317,69 @@ def test_orbit_chunks_yield_one_subset_per_cyclic_orbit():
     # above n = 512 the cap keeps a chunk's length-n spectra within 2^20 entries
     sizes = [len(c) for c in ended(iter_orbit_chunks(1024, 3), orbits(1024, 3))]
     assert max(sizes) <= 1024 and sum(sizes) == orbits(1024, 3)
+
+
+def kept_sizes(n):
+    """The k whose orbit sets of range(n) hold at most ``_TABLE_ENTRIES`` entries."""
+    return [k for k in range(1, n + 1) if k * orbits(n, k) <= _TABLE_ENTRIES]
+
+
+def test_kept_orbit_sets_match_a_fresh_stream(monkeypatch):
+    monkeypatch.setattr(_linalg, "_ORBIT_SETS", {})
+    assert kept_sizes(16) == list(range(1, 17))
+    assert kept_sizes(32) == [1, 2, 3, 4, 5, 28, 29, 30, 31, 32]
+    for n in [*range(1, 17), 32]:
+        for k in kept_sizes(n):
+            kept = list(ended(iter_orbit_chunks(n, k), orbits(n, k)))
+            assert _linalg._ORBIT_SETS[n, k] == tuple(kept)
+            fresh = list(_linalg._necklaces(n, k))
+            assert len(kept) == len(fresh), (n, k)
+            for a, b in zip(kept, fresh):
+                assert a.dtype == b.dtype == np.intp
+                assert a.shape == b.shape and a.strides == b.strides and a.T.flags.c_contiguous
+                assert np.array_equal(a, b), (n, k)
+            # a second call iterates over the same chunks
+            again = list(iter_orbit_chunks(n, k))
+            assert len(again) == len(kept) and all(a is b for a, b in zip(again, kept))
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0][0, 0] = 1
+    # every n = 16 set together: 32,928 entries of 8 bytes
+    assert sum(c.size for k in range(1, 17) for c in _linalg._ORBIT_SETS[16, k]) == 32_928
+
+
+@pytest.mark.parametrize("n, k", [(32, 16), (32, 6), (1024, 3)])
+def test_orbit_sets_above_the_gate_stream_and_are_not_kept(monkeypatch, n, k):
+    monkeypatch.setattr(_linalg, "_ORBIT_SETS", {})
+    assert k * orbits(n, k) > _TABLE_ENTRIES
+    chunks = iter_orbit_chunks(n, k)
+    first = next(chunks)
+    assert np.array_equal(first, next(_linalg._necklaces(n, k)))
+    assert not first.flags.writeable
+    assert _linalg._ORBIT_SETS == {}
+
+
+def test_the_gate_counts_no_large_binomial(monkeypatch):
+    calls = []
+
+    def comb(n, k, comb=math.comb):
+        assert min(k, n - k) < 64, (n, k)
+        calls.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr(_linalg, "_ORBIT_SETS", {})
+    monkeypatch.setattr(_linalg.math, "comb", comb)
+    # math.comb(2**20 - 1, 2**19 - 1) alone takes seconds; no chunk is asked for here,
+    # and the first one of a set this size would take as long again
+    for n, k in [(2**20, 2**19), (2**20, 2**20), (2**20, 2**20 - 30), (2**64, 2**63), (70, 35)]:
+        iter_orbit_chunks(n, k)
+    assert calls == []
+    # sets too large for the bounds to tell are counted, on their small side
+    for n, k in [(2**20, 30), (2**64, 3)]:
+        iter_orbit_chunks(n, k)
+    assert (2**20, 30) in calls and (2**64, 3) in calls
+    assert _linalg._ORBIT_SETS == {}
+    with pytest.raises(ValueError, match="need 0 < k <= n"):
+        iter_orbit_chunks(2**20, 2**20 + 1)
 
 
 def sorted_orbit_filter(n, k):
