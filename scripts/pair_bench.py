@@ -15,8 +15,12 @@ either checkout. Standard output gets one table, with one row per workload
 and end-to-end metric of ``BENCHMARK.json``: the parent's median and
 quartiles, the change's median, their difference and the pairs the change
 won. A line under it names the rows whose medians lie further apart than
-the parent's quartile spread, and a last one every row whose change is
-worse than its ``BENCHMARK.json`` bound. With ``--claim WORKLOAD:METRIC``,
+the parent's quartile spread, and the next each workload's median of
+``unscaled.op_p50_s`` on each side: the median op time before ``run.py``
+scales it by its calibration kernel, from the details JSON ``run.py``
+writes to standard error, which tells a change in the ops from a change in
+the kernel's speed beside them. A last line names every row whose change
+is worse than its ``BENCHMARK.json`` bound. With ``--claim WORKLOAD:METRIC``,
 a line before that last one says whether the claim rule holds for that row
 (the change won at least nine pairs in ten, and its median beats the
 parent's by more than the parent's quartile spread), and the last line
@@ -37,7 +41,7 @@ HEADER = ("  | workload | metric | parent median [q1, q3] | change median | diff
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in a fresh copy of ``checkout``; returns its metric values."""
+    """One perfbench run in a fresh copy of ``checkout``: its metric values and ``unscaled.op_p50_s``."""
     with tempfile.TemporaryDirectory(prefix="pair-bench-") as tmp:
         copy = Path(tmp)
         shutil.copytree(checkout / "src", copy / "src",
@@ -53,7 +57,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
         raise RuntimeError(f"{checkout}: {result['failed']} of {result['attempted']} ops failed")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    # the details JSON, printed with indent=2, is the last thing run.py writes to stderr
+    lines = proc.stderr.splitlines()
+    details = json.loads("\n".join(lines[max(i for i, line in enumerate(lines) if line == "{"):]))
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    return values | {"unscaled.op_p50_s": details["unscaled"]["op_p50_s"]}
 
 
 def summarize(workload: str, parent: list, change: list, metrics: list) -> list:
@@ -146,6 +154,10 @@ def main(argv=None) -> int:
     rows = [row for w in workloads
             for row in summarize(w, runs[w]["parent"], runs[w]["change"], spec["end_to_end"])]
     print(format_table(rows))
+    print("unscaled op_p50_s median, parent / change: " + ", ".join(
+        f"{w} " + " / ".join(f"{statistics.median(r['unscaled.op_p50_s'] for r in runs[w][side]):.4g}"
+                             for side in ("parent", "change"))
+        for w in workloads))
     print("\n".join(claim_lines(rows, claim)) if claim else bound_line(rows))
     return 0
 

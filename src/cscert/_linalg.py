@@ -107,34 +107,30 @@ first flagged subset, as a combination sweep's would be. Sweeps that need
 the logical subset count (spark's upward scan and RIP constants) keep
 ``iter_combination_chunks``.
 
-An orbit set of at most 2^17 entries, every size at n = 16 (32,928
-entries, 263 KB, together) and sizes 1-5 and 28-32 at n = 32, is generated
-once per process and kept in ``_ORBIT_SETS``, keyed on (n, k), for the
-rest of it. Generating a set costs as much as the rank tests it feeds, or
-more (0.13-0.33 ms at n = 16 and k = 4, 6, 8, on one core), and a process
-that asks the oracle or the DFT limit of many patterns, or spark of many
-partial Fourier matrices, asks for the same sets again and again.
-The kept chunks are read-only: every caller iterates over the same arrays,
-so none may change what the next one reads. A larger set streams lazily,
-one generator step per chunk, as a sweep that stops early takes only its
-first few chunks.
-
 ``iter_combination_chunks`` slices its k-subsets from
 ``combination_tables``: for each size r, the r-combinations of range(n) as
-the columns of one read-only array, in lexicographic order. The
-combinations that begin with f are f followed by a suffix of the table one
-size down, so each table is built from the last one in one pass. A table is
-kept only while it holds at most 2^17 entries, every size at n = 16 and
-sizes 1 and 2 at n = 256. Above the largest kept size R, a row is a prefix
-from the recursive stream of (k - R)-combinations followed by a column of
-the R-table, laid out one block of prefixes at a time. ``spark`` and
-``rip_profile`` build the tables once per call and pass them to every sweep
-they run; nothing keeps them past the call. Unlike the orbit sets, they are
-built in one vectorized pass per size, about 0.11-0.15 ms per ``certify`` at
-n = 16, and a kept copy measured only 0.251 -> 0.239 s of certify-generic
-``wall_s``. They are built fresh, and a fresh allocation faults its pages
-in at a few microseconds per 4 KB, so they use the smallest unsigned dtype
-that holds n - 1: one byte up to n = 256.
+the columns of one read-only array, in lexicographic order, in the smallest
+unsigned dtype that holds n - 1 (one byte up to n = 256). The combinations
+that begin with f are f followed by a suffix of the table one size down, so
+each table is built from the last one in one pass. Above the largest
+table size R, a row is a prefix from the recursive stream of
+(k - R)-combinations followed by a column of the R-table, laid out one
+block of prefixes at a time.
+
+Both subset streams keep their sets by one rule: a set of at most 2^17
+entries (``_TABLE_ENTRIES``) is built once per process and kept, read-only,
+since a process that certifies many matrices or asks the oracle of many
+patterns asks for the same sets again and again, and every caller reads the
+same arrays. The orbit sets are kept in ``_ORBIT_SETS`` by (n, k): every
+size at n = 16 (32,928 entries, 263 KB, together) and sizes 1-5 and 28-32
+at n = 32. Generating one costs as much as the rank tests it feeds, or more
+(0.13-0.33 ms at n = 16 and k = 4, 6, 8, on one core). The combination
+tables are kept in ``_TABLES``: every size at n = 16 (524,288 one-byte
+entries, 512 KB, together) and sizes 1 and 2 at n = 256. They are keyed on
+(n, r), so that two threads that build one size at once only do the work
+twice. A larger orbit set streams lazily, one generator
+step per chunk, as a sweep that stops early takes only its first few
+chunks; a size-1 table above the limit is built for its call alone.
 
 Sweeps act on chunks of subsets only to batch the linear algebra: every
 evaluator answers with the position of the first subset a scan of one subset
@@ -164,9 +160,13 @@ CHUNK = 2048
 # A chunk of k-subsets holds at most about this many k x k matrix entries.
 _CHUNK_ENTRIES = 1 << 20
 
-# A combination table, or a kept orbit set, holds at most this many entries:
+# A kept combination table or orbit set holds at most this many entries:
 # every size at n = 16.
 _TABLE_ENTRIES = 1 << 17
+
+# The combination tables ``combination_tables`` has built, by (n, r): a
+# read-only (table, start) pair, kept for the life of the process.
+_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 # The orbit sets ``iter_orbit_chunks`` has generated whole, by (n, k): tuples
 # of read-only chunks, kept for the life of the process.
@@ -189,25 +189,34 @@ DEFAULT_BUDGET = 20_000_000
 def combination_tables(n: int, k: int) -> list:
     """Lexicographic tables of the r-combinations of range(n), for r = 1, 2, ... up to k.
 
-    Entry r - 1 is ``(table, start)``: ``table`` is a read-only (r, C(n, r))
-    array whose columns are the r-combinations in lexicographic order, in
+    Entry r - 1 is ``(table, start)``: ``table`` is an (r, C(n, r)) array
+    whose columns are the r-combinations in lexicographic order, in
     the smallest unsigned dtype that holds n - 1, and ``start[f]``, for
-    f = 0 .. n, is its first column whose first element is at least f. The
-    list stops before the first size whose table would hold more than
-    ``_TABLE_ENTRIES`` entries: every size at n = 16, sizes 1 and 2 at
-    n = 256. Each call builds its own tables, so callers that sweep several
-    sizes build them once and pass them on.
+    f = 0 .. n, is its first column whose first element is at least f; both
+    are read-only. The list stops before the first size above 1 whose table
+    would hold more than ``_TABLE_ENTRIES`` entries: every size at n = 16,
+    sizes 1 and 2 at n = 256. Each size within that limit is read from
+    ``_TABLES``, or built from the size below it and kept there; a size-1
+    table above it, which the stream always needs, is built for this call
+    alone.
     """
-    table = np.arange(n, dtype=np.min_scalar_type(n - 1))[None]
-    start = np.arange(n + 1)
     tables = []
-    while True:
-        table.flags.writeable = False
-        tables.append((table, start))
-        r = len(tables) + 1
-        if r > k or r * math.comb(n, r) > _TABLE_ENTRIES:
-            return tables
-        table, start = _extend_table(table, start)
+    for r in range(1, k + 1):
+        kept = r * math.comb(n, r) <= _TABLE_ENTRIES
+        if r > 1 and not kept:
+            break
+        pair = _TABLES.get((n, r)) if kept else None
+        if pair is None:
+            if r == 1:
+                pair = np.arange(n, dtype=np.min_scalar_type(n - 1))[None], np.arange(n + 1)
+            else:
+                pair = _extend_table(*tables[-1])
+            for a in pair:
+                a.flags.writeable = False
+            if kept:
+                _TABLES[n, r] = pair
+        tables.append(pair)
+    return tables
 
 
 def _extend_table(table, start):
@@ -226,11 +235,10 @@ def _extend_table(table, start):
     return out, np.concatenate(([0], np.cumsum(count)))
 
 
-def iter_combination_chunks(n: int, k: int, chunk: int = CHUNK, *, tables=None, ramp=True):
+def iter_combination_chunks(n: int, k: int, chunk: int = CHUNK, *, ramp=True):
     """Yield (B, k) int arrays of k-combinations of range(n) in lexicographic order.
 
-    Rows come from ``tables``, the ``combination_tables(n, k)`` of the
-    caller, built here when it passes none. When the k-table exists, each
+    Rows come from ``combination_tables(n, k)``. When the k-table exists, each
     chunk is a slice of it. Otherwise, with R the largest table size, each
     row is a (k - R)-prefix, drawn in order from the same generator's
     (k - R)-combinations of range(n - R), followed by an R-combination whose
@@ -254,8 +262,7 @@ def iter_combination_chunks(n: int, k: int, chunk: int = CHUNK, *, tables=None, 
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
-    if tables is None:
-        tables = combination_tables(n, k)
+    tables = combination_tables(n, k)
     cap = max(1, min(chunk, _CHUNK_ENTRIES // k**2))
     for rows in _combination_rows(tables, k, 0, cap, min(64, cap) if ramp else cap):
         yield rows.T

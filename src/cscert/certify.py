@@ -91,7 +91,6 @@ from ._linalg import (
     DEFAULT_BUDGET,
     RANK_RTOL,
     check_budget,
-    combination_tables,
     iter_combination_chunks,
     iter_orbit_chunks,
     rank_test,
@@ -141,7 +140,7 @@ class RipResult(NamedTuple):
     witness: tuple[int, ...]  # the first subset met whose computed deviation is delta
 
 
-def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET, *, _tables=None) -> SparkResult:
+def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET) -> SparkResult:
     """Smallest number of linearly dependent columns, by exhaustive enumeration.
 
     The result is that of scanning subset sizes k = 1, 2, ... and returning
@@ -158,23 +157,20 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET, *, _tables=None) -
     shift orbit on columns with cyclic shift structure), the sizes and
     subsets its first flag settles, and one rank test of that flag at the
     top size. The module docstring has why each step is exact and how many
-    rank tests run. All sizes share one set of
-    ``_linalg.combination_tables``, built once per call unless ``_tables``
-    passes in those of size up to at least min(M, N), as ``certify`` does.
+    rank tests run.
     """
     budget = check_budget(budget)
     m, n = a.shape
     top = min(m, n)
     total = sum(math.comb(n, k) for k in range(1, top + 1))
     full_rank = SparkResult(m + 1 if n > m else None, True, total)
-    tables = combination_tables(n, top) if _tables is None else _tables
     evaluate = test = rank_test(a.entries)
     first, clean = None, 0  # sizes below clean are settled whole
     if total <= budget:
         if shift_invariant(a.entries):
             chunks = iter_orbit_chunks(n, top)
         else:
-            chunks = iter_combination_chunks(n, top, tables=tables)
+            chunks = iter_combination_chunks(n, top)
         first = sweep(chunks, lambda combs: test(combs, 2 * RANK_RTOL)).witness
         if first is None:
             return full_rank
@@ -194,7 +190,7 @@ def spark(a: MeasurementMatrix, budget: int = DEFAULT_BUDGET, *, _tables=None) -
         if k == top and first is not None and test(np.array([first])) is not None:
             # every top-subset before first is settled, so the scan's first hit is first itself
             return SparkResult(top, True, used + _lex_rank(first, n) + 1)
-        run = sweep(iter_combination_chunks(n, k, tables=tables), evaluate, budget - used)
+        run = sweep(iter_combination_chunks(n, k), evaluate, budget - used)
         used += run.covered
         if run.witness is not None or not run.exact:
             # a cut sweep verified sizes < k fully, size k only partially
@@ -266,9 +262,7 @@ def welch_bound(m: int, n: int) -> float:
     return math.sqrt((n - m) / (m * (n - 1)))
 
 
-def rip_constant(
-    a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET, *, _tables=None, _seed=None
-) -> RipResult:
+def rip_constant(a: MeasurementMatrix, k: int, budget: int = DEFAULT_BUDGET, *, _seed=None) -> RipResult:
     """Isometry constant delta_K, the largest ``||G_S - I||_2`` over K-column subsets S.
 
     G_S is the Gram matrix of subset S, a principal K x K submatrix of the
@@ -333,13 +327,11 @@ def rip_constant(
     delta is the float a plain ``eigvalsh`` scan gives,
     ``max(1 - min lambda_min, max lambda_max - 1)``.
 
-    ``_tables`` passes in ``_linalg.combination_tables(N, k_max)``, so that
-    ``rip_profile`` builds them once for all its orders. ``_seed`` is order
-    K - 1's witness, which ``rip_profile`` passes only to an order the
-    budget cannot cut: the N - K + 1 sorted extensions of that subset get
-    ``eigvalsh`` in one stack of their own and set d, outside the
-    evaluation count, and the sweep takes full-width chunks from its first
-    subset (the module docstring has why this is exact).
+    ``_seed`` is order K - 1's witness, which ``rip_profile`` passes only
+    to an order the budget cannot cut: the N - K + 1 sorted extensions of
+    that subset get ``eigvalsh`` in one stack of their own and set d,
+    outside the evaluation count, and the sweep takes full-width chunks from
+    its first subset (the module docstring has why this is exact).
     """
     m, n = a.shape
     k = as_index(k, "order")
@@ -392,7 +384,7 @@ def rip_constant(
         rest = np.delete(np.arange(n), _seed)
         raise_d(np.sort(np.column_stack((np.broadcast_to(_seed, (len(rest), k - 1)), rest))))
     # a seeded sweep sends no first chunk whole to eigvalsh, so it starts at full width
-    chunks = iter_combination_chunks(n, k, tables=_tables, ramp=_seed is None)
+    chunks = iter_combination_chunks(n, k, ramp=_seed is None)
     run = sweep(chunks, deviation, budget)
     return RipResult(d, run.exact, run.covered, tuple(witness.tolist()))
 
@@ -406,13 +398,9 @@ class RipProfile:
     budget_used: int
 
 
-def rip_profile(
-    a: MeasurementMatrix, k_max: int, budget: int = DEFAULT_BUDGET, *, _tables=None
-) -> RipProfile:
+def rip_profile(a: MeasurementMatrix, k_max: int, budget: int = DEFAULT_BUDGET) -> RipProfile:
     """Isometry constants for orders 1..k_max on one budget; orders past it read 0.0, inexact.
 
-    Every order shares one set of ``_linalg.combination_tables``, built once
-    per call unless ``_tables`` passes in those of size up to at least k_max.
     Each order K >= 2 whose C(N, K) subsets all fit the budget left is seeded
     from order K - 1's ``witness``, as the module docstring sets out; its
     N - K + 1 seed Grams are outside ``budget_used``. Every delta, flag and
@@ -426,13 +414,11 @@ def rip_profile(
         raise ValueError(f"order must satisfy 1 <= K <= min(M, N) = {min(a.shape)}, got {k_max}")
     deltas = dict.fromkeys(range(1, k_max + 1), 0.0)
     exact = dict.fromkeys(deltas, False)
-    if _tables is None and k_max:
-        _tables = combination_tables(a.shape[1], k_max)
     used, witness = 0, None
     for k in deltas:
         if used < budget:
             seed = witness if math.comb(a.shape[1], k) <= budget - used else None
-            res = rip_constant(a, k, budget - used, _tables=_tables, _seed=seed)
+            res = rip_constant(a, k, budget - used, _seed=seed)
             deltas[k], exact[k], witness = res.delta, res.exact, res.witness
             used += res.evaluations
     return RipProfile(deltas, exact, used)
@@ -552,10 +538,8 @@ def certify(
         _require_unit_columns(a)
     mu_res = coherence(a)
     welch = welch_bound(min(m, n), n)  # M >= N admits orthonormal columns: 0
-    # one set of subset tables serves both sweeps
-    tables = combination_tables(n, min(m, n))
-    spark_res = spark(a, budget, _tables=tables)
-    profile = rip_profile(a, k_max, budget, _tables=tables)
+    spark_res = spark(a, budget)
+    profile = rip_profile(a, k_max, budget)
 
     if spark_res.value is None:
         spark_limit = n  # full column rank: every support is identifiable

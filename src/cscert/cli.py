@@ -236,8 +236,11 @@ def main(argv=None) -> int:
         if not getattr(args, "budget", 1) >= 1:
             raise _UsageError(f"--budget must be at least 1, got {args.budget}")
         # a sweep can take minutes; a report with nowhere to go must fail before it
-        if getattr(args, "out", None) and not Path(args.out).parent.is_dir():
-            raise _UsageError(f"--out: no such directory: {Path(args.out).parent}")
+        if getattr(args, "out", None):
+            if Path(args.out).is_dir():
+                raise _UsageError(f"--out: is a directory: {args.out}")
+            if not Path(args.out).parent.is_dir():
+                raise _UsageError(f"--out: no such directory: {Path(args.out).parent}")
         return _COMMANDS[args.command](args)
     except (_UsageError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -351,9 +351,9 @@ def test_spark_forms_one_gram_for_its_top_sweep_and_upward_scan(build, monkeypat
     assert built == [a.shape]
 
 
-@pytest.mark.parametrize("entry", ["spark", "rip_profile", "certify"])
-def test_spark_and_rip_profile_build_each_table_once_per_call(entry, monkeypatch):
+def test_spark_rip_profile_and_certify_build_each_table_once_per_process(monkeypatch):
     module = importlib.import_module("cscert._linalg")
+    monkeypatch.setattr(module, "_TABLES", {})
     plain = module._extend_table
     built = []
 
@@ -362,16 +362,16 @@ def test_spark_and_rip_profile_build_each_table_once_per_call(entry, monkeypatch
         return plain(table, start)
 
     monkeypatch.setattr(module, "_extend_table", counted)
-    # spark sweeps size 8, then scans sizes up to 7 after its flag
+    # spark sweeps size 8, then scans sizes up to 7 after its flag; the RIP profile sweeps 1 to 8
     a = planted_8x16(7, 0)
-    call = {"spark": lambda: spark(a), "rip_profile": lambda: rip_profile(a, 8),
-            # spark and the RIP profile share the tables certify builds
-            "certify": lambda: certify(a, k_max=8)}[entry]
-    call()
+    certify(a, k_max=8)
     # each size from 2 to 8 is built from the one below it, once
     assert built == list(range(2, 9))
-    call()
-    assert built == 2 * list(range(2, 9))
+    certify(a, k_max=8)
+    spark(a)
+    rip_profile(a, 8)
+    assert built == list(range(2, 9))
+    assert sorted(module._TABLES) == [(16, r) for r in range(1, 9)]
 
 
 @settings(max_examples=12, deadline=None)
@@ -389,8 +389,11 @@ def test_certify_and_spark_do_not_depend_on_the_largest_table(m, n, planted, see
     a = normalize_columns(MeasurementMatrix(entries))
     budget = int(rng.integers(1, 20_000)) if cut else DEFAULT_BUDGET
     results = []
-    for limit in (1, 60, 1 << 17, 1 << 30):
-        with mock.patch.object(module, "_TABLE_ENTRIES", limit):
+    # the real limit first, so that the smaller ones meet a warm store: the limit holds on every
+    # call all the same; tables above the real limit go to a store of their own, which the patch drops
+    for limit in (1 << 17, 1, 60, 1 << 30):
+        with mock.patch.object(module, "_TABLE_ENTRIES", limit), \
+                mock.patch.object(module, "_TABLES", {} if limit > 1 << 17 else module._TABLES):
             results.append((certify(a, budget=budget).to_json(), spark(a, budget)))
     assert results[1:] == results[:1] * 3
 

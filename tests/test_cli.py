@@ -454,16 +454,20 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: --seed must be non-negative\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, work", [
-        (("dft-limit", "--n", "16", "--missing", "1"), "cscert.dft_uniqueness.dft_sparsity_limit"),
-        (("certify", "--matrix", str(DEMO_CSV)), "cscert.cli.certify"),
-    ], ids=["dft-limit", "certify"])
+    @pytest.mark.parametrize("command, work, out, message", [
+        (("dft-limit", "--n", "16", "--missing", "1"), "cscert.dft_uniqueness.dft_sparsity_limit",
+         "{tmp}/no/dir/x", "no such directory: {tmp}/no/dir"),
+        (("certify", "--matrix", str(DEMO_CSV)), "cscert.cli.certify",
+         "{tmp}/no/dir/x", "no such directory: {tmp}/no/dir"),
+        # an existing directory passes the parent check, but the write into it would fail
+        (("dft-limit", "--n", "16", "--missing", "1,2"), "cscert.dft_uniqueness.dft_sparsity_limit",
+         "{tmp}", "is a directory: {tmp}"),
+    ], ids=["dft-limit", "certify", "dft-limit-into-a-directory"])
     def test_out_into_a_missing_directory_fails_before_the_work(self, tmp_path, monkeypatch,
-                                                               capsys, command, work):
+                                                               capsys, command, work, out, message):
         monkeypatch.setattr(work, mock.Mock(side_effect=AssertionError("computed")))
-        missing = tmp_path / "no" / "dir"
-        assert run(*command, "--out", str(missing / "x")) == 1
-        assert capsys.readouterr().err == f"error: --out: no such directory: {missing}\n"
+        assert run(*command, "--out", out.format(tmp=tmp_path)) == 1
+        assert capsys.readouterr().err == f"error: --out: {message.format(tmp=tmp_path)}\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["certify", "--matrix", str(DEMO_CSV), "--kmax", "0"], "--kmax must be positive"),

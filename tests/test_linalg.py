@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -141,21 +143,95 @@ def test_combination_tables_are_itertools():
     assert len(combination_tables(16, 3)) == 3
 
 
+def test_kept_combination_tables_are_itertools_and_read_only(monkeypatch):
+    monkeypatch.setattr(_linalg, "_TABLES", {})
+    for n in [*range(1, 17), 256]:
+        combination_tables(n, n)
+    # every size at n <= 16, sizes 1 and 2 at n = 256
+    assert sorted(_linalg._TABLES) == [(n, r) for n in range(1, 17) for r in range(1, n + 1)] + [
+        (256, 1), (256, 2)]
+    for (n, r), (table, start) in _linalg._TABLES.items():
+        assert table.size <= _TABLE_ENTRIES
+        assert table.tolist() == np.array(list(itertools.combinations(range(n), r))).T.tolist()
+        assert table.dtype == np.min_scalar_type(n - 1) == np.uint8
+        assert start.tolist() == [sum(c < f for c in table[0].tolist()) for f in range(n + 1)]
+        assert not table.flags.writeable and not start.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+        # a later call returns the kept arrays themselves
+        again = combination_tables(n, r)[r - 1]
+        assert again[0] is table and again[1] is start
+
+
+def test_a_size_one_table_above_the_gate_is_built_per_call_and_not_kept(monkeypatch):
+    monkeypatch.setattr(_linalg, "_TABLES", {})
+    n = _TABLE_ENTRIES + 1
+    chunks = list(iter_combination_chunks(n, 1))
+    assert np.vstack(chunks)[:, 0].tolist() == list(range(n))
+    assert _linalg._TABLES == {}
+    (table, start), = combination_tables(n, 3)
+    assert table.dtype == np.uint32 and not table.flags.writeable and not start.flags.writeable
+    assert _linalg._TABLES == {}
+
+
+def test_threads_that_build_tables_at_once_keep_one_correct_store(monkeypatch):
+    monkeypatch.setattr(_linalg, "_TABLES", {})
+    sizes = [16, 20, 24, 256]
+    barrier = threading.Barrier(4)
+    results, errors = [], []
+
+    def build():
+        try:
+            barrier.wait(timeout=30)
+            results.append([combination_tables(n, n) for n in sizes])
+        except Exception as exc:  # a failed thread must fail the test, not vanish
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == [] and len(results) == 4
+    fresh = {}
+    with mock.patch.object(_linalg, "_TABLES", fresh):
+        reference = [combination_tables(n, n) for n in sizes]
+    assert _linalg._TABLES.keys() == fresh.keys()
+    assert all(np.array_equal(_linalg._TABLES[key][0], fresh[key][0]) for key in fresh)
+    for tables in results:
+        for got, want in zip(tables, reference):
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) and np.array_equal(s, t) for (a, s), (b, t) in zip(got, want))
+
+
+def small_tables_check(n, k, chunk, entries):
+    """``doubling_chunks_check`` with no table above ``entries`` entries, though larger ones are kept."""
+    combination_tables(n, n)
+    with mock.patch.object(_linalg, "_TABLE_ENTRIES", entries):
+        # the limit holds on every call, so the warm store serves only the sizes within it
+        sizes = next((r - 1 for r in range(2, k + 1) if r * math.comb(n, r) > entries), k)
+        assert len(combination_tables(n, k)) == sizes
+        doubling_chunks_check(n, k, chunk, exact=False)
+
+
 # with the tables this small, most rows are a prefix from the recursive stream and a suffix column
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 14), entries=st.sampled_from([1, 12, 60]), data=st.data())
 def test_combination_chunks_from_small_tables_are_itertools_in_doubling_chunks(n, entries, data):
     k = data.draw(st.integers(1, n), label="k")
     chunk = data.draw(st.one_of(st.just(1), st.integers(1, 3000), st.just(CHUNK)), label="chunk")
-    with mock.patch.object(_linalg, "_TABLE_ENTRIES", entries):
-        doubling_chunks_check(n, k, chunk, exact=False)
+    small_tables_check(n, k, chunk, entries)
 
 
 def test_combination_chunks_from_small_tables_double_from_64_up_to_the_cap():
-    with mock.patch.object(_linalg, "_TABLE_ENTRIES", 12):
-        doubling_chunks_check(14, 5, 300, exact=False)
-        # from k = 23 on, a chunk holds at most 2^20 entries of its k x k matrices
-        doubling_chunks_check(27, 23, CHUNK, exact=False)
+    small_tables_check(14, 5, 300, 12)
+    # from k = 23 on, a chunk holds at most 2^20 entries of its k x k matrices
+    small_tables_check(27, 23, CHUNK, 12)
 
 
 @pytest.mark.parametrize("n, k", [(70, 35), (200, 100), (128, 40)])

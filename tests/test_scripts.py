@@ -50,22 +50,37 @@ def test_pair_bench_formats_the_pair_table():
     ]
 
 
-def test_pair_bench_runs_in_a_copy_of_the_checkout(tmp_path):
-    # a stand-in run.py that writes its output directory next to itself, as perfbench does
+def test_pair_bench_runs_in_a_copy_of_the_checkout(tmp_path, capsys):
+    # a stand-in run.py that writes its output directory next to itself, as perfbench does,
+    # and its details JSON, indented, to stderr after a line of its own
     checkout = tmp_path / "checkout"
     (checkout / "src").mkdir(parents=True)
     (checkout / "perfbench").mkdir()
-    (checkout / "BENCHMARK.json").write_text("{}")
+    (checkout / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 0.5, "workloads": [{"name": "certify-generic"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}],
+    }))
     (checkout / "perfbench" / "run.py").write_text(
         "import json, pathlib, sys\n"
         "out = pathlib.Path(__file__).parent / '.out'\n"
         "out.mkdir()\n"
         "(out / 'args').write_text(' '.join(sys.argv[1:]))\n"
+        "print('{ not the details', file=sys.stderr)\n"
+        "print(json.dumps({'machine': {'cpus': 2}, 'unscaled': {'setup_s': 0.1, 'op_p50_s': 0.25}},\n"
+        "                 indent=2), file=sys.stderr)\n"
         "print(json.dumps({'correct': True, 'attempted': 3, 'failed': 0,\n"
         "                  'metrics': {'wall_s': {'value': 0.5, 'unit': 's'}}}))\n")
     before = sorted(p.relative_to(checkout) for p in checkout.rglob("*"))
-    assert load_pair_bench().run_once(checkout, "certify-generic", 7919, 0.5) == {"wall_s": 0.5}
+    pair_bench = load_pair_bench()
+    assert pair_bench.run_once(checkout, "certify-generic", 7919, 0.5) == {
+        "wall_s": 0.5, "unscaled.op_p50_s": 0.25}
     assert sorted(p.relative_to(checkout) for p in checkout.rglob("*")) == before
+    # each side's median of the unscaled op_p50_s is printed under the table
+    assert pair_bench.main([str(checkout), str(checkout), "--workload", "all", "--pairs", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "unscaled op_p50_s median, parent / change: certify-generic 0.25 / 0.25",
+        "rows worse than their bound: none",
+    ]
 
 
 def test_pair_bench_runs_every_named_workload_in_each_pair(tmp_path, monkeypatch, capsys):
@@ -83,7 +98,8 @@ def test_pair_bench_runs_every_named_workload_in_each_pair(tmp_path, monkeypatch
     def fake_run_once(checkout, workload, seed, seconds):
         calls.append((checkout.name, workload, seed, seconds))
         base = {"a": 0.2, "b": 0.3, "c": 0.4}[workload]
-        return {"wall_s": base / 2 if checkout == change else base}
+        wall = base / 2 if checkout == change else base
+        return {"wall_s": wall, "unscaled.op_p50_s": wall / 10}
 
     monkeypatch.setattr(pair_bench, "run_once", fake_run_once)
     argv = [str(parent), str(change), "--pairs", "3", "--seed", "5"]
@@ -95,6 +111,7 @@ def test_pair_bench_runs_every_named_workload_in_each_pair(tmp_path, monkeypatch
         "  | c | wall_s | 0.4 [0.4, 0.4] | 0.2 | -50.0% | 3/3 |",
         "  | a | wall_s | 0.2 [0.2, 0.2] | 0.1 | -50.0% | 3/3 |",
         "median gap beyond the parent's quartile spread: c wall_s, a wall_s",
+        "unscaled op_p50_s median, parent / change: c 0.04 / 0.02, a 0.02 / 0.01",
         # with no claim, the bound check still closes the output
         "rows worse than their bound: none",
     ]
