@@ -351,6 +351,30 @@ def test_spark_forms_one_gram_for_its_top_sweep_and_upward_scan(build, monkeypat
     assert built == [a.shape]
 
 
+@pytest.mark.parametrize("entry", ["spark", "rip_profile", "certify"])
+def test_spark_and_rip_profile_build_each_table_once_per_call(entry, monkeypatch):
+    module = importlib.import_module("cscert._linalg")
+    monkeypatch.setattr(module, "_TABLES", {})
+    plain = module._extend_table
+    built = []
+
+    def counted(table, start):
+        built.append(len(table) + 1)
+        return plain(table, start)
+
+    monkeypatch.setattr(module, "_extend_table", counted)
+    # spark sweeps size 8, then scans sizes up to 7 after its flag
+    a = planted_8x16(7, 0)
+    call = {"spark": lambda: spark(a), "rip_profile": lambda: rip_profile(a, 8),
+            "certify": lambda: certify(a, k_max=8)}[entry]
+    call()
+    # from an empty store, each size from 2 to 8 is built from the one below it, once
+    assert built == list(range(2, 9))
+    # a second call reads the kept tables and builds none
+    call()
+    assert built == list(range(2, 9))
+
+
 def test_spark_rip_profile_and_certify_build_each_table_once_per_process(monkeypatch):
     module = importlib.import_module("cscert._linalg")
     monkeypatch.setattr(module, "_TABLES", {})
