@@ -107,6 +107,26 @@ first flagged subset, as a combination sweep's would be. Sweeps that need
 the logical subset count (spark's upward scan and RIP constants) keep
 ``iter_combination_chunks``.
 
+The DFT column test reads only whether some subset is flagged, so it
+halves its sweep again with ``reflect=True``: one subset per orbit of the
+shifts and the reflection S -> -S (mod N), a bracelet (Sawada, "Generating
+bracelets in constant amortized time", SIAM J. Comput. 31, 2001), about
+``C(N, k) / (2 N)`` of them (440 of the 810 necklaces at N = 16 and k = 8).
+Column -s of a Fourier matrix is the conjugate of column s, so columns -S
+are the conjugates of columns S and have the same singular values. The
+rounding is the shift argument's: each computed entry of the rows
+``dft_uniqueness`` builds lies within about ``5 * N * eps`` of its exact
+root of unity (measured at every N from 8 to 4096, and the same measured
+bound for column -s against the conjugate of column s), inside the
+``16 * N * eps`` tolerance above, so a reflection moves ``sigma_min /
+sigma_max`` by no more than a shift does. Reflection reverses the gap
+sequence, so the bracelets are the necklaces whose gaps are at most every
+rotation of their reverse; ``_bracelets`` filters the necklace chunks by
+that test rather than generating bracelets directly. Spark's top sweep keeps
+plain necklaces, since it needs the lexicographically first flagged subset
+and the matrices it sees need not have conjugate columns, and so does the
+zero-set sweep over row sets, whose budget counts row sets.
+
 ``iter_combination_chunks`` slices its k-subsets from
 ``combination_tables``: for each size r, the r-combinations of range(n) as
 the columns of one read-only array, in lexicographic order, in the smallest
@@ -124,7 +144,16 @@ patterns asks for the same sets again and again, and every caller reads the
 same arrays. The orbit sets are kept in ``_ORBIT_SETS`` by (n, k): every
 size at n = 16 (32,928 entries, 263 KB, together) and sizes 1-5 and 28-32
 at n = 32. Generating one costs as much as the rank tests it feeds, or more
-(0.13-0.33 ms at n = 16 and k = 4, 6, 8, on one core). The combination
+(0.13-0.33 ms at n = 16 and k = 4, 6, 8, on one core). The bracelet sets
+follow the same rule, by the count of their necklace sets, under
+(n, k, True): every size at n = 16 holds 18,000 entries (144 KB) together.
+Each is filtered once from its kept necklace set, so the filter runs
+once per process (0.14 ms at n = 16 and k = 8, against 0.39 ms to
+generate the necklaces, on one core); a filter run on every call, on top
+of the necklace chunks, cost more than the rank tests it saved. A streamed
+set is filtered chunk by chunk, at about half the cost of generating it
+(0.37 s against 0.75 s for the 2,016,144 necklaces at n = 32 and k = 10),
+less than the rank tests it saves. The combination
 tables are kept in ``_TABLES``: every size at n = 16 (524,288 one-byte
 entries, 512 KB, together) and sizes 1 and 2 at n = 256. They are keyed on
 (n, r), so that two threads that build one size at once only do the work
@@ -301,7 +330,7 @@ def _combination_rows(tables, k, lo, cap, size):
             size = min(2 * size, cap)
 
 
-def iter_orbit_chunks(n: int, k: int):
+def iter_orbit_chunks(n: int, k: int, *, reflect: bool = False):
     """An iterator of (B, k) int arrays of one k-subset of range(n) per cyclic-shift orbit.
 
     Each subset holds 0 and is the lexicographically smallest of its shifts
@@ -331,20 +360,82 @@ def iter_orbit_chunks(n: int, k: int):
     n, and every caller holds n columns, far fewer than 2^31, so int32 holds
     them, which halves the frames.
 
+    For k >= n - 1 there is one orbit, ``range(k)``, whose gaps are all 1
+    but for a last 2 at k = n - 1, and it is built at once as one chunk.
+
+    With ``reflect``, one subset per orbit of the shifts and the reflection
+    S -> -S (mod n) instead: the necklace chunks, each filtered by
+    ``_bracelets`` to the subsets that are also the smallest of their
+    reflections' shifts, in the same order and layout.
+
     A set of at most ``_TABLE_ENTRIES`` entries (``_kept``), the tables'
     rule, is generated whole on its first call and kept in ``_ORBIT_SETS``
-    for the rest of the process; later calls iterate over the kept chunks.
-    Chunks are read-only, so no caller can change what the next one reads.
-    A larger set streams lazily, one step per chunk, and is never kept.
+    for the rest of the process, under (n, k), or (n, k, True) with
+    ``reflect``; later calls iterate over the kept chunks. A kept reflected
+    set is filtered from the kept necklace set, so each set is generated
+    once. Chunks are read-only, so no caller can change what the next one
+    reads. A larger set streams lazily, one step per chunk (filtered chunk by
+    chunk with ``reflect``), and is never kept.
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
     if not _kept(n, k):
-        return _necklaces(n, k)
-    chunks = _ORBIT_SETS.get((n, k))
+        return _orbit_stream(n, k, reflect)
+    key = (n, k, True) if reflect else (n, k)
+    chunks = _ORBIT_SETS.get(key)
     if chunks is None:
-        chunks = _ORBIT_SETS[n, k] = tuple(_necklaces(n, k))
+        chunks = _ORBIT_SETS[key] = tuple(_orbit_stream(n, k, reflect))
     return iter(chunks)
+
+
+def _orbit_stream(n: int, k: int, reflect: bool):
+    """The chunks of ``iter_orbit_chunks(n, k, reflect=reflect)`` built anew; bracelets filter the kept necklaces."""
+    if k >= n - 1:
+        out = np.arange(k).reshape(k, 1)
+        out.flags.writeable = False
+        return iter((out.T,))
+    if reflect:
+        return _bracelets(iter_orbit_chunks(n, k), n)
+    return _necklaces(n, k)
+
+
+def _bracelets(chunks, n: int):
+    """The subsets of the necklace ``chunks`` whose gaps are at most every rotation of their reverse.
+
+    Reflecting S reverses its gap sequence g, so a necklace S is the smallest
+    of its orbit under shifts and reflection iff g is lexicographically at
+    most each rotation of reversed g. A necklace's first gap is its smallest,
+    so only the rotations that start with a gap equal to it can be smaller;
+    those (rotation, subset) pairs are compared one position at a time, and
+    each drops out at its first difference, the subset too when that
+    difference is negative. So a chunk costs about k entries per subset, not
+    k^2. A chunk that keeps nothing is dropped; the others stay read-only
+    (B, k) transposes of C-ordered (k, B) arrays.
+    """
+    for s in chunks:
+        c = s.T
+        k, b = c.shape
+        gaps = np.empty_like(c)
+        np.subtract(c[1:], c[:-1], out=gaps[:-1])
+        gaps[-1] = n - c[-1]
+        # the reverse twice over, flat: rotation j's entry i is at (j + i) * b + its subset
+        twice = np.concatenate((gaps[::-1], gaps[::-1])).ravel()
+        at = np.flatnonzero(twice[: k * b].reshape(k, b) == gaps[0])
+        which = at % b
+        keep = np.ones(b, dtype=bool)
+        # the gaps of each sequence sum to n, so pairs equal up to the last gap are equal
+        for i in range(1, k - 1):
+            if not len(at):
+                break
+            at += b
+            d = twice[at] - gaps[i][which]
+            keep[which[d < 0]] = False
+            same = d == 0
+            at, which = at[same], which[same]
+        if keep.any():
+            out = np.ascontiguousarray(c[:, keep])
+            out.flags.writeable = False
+            yield out.T
 
 
 def _kept(n: int, k: int) -> bool:
@@ -407,10 +498,26 @@ def _necklaces(n: int, k: int):
 
 
 def orbits(n: int, k: int) -> int:
-    """The k-subsets of range(n) up to shifts, as many as ``iter_orbit_chunks`` yields (Burnside)."""
-    g = math.gcd(n, k)
-    phi = {d: sum(math.gcd(j, d) == 1 for j in range(d)) for d in range(1, g + 1) if g % d == 0}
-    return sum(phi[d] * math.comb(n // d, k // d) for d in phi) // n
+    """The k-subsets of range(n) up to shifts, as many as ``iter_orbit_chunks`` yields.
+
+    By Burnside's lemma, the sum of ``phi(d) * C(n / d, k / d)`` over the
+    divisors d of gcd(n, k), divided by n. Each divisor and its totient
+    come from the prime factors of the gcd, p^i contributing
+    ``p^i - p^(i-1)``, so a gcd of 2^17 takes 18 terms, not 2^17 gcds.
+    """
+    terms = [(1, 1)]  # (d, phi(d)) over the divisors d of the prime factors found so far
+    g, p = math.gcd(n, k), 2
+    while g > 1:
+        if p * p > g:
+            p = g  # what is left is prime
+        if g % p == 0:
+            powers = [1]
+            while g % p == 0:
+                g //= p
+                powers.append(powers[-1] * p)
+            terms = [(d * q, f * (q - q // p)) for d, f in terms for q in powers]
+        p += 1
+    return sum(f * math.comb(n // d, k // d) for d, f in terms) // n
 
 
 def shift_invariant(entries: np.ndarray) -> bool:

@@ -35,15 +35,18 @@ T are dependent exactly when the available rows' inverse-DFT columns T are.
   (``dft_uniqueness_oracle``'s test, on the rank test that lives with the
   pattern object and serves its every K and call) is the limit. The rows
   are built as Fourier rows, so shifting a column subset keeps its singular
-  values, and one subset per cyclic-shift orbit is enough, with no check of
-  that structure; for ``N/2 < 2K < N`` they are the complements of the
-  orbits of ``N - 2K`` columns, which take fewer necklace levels to generate.
+  values, and so does reflecting it (column -s is the conjugate of column
+  s): one subset per orbit of shifts and reflection, a bracelet, is enough,
+  with no check of that structure, 440 of the C(16, 8) = 12,870 subsets
+  at N = 16. For ``N/2 < 2K < N`` they are the complements of the bracelets
+  of ``N - 2K`` columns, which take fewer necklace levels to generate.
 
-The top level takes the columns when their worst case, ``orbits(N, 2K)``
-summed over the open K, is at most the rows' and the rows fit the budget
-left. Reports cannot differ: such a row sweep would run to its end, the top
-level is the budget's last consumer, and both sides decide S's granule by the
-same 1e-10 rank rule. A row sweep that runs out of budget leaves the lower
+The top level takes the columns when their worst case, counted in shift
+orbits, ``orbits(N, 2K)`` summed over the open K (the bracelets swept are
+fewer), is at most the rows' and the rows fit the budget left. Reports
+cannot differ: such a row sweep would run to its end, the top level is the
+budget's last consumer, and both sides decide S's granule by the same 1e-10
+rank rule. A row sweep that runs out of budget leaves the lower
 bound, flagged as such.
 """
 
@@ -410,12 +413,13 @@ def dft_uniqueness_oracle(p: MissingSamplePattern, k: int) -> bool:
 
     Builds the partial inverse-DFT block on the available positions, the
     entries of ``build_partial_idft`` without its validation, and tests
-    every 2K-column submatrix for full column rank, one subset per
-    cyclic-shift orbit: shifting a column subset multiplies its columns by
-    a unit-modulus diagonal, which keeps its singular values, so C(16, 8) =
-    12,870 subsets become 810. For ``N/2 < 2K < N`` the representatives are
-    the complements of those of ``N - 2K`` columns: complement commutes with
-    shifts. The test is ``_first_independent`` at the one size 2K, the
+    every 2K-column submatrix for full column rank, one subset per orbit of
+    shifts and reflection: shifting a column subset multiplies its columns
+    by a unit-modulus diagonal, and reflecting it, S -> -S, conjugates them,
+    both of which keep its singular values, so C(16, 8) = 12,870 subsets
+    become 440. For ``N/2 < 2K < N`` the representatives are the complements
+    of those of ``N - 2K`` columns: complement commutes with shifts and
+    reflection. The test is ``_first_independent`` at the one size 2K, the
     column side of ``dft_sparsity_limit``, on the rank test that lives with
     ``p``: asking K = 1, 2, ... of one pattern object forms its Gram once.
     """
@@ -432,18 +436,21 @@ def _first_independent(p: MissingSamplePattern, sizes):
 
     None when no size passes. Every size, and every call on the same ``p``,
     uses the rank test that lives with ``p`` (``p._column_test``). Each size
-    is swept one subset per cyclic-shift orbit from the side with fewer gaps:
-    ``iter_orbit_chunks(n, size)``, or for ``n / 2 < size < n`` the
-    complements of ``iter_orbit_chunks(n, n - size)``, one per orbit too since
-    complement commutes with shifts. The caller reads only whether a subset
-    is flagged, so which subset of an orbit stands for it does not matter.
+    is swept one subset per orbit of shifts and reflection, from the side with
+    fewer gaps: ``iter_orbit_chunks(n, size, reflect=True)``, or for
+    ``n / 2 < size < n`` the complements of ``iter_orbit_chunks(n, n - size,
+    reflect=True)``, one per orbit too since complement commutes with shifts
+    and reflection. Both callers, the oracle and ``column_scan``, read only
+    whether a subset is flagged, so which subset of an orbit stands for it
+    does not matter; ``column_scan``'s count rule still counts shift orbits
+    (``orbits``), so its choice of side is unchanged.
     """
     n = p.n
     for size in sizes:
         if n < 2 * size < 2 * n:
-            chunks = _complements(iter_orbit_chunks(n, n - size), n)
+            chunks = _complements(iter_orbit_chunks(n, n - size, reflect=True), n)
         else:
-            chunks = iter_orbit_chunks(n, size)
+            chunks = iter_orbit_chunks(n, size, reflect=True)
         if sweep(chunks, p._column_test).witness is None:
             return size
     return None

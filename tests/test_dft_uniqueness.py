@@ -1,5 +1,6 @@
 import collections
 import copy
+import importlib
 import itertools
 import math
 import pickle
@@ -57,6 +58,21 @@ def assert_shared_test_answers_like_fresh_ones(n, missing, order, limit_first):
     for k in order:
         assert dft_uniqueness_oracle(p, k) == dft_uniqueness_oracle(fresh(), k), (missing, k)
     assert dft_sparsity_limit(p).to_json() == report, missing
+
+
+def shift_orbits_only(n, k, reflect=False):
+    """``iter_orbit_chunks`` with ``reflect`` left out: one column subset per shift orbit."""
+    return iter_orbit_chunks(n, k)
+
+
+def assert_oracle_matches_the_shift_orbit_sweep(n, missing):
+    """The oracle at every K up to (N - q) / 2 + 1 against the same sweep over shift orbits alone."""
+    ks = range(1, (n - len(missing)) // 2 + 2)
+    p = MissingSamplePattern.of(n, missing)
+    got = [dft_uniqueness_oracle(p, k) for k in ks]
+    with mock.patch.object(dft_uniqueness, "iter_orbit_chunks", shift_orbits_only):
+        p = MissingSamplePattern.of(n, missing)
+        assert got == [dft_uniqueness_oracle(p, k) for k in ks], missing
 
 
 def plain_zero_set_scan(n: int, q, rows=None) -> int:
@@ -118,10 +134,10 @@ def row_sweeps(monkeypatch):
 
 
 def opened(streams, chunks=iter_orbit_chunks):
-    """``chunks``, recording the (n, k) of every stream it opens in ``streams``."""
-    def recorded(n, k):
+    """``chunks``, recording the (n, k) of every stream it opens in ``streams``; keywords pass through."""
+    def recorded(n, k, **kwargs):
         streams.append((n, k))
-        return chunks(n, k)
+        return chunks(n, k, **kwargs)
     return recorded
 
 
@@ -161,8 +177,8 @@ def column_side(n, q, lo, hi):
 
 def resplit(size):
     """``iter_orbit_chunks`` with its stream of row sets cut again into chunks of ``size``."""
-    def chunks(n, k):
-        rows = itertools.chain.from_iterable(iter_orbit_chunks(n, k))
+    def chunks(n, k, **kwargs):
+        rows = itertools.chain.from_iterable(iter_orbit_chunks(n, k, **kwargs))
         while batch := list(itertools.islice(rows, size)):
             yield np.array(batch)
     return chunks
@@ -714,6 +730,41 @@ class TestOracle:
         for k in range(1, len(p.available()) // 2 + 1):
             full = sweep(iter_combination_chunks(n, 2 * k), rank_test(entries))
             assert dft_uniqueness_oracle(p, k) == (full.witness is None), (p.missing, k)
+
+    def test_bracelet_sweep_matches_the_shift_orbit_sweep_on_every_n8_pattern(self):
+        for q in range(9):
+            for missing in itertools.combinations(range(8), q):
+                assert_oracle_matches_the_shift_orbit_sweep(8, missing)
+
+    @given(st.sets(st.integers(0, 15), max_size=15))
+    @settings(max_examples=60, deadline=None)
+    def test_bracelet_sweep_matches_the_shift_orbit_sweep_at_n16(self, missing):
+        assert_oracle_matches_the_shift_orbit_sweep(16, sorted(missing))
+
+    def test_only_the_column_test_sweeps_bracelets(self):
+        # the oracle and the column scan, both sides of 2K = N/2 and 2K = N; the zero-set
+        # sweep's budget counts row sets and spark's top sweep needs its first flag in order
+        asked = []
+
+        def recorded(n, k, reflect=False):
+            asked.append(reflect)
+            return iter_orbit_chunks(n, k, reflect=reflect)
+
+        with mock.patch.object(dft_uniqueness, "iter_orbit_chunks", recorded):
+            p = MissingSamplePattern.of(16, [])
+            assert [dft_uniqueness_oracle(p, k) for k in (3, 6, 8)] == [True] * 3
+            q = frozenset([1, 3, 4, 5, 6, 8, 11, 14])
+            m = top_level(math.inf, 16, q)
+            with mock.patch.object(dft_uniqueness, "orbits", lambda n, k: 0):
+                assert m.column_scan(16, q, 1, 9) == (7, True)
+            assert asked and all(asked)
+            del asked[:]
+            m.zero_set_sweep(16, q, 16, stop=0)
+            assert asked == [False]
+            del asked[:]
+        with mock.patch.object(importlib.import_module("cscert.certify"), "iter_orbit_chunks", recorded):
+            spark(build_partial_idft(16, range(2, 16)))
+        assert asked and not any(asked)
 
     def test_complement_sweep_matches_the_orbit_sweep_on_every_n16_pattern(self):
         # the column test sweeps the complements of necklaces of N - size columns for

@@ -400,6 +400,15 @@ def kept_sizes(n):
     return [k for k in range(1, n + 1) if k * orbits(n, k) <= _TABLE_ENTRIES]
 
 
+def assert_same_chunks(got, want):
+    """Two chunk lists alike in number, dtype, shape, strides and values, read-only (B, k) transposes."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.intp
+        assert a.shape == b.shape and a.strides == b.strides and a.T.flags.c_contiguous
+        assert not a.flags.writeable and np.array_equal(a, b)
+
+
 def test_kept_orbit_sets_match_a_fresh_stream(monkeypatch):
     monkeypatch.setattr(_linalg, "_ORBIT_SETS", {})
     assert kept_sizes(16) == list(range(1, 17))
@@ -408,12 +417,7 @@ def test_kept_orbit_sets_match_a_fresh_stream(monkeypatch):
         for k in kept_sizes(n):
             kept = list(ended(iter_orbit_chunks(n, k), orbits(n, k)))
             assert _linalg._ORBIT_SETS[n, k] == tuple(kept)
-            fresh = list(_linalg._necklaces(n, k))
-            assert len(kept) == len(fresh), (n, k)
-            for a, b in zip(kept, fresh):
-                assert a.dtype == b.dtype == np.intp
-                assert a.shape == b.shape and a.strides == b.strides and a.T.flags.c_contiguous
-                assert np.array_equal(a, b), (n, k)
+            assert_same_chunks(kept, list(_linalg._necklaces(n, k)))
             # a second call iterates over the same chunks
             again = list(iter_orbit_chunks(n, k))
             assert len(again) == len(kept) and all(a is b for a, b in zip(again, kept))
@@ -534,6 +538,138 @@ def test_orbit_chunks_start_like_the_candidate_filter_at_large_n(n, k):
     # C(n - 1, k - 1) past int64 at (70, 35) and (128, 40); caps below CHUNK from n = 1024 on
     got = head(iter_orbit_chunks(n, k), 3000)
     assert np.array_equal(got, head(candidate_filter_chunks(n, k), 3000))
+
+
+def gcd_sum_orbits(n, k):
+    """Reference: Burnside's count with each totient summed from gcds, as ``orbits`` once had it."""
+    g = math.gcd(n, k)
+    phi = {d: sum(math.gcd(j, d) == 1 for j in range(d)) for d in range(1, g + 1) if g % d == 0}
+    return sum(phi[d] * math.comb(n // d, k // d) for d in phi) // n
+
+
+def test_orbit_count_takes_totients_from_prime_factors():
+    for n in range(1, 65):
+        for k in range(n + 1):
+            assert orbits(n, k) == gcd_sum_orbits(n, k), (n, k)
+    for n in range(1, 13):
+        for k in range(n + 1):
+            canonical = {min(tuple(sorted((i + c) % n for i in s)) for c in range(n))
+                         for s in itertools.combinations(range(n), k)}
+            assert orbits(n, k) == len(canonical), (n, k)
+    # a gcd of 2^17 has 18 divisors; summing gcds over each took 47 ms
+    assert orbits(2**17, 2**17) == orbits(2**17, 2**17 - 1) == 1
+    assert orbits(2 * 3**2 * 5 * 7**2, 3 * 7) == gcd_sum_orbits(2 * 3**2 * 5 * 7**2, 3 * 7)
+
+
+def test_one_orbit_sets_take_their_closed_form(monkeypatch):
+    # k = n and k = n - 1 have one orbit, range(k); the generator takes k levels to find it
+    monkeypatch.setattr(_linalg, "_ORBIT_SETS", {})
+    for n in range(2, 65):
+        for k in (n - 1, n):
+            for reflect in (False, True):
+                got = list(ended(iter_orbit_chunks(n, k, reflect=reflect), 1))
+                assert_same_chunks(got, list(_linalg._necklaces(n, k)))
+    # at 2^17 the generator took a minute for the one subset
+    monkeypatch.setattr(_linalg, "_ORBIT_SETS", {})
+    monkeypatch.setattr(_linalg, "_necklaces", mock.Mock(side_effect=AssertionError("generated")))
+    for k in (2**17 - 1, 2**17):
+        for reflect in (False, True):
+            (got,) = ended(iter_orbit_chunks(2**17, k, reflect=reflect), 1)
+            assert got.shape == (1, k) and got.T.flags.c_contiguous and not got.flags.writeable
+            assert np.array_equal(got[0], np.arange(k))
+
+
+def dihedral_canonical(n, k):
+    """Reference: the smallest of each k-subset's shifts and reflected shifts, sorted."""
+    return sorted({
+        min(min(tuple(sorted((c + i) % n for i in s)), tuple(sorted((c - i) % n for i in s)))
+            for c in range(n))
+        for s in itertools.combinations(range(n), k)
+    })
+
+
+def reflection_filter(chunks, n):
+    """Reference: each necklace S kept when it is no larger than the smallest shift of -S."""
+    for s in chunks:
+        # the shifts of -S that hold 0 are -S + s_j, j < k
+        shifts = np.sort((s[:, :, None] - s[:, None, :]) % n, axis=2).transpose(1, 2, 0)
+        smallest = shifts[0]
+        for shift in shifts[1:]:
+            smallest = np.where(lex_leq(shift, smallest), shift, smallest)
+        kept = s[lex_leq(s.T, smallest)]
+        if len(kept):
+            yield np.array(kept.T, order="C").T
+
+
+def test_bracelet_chunks_yield_one_subset_per_dihedral_orbit():
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            chunks = ended(iter_orbit_chunks(n, k, reflect=True), orbits(n, k))
+            assert all(0 < len(c) <= CHUNK for c in chunks)
+            for c in chunks:
+                assert c.dtype == np.intp and c.T.flags.c_contiguous and not c.flags.writeable
+            want = dihedral_canonical(n, k)
+            assert [tuple(r) for r in np.vstack(chunks).tolist()] == want, (n, k)
+            # the filter keeps the same subsets from necklace chunks of one subset each
+            singles = [np.array(c.T[:, i : i + 1], order="C").T
+                       for c in iter_orbit_chunks(n, k) for i in range(len(c))]
+            got = [tuple(r) for c in _linalg._bracelets(singles, n) for r in c.tolist()]
+            assert got == want, (n, k)
+    counts = [sum(map(len, iter_orbit_chunks(16, k, reflect=True))) for k in range(1, 17)]
+    assert counts == [1, 8, 21, 72, 147, 280, 375, 440, 375, 280, 147, 72, 21, 8, 1, 1]
+
+
+@pytest.mark.parametrize("n, k", [(20, 7), (24, 6), (32, 4), (32, 6), (32, 16)])
+def test_bracelet_chunks_match_a_reflection_filter_of_the_necklaces(n, k):
+    # (32, 4) is kept; (32, 6) and (32, 16) stream, filtered chunk by chunk
+    if k * orbits(n, k) > _TABLE_ENTRIES:
+        got = head(iter_orbit_chunks(n, k, reflect=True), 3000)
+        want = head(reflection_filter(_linalg._necklaces(n, k), n), 3000)
+    else:
+        got = np.vstack(list(iter_orbit_chunks(n, k, reflect=True)))
+        want = np.vstack(list(reflection_filter(_linalg._necklaces(n, k), n)))
+    assert np.array_equal(got, want)
+
+
+def test_bracelet_sets_are_kept_under_their_own_key_and_filtered_once(monkeypatch):
+    monkeypatch.setattr(_linalg, "_ORBIT_SETS", {})
+    generated, filtered = [], []
+    necklaces, bracelets = _linalg._necklaces, _linalg._bracelets
+
+    def counted_necklaces(n, k):
+        generated.append((n, k))
+        return necklaces(n, k)
+
+    def counted_bracelets(chunks, n):
+        filtered.append(n)
+        return bracelets(chunks, n)
+
+    monkeypatch.setattr(_linalg, "_necklaces", counted_necklaces)
+    monkeypatch.setattr(_linalg, "_bracelets", counted_bracelets)
+    for n in [*range(1, 17), 32]:
+        for k in kept_sizes(n):
+            # every other size asks for the necklaces first, the rest for the bracelets first
+            for reflect in (k % 2 == 0, k % 2 == 1) * 2:
+                chunks = list(iter_orbit_chunks(n, k, reflect=reflect))
+                key = (n, k, True) if reflect else (n, k)
+                assert _linalg._ORBIT_SETS[key] == tuple(chunks) and all(
+                    a is b for a, b in zip(chunks, iter_orbit_chunks(n, k, reflect=reflect)))
+            want = list(reflection_filter(_linalg._ORBIT_SETS[n, k], n))
+            assert_same_chunks(list(_linalg._ORBIT_SETS[n, k, True]), want)
+    # the one-orbit sizes take their closed form; every other set is generated and filtered once
+    assert sorted(generated) == sorted({(n, k) for n, k, *_ in _linalg._ORBIT_SETS if k < n - 1})
+    assert len(generated) == len(set(generated)) and len(filtered) == len(generated)
+    # every n = 16 bracelet set together: 18,000 entries of 8 bytes
+    assert sum(c.size for k in range(1, 17) for c in _linalg._ORBIT_SETS[16, k, True]) == 18_000
+
+
+def test_bracelet_sets_above_the_gate_stream_and_are_not_kept(monkeypatch):
+    monkeypatch.setattr(_linalg, "_ORBIT_SETS", {})
+    chunks = iter_orbit_chunks(32, 16, reflect=True)
+    first = next(chunks)
+    assert np.array_equal(first, next(reflection_filter(_linalg._necklaces(32, 16), 32)))
+    assert not first.flags.writeable and first.T.flags.c_contiguous
+    assert _linalg._ORBIT_SETS == {}
 
 
 @pytest.mark.parametrize("n", [2**r for r in range(1, 11)])

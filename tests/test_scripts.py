@@ -12,6 +12,8 @@ from conftest import REPO_ROOT
 @pytest.mark.parametrize("argv", [
     ["certify_demo.py"],
     ["recovery_phase_sweep.py", "--rows", "4", "--cols", "8", "--trials", "5"],
+    # exits 1 unless the digest over every N=8 pattern holding 0 is the recorded one
+    ["dft_digest.py", "--n", "8"],
 ])
 def test_script_runs(argv):
     env = dict(os.environ)
@@ -23,6 +25,16 @@ def test_script_runs(argv):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_dft_digest_exits_1_unless_it_matches_the_recorded_value(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("dft_digest", REPO_ROOT / "scripts" / "dft_digest.py")
+    dft_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dft_digest)
+    assert dft_digest.main(["--n", "8"]) == 0
+    assert capsys.readouterr().out == dft_digest.RECORDED[8] + "\n"
+    monkeypatch.setitem(dft_digest.RECORDED, 8, "0" * 64)
+    assert dft_digest.main(["--n", "8"]) == 1
 
 
 def load_pair_bench():
